@@ -16,10 +16,10 @@
 //                    also run single-threaded and compare series/digests)
 //   --batch=N        train size for the batched LLFree bench (default
 //                    512 base frames per GetBatch/PutBatch round)
-//   --trace-out=PATH writes the attribution run's span tree as a
-//                    Perfetto/Chrome trace (PATH itself when it ends in
-//                    .json), plus PATH.spans.csv (the ha_trace_tool
-//                    input) and PATH.prom (Prometheus exposition)
+//   --trace-out=PATH writes the attribution run's span tree in the
+//                    shared trace artifact layout (bench/trace_io.h):
+//                    Perfetto JSON (PATH itself when it ends in .json),
+//                    PATH.spans.csv and PATH.prom
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -32,11 +32,11 @@
 #include <vector>
 
 #include "bench/fleet_bench.h"
+#include "bench/trace_io.h"
 #include "src/core/hyperalloc.h"
 #include "src/guest/compaction.h"
 #include "src/llfree/frame_cache.h"
 #include "src/llfree/llfree.h"
-#include "src/trace/export.h"
 #include "src/trace/span.h"
 #include "src/workloads/memory_pool.h"
 
@@ -893,7 +893,7 @@ std::string HugeVariantJson(const HugeFrameVariant& variant) {
 int Main(int argc, char** argv) {
   bool smoke = false;
   std::string out = "BENCH_PR10.json";
-  std::string trace_out;
+  const std::string trace_out = TraceOutPath(argc, argv);
   unsigned threads = 4;
   unsigned batch = 512;
   for (int i = 1; i < argc; ++i) {
@@ -905,8 +905,6 @@ int Main(int argc, char** argv) {
       threads = static_cast<unsigned>(std::atoi(argv[i] + 10));
     } else if (std::strncmp(argv[i], "--batch=", 8) == 0) {
       batch = static_cast<unsigned>(std::atoi(argv[i] + 8));
-    } else if (std::strncmp(argv[i], "--trace-out=", 12) == 0) {
-      trace_out = argv[i] + 12;
     }
   }
   if (threads == 0) {
@@ -952,25 +950,9 @@ int Main(int argc, char** argv) {
                        "off/on + balloon probe)...\n");
   const HugeFrameBench huge_frame = BenchHugeFrame(smoke);
 
-#if HYPERALLOC_TRACE
   if (!trace_out.empty()) {
-    const bool json_ext = trace_out.size() >= 5 &&
-                          trace_out.compare(trace_out.size() - 5, 5,
-                                            ".json") == 0;
-    trace::WritePerfettoJson(json_ext ? trace_out
-                                      : trace_out + ".perfetto.json",
-                             attribution.spans);
-    trace::WriteSpansCsv(trace_out + ".spans.csv", attribution.spans);
-    trace::WritePrometheus(trace_out + ".prom");
-    std::fprintf(stderr, "trace written to %s{,.spans.csv,.prom}\n",
-                 trace_out.c_str());
+    WriteTraceOut(trace_out, attribution.spans);
   }
-#else
-  if (!trace_out.empty()) {
-    std::fprintf(stderr, "warning: --trace-out ignored (built with "
-                         "HYPERALLOC_TRACE=0)\n");
-  }
-#endif
 
   std::string json;
   json += "{\n";

@@ -89,7 +89,7 @@ VmBundle MakeVmBundle(sim::Simulation* sim, hv::HostMemory* host,
   VmBundle setup;
   setup.candidate = candidate;
 
-  // Stamp trace events with this simulation's virtual clock. Benches run
+  // Stamp spans with this simulation's virtual clock. Benches run
   // one simulation at a time, so the last-created bundle owns the clock.
   trace::Tracer::Global().SetTimeSource(sim);
 

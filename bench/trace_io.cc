@@ -8,45 +8,54 @@
 
 namespace hyperalloc::bench {
 
-TraceOutput::TraceOutput(int argc, char** argv) {
+std::string TraceOutPath(int argc, char** argv) {
   constexpr std::string_view kFlag = "--trace-out";
+  std::string path;
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
     if (arg.size() > kFlag.size() + 1 && arg.substr(0, kFlag.size()) == kFlag &&
         arg[kFlag.size()] == '=') {
-      path_ = std::string(arg.substr(kFlag.size() + 1));
+      path = std::string(arg.substr(kFlag.size() + 1));
     } else if (arg == kFlag && i + 1 < argc) {
-      path_ = argv[++i];
+      path = argv[++i];
     }
   }
+#if !HYPERALLOC_TRACE
+  if (!path.empty()) {
+    std::fprintf(stderr,
+                 "warning: --trace-out ignored (built with "
+                 "HYPERALLOC_TRACE=0)\n");
+    path.clear();
+  }
+#endif
+  return path;
+}
+
+void WriteTraceOut(const std::string& path,
+                   const std::vector<trace::SpanRecord>& spans) {
+  const std::string perfetto = trace::WriteTraceArtifact(path, spans);
+  std::fprintf(stderr,
+               "trace written to %s, %s.spans.csv, %s.prom (%zu spans)\n",
+               perfetto.c_str(), path.c_str(), path.c_str(), spans.size());
+}
+
+TraceOutput::TraceOutput(int argc, char** argv)
+    : path_(TraceOutPath(argc, argv)) {
   if (path_.empty()) {
     return;
   }
-#if HYPERALLOC_TRACE
   // Benches emit from a single thread; one big ring keeps whole runs.
-  trace::Tracer::Global().SetCapacity(size_t{1} << 20);
-  trace::Tracer::Global().SetEnabled(true);
   trace::SpanTracer::Global().SetCapacity(size_t{1} << 20);
   trace::SpanTracer::Global().SetEnabled(true);
-#else
-  std::fprintf(stderr,
-               "warning: --trace-out ignored (built with "
-               "HYPERALLOC_TRACE=0)\n");
-  path_.clear();
-#endif
 }
 
 TraceOutput::~TraceOutput() {
-#if HYPERALLOC_TRACE
   if (path_.empty()) {
     return;
   }
-  trace::Tracer::Global().SetEnabled(false);
   trace::Tracer::Global().SetTimeSource(nullptr);
   trace::SpanTracer::Global().SetEnabled(false);
-  trace::WriteTraceArtifact(path_);
-  std::fprintf(stderr, "trace written to %s\n", path_.c_str());
-#endif
+  WriteTraceOut(path_, trace::SpanTracer::Global().Drain());
 }
 
 }  // namespace hyperalloc::bench

@@ -1,16 +1,30 @@
 // Command-line glue between the benchmark harness and the tracing layer.
 //
-// Every bench binary constructs one TraceOutput at the top of main(). If
-// --trace-out=PATH (or "--trace-out PATH") is present on the command line,
-// event tracing is enabled with an enlarged per-thread ring and the merged
-// artifact (JSON or CSV, chosen by extension — see src/trace/export.h) is
-// written when the object is destroyed, i.e. after the benchmark ran.
+// Every bench binary accepts --trace-out=PATH (or "--trace-out PATH") and
+// writes the one artifact layout of trace::WriteTraceArtifact (see
+// src/trace/export.h). Most construct one TraceOutput at the top of
+// main(): it enables span tracing with an enlarged per-thread ring and
+// writes every drained span when destroyed, i.e. after the benchmark ran.
+// bench_runner traces a single stage, so it calls TraceOutPath and
+// WriteTraceOut itself.
 #ifndef HYPERALLOC_BENCH_TRACE_IO_H_
 #define HYPERALLOC_BENCH_TRACE_IO_H_
 
 #include <string>
+#include <vector>
+
+#include "src/trace/span.h"
 
 namespace hyperalloc::bench {
+
+// The --trace-out path, or "" when the flag is absent. A build with
+// HYPERALLOC_TRACE=0 warns that the flag is ignored and returns "".
+std::string TraceOutPath(int argc, char** argv);
+
+// Writes `spans` (plus counters and histograms) to `path` and reports
+// the artifact on stderr.
+void WriteTraceOut(const std::string& path,
+                   const std::vector<trace::SpanRecord>& spans);
 
 class TraceOutput {
  public:
@@ -19,8 +33,6 @@ class TraceOutput {
 
   TraceOutput(const TraceOutput&) = delete;
   TraceOutput& operator=(const TraceOutput&) = delete;
-
-  bool enabled() const { return !path_.empty(); }
 
  private:
   std::string path_;

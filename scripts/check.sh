@@ -10,7 +10,7 @@
 #      A failure prints which configuration produced it,
 #   5. ThreadSanitizer on the lock-free paths (tsan preset): the LLFree
 #      concurrent stress test, the sharded host frame pool stress test,
-#      the trace-layer counter/ring tests, and a capped model-check run
+#      the trace-layer counter/histogram tests, and a capped model-check run
 #      (the model checker is deterministic, so a small TSan run only
 #      needs to cover the harness machinery itself).
 set -e

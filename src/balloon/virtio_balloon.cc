@@ -44,8 +44,6 @@ VirtioBalloon::VirtioBalloon(guest::GuestVm* vm, const BalloonConfig& config)
         }
         ballooned_frames_ -= 1ull << b.order;
         HA_COUNT_N("balloon.deflate_frames", 1ull << b.order);
-        HA_TRACE_EVENT(trace::Category::kBalloon, trace::Op::kDeflate,
-                       b.frame, b.order);
       }
       vm_->FreeBatch(base_frames, 0, config_.driver_cpu);
       return true;
@@ -72,7 +70,6 @@ void VirtioBalloon::ChargeBackoff(unsigned retry) {
     request_span_.AddRetry();
   }
   HA_COUNT("balloon.fault_retry");
-  HA_TRACE_EVENT(trace::Category::kFault, trace::Op::kRetry, retry, ns);
   cpu_.host_user_ns +=
       hv::ChargeTraced(sim_, "balloon.fault_backoff_ns", ns);
 }
@@ -93,7 +90,7 @@ bool VirtioBalloon::RequestTimedOut() const {
   return request_deadline_ != 0 && sim_->now() >= request_deadline_;
 }
 
-bool VirtioBalloon::TryHypercall(uint64_t batch_size) {
+bool VirtioBalloon::TryHypercall() {
   fault::Injector* injector = vm_->fault_injector();
   const unsigned max_attempts = std::max(1u, config_.retry.max_attempts);
   for (unsigned attempt = 0; attempt < max_attempts; ++attempt) {
@@ -104,8 +101,6 @@ bool VirtioBalloon::TryHypercall(uint64_t batch_size) {
             fault::Poll(injector, fault::Site::kBalloonHypercall)) {
       NoteFault();
       HA_COUNT("fault.balloon_hypercall");
-      HA_TRACE_EVENT(trace::Category::kFault, trace::Op::kInject, batch_size,
-                     0);
       if (*kind == fault::Kind::kPermanent) {
         return false;
       }
@@ -114,8 +109,6 @@ bool VirtioBalloon::TryHypercall(uint64_t batch_size) {
     cpu_.host_user_ns += hv::ChargeTraced(sim_, "balloon.hypercall_ns",
                                           vm_->costs().hypercall_ns);
     HA_COUNT("balloon.hypercall");
-    HA_TRACE_EVENT(trace::Category::kBalloon, trace::Op::kHypercall,
-                   batch_size, 0);
     return true;
   }
   return false;
@@ -167,8 +160,6 @@ void VirtioBalloon::InflateSlice(uint64_t target_frames,
   if (RequestTimedOut()) {
     outcome_.timed_out = true;
     HA_COUNT("balloon.request_timeout");
-    HA_TRACE_EVENT(trace::Category::kFault, trace::Op::kTimeout,
-                   target_frames, ballooned_frames_);
     done();  // partial inflate: the balloon simply stays smaller
     return;
   }
@@ -193,8 +184,6 @@ void VirtioBalloon::InflateSlice(uint64_t target_frames,
           batch.push_back({*r, kHugeOrder});
           ballooned_frames_ += kFramesPerHuge;
           HA_COUNT_N("balloon.inflate_frames", kFramesPerHuge);
-          HA_TRACE_EVENT(trace::Category::kBalloon, trace::Op::kInflate, *r,
-                         kHugeOrder);
           guest.AddFrames(kFramesPerHuge);
           guest.AddHugeFrames(kFramesPerHuge);
           continue;
@@ -220,7 +209,6 @@ void VirtioBalloon::InflateSlice(uint64_t target_frames,
                               vm_->costs().virtqueue_element_ns));
       for (const FrameId f : frames) {
         batch.push_back({f, 0});
-        HA_TRACE_EVENT(trace::Category::kBalloon, trace::Op::kInflate, f, 0);
       }
       ballooned_frames_ += got;
       HA_COUNT_N("balloon.inflate_frames", got);
@@ -238,7 +226,7 @@ void VirtioBalloon::InflateSlice(uint64_t target_frames,
   }
 
   // One hypercall delivers the batch; QEMU discards each entry.
-  if (!TryHypercall(batch.size())) {
+  if (!TryHypercall()) {
     // Hypercall retries exhausted: the guest driver frees the batch back
     // (the normal deflate path) and the request finishes partial — the
     // balloon holds exactly the pages of the prior slices. Order-0
@@ -258,8 +246,6 @@ void VirtioBalloon::InflateSlice(uint64_t target_frames,
     vm_->FreeBatch(base_frames, 0, config_.driver_cpu);
     ++outcome_.rollbacks;
     HA_COUNT("balloon.fault_rollback");
-    HA_TRACE_EVENT(trace::Category::kFault, trace::Op::kRollback,
-                   batch.size(), 0);
     vm_->sink().OnCpuSteal(config_.driver_cpu, t0, sim_->now(), 1.0);
     done();
     return;
@@ -307,8 +293,6 @@ void VirtioBalloon::HostDiscard(const std::vector<Ballooned>& batch) {
     sys_ns += vm_->costs().madvise_syscall_ns;
     ++madvise_calls_;
     HA_COUNT("balloon.madvise");
-    HA_TRACE_EVENT(trace::Category::kBalloon, trace::Op::kMadvise, b.frame,
-                   frames);
     if (mapped > 0) {
       bool unmapped = false;
       const unsigned max_attempts = std::max(1u, config_.retry.max_attempts);
@@ -361,8 +345,6 @@ void VirtioBalloon::DeflateSlice(uint64_t target_frames,
   if (RequestTimedOut()) {
     outcome_.timed_out = true;
     HA_COUNT("balloon.request_timeout");
-    HA_TRACE_EVENT(trace::Category::kFault, trace::Op::kTimeout,
-                   target_frames, ballooned_frames_);
     done();
     return;
   }
@@ -398,8 +380,6 @@ void VirtioBalloon::DeflateSlice(uint64_t target_frames,
       guest.AddHugeFrames(kFramesPerHuge);
     }
     HA_COUNT_N("balloon.deflate_frames", 1ull << b.order);
-    HA_TRACE_EVENT(trace::Category::kBalloon, trace::Op::kDeflate, b.frame,
-                   b.order);
     ++elems;
   }
   vm_->FreeBatch(base_frames, 0, config_.driver_cpu);
@@ -466,7 +446,7 @@ void VirtioBalloon::ReportCycle() {
     return;
   }
 
-  if (!TryHypercall(batch.size())) {
+  if (!TryHypercall()) {
     // Reporting hypercall failed: free the blocks back *unreported* so
     // the next cycle naturally retries them.
     for (size_t i = 0; i < batch.size(); ++i) {
@@ -477,8 +457,6 @@ void VirtioBalloon::ReportCycle() {
       cpu_.guest_ns += hv::Charge(sim_, vm_->costs().guest_free_4k_ns);
     }
     HA_COUNT("balloon.fault_rollback");
-    HA_TRACE_EVENT(trace::Category::kFault, trace::Op::kRollback,
-                   batch.size(), order);
     vm_->sink().OnCpuSteal(config_.driver_cpu, t0, sim_->now(), 1.0);
     sim_->After(config_.reporting_delay, [this] { ReportCycle(); });
     return;

@@ -110,11 +110,11 @@ class VirtioBalloon : public hv::Deflator {
   // Host-side processing of one batch of reclaimed blocks.
   void HostDiscard(const std::vector<Ballooned>& batch);
 
-  // Issues the balloon hypercall (charge + counter + trace event),
-  // retrying injected transient faults with backoff. Returns false when
-  // retries are exhausted or the fault is permanent — the caller rolls
-  // its batch back.
-  bool TryHypercall(uint64_t batch_size);
+  // Issues the balloon hypercall (charge + counter), retrying injected
+  // transient faults with backoff. Returns false when retries are
+  // exhausted or the fault is permanent — the caller rolls its batch
+  // back.
+  bool TryHypercall();
   void ChargeBackoff(unsigned retry);
   void NoteFault();
   bool RequestTimedOut() const;

@@ -115,7 +115,6 @@ void HyperAllocMonitor::ChargeBackoff(unsigned retry) {
     request_span_.AddRetry();
   }
   HA_COUNT("monitor.fault_retry");
-  HA_TRACE_EVENT(trace::Category::kFault, trace::Op::kRetry, retry, ns);
   cpu_.host_user_ns +=
       hv::ChargeTraced(sim_, "monitor.fault_backoff_ns", ns);
 }
@@ -132,8 +131,7 @@ void HyperAllocMonitor::NoteFault() {
   HA_COUNT("monitor.fault");
 }
 
-void HyperAllocMonitor::RollbackFrame(ZoneView& view, HugeId local_huge,
-                                      HugeId global_huge) {
+void HyperAllocMonitor::RollbackFrame(ZoneView& view, HugeId local_huge) {
   ++fault_rollbacks_;
   if (busy_) {
     ++outcome_.rollbacks;
@@ -153,12 +151,9 @@ void HyperAllocMonitor::RollbackFrame(ZoneView& view, HugeId local_huge,
     view.states.Set(local_huge, ReclaimState::kInstalled);
   }
   HA_COUNT("monitor.fault_rollback");
-  HA_TRACE_EVENT(trace::Category::kFault, trace::Op::kRollback, global_huge,
-                 static_cast<uint64_t>(prior));
 }
 
-void HyperAllocMonitor::QuarantineFrame(ZoneView& view, HugeId local_huge,
-                                        HugeId global_huge) {
+void HyperAllocMonitor::QuarantineFrame(ZoneView& view, HugeId local_huge) {
   const ReclaimState prior = view.states.Get(local_huge);
   if (prior == ReclaimState::kHard) {
     HA_CHECK(hard_reclaimed_huge_ > 0);
@@ -173,8 +168,6 @@ void HyperAllocMonitor::QuarantineFrame(ZoneView& view, HugeId local_huge,
   view.states.Set(local_huge, ReclaimState::kQuarantined);
   ++quarantined_huge_;
   HA_COUNT("monitor.quarantine_frame");
-  HA_TRACE_EVENT(trace::Category::kFault, trace::Op::kQuarantine, global_huge,
-                 static_cast<uint64_t>(prior));
   if (fault::Injector* injector = vm_->fault_injector()) {
     injector->NotifyQuarantineFrame();
   }
@@ -193,7 +186,6 @@ void HyperAllocMonitor::QuarantineVm() {
     outcome_.quarantined = true;
   }
   HA_COUNT("monitor.quarantine_vm");
-  HA_TRACE_EVENT(trace::Category::kFault, trace::Op::kQuarantine, ~0ull, 1);
   if (fault::Injector* injector = vm_->fault_injector()) {
     injector->NotifyQuarantineVm();
   }
@@ -245,8 +237,6 @@ void HyperAllocMonitor::Install(ZoneView& view, HugeId local_huge) {
             fault::Poll(injector, fault::Site::kInstallHypercall)) {
       NoteFault();
       HA_COUNT("fault.install_hypercall");
-      HA_TRACE_EVENT(trace::Category::kFault, trace::Op::kInject,
-                     global_first, 0);
       if (*kind == fault::Kind::kPermanent) {
         break;
       }
@@ -300,8 +290,6 @@ void HyperAllocMonitor::Install(ZoneView& view, HugeId local_huge) {
     QuarantineVm();
   }
   HA_COUNT("monitor.install");
-  HA_TRACE_EVENT(trace::Category::kMonitor, trace::Op::kInstall,
-                 FrameToHuge(global_first), 0);
   if (sim_->now() > t0) {
     vm_->sink().OnBandwidth(t0, sim_->now(),
                             static_cast<double>(kHugeSize) /
@@ -391,9 +379,9 @@ uint64_t HyperAllocMonitor::UnmapBatch(
       HugeId local = 0;
       ZoneView* view = FindView(sorted[k], &local);
       if (permanent) {
-        QuarantineFrame(*view, local, sorted[k]);
+        QuarantineFrame(*view, local);
       } else {
-        RollbackFrame(*view, local, sorted[k]);
+        RollbackFrame(*view, local);
       }
     }
     if (mapped_huge > 0) {
@@ -403,8 +391,6 @@ uint64_t HyperAllocMonitor::UnmapBatch(
                     vm_->costs().tlb_shootdown_ns;
       if (!config_.in_kernel) {
         HA_COUNT("monitor.madvise");
-        HA_TRACE_EVENT(trace::Category::kMonitor, trace::Op::kMadvise,
-                       sorted[i], mapped_huge);
       }
       trace::Span unmap(trace::Layer::kEpt, "ept.unmap_run");
       unmap.AddFrames(mapped_huge * kFramesPerHuge);
@@ -457,7 +443,7 @@ uint64_t HyperAllocMonitor::UnmapBatch(
           }
           HugeId local = 0;
           ZoneView* view = FindView(sorted[k], &local);
-          QuarantineFrame(*view, local, sorted[k]);
+          QuarantineFrame(*view, local);
         }
       }
     } else {
@@ -500,7 +486,7 @@ uint64_t HyperAllocMonitor::UnmapBatch(
         } else {
           HugeId local = 0;
           ZoneView* view = FindView(sorted[k], &local);
-          QuarantineFrame(*view, local, sorted[k]);
+          QuarantineFrame(*view, local);
         }
       }
     }
@@ -584,8 +570,6 @@ void HyperAllocMonitor::ShrinkSlice(uint64_t target_huge, int escalation,
     ++fault_timeouts_;
     outcome_.timed_out = true;
     HA_COUNT("monitor.request_timeout");
-    HA_TRACE_EVENT(trace::Category::kFault, trace::Op::kTimeout, target_huge,
-                   hard_reclaimed_huge_);
     done();  // partial reclaim: every frame is in a legal state as-is
     return;
   }
@@ -612,8 +596,6 @@ void HyperAllocMonitor::ShrinkSlice(uint64_t target_huge, int escalation,
         view->states.Set(*huge, ReclaimState::kHard);
         batch.push_back(FrameToHuge(view->zone->start) + *huge);
         HA_COUNT("monitor.reclaim_hard");
-        HA_TRACE_EVENT(trace::Category::kMonitor, trace::Op::kReclaimHard,
-                       batch.back(), escalation);
         ++hard_reclaimed_huge_;
       }
     }
@@ -683,8 +665,6 @@ void HyperAllocMonitor::GrowSlice(uint64_t target_huge,
         cpu_.host_user_ns += hv::ChargeTraced(
             sim_, "monitor.return_ns", vm_->costs().ha_return_state_2m_ns);
         HA_COUNT("monitor.return");
-        HA_TRACE_EVENT(trace::Category::kMonitor, trace::Op::kReturn,
-                       FrameToHuge(view->zone->start) + h, 0);
         --hard_reclaimed_huge_;
         ++returned;
       }
@@ -733,8 +713,6 @@ uint64_t HyperAllocMonitor::AutoReclaimPass() {
         (view->states.ByteSize() + 63) / 64;          // R array (2 bit)
     scan_cache_lines_ += lines;
     HA_COUNT_N("monitor.scan_cache_lines", lines);
-    HA_TRACE_EVENT(trace::Category::kMonitor, trace::Op::kScan,
-                   view->states.size(), lines);
     cpu_.host_user_ns += hv::ChargeTraced(
         sim_, "monitor.scan_ns", lines * vm_->costs().scan_cache_line_ns);
 
@@ -757,8 +735,6 @@ uint64_t HyperAllocMonitor::AutoReclaimPass() {
       view->states.Set(h, ReclaimState::kSoft);
       batch.push_back(FrameToHuge(view->zone->start) + h);
       HA_COUNT("monitor.reclaim_soft");
-      HA_TRACE_EVENT(trace::Category::kMonitor, trace::Op::kReclaimSoft,
-                     batch.back(), 0);
     }
   }
   // Rolled-back frames do not count: only frames that actually unmapped

@@ -174,11 +174,10 @@ class HyperAllocMonitor : public hv::Deflator {
   void NoteFault();
   // Reverts a huge frame whose unmap failed transiently to its
   // pre-reclaim state (H -> S via return, S -> I via E-bit clear).
-  void RollbackFrame(ZoneView& view, HugeId local_huge, HugeId global_huge);
+  void RollbackFrame(ZoneView& view, HugeId local_huge);
   // Poisons a single huge frame (absorbing Q state); trips VM quarantine
   // at config_.quarantine_frame_limit.
-  void QuarantineFrame(ZoneView& view, HugeId local_huge,
-                       HugeId global_huge);
+  void QuarantineFrame(ZoneView& view, HugeId local_huge);
   void QuarantineVm();
   // True once the current request's deadline has passed.
   bool RequestTimedOut() const;

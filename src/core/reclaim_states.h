@@ -70,7 +70,7 @@ class ReclaimStateArray {
 #if HYPERALLOC_TRACE
     const ReclaimState old = Get(huge);
     if (old != state) {
-      CountTransition(old, state, huge);
+      CountTransition(old, state);
     }
 #endif
     uint64_t& word = words_[huge / 32];
@@ -97,10 +97,8 @@ class ReclaimStateArray {
  private:
 #if HYPERALLOC_TRACE
   // Counts the R-array transition (the paper's I/S/H state machine edges,
-  // Fig. 2) and emits a trace event. Counter lookups are cached once per
-  // process; arg1 packs (from << 4) | to for the exporters.
-  static void CountTransition(ReclaimState from, ReclaimState to,
-                              HugeId huge) {
+  // Fig. 2). Counter lookups are cached once per process.
+  static void CountTransition(ReclaimState from, ReclaimState to) {
     static const std::array<trace::Counter*, 16> counters = [] {
       constexpr const char* kNames[16] = {
           nullptr,                           // I -> I
@@ -134,9 +132,6 @@ class ReclaimStateArray {
     if (counter != nullptr) {
       counter->Add(1);
     }
-    HA_TRACE_EVENT(trace::Category::kState, trace::Op::kTransition, huge,
-                   (static_cast<uint64_t>(from) << 4) |
-                       static_cast<uint64_t>(to));
   }
 #endif
 

@@ -418,8 +418,6 @@ void GuestVm::Touch(FrameId first, uint64_t count) {
       PopulateFrames(huge_base, huge_frames);
       ++ept_faults_2m_;
       HA_COUNT("guest.ept_fault_2m");
-      HA_TRACE_EVENT(trace::Category::kGuest, trace::Op::kFault2m, huge_base,
-                     huge_frames);
       cost += costs_.ept_fault_2m_ns + huge_frames * costs_.populate_4k_ns;
       populated_bytes += huge_frames * kFrameSize;
     } else if (mapped_in_huge < huge_end - huge_base) {
@@ -430,8 +428,6 @@ void GuestVm::Touch(FrameId first, uint64_t count) {
         PopulateFrames(frame, chunk);
         ept_faults_4k_ += missing;
         HA_COUNT_N("guest.ept_fault_4k", missing);
-        HA_TRACE_EVENT(trace::Category::kGuest, trace::Op::kFault4k, frame,
-                       missing);
         cost += missing * (costs_.ept_fault_4k_ns + costs_.populate_4k_ns);
         populated_bytes += missing * kFrameSize;
       }

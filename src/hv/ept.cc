@@ -54,8 +54,6 @@ uint64_t Ept::Map(FrameId first, uint64_t count) {
     last_injected_kind_ = *kind;
     ++injected_faults_;
     HA_COUNT("fault.ept_map");
-    HA_TRACE_EVENT(trace::Category::kFault, trace::Op::kInject, first,
-                   count);
     return kFaultInjected;
   }
   if (host_ != nullptr && !host_->TryReserve(missing)) {
@@ -84,7 +82,6 @@ uint64_t Ept::Map(FrameId first, uint64_t count) {
   ++total_map_ops_;
   HA_COUNT("ept.map_ops");
   HA_COUNT_N("ept.map_frames", missing);
-  HA_TRACE_EVENT(trace::Category::kEpt, trace::Op::kMap, first, count);
   return missing;
 }
 
@@ -98,8 +95,6 @@ uint64_t Ept::Unmap(FrameId first, uint64_t count) {
     last_injected_kind_ = *kind;
     ++injected_faults_;
     HA_COUNT("fault.ept_unmap");
-    HA_TRACE_EVENT(trace::Category::kFault, trace::Op::kInject, first,
-                   count);
     return kFaultInjected;
   }
   const HugeUnmapAccounting huge = TallyHugeUnmap(first, count);
@@ -129,7 +124,6 @@ uint64_t Ept::Unmap(FrameId first, uint64_t count) {
   HA_COUNT("ept.unmap_ops");
   HA_COUNT_N("ept.unmap_frames", present);
   HA_COUNT("ept.tlb_range_flush");
-  HA_TRACE_EVENT(trace::Category::kEpt, trace::Op::kUnmap, first, count);
   return present;
 }
 

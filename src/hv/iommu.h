@@ -46,14 +46,13 @@ class Iommu {
     if (IsPinned(huge)) {
       return false;
     }
-    if (InjectFault(fault::Site::kIommuPin, huge, 1)) {
+    if (InjectFault(fault::Site::kIommuPin)) {
       return false;  // not pinned — caller checks IsPinned to tell apart
     }
     pinned_[huge / 64] |= 1ull << (huge % 64);
     ++pinned_count_;
     ++map_ops_;
     HA_COUNT("iommu.map");
-    HA_TRACE_EVENT(trace::Category::kIommu, trace::Op::kMap, huge, 0);
     return true;
   }
 
@@ -63,7 +62,7 @@ class Iommu {
   // state changed (map operations issued).
   uint64_t PinRange(HugeId first, uint64_t count) {
     HA_CHECK(first + count <= num_huge_);
-    if (InjectFault(fault::Site::kIommuPin, first, count)) {
+    if (InjectFault(fault::Site::kIommuPin)) {
       return 0;  // whole-range failure, nothing pinned
     }
     uint64_t changed = 0;
@@ -76,7 +75,6 @@ class Iommu {
       ++map_ops_;
       ++changed;
       HA_COUNT("iommu.map");
-      HA_TRACE_EVENT(trace::Category::kIommu, trace::Op::kMap, huge, 0);
     }
     return changed;
   }
@@ -88,7 +86,7 @@ class Iommu {
   // frames whose state changed.
   uint64_t UnpinRange(HugeId first, uint64_t count) {
     HA_CHECK(first + count <= num_huge_);
-    if (InjectFault(fault::Site::kIommuUnpin, first, count)) {
+    if (InjectFault(fault::Site::kIommuUnpin)) {
       return 0;  // whole-range failure, nothing unpinned, no flush
     }
     uint64_t changed = 0;
@@ -101,14 +99,11 @@ class Iommu {
       ++unmap_ops_;
       ++changed;
       HA_COUNT("iommu.unmap");
-      HA_TRACE_EVENT(trace::Category::kIommu, trace::Op::kUnmap, huge, 0);
     }
     if (changed > 0) {
       ++iotlb_flushes_;
       iotlb_flushed_huge_ += changed;
       HA_COUNT("iommu.iotlb_flush");
-      HA_TRACE_EVENT(trace::Category::kIommu, trace::Op::kIotlbFlush, first,
-                     count);
     }
     return changed;
   }
@@ -134,7 +129,7 @@ class Iommu {
   uint64_t pinned_bytes() const { return pinned_count_ * kHugeSize; }
 
  private:
-  bool InjectFault(fault::Site site, HugeId first, uint64_t count) {
+  bool InjectFault(fault::Site site) {
     const auto kind = fault::Poll(fault_, site);
     if (!kind.has_value()) {
       return false;
@@ -142,8 +137,6 @@ class Iommu {
     last_injected_kind_ = *kind;
     ++injected_faults_;
     HA_COUNT("fault.iommu");
-    HA_TRACE_EVENT(trace::Category::kFault, trace::Op::kInject, first,
-                   count);
     return true;
   }
 

@@ -322,8 +322,6 @@ bool LLFree::ReserveNewTree(unsigned slot, AllocType type, unsigned need,
       // side additionally clamps with % n, defense in depth).
       state_->tree_hints_[slot].store(t % n, std::memory_order_relaxed);
       HA_COUNT("llfree.reserve_tree");
-      HA_TRACE_EVENT(trace::Category::kLLFree, trace::Op::kReserveTree, t,
-                     slot);
       (void)need;
       return true;
     }
@@ -386,8 +384,6 @@ Result<FrameId> LLFree::Get(unsigned core, unsigned order, AllocType type) {
     if (frame.has_value()) {
       HA_COUNT("llfree.get");
       HA_HIST("llfree.get_order", order);
-      HA_TRACE_EVENT(trace::Category::kLLFree, trace::Op::kGet, *frame,
-                     order);
       return *frame;
     }
     // The counter promised frames, but no suitable run exists in this
@@ -456,8 +452,6 @@ unsigned LLFree::GetBatch(unsigned core, unsigned order, unsigned count,
     HA_COUNT_N("llfree.get", claimed);
     HA_COUNT("llfree.get_batch");
     HA_HIST("llfree.get_batch_runs", claimed);
-    HA_TRACE_EVENT(trace::Category::kLLFree, trace::Op::kGet,
-                   out->at(out->size() - claimed), order);
   }
   // Tail under pressure: fall back to single Gets so the batch keeps the
   // exact semantics (fallback steal included) of `count` single calls.
@@ -513,8 +507,6 @@ unsigned LLFree::GetBatchHuge(unsigned core, unsigned count, AllocType type,
     HA_COUNT_N("llfree.get", claimed);
     HA_COUNT("llfree.get_batch");
     HA_HIST("llfree.get_batch_runs", claimed);
-    HA_TRACE_EVENT(trace::Category::kLLFree, trace::Op::kGet,
-                   out->at(out->size() - claimed), kHugeOrder);
   }
   // Tail under pressure: fall back to single Gets so the batch keeps the
   // exact semantics (fallback steal included) of `count` single calls.
@@ -554,8 +546,6 @@ Result<FrameId> LLFree::GetFallback(unsigned order, bool huge) {
     if (frame.has_value()) {
       HA_COUNT("llfree.get");
       HA_HIST("llfree.get_order", order);
-      HA_TRACE_EVENT(trace::Category::kLLFree, trace::Op::kSteal, *frame,
-                     order);
       return *frame;
     }
     AtomicUpdate(state_->trees_[t],
@@ -588,8 +578,6 @@ Result<FrameId> LLFree::GetFallback(unsigned order, bool huge) {
     if (frame.has_value()) {
       HA_COUNT("llfree.get");
       HA_HIST("llfree.get_order", order);
-      HA_TRACE_EVENT(trace::Category::kLLFree, trace::Op::kSteal, *frame,
-                     order);
       return *frame;
     }
     GiveBack(s, victim_tree, need);
@@ -798,7 +786,6 @@ bool LLFree::ClaimHuge(uint64_t area) {
 
 void LLFree::TriggerInstall(HugeId huge) {
   HA_COUNT("llfree.install_trigger");
-  HA_TRACE_EVENT(trace::Category::kLLFree, trace::Op::kInstall, huge, 0);
   const InstallHandler& handler = install_handler_.read();
   if (handler) {
     handler(huge);
@@ -855,7 +842,6 @@ std::optional<AllocError> LLFree::Put(FrameId frame, unsigned order) {
                  return entry.Pack();
                });
   HA_COUNT("llfree.put");
-  HA_TRACE_EVENT(trace::Category::kLLFree, trace::Op::kPut, frame, order);
   return std::nullopt;
 }
 
@@ -938,8 +924,6 @@ unsigned LLFree::PutBatch(std::span<const FrameId> frames, unsigned order) {
   if (freed_batched > 0) {
     HA_COUNT_N("llfree.put", freed_batched);
     HA_COUNT("llfree.put_batch");
-    HA_TRACE_EVENT(trace::Category::kLLFree, trace::Op::kPut, sorted[0],
-                   order);
   }
   return freed_total;
 }
@@ -1059,8 +1043,6 @@ unsigned LLFree::ClaimFreeInArea(HugeId area, std::vector<FrameId>* out) {
   if (total > 0) {
     HA_COUNT("llfree.compact_claim");
     HA_COUNT_N("llfree.compact_claim_frames", total);
-    HA_TRACE_EVENT(trace::Category::kLLFree, trace::Op::kGet,
-                   HugeToFrame(area), 0);
   }
   return total;
 }
@@ -1109,7 +1091,6 @@ bool LLFree::TrySoftReclaim(HugeId huge) {
     return false;
   }
   HA_COUNT("llfree.reclaim_soft");
-  HA_TRACE_EVENT(trace::Category::kLLFree, trace::Op::kReclaimSoft, huge, 0);
   return true;
 }
 
@@ -1172,8 +1153,6 @@ bool LLFree::TryHardReclaim(HugeId huge, bool allow_reserved) {
           expected, desired.Pack(), std::memory_order_acq_rel,
           std::memory_order_acquire)) {
     HA_COUNT("llfree.reclaim_hard");
-    HA_TRACE_EVENT(trace::Category::kLLFree, trace::Op::kReclaimHard, huge,
-                   0);
     return true;
   }
   // Lost the race for this area (guest allocated it); undo the steal.
@@ -1213,7 +1192,6 @@ bool LLFree::MarkReturned(HugeId huge) {
                  return entry.Pack();
                });
   HA_COUNT("llfree.return");
-  HA_TRACE_EVENT(trace::Category::kLLFree, trace::Op::kReturn, huge, 0);
   return true;
 }
 
@@ -1232,8 +1210,6 @@ bool LLFree::ClearEvicted(HugeId huge) {
           .has_value();
   if (cleared) {
     HA_COUNT("llfree.evicted_clear");
-    HA_TRACE_EVENT(trace::Category::kLLFree, trace::Op::kEvictedClear, huge,
-                   0);
   }
   return cleared;
 }
@@ -1253,7 +1229,6 @@ bool LLFree::SetEvicted(HugeId huge) {
           .has_value();
   if (set) {
     HA_COUNT("llfree.evicted_set");
-    HA_TRACE_EVENT(trace::Category::kLLFree, trace::Op::kEvictedSet, huge, 0);
   }
   return set;
 }

@@ -209,13 +209,9 @@ std::vector<std::pair<std::string, uint64_t>> Pipeline::CounterDeltas() {
   return out;
 }
 
-void Pipeline::EmitMarker(sim::Time at, const char* name, uint64_t arg0,
-                          uint64_t arg1, trace::Op op) {
+void Pipeline::EmitMarker(sim::Time at, const char* name, uint64_t epoch) {
   if (!options_.emit_spans) {
     return;
-  }
-  if (trace::Tracer::Global().enabled()) {
-    trace::Tracer::Global().Emit(trace::Category::kTelemetry, op, arg0, arg1);
   }
   trace::SpanTracer& spans = trace::SpanTracer::Global();
   if (!spans.enabled()) {
@@ -234,7 +230,7 @@ void Pipeline::EmitMarker(sim::Time at, const char* name, uint64_t arg0,
   record.end_vns = at;
   record.begin_wall_ns = trace::WallNowNs();
   record.end_wall_ns = record.begin_wall_ns;
-  record.frames = arg0;
+  record.frames = epoch;  // the marker span carries its epoch index here
   spans.Emit(record);
 }
 
@@ -377,7 +373,7 @@ void Pipeline::OnEpoch(sim::Time at, std::vector<VmGauges> gauges,
                  m.kind == AlertKind::kLatencyBurn
                      ? "telemetry.alert.latency_burn"
                      : "telemetry.alert.pressure_burn",
-                 epoch_index, static_cast<uint64_t>(m.kind), trace::Op::kAlert);
+                 epoch_index);
     }
     m.burn->firing = fire;
   }
@@ -448,8 +444,7 @@ void Pipeline::MaybeDump(sim::Time at, bool alert_edge, bool new_quarantine,
     flight_digest_ ^= static_cast<unsigned char>(c);
     flight_digest_ *= kFnvPrime;
   }
-  EmitMarker(at, "telemetry.flight_dump", dump.epoch,
-             static_cast<uint64_t>(trigger), trace::Op::kFlightDump);
+  EmitMarker(at, "telemetry.flight_dump", dump.epoch);
   result_.dumps.push_back(std::move(dump));
 }
 

@@ -18,7 +18,7 @@
 // burn = mean(error fraction over window) / error budget. An alert fires
 // on the rising edge of (fast-window burn >= fast threshold AND
 // slow-window burn >= slow threshold) and is emitted as a zero-length
-// kTelemetry span plus a kTelemetry/kAlert trace event.
+// kTelemetry span.
 //
 // Flight recorder: a bounded ring of the last `flight_depth` epochs of
 // full fleet snapshots (per-VM gauges, shard rollups, allowlisted
@@ -54,8 +54,8 @@ struct TelemetryOptions {
   // series are always kept). Off by default: at 1024 VMs the per-VM
   // series dominate the result's footprint.
   bool record_vm_series = false;
-  // Emit alert/flight markers as kTelemetry spans + trace events when
-  // the global tracers are enabled.
+  // Emit alert/flight markers as zero-length kTelemetry spans when the
+  // global span tracer is enabled.
   bool emit_spans = true;
 
   // Burn-rate monitor. Budget is the error budget of the availability
@@ -270,8 +270,7 @@ class Pipeline {
   void MixGauges(const VmGauges& g);
   void MixSummary(const EpochSummary& e);
   std::vector<std::pair<std::string, uint64_t>> CounterDeltas();
-  void EmitMarker(sim::Time at, const char* name, uint64_t arg0,
-                  uint64_t arg1, trace::Op op);
+  void EmitMarker(sim::Time at, const char* name, uint64_t epoch);
   void MaybeDump(sim::Time at, bool alert_edge, bool new_quarantine,
                  uint64_t quarantined_vm, uint64_t rejected_delta);
   std::string BuildFlightJson(const FlightDump& dump) const;

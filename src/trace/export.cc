@@ -9,8 +9,8 @@ namespace hyperalloc::trace {
 
 namespace {
 
-// Counter/histogram names are dotted lowercase identifiers, but escape
-// defensively so a stray name cannot corrupt the document.
+// Span names are dotted lowercase identifiers, but escape defensively so
+// a stray name cannot corrupt the document.
 void PrintJsonString(std::FILE* file, const std::string& s) {
   std::fputc('"', file);
   for (const char c : s) {
@@ -48,23 +48,6 @@ uint64_t Fnv1aHash(const std::string& s) {
   return h;
 }
 
-void PrintHistogramJson(std::FILE* file, const Histogram::Snapshot& snap) {
-  std::fprintf(file, "{\"count\":%" PRIu64 ",\"sum\":%" PRIu64
-                     ",\"mean\":%.3f,\"buckets\":[",
-               snap.count, snap.sum, snap.Mean());
-  // Sparse: only non-empty buckets, as [lower_bound, count] pairs.
-  bool first = true;
-  for (unsigned b = 0; b < Histogram::kBuckets; ++b) {
-    if (snap.buckets[b] == 0) {
-      continue;
-    }
-    std::fprintf(file, "%s[%" PRIu64 ",%" PRIu64 "]", first ? "" : ",",
-                 Histogram::BucketLowerBound(b), snap.buckets[b]);
-    first = false;
-  }
-  std::fprintf(file, "]}");
-}
-
 }  // namespace
 
 std::map<std::string, std::string> PrometheusNameMap(
@@ -95,103 +78,6 @@ std::map<std::string, std::string> PrometheusNameMap(
     }
   }
   return out;
-}
-
-void WriteJson(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  HA_CHECK(file != nullptr);
-
-  const uint64_t dropped = Tracer::Global().dropped_events();
-  const std::vector<TraceEvent> events = Tracer::Global().Drain();
-
-  std::fprintf(file, "{\n  \"dropped_events\": %" PRIu64 ",\n", dropped);
-
-  std::fprintf(file, "  \"counters\": {");
-  bool first = true;
-  for (const auto& [name, value] : CounterRegistry::Global().Counters()) {
-    std::fprintf(file, "%s\n    ", first ? "" : ",");
-    PrintJsonString(file, name);
-    std::fprintf(file, ": %" PRIu64, value);
-    first = false;
-  }
-  std::fprintf(file, "\n  },\n");
-
-  std::fprintf(file, "  \"histograms\": {");
-  first = true;
-  for (const auto& [name, snap] : CounterRegistry::Global().Histograms()) {
-    std::fprintf(file, "%s\n    ", first ? "" : ",");
-    PrintJsonString(file, name);
-    std::fprintf(file, ": ");
-    PrintHistogramJson(file, snap);
-    first = false;
-  }
-  std::fprintf(file, "\n  },\n");
-
-  // Events as compact [t_ns, "category", "op", arg0, arg1] rows, already
-  // sorted by (virtual time, emission order).
-  std::fprintf(file, "  \"events\": [");
-  first = true;
-  for (const TraceEvent& event : events) {
-    std::fprintf(file,
-                 "%s\n    [%" PRIu64 ",\"%s\",\"%s\",%" PRIu64 ",%" PRIu64
-                 "]",
-                 first ? "" : ",", event.at, Name(event.category),
-                 Name(event.op), event.arg0, event.arg1);
-    first = false;
-  }
-  std::fprintf(file, "\n  ],\n");
-
-  // Spans as compact [trace_id, span_id, parent_id, vm, "layer", "name",
-  // begin_vns, end_vns, charge_ns, frames, huge_frames, faults,
-  // retries] rows.
-  const uint64_t dropped_spans = SpanTracer::Global().dropped_spans();
-  const std::vector<SpanRecord> spans = SpanTracer::Global().Drain();
-  std::fprintf(file, "  \"dropped_spans\": %" PRIu64 ",\n", dropped_spans);
-  std::fprintf(file, "  \"spans\": [");
-  first = true;
-  for (const SpanRecord& span : spans) {
-    std::fprintf(file,
-                 "%s\n    [%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%u,\"%s\",",
-                 first ? "" : ",", span.trace_id, span.span_id,
-                 span.parent_id, span.vm, Name(span.layer));
-    PrintJsonString(file, span.name);
-    std::fprintf(file,
-                 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64
-                 ",%" PRIu64 ",%" PRIu64 "]",
-                 span.begin_vns, span.end_vns, span.charge_ns, span.frames,
-                 span.huge_frames, span.faults, span.retries);
-    first = false;
-  }
-  std::fprintf(file, "\n  ]\n}\n");
-  std::fclose(file);
-}
-
-void WriteCountersCsv(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  HA_CHECK(file != nullptr);
-  std::fprintf(file, "name,value\n");
-  for (const auto& [name, value] : CounterRegistry::Global().Counters()) {
-    std::fprintf(file, "%s,%" PRIu64 "\n", name.c_str(), value);
-  }
-  for (const auto& [name, snap] : CounterRegistry::Global().Histograms()) {
-    std::fprintf(file, "%s.count,%" PRIu64 "\n", name.c_str(), snap.count);
-    std::fprintf(file, "%s.sum,%" PRIu64 "\n", name.c_str(), snap.sum);
-    std::fprintf(file, "%s.mean,%.3f\n", name.c_str(), snap.Mean());
-  }
-  std::fclose(file);
-}
-
-void WriteEventsCsv(const std::string& path,
-                    const std::vector<TraceEvent>& events) {
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  HA_CHECK(file != nullptr);
-  std::fprintf(file, "time_ns,category,op,arg0,arg1\n");
-  for (const TraceEvent& event : events) {
-    std::fprintf(file, "%" PRIu64 ",%s,%s,%" PRIu64 ",%" PRIu64 "\n",
-                 event.at, Name(event.category), Name(event.op), event.arg0,
-                 event.arg1);
-  }
-  std::fclose(file);
 }
 
 void WritePerfettoJson(const std::string& path,
@@ -323,19 +209,15 @@ void WritePrometheus(const std::string& path) {
   std::fclose(file);
 }
 
-void WriteTraceArtifact(const std::string& path) {
-  const std::vector<SpanRecord> spans = SpanTracer::Global().Drain();
-  WriteSpansCsv(path + ".spans.csv", spans);
-  WritePerfettoJson(path + ".perfetto.json", spans);
-  WritePrometheus(path + ".prom");
+std::string WriteTraceArtifact(const std::string& path,
+                               const std::vector<SpanRecord>& spans) {
   const bool json =
       path.size() >= 5 && path.compare(path.size() - 5, 5, ".json") == 0;
-  if (json) {
-    WriteJson(path);
-    return;
-  }
-  WriteEventsCsv(path, Tracer::Global().Drain());
-  WriteCountersCsv(path + ".counters.csv");
+  const std::string perfetto = json ? path : path + ".perfetto.json";
+  WritePerfettoJson(perfetto, spans);
+  WriteSpansCsv(path + ".spans.csv", spans);
+  WritePrometheus(path + ".prom");
+  return perfetto;
 }
 
 }  // namespace hyperalloc::trace

@@ -1,7 +1,7 @@
-// Exporters for the observability layer: serialize the global counter
-// registry, the drained event trace, and the drained span trace to JSON,
-// CSV, Chrome-trace/Perfetto, or Prometheus artifacts that the bench
-// harness emits via --trace-out (see bench/trace_io.h).
+// Exporters for the observability layer: serialize the drained span
+// trace and the global counter/histogram registry to the Perfetto, CSV
+// and Prometheus artifacts that the bench harness emits via --trace-out
+// (see bench/trace_io.h).
 #pragma once
 
 #include <map>
@@ -12,19 +12,6 @@
 #include "src/trace/trace.h"
 
 namespace hyperalloc::trace {
-
-// Writes one JSON document holding counters, histogram snapshots, the
-// (time-ordered) event list, and the dropped-event count. Drains the
-// global tracer.
-void WriteJson(const std::string& path);
-
-// Writes counters (and histogram count/sum/mean rows) as
-// "name,value" CSV lines.
-void WriteCountersCsv(const std::string& path);
-
-// Writes events as "time_ns,category,op,arg0,arg1" CSV lines.
-void WriteEventsCsv(const std::string& path,
-                    const std::vector<TraceEvent>& events);
 
 // Chrome trace-event / Perfetto JSON (https://ui.perfetto.dev loads it
 // directly): every span becomes a ph:"X" complete event on the
@@ -55,11 +42,12 @@ std::map<std::string, std::string> PrometheusNameMap(
 // PrometheusNameMap's suffix rule breaking mangling collisions.
 void WritePrometheus(const std::string& path);
 
-// Dispatches on the extension: "*.json" produces one JSON artifact;
-// anything else writes the event trace as CSV to `path` plus the counters
-// to `path + ".counters.csv"`. Either way, sibling artifacts carry the
-// span trace (`path + ".spans.csv"`, `path + ".perfetto.json"`) and the
-// Prometheus exposition (`path + ".prom"`). Drains the global tracers.
-void WriteTraceArtifact(const std::string& path);
+// The one --trace-out artifact layout: the Perfetto JSON of `spans` at
+// `path` when it ends in ".json" (else at `path + ".perfetto.json"`),
+// the same spans as `path + ".spans.csv"`, and the Prometheus exposition
+// of every counter and histogram as `path + ".prom"`. Returns the path of
+// the Perfetto JSON.
+std::string WriteTraceArtifact(const std::string& path,
+                               const std::vector<SpanRecord>& spans);
 
 }  // namespace hyperalloc::trace

@@ -20,9 +20,9 @@
 // request (workload allocation storms) stay span-free.
 //
 // Clocks: `begin_vns`/`end_vns` come from the per-context virtual clock
-// (the owning simulation), falling back to the global Tracer time
-// source; `begin_wall_ns`/`end_wall_ns` are steady_clock wall time, so
-// exporters can show virtual/wall skew.
+// (the owning simulation), falling back to the global Tracer clock in
+// src/trace/trace.h; `begin_wall_ns`/`end_wall_ns` are steady_clock wall
+// time, so exporters can show virtual/wall skew.
 //
 // Compile-out: with -DHYPERALLOC_TRACE=0 Span/ScopedContext/RequestSpan
 // collapse to empty types (sizeof == 1, no members, no code) and
@@ -85,7 +85,8 @@ struct SpanRecord {
 // Process-wide span sink: per-thread single-writer rings (drainable
 // while the writers run — see span_ring.h), a retired list for exited
 // threads, and monotonic trace-/span-id generators. Always compiled
-// (like Tracer); the RAII instrumentation types below compile out.
+// (like the counter registry); the RAII instrumentation types below
+// compile out.
 class SpanTracer {
  public:
   static SpanTracer& Global();

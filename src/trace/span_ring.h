@@ -1,12 +1,10 @@
 // Single-writer / single-drainer span ring buffer.
 //
-// Unlike the TraceEvent rings (src/trace/trace.h), which overwrite their
-// oldest entries and may only be drained at quiescence, this ring is safe
-// to drain *while the owning thread keeps emitting* — the exporter thread
-// of a long-running process can stream spans out without stopping the
-// world. The price is drop-NEWEST semantics: when the ring is full the
-// writer counts the span as dropped and keeps going (never stalls, never
-// touches a slot the drainer may be reading).
+// The ring is safe to drain *while the owning thread keeps emitting* —
+// the exporter thread of a long-running process can stream spans out
+// without stopping the world. The price is drop-NEWEST semantics: when
+// the ring is full the writer counts the span as dropped and keeps going
+// (never stalls, never touches a slot the drainer may be reading).
 //
 // Protocol (indices are free-running uint64 positions, slot = pos % cap):
 //   writer:  h = head(relaxed); t = tail(acquire);

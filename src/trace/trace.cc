@@ -1,6 +1,5 @@
 #include "src/trace/trace.h"
 
-#include <algorithm>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -100,252 +99,10 @@ void CounterRegistry::ResetForTest() {
   }
 }
 
-// ----------------------------------------------------------------------
-// Tracer
-// ----------------------------------------------------------------------
-
-const char* Name(Category category) {
-  switch (category) {
-    case Category::kLLFree:
-      return "llfree";
-    case Category::kGuest:
-      return "guest";
-    case Category::kEpt:
-      return "ept";
-    case Category::kIommu:
-      return "iommu";
-    case Category::kBalloon:
-      return "balloon";
-    case Category::kVmem:
-      return "vmem";
-    case Category::kMonitor:
-      return "monitor";
-    case Category::kState:
-      return "state";
-    case Category::kFault:
-      return "fault";
-    case Category::kTelemetry:
-      return "telemetry";
-  }
-  return "?";
-}
-
-const char* Name(Op op) {
-  switch (op) {
-    case Op::kGet:
-      return "get";
-    case Op::kGetFail:
-      return "get_fail";
-    case Op::kPut:
-      return "put";
-    case Op::kReserveTree:
-      return "reserve_tree";
-    case Op::kSteal:
-      return "steal";
-    case Op::kEvictedSet:
-      return "evicted_set";
-    case Op::kEvictedClear:
-      return "evicted_clear";
-    case Op::kReclaimSoft:
-      return "reclaim_soft";
-    case Op::kReclaimHard:
-      return "reclaim_hard";
-    case Op::kReturn:
-      return "return";
-    case Op::kInstall:
-      return "install";
-    case Op::kMap:
-      return "map";
-    case Op::kUnmap:
-      return "unmap";
-    case Op::kIotlbFlush:
-      return "iotlb_flush";
-    case Op::kFault4k:
-      return "fault_4k";
-    case Op::kFault2m:
-      return "fault_2m";
-    case Op::kInflate:
-      return "inflate";
-    case Op::kDeflate:
-      return "deflate";
-    case Op::kMadvise:
-      return "madvise";
-    case Op::kHypercall:
-      return "hypercall";
-    case Op::kTransition:
-      return "transition";
-    case Op::kScan:
-      return "scan";
-    case Op::kInject:
-      return "inject";
-    case Op::kRetry:
-      return "retry";
-    case Op::kRollback:
-      return "rollback";
-    case Op::kQuarantine:
-      return "quarantine";
-    case Op::kTimeout:
-      return "timeout";
-    case Op::kAlert:
-      return "alert";
-    case Op::kFlightDump:
-      return "flight_dump";
-  }
-  return "?";
-}
-
-namespace {
-constexpr size_t kDefaultRingCapacity = 1 << 16;
-}  // namespace
-
-struct Tracer::Impl {
-  mutable std::mutex mu;
-  size_t capacity = kDefaultRingCapacity;
-  std::vector<ThreadBuffer*> live;
-  std::vector<TraceEvent> retired;
-  uint64_t dropped = 0;
-
-  // Appends `buffer`'s events (oldest first) to `out` and resets it.
-  // Caller holds `mu`.
-  void CollectLocked(ThreadBuffer* buffer, std::vector<TraceEvent>* out) {
-    const size_t cap = buffer->ring.size();
-    if (cap == 0 || buffer->head == 0) {
-      return;
-    }
-    if (buffer->head > cap) {
-      dropped += buffer->head - cap;
-      const size_t start = buffer->head % cap;
-      out->insert(out->end(), buffer->ring.begin() + start,
-                  buffer->ring.end());
-      out->insert(out->end(), buffer->ring.begin(),
-                  buffer->ring.begin() + start);
-    } else {
-      out->insert(out->end(), buffer->ring.begin(),
-                  buffer->ring.begin() + buffer->head);
-    }
-    buffer->head = 0;
-  }
-};
-
-// RAII registration of the calling thread's ring buffer; the destructor
-// moves any remaining events into the tracer's retired list so traces
-// survive thread exit.
-struct TracerThreadHandle {
-  Tracer::ThreadBuffer buffer;
-
-  ~TracerThreadHandle() {
-    if (buffer.owner != nullptr) {
-      buffer.owner->Retire(&buffer);
-    }
-  }
-};
-
 Tracer& Tracer::Global() {
-  // Leaked singleton: must outlive every thread's TracerThreadHandle.
+  // Leaked singleton, like the registry.
   static Tracer* global = new Tracer;
   return *global;
-}
-
-Tracer::Impl* Tracer::impl() {
-  static Impl* impl = new Impl;
-  return impl;
-}
-
-const Tracer::Impl* Tracer::impl() const {
-  return const_cast<Tracer*>(this)->impl();
-}
-
-Tracer::ThreadBuffer& Tracer::LocalBuffer() {
-  thread_local TracerThreadHandle handle;
-  if (handle.buffer.owner == nullptr) {
-    Register(&handle.buffer);
-  }
-  return handle.buffer;
-}
-
-void Tracer::Register(ThreadBuffer* buffer) {
-  Impl* i = impl();
-  std::lock_guard<std::mutex> lock(i->mu);
-  buffer->ring.resize(i->capacity);
-  buffer->head = 0;
-  buffer->owner = this;
-  i->live.push_back(buffer);
-}
-
-void Tracer::Retire(ThreadBuffer* buffer) {
-  Impl* i = impl();
-  std::lock_guard<std::mutex> lock(i->mu);
-  i->CollectLocked(buffer, &i->retired);
-  std::erase(i->live, buffer);
-  buffer->owner = nullptr;
-}
-
-void Tracer::Emit(Category category, Op op, uint64_t arg0, uint64_t arg1) {
-  ThreadBuffer& buffer = LocalBuffer();
-  if (buffer.ring.empty()) {
-    return;  // capacity 0: tracing effectively off
-  }
-  TraceEvent& slot = buffer.ring[buffer.head % buffer.ring.size()];
-  slot.at = Now();
-  slot.seq = seq_.fetch_add(1, std::memory_order_relaxed);
-  slot.category = category;
-  slot.op = op;
-  slot.arg0 = arg0;
-  slot.arg1 = arg1;
-  ++buffer.head;
-}
-
-std::vector<TraceEvent> Tracer::Drain() {
-  Impl* i = impl();
-  std::vector<TraceEvent> out;
-  {
-    std::lock_guard<std::mutex> lock(i->mu);
-    out.swap(i->retired);
-    for (ThreadBuffer* buffer : i->live) {
-      i->CollectLocked(buffer, &out);
-    }
-  }
-  std::sort(out.begin(), out.end(),
-            [](const TraceEvent& a, const TraceEvent& b) {
-              if (a.at != b.at) {
-                return a.at < b.at;
-              }
-              return a.seq < b.seq;
-            });
-  return out;
-}
-
-uint64_t Tracer::dropped_events() const {
-  const Impl* i = impl();
-  std::lock_guard<std::mutex> lock(i->mu);
-  uint64_t dropped = i->dropped;
-  for (const ThreadBuffer* buffer : i->live) {
-    if (buffer->head > buffer->ring.size()) {
-      dropped += buffer->head - buffer->ring.size();
-    }
-  }
-  return dropped;
-}
-
-void Tracer::SetCapacity(size_t events_per_thread) {
-  Impl* i = impl();
-  std::lock_guard<std::mutex> lock(i->mu);
-  i->capacity = events_per_thread;
-  for (ThreadBuffer* buffer : i->live) {
-    buffer->ring.assign(events_per_thread, TraceEvent{});
-    buffer->head = 0;
-  }
-}
-
-void Tracer::ResetForTest() {
-  Impl* i = impl();
-  std::lock_guard<std::mutex> lock(i->mu);
-  i->retired.clear();
-  i->dropped = 0;
-  for (ThreadBuffer* buffer : i->live) {
-    buffer->head = 0;
-  }
-  seq_.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace hyperalloc::trace

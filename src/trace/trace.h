@@ -1,20 +1,17 @@
-// Low-overhead observability: named monotonic counters, bucketed
-// histograms, and a per-thread ring-buffer event tracer.
+// Low-overhead observability: named monotonic counters and bucketed
+// histograms, plus the virtual clock that span timestamps read
+// (src/trace/span.h records where the time goes).
 //
 // The paper's headline results (Figs. 4, 7–11) are operation-count × cost
 // arguments — hypercalls, madvise batches, EPT/IOMMU faults, reclaim-state
-// transitions. This layer makes those per-operation events first-class:
-// every hot path bumps a counter (lock-free, relaxed, cache-line-padded
-// shards) and optionally appends a TraceEvent to its thread's fixed-size
-// ring buffer. A global drain merges all buffers and sorts by virtual
-// time, giving a deterministic, time-ordered trace of a whole run.
+// transitions. Every hot path bumps a counter (lock-free, relaxed,
+// cache-line-padded shards), so those counts are first-class.
 //
 // Cost discipline:
 //   * Compile time: building with -DHYPERALLOC_TRACE=0 turns every macro
 //     below into a no-op; nothing is linked into the hot paths.
-//   * Runtime: event emission is additionally gated on Tracer::enabled()
-//     (one relaxed bool load when off). Counters are always live when
-//     compiled in — a relaxed fetch_add on a thread-sharded cache line.
+//   * Runtime: counters are always live when compiled in — a relaxed
+//     fetch_add on a thread-sharded cache line.
 //
 // Naming scheme (see README.md "Observability"): dotted lowercase
 // "<layer>.<operation>[_<unit>]", e.g. "llfree.get", "balloon.madvise",
@@ -166,87 +163,14 @@ class CounterRegistry {
   const Impl* impl() const;
 };
 
-// ----------------------------------------------------------------------
-// Event tracing
-// ----------------------------------------------------------------------
-
-enum class Category : uint8_t {
-  kLLFree,   // guest page-frame allocator operations
-  kGuest,    // guest VM memory accesses (EPT faults, touch)
-  kEpt,      // second-stage page-table map/unmap
-  kIommu,    // VFIO pinning and IOTLB flushes
-  kBalloon,  // virtio-balloon queue operations
-  kVmem,     // virtio-mem block (un)plug
-  kMonitor,  // HyperAlloc monitor reclaim/return/install
-  kState,    // reclaim-state (R array) transitions
-  kFault,    // injected faults and their recovery (retry/rollback/...)
-  kTelemetry,  // fleet telemetry pipeline (burn alerts, flight dumps)
-};
-
-enum class Op : uint8_t {
-  kGet,
-  kGetFail,
-  kPut,
-  kReserveTree,
-  kSteal,
-  kEvictedSet,
-  kEvictedClear,
-  kReclaimSoft,
-  kReclaimHard,
-  kReturn,
-  kInstall,
-  kMap,
-  kUnmap,
-  kIotlbFlush,
-  kFault4k,
-  kFault2m,
-  kInflate,
-  kDeflate,
-  kMadvise,
-  kHypercall,
-  kTransition,
-  kScan,
-  kInject,      // a fault fired at an injection site
-  kRetry,       // a failed operation is retried after backoff
-  kRollback,    // partial work undone to restore a legal state
-  kQuarantine,  // a frame (or the VM) entered fault quarantine
-  kTimeout,     // a resize request hit its deadline
-  kAlert,       // SLO burn-rate alert fired (telemetry)
-  kFlightDump,  // flight recorder froze and dumped a postmortem bundle
-};
-
-const char* Name(Category category);
-const char* Name(Op op);
-
-struct TraceEvent {
-  sim::Time at = 0;   // virtual time of the operation
-  uint64_t seq = 0;   // global emission order (total-order tie-break)
-  uint64_t arg0 = 0;  // operation-specific (usually a frame/huge id)
-  uint64_t arg1 = 0;
-  Category category = Category::kLLFree;
-  Op op = Op::kGet;
-};
-
-// Process-wide event tracer. Each thread appends to its own fixed-size
-// ring buffer (oldest events are overwritten once full; the overwrite
-// count is reported as "dropped"). Drain() merges every buffer — live and
-// retired — into one list sorted by (virtual time, emission seq).
-//
-// Emission is wait-free per thread; Drain/SetCapacity/Reset must run at
-// quiescence (no concurrent Emit), which is when traces are meaningful
-// anyway.
+// Holder of the process-wide virtual clock. Spans whose context carries
+// no clock of their own stamp their begin/end with Now(); with no source
+// set, Now() is 0.
 class Tracer {
  public:
   static Tracer& Global();
 
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-  void SetEnabled(bool on) {
-    enabled_.store(on, std::memory_order_relaxed);
-  }
-
-  // Virtual-time source for event timestamps. Events emitted with no
-  // source (e.g. real-time allocator stress tests) are stamped 0 and
-  // ordered by seq. The simulation must outlive emission.
+  // The simulation must outlive every span stamped from it.
   void SetTimeSource(const sim::Simulation* sim) {
     time_source_.store(sim, std::memory_order_relaxed);
   }
@@ -256,40 +180,10 @@ class Tracer {
     return sim == nullptr ? 0 : sim->now();
   }
 
-  void Emit(Category category, Op op, uint64_t arg0, uint64_t arg1);
-
-  // Collects and clears all buffered events, sorted by (at, seq).
-  std::vector<TraceEvent> Drain();
-
-  // Events overwritten in full rings since the last reset (cumulative,
-  // surviving Drain so exporters can report truncation).
-  uint64_t dropped_events() const;
-
-  // Ring capacity (events per thread) for buffers created or reset after
-  // the call; existing buffers are resized and cleared.
-  void SetCapacity(size_t events_per_thread);
-
-  void ResetForTest();
-
  private:
-  friend struct TracerThreadHandle;
-  struct ThreadBuffer {
-    std::vector<TraceEvent> ring;
-    uint64_t head = 0;  // total events pushed since last reset
-    Tracer* owner = nullptr;
-  };
-
   Tracer() = default;
-  ThreadBuffer& LocalBuffer();
-  void Register(ThreadBuffer* buffer);
-  void Retire(ThreadBuffer* buffer);
 
-  std::atomic<bool> enabled_{false};
   std::atomic<const sim::Simulation*> time_source_{nullptr};
-  std::atomic<uint64_t> seq_{0};
-  struct Impl;
-  Impl* impl();
-  const Impl* impl() const;
 };
 
 }  // namespace hyperalloc::trace
@@ -320,15 +214,6 @@ class Tracer {
     ha_hist_.Record(value);                                                  \
   } while (0)
 
-#define HA_TRACE_EVENT(category, op, arg0, arg1)                             \
-  do {                                                                       \
-    ::hyperalloc::trace::Tracer& ha_tracer_ =                                \
-        ::hyperalloc::trace::Tracer::Global();                               \
-    if (ha_tracer_.enabled()) {                                              \
-      ha_tracer_.Emit((category), (op), (arg0), (arg1));                     \
-    }                                                                        \
-  } while (0)
-
 #else  // !HYPERALLOC_TRACE
 
 #define HA_COUNT_N(name, delta) \
@@ -341,11 +226,6 @@ class Tracer {
 #define HA_HIST(name, value) \
   do {                       \
     (void)sizeof(value);     \
-  } while (0)
-#define HA_TRACE_EVENT(category, op, arg0, arg1) \
-  do {                                           \
-    (void)sizeof(arg0);                          \
-    (void)sizeof(arg1);                          \
   } while (0)
 
 #endif  // HYPERALLOC_TRACE

@@ -41,7 +41,6 @@ void VirtioMem::ChargeBackoff(unsigned retry) {
     request_span_.AddRetry();
   }
   HA_COUNT("vmem.fault_retry");
-  HA_TRACE_EVENT(trace::Category::kFault, trace::Op::kRetry, retry, ns);
   cpu_.host_user_ns += hv::ChargeTraced(sim_, "vmem.fault_backoff_ns", ns);
 }
 
@@ -61,7 +60,7 @@ bool VirtioMem::RequestTimedOut() const {
   return request_deadline_ != 0 && sim_->now() >= request_deadline_;
 }
 
-bool VirtioMem::PollSite(fault::Site site, uint64_t arg) {
+bool VirtioMem::PollSite(fault::Site site) {
   fault::Injector* injector = vm_->fault_injector();
   const unsigned max_attempts = std::max(1u, config_.retry.max_attempts);
   for (unsigned attempt = 0; attempt < max_attempts; ++attempt) {
@@ -74,8 +73,6 @@ bool VirtioMem::PollSite(fault::Site site, uint64_t arg) {
     }
     NoteFault();
     HA_COUNT("fault.vmem_hypercall");
-    HA_TRACE_EVENT(trace::Category::kFault, trace::Op::kInject, arg,
-                   static_cast<uint64_t>(site));
     if (*kind == fault::Kind::kPermanent) {
       return false;
     }
@@ -193,10 +190,9 @@ bool VirtioMem::UnplugOneBlock() {
   // Notify the device (one request per block) and discard host memory.
   // An unrecoverable hypercall fault rolls the offline back (the block
   // simply stays plugged) and stops the slice.
-  if (!PollSite(fault::Site::kVmemUnplug, block)) {
+  if (!PollSite(fault::Site::kVmemUnplug)) {
     vm_->ReleaseIsolatedRange(global_first, kFramesPerHuge);
     HA_COUNT("vmem.fault_rollback");
-    HA_TRACE_EVENT(trace::Category::kFault, trace::Op::kRollback, block, 0);
     if (busy_) {
       ++outcome_.rollbacks;
     }
@@ -235,8 +231,6 @@ bool VirtioMem::UnplugOneBlock() {
     if (!unpinned) {
       vm_->ReleaseIsolatedRange(global_first, kFramesPerHuge);
       HA_COUNT("vmem.fault_rollback");
-      HA_TRACE_EVENT(trace::Category::kFault, trace::Op::kRollback, block,
-                     1);
       if (busy_) {
         ++outcome_.rollbacks;
       }
@@ -287,8 +281,6 @@ bool VirtioMem::UnplugOneBlock() {
       // block is replugged, which re-uses the mapping as-is.
       ++leaked_backing_blocks_;
       HA_COUNT("vmem.leaked_backing");
-      HA_TRACE_EVENT(trace::Category::kFault, trace::Op::kRollback, block,
-                     2);
     }
   }
 
@@ -304,8 +296,6 @@ void VirtioMem::UnplugSlice(uint64_t target_blocks,
   if (RequestTimedOut()) {
     outcome_.timed_out = true;
     HA_COUNT("vmem.request_timeout");
-    HA_TRACE_EVENT(trace::Category::kFault, trace::Op::kTimeout,
-                   target_blocks, plugged_blocks_);
     done();  // partial unplug: already-unplugged blocks stay unplugged
     return;
   }
@@ -338,7 +328,7 @@ bool VirtioMem::PlugOneBlock(uint64_t block) {
 
   // One request per plugged block. A failed hypercall aborts cleanly:
   // nothing was onlined yet, the block just stays unplugged.
-  if (!PollSite(fault::Site::kVmemPlug, block)) {
+  if (!PollSite(fault::Site::kVmemPlug)) {
     return false;
   }
   {
@@ -438,8 +428,6 @@ void VirtioMem::PlugSlice(uint64_t target_blocks,
   if (RequestTimedOut()) {
     outcome_.timed_out = true;
     HA_COUNT("vmem.request_timeout");
-    HA_TRACE_EVENT(trace::Category::kFault, trace::Op::kTimeout,
-                   target_blocks, plugged_blocks_);
     done();
     return;
   }

@@ -93,7 +93,7 @@ class VirtioMem : public hv::Deflator {
 
   // Polls a hypercall fault site with bounded retries; returns false on
   // retry exhaustion or a permanent fault.
-  bool PollSite(fault::Site site, uint64_t arg);
+  bool PollSite(fault::Site site);
   void ChargeBackoff(unsigned retry);
   void NoteFault();
   bool RequestTimedOut() const;

@@ -1,10 +1,11 @@
-// Tests for the observability layer: lock-free counter/histogram registry
-// (correctness under concurrent writers) and the per-thread ring-buffer
-// event tracer (virtual-time ordering, overflow, thread-exit retirement,
-// exporters).
+// Tests for the observability layer's lock-free counter/histogram
+// registry (correctness under concurrent writers), the one --trace-out
+// artifact writer and the Prometheus name mapping its exporter uses.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -17,36 +18,9 @@
 namespace hyperalloc::trace {
 namespace {
 
-constexpr size_t kDefaultCapacity = 1 << 16;  // mirrors trace.cc
-
-std::string ReadFile(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  EXPECT_NE(f, nullptr) << path;
-  std::string out;
-  char buf[4096];
-  size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    out.append(buf, n);
-  }
-  std::fclose(f);
-  return out;
-}
-
 class TraceTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    CounterRegistry::Global().ResetForTest();
-    Tracer::Global().ResetForTest();
-    Tracer::Global().SetEnabled(false);
-    Tracer::Global().SetTimeSource(nullptr);
-  }
-
-  void TearDown() override {
-    Tracer::Global().SetEnabled(false);
-    Tracer::Global().SetTimeSource(nullptr);
-    Tracer::Global().SetCapacity(kDefaultCapacity);
-    Tracer::Global().Drain();
-  }
+  void SetUp() override { CounterRegistry::Global().ResetForTest(); }
 };
 
 uint64_t CounterValue(const std::string& name) {
@@ -138,108 +112,91 @@ TEST_F(TraceTest, MacroDeltaAndHistogram) {
 }
 #endif  // HYPERALLOC_TRACE
 
-TEST_F(TraceTest, EventsOrderedByVirtualTime) {
-  sim::Simulation sim;
-  Tracer& tracer = Tracer::Global();
-  tracer.SetTimeSource(&sim);
-  tracer.SetEnabled(true);
-  tracer.Emit(Category::kLLFree, Op::kGet, 10, 0);
-  tracer.Emit(Category::kLLFree, Op::kPut, 10, 0);  // same time, later seq
-  sim.AdvanceClock(500);
-  tracer.Emit(Category::kMonitor, Op::kReclaimHard, 3, 1);
-  sim.AdvanceClock(500);
-  tracer.Emit(Category::kEpt, Op::kUnmap, 7, 512);
-
-  const std::vector<TraceEvent> events = tracer.Drain();
-  ASSERT_EQ(events.size(), 4u);
-  EXPECT_EQ(events[0].at, 0u);
-  EXPECT_EQ(events[0].op, Op::kGet);
-  EXPECT_EQ(events[1].op, Op::kPut);  // seq breaks the t=0 tie
-  EXPECT_EQ(events[2].at, 500u);
-  EXPECT_EQ(events[2].category, Category::kMonitor);
-  EXPECT_EQ(events[3].at, 1000u);
-  EXPECT_EQ(events[3].arg0, 7u);
-  EXPECT_EQ(events[3].arg1, 512u);
-  for (size_t i = 1; i < events.size(); ++i) {
-    EXPECT_LE(events[i - 1].at, events[i].at);
-    EXPECT_LT(events[i - 1].seq, events[i].seq);
-  }
-  EXPECT_STREQ(Name(events[3].category), "ept");
-  EXPECT_STREQ(Name(events[3].op), "unmap");
-}
-
-TEST_F(TraceTest, SeqGivesTotalOrderAcrossThreads) {
-  constexpr unsigned kThreads = 8;
-  constexpr uint64_t kPerThread = 1000;
-  Tracer& tracer = Tracer::Global();
-  tracer.SetEnabled(true);  // no time source: all events at t=0
-  std::vector<std::thread> threads;
-  for (unsigned t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&tracer, t] {
-      for (uint64_t i = 0; i < kPerThread; ++i) {
-        tracer.Emit(Category::kLLFree, Op::kGet, t, i);
-      }
-    });
-  }
-  for (std::thread& t : threads) {
-    t.join();
-  }
-  const std::vector<TraceEvent> events = tracer.Drain();
-  ASSERT_EQ(events.size(), kThreads * kPerThread);
-  // The global seq is a total order; the drain must respect it, and each
-  // thread's own events must appear in emission order within it.
-  std::vector<uint64_t> next(kThreads, 0);
-  for (size_t i = 0; i < events.size(); ++i) {
-    if (i > 0) {
-      EXPECT_LT(events[i - 1].seq, events[i].seq);
-    }
-    const uint64_t thread = events[i].arg0;
-    ASSERT_LT(thread, kThreads);
-    EXPECT_EQ(events[i].arg1, next[thread]++);
-  }
-  EXPECT_EQ(tracer.dropped_events(), 0u);
-}
-
-TEST_F(TraceTest, RingOverflowKeepsNewestEvents) {
-  Tracer& tracer = Tracer::Global();
-  tracer.SetCapacity(16);
-  tracer.SetEnabled(true);
-  for (uint64_t i = 0; i < 40; ++i) {
-    tracer.Emit(Category::kGuest, Op::kFault4k, i, 0);
-  }
-  EXPECT_EQ(tracer.dropped_events(), 24u);
-  const std::vector<TraceEvent> events = tracer.Drain();
-  ASSERT_EQ(events.size(), 16u);
-  for (uint64_t i = 0; i < 16; ++i) {
-    EXPECT_EQ(events[i].arg0, 24 + i);  // oldest overwritten, newest kept
-  }
-  EXPECT_EQ(tracer.dropped_events(), 24u);  // survives the drain
-}
-
-TEST_F(TraceTest, ThreadExitRetiresBufferedEvents) {
-  Tracer& tracer = Tracer::Global();
-  tracer.SetEnabled(true);
-  std::thread worker([&tracer] {
-    for (uint64_t i = 0; i < 5; ++i) {
-      tracer.Emit(Category::kBalloon, Op::kInflate, i, 0);
-    }
-  });
-  worker.join();  // thread gone; its events moved to the retired list
-  const std::vector<TraceEvent> events = tracer.Drain();
-  ASSERT_EQ(events.size(), 5u);
-  EXPECT_EQ(events[4].arg0, 4u);
-}
-
-TEST_F(TraceTest, DisabledTracerEmitsNothing) {
-  EXPECT_FALSE(Tracer::Global().enabled());
-  HA_TRACE_EVENT(Category::kLLFree, Op::kGet, 1, 2);
-  EXPECT_TRUE(Tracer::Global().Drain().empty());
 #if HYPERALLOC_TRACE
-  // Counters stay live even while event tracing is off.
-  HA_COUNT("test.while_disabled");
-  EXPECT_EQ(CounterValue("test.while_disabled"), 1u);
-#endif
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
 }
+
+size_t CountOccurrences(const std::string& haystack,
+                        const std::string& needle) {
+  size_t count = 0;
+  for (size_t at = haystack.find(needle); at != std::string::npos;
+       at = haystack.find(needle, at + needle.size())) {
+    ++count;
+  }
+  return count;
+}
+
+// Emits `n` monitor-layer spans 100 virtual ns apart and drains them.
+std::vector<SpanRecord> EmitSpans(size_t n) {
+  SpanTracer& tracer = SpanTracer::Global();
+  tracer.SetCapacity(1 << 12);  // also clears the rings
+  tracer.ResetForTest();
+  tracer.SetEnabled(true);
+  sim::Simulation sim;
+  {
+    SpanContext context;
+    context.clock = &sim;
+    ScopedContext scoped(context);
+    ScopedRoot root;
+    for (size_t i = 0; i < n; ++i) {
+      Span span(Layer::kMonitor, "artifact.step");
+      sim.AdvanceClock(100);
+    }
+  }
+  tracer.SetEnabled(false);
+  return tracer.Drain();
+}
+
+// The one --trace-out writer with a ".json" path: PATH is the Perfetto
+// trace itself and holds every span (none lost to an earlier drain),
+// with the spans CSV and the Prometheus counters/histograms as siblings.
+TEST_F(TraceTest, JsonExportHoldsCountersHistogramsAndEvents) {
+  constexpr size_t kSpans = 5;
+  const std::vector<SpanRecord> spans = EmitSpans(kSpans);
+  ASSERT_EQ(spans.size(), kSpans);
+  CounterRegistry::Global().FindOrCreate("test.json_counter").Add(42);
+  CounterRegistry::Global().FindOrCreateHistogram("test.json_hist").Record(8);
+
+  const std::string path = ::testing::TempDir() + "/trace_test.json";
+  EXPECT_EQ(WriteTraceArtifact(path, spans), path);
+  EXPECT_EQ(CountOccurrences(ReadFile(path), "\"ph\":\"X\""), kSpans);
+  // Header plus one row per span.
+  EXPECT_EQ(CountOccurrences(ReadFile(path + ".spans.csv"), "\n"), kSpans + 1);
+  const std::string prom = ReadFile(path + ".prom");
+  EXPECT_NE(prom.find("hyperalloc_test_json_counter 42\n"), std::string::npos)
+      << prom;
+  EXPECT_NE(prom.find("hyperalloc_test_json_hist_count 1\n"),
+            std::string::npos)
+      << prom;
+}
+
+// Any other suffix keeps PATH free: the Perfetto trace goes beside it,
+// next to the spans CSV (ha_trace_tool input) and the counters.
+TEST_F(TraceTest, CsvArtifactWritesEventsAndCounters) {
+  constexpr size_t kSpans = 3;
+  const std::vector<SpanRecord> spans = EmitSpans(kSpans);
+  ASSERT_EQ(spans.size(), kSpans);
+  CounterRegistry::Global().FindOrCreate("test.csv_counter").Add(1);
+
+  const std::string path = ::testing::TempDir() + "/trace_test.csv";
+  std::remove(path.c_str());
+  const std::string perfetto = WriteTraceArtifact(path, spans);
+  EXPECT_EQ(perfetto, path + ".perfetto.json");
+  EXPECT_FALSE(std::ifstream(path).good());
+  EXPECT_EQ(CountOccurrences(ReadFile(perfetto), "\"ph\":\"X\""), kSpans);
+  const std::string spans_csv = ReadFile(path + ".spans.csv");
+  EXPECT_EQ(spans_csv.rfind("trace_id,span_id,parent_id,vm,layer,name,", 0),
+            0u)
+      << spans_csv;
+  EXPECT_EQ(CountOccurrences(spans_csv, "artifact.step"), kSpans);
+  EXPECT_NE(ReadFile(path + ".prom").find("hyperalloc_test_csv_counter 1\n"),
+            std::string::npos);
+}
+#endif  // HYPERALLOC_TRACE
 
 TEST_F(TraceTest, ChargeTracedAdvancesClockAndRecords) {
   sim::Simulation sim;
@@ -251,45 +208,6 @@ TEST_F(TraceTest, ChargeTracedAdvancesClockAndRecords) {
       EXPECT_EQ(snap.sum, 2500u);
     }
   }
-}
-
-TEST_F(TraceTest, JsonExportHoldsCountersHistogramsAndEvents) {
-  sim::Simulation sim;
-  Tracer& tracer = Tracer::Global();
-  tracer.SetTimeSource(&sim);
-  tracer.SetEnabled(true);
-  CounterRegistry::Global().FindOrCreate("test.json_counter").Add(42);
-  CounterRegistry::Global().FindOrCreateHistogram("test.json_hist").Record(8);
-  sim.AdvanceClock(123);
-  tracer.Emit(Category::kMonitor, Op::kMadvise, 5, 2);
-
-  const std::string path = ::testing::TempDir() + "/trace_test.json";
-  WriteJson(path);
-  const std::string json = ReadFile(path);
-  EXPECT_NE(json.find("\"test.json_counter\": 42"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"test.json_hist\""), std::string::npos);
-  EXPECT_NE(json.find("\"dropped_events\": 0"), std::string::npos);
-  EXPECT_NE(json.find("\"monitor\""), std::string::npos);
-  EXPECT_NE(json.find("\"madvise\""), std::string::npos);
-  EXPECT_NE(json.find("[123,\"monitor\",\"madvise\",5,2]"), std::string::npos)
-      << json;
-  EXPECT_TRUE(tracer.Drain().empty());  // the export drained the tracer
-}
-
-TEST_F(TraceTest, CsvArtifactWritesEventsAndCounters) {
-  Tracer& tracer = Tracer::Global();
-  tracer.SetEnabled(true);
-  CounterRegistry::Global().FindOrCreate("test.csv_counter").Add(1);
-  tracer.Emit(Category::kIommu, Op::kIotlbFlush, 9, 0);
-
-  const std::string path = ::testing::TempDir() + "/trace_test.csv";
-  WriteTraceArtifact(path);
-  const std::string events_csv = ReadFile(path);
-  EXPECT_NE(events_csv.find("time_ns,category,op,arg0,arg1"),
-            std::string::npos);
-  EXPECT_NE(events_csv.find("iommu,iotlb_flush,9,0"), std::string::npos);
-  const std::string counters_csv = ReadFile(path + ".counters.csv");
-  EXPECT_NE(counters_csv.find("test.csv_counter,1"), std::string::npos);
 }
 
 // Regression: "a.b" and "a_b" both mangle to "hyperalloc_a_b"; without
