@@ -164,7 +164,9 @@ int Main(int argc, char** argv) {
     }
     std::fprintf(f, "{\n  \"schema\": \"hyperalloc-bench-fleet-v1\",\n"
                     "  \"fleet\": %s\n}\n",
-                 FleetJson(options, result, deterministic, 4).c_str());
+                 FleetJson(options, result, deterministic, 4,
+                           /*wall_ms=*/true)
+                     .c_str());
     std::fclose(f);
     std::printf("wrote %s\n", out.c_str());
   }

@@ -1,11 +1,15 @@
 // E12 — real wall-clock micro-benchmarks (google-benchmark) of the LLFree
 // data-structure operations that underlie the paper's §5.3 rates: base and
 // huge allocation, free, the bilateral hard-reclaim/return transitions,
-// and the install-path CAS. These run on real hardware (no virtual time).
+// and the install-path CAS, plus the per-core FrameCache over the batch
+// API and the sharded host frame pool under contention. These run on
+// real hardware (no virtual time).
 #include <benchmark/benchmark.h>
 
 #include <vector>
 
+#include "src/hv/host_memory.h"
+#include "src/llfree/frame_cache.h"
 #include "src/llfree/llfree.h"
 
 namespace hyperalloc::llfree {
@@ -122,6 +126,74 @@ void BM_EvictedAllocationPath(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_EvictedAllocationPath);
+
+// Order-0 trains of 512 frames through the per-core FrameCache, which
+// refills and drains in GetBatch/PutBatch halves of its capacity.
+void BM_FrameCacheGetPut(benchmark::State& state) {
+  constexpr unsigned kTrain = 512;
+  const std::unique_ptr<SharedState> shared = FreshState(4);
+  LLFree alloc(shared.get());
+  FrameCache::CacheConfig config;
+  config.slots = 4;
+  config.capacity = kTrain;
+  config.refill = kTrain / 2;
+  FrameCache cache(&alloc, config);
+  std::vector<FrameId> held;
+  held.reserve(kTrain);
+  unsigned core = 0;
+  for (auto _ : state) {
+    for (unsigned i = 0; i < kTrain; ++i) {
+      const Result<FrameId> r = cache.Get(core, 0, AllocType::kMovable);
+      benchmark::DoNotOptimize(r.ok());
+      if (r.ok()) {
+        held.push_back(*r);
+      }
+    }
+    for (const FrameId f : held) {
+      cache.Put(core, f, 0, AllocType::kMovable);
+    }
+    held.clear();
+    core = (core + 1) % 4;
+  }
+  cache.Drain();
+  state.SetItemsProcessed(state.iterations() * 2 * kTrain);
+}
+BENCHMARK(BM_FrameCacheGetPut);
+
+// TryReserve/Release storm on one sharded host pool. Mixed batch sizes
+// exercise the shard fast path, the batched global refill/drain and —
+// because 32 MiB is smaller than even one thread's outstanding window
+// (64 batches averaging 256 frames) — the cross-shard rebalancer, where
+// reservations legitimately fail. One iteration is one reserve or
+// release. The counters are the pool's slow-path totals over the run.
+void BM_HostPoolReserveRelease(benchmark::State& state) {
+  static std::unique_ptr<hv::HostMemory> pool;
+  if (state.thread_index() == 0) {
+    pool = std::make_unique<hv::HostMemory>(1ull << 13);
+  }
+  std::vector<uint64_t> outstanding;
+  outstanding.reserve(64);
+  uint64_t i = 0;
+  for (auto _ : state) {
+    const uint64_t batch = (i++ % 7 + 1) * 64;
+    if (outstanding.size() < 64 && pool->TryReserve(batch)) {
+      outstanding.push_back(batch);
+    } else if (!outstanding.empty()) {
+      pool->Release(outstanding.back());
+      outstanding.pop_back();
+    }
+  }
+  for (const uint64_t batch : outstanding) {
+    pool->Release(batch);
+  }
+  state.SetItemsProcessed(state.iterations());
+  if (state.thread_index() == 0) {
+    state.counters["refills"] = static_cast<double>(pool->refills());
+    state.counters["drains"] = static_cast<double>(pool->drains());
+    state.counters["rebalances"] = static_cast<double>(pool->rebalances());
+  }
+}
+BENCHMARK(BM_HostPoolReserveRelease)->ThreadRange(1, 4)->UseRealTime();
 
 }  // namespace
 }  // namespace hyperalloc::llfree

@@ -1,33 +1,35 @@
-// Machine-readable performance runner for the paths this repo's perf
-// trajectory tracks: LLFree get/put (single-frame and batched), the
-// sharded host frame pool, the span-attribution closure of a HyperAlloc
-// resize, the compile fleet (the old multi-VM experiment, now a fleet
-// client), the policy-driven fleet scenario at 1024 VMs (128 in
-// smoke), and the fleet telemetry pipeline (sampling overhead, alert
-// counts, flight-recorder determinism). Emits one JSON document (default
-// BENCH_PR10.json; schema checked by scripts/check_bench_json.py,
-// regressions gated by scripts/perf_gate.py) so runs are comparable
-// across commits.
+// Deterministic bench gate. Every value it emits is a virtual-time
+// result, an op count or a digest — identical on any host — except two
+// in-process wall-clock ratios, each the median over kRatioPairs
+// interleaved pairs: the batched/single LLFree speedup and the fleet
+// telemetry overhead. Stages: the batch ratio, the span-attribution
+// closure of a HyperAlloc resize, the compile fleet (1 vs N threads),
+// the policy-driven fleet at 1024 VMs (128 in smoke) with its telemetry
+// and flight-recorder probes, and the huge-frame churn+shrink study.
+// Emits one `hyperalloc-bench-v7` document (default BENCH_BASELINE.json;
+// schema checked by scripts/check_bench_json.py, compared exactly
+// against the committed baseline by scripts/perf_gate.py) and exits 1,
+// naming every failed check, when a gate fails. Real-thread
+// micro-benchmarks live in bench_llfree (Google Benchmark).
 //
 //   --smoke          small sizes for CI (seconds, not minutes)
-//   --out=PATH       output path (default BENCH_PR10.json)
-//   --threads=N      host threads for the pool, multi-VM, and fleet
-//                    benches (default 4; the determinism checks always
-//                    also run single-threaded and compare series/digests)
-//   --batch=N        train size for the batched LLFree bench (default
-//                    512 base frames per GetBatch/PutBatch round)
+//   --out=PATH       output path (default BENCH_BASELINE.json)
+//   --threads=N      host threads for the multi-VM and fleet stages
+//                    (default 4; the determinism checks always also run
+//                    single-threaded and compare series/digests)
 //   --trace-out=PATH writes the attribution run's span tree in the
 //                    shared trace artifact layout (bench/trace_io.h):
 //                    Perfetto JSON (PATH itself when it ends in .json),
 //                    PATH.spans.csv and PATH.prom
 #include <algorithm>
-#include <atomic>
+#include <charconv>
 #include <chrono>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -35,7 +37,6 @@
 #include "bench/trace_io.h"
 #include "src/core/hyperalloc.h"
 #include "src/guest/compaction.h"
-#include "src/llfree/frame_cache.h"
 #include "src/llfree/llfree.h"
 #include "src/trace/span.h"
 #include "src/workloads/memory_pool.h"
@@ -45,212 +46,116 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+// Interleaved pairs behind each wall-clock ratio. Odd, so the median is
+// one measured pair.
+constexpr int kRatioPairs = 25;
+// Frames per GetBatch/PutBatch train in the batch-ratio stage.
+constexpr unsigned kBatch = 512;
+// The two ratio gates (mirrored by scripts/perf_gate.py FLOORS/CEILINGS).
+constexpr double kMinBatchSpeedup = 2.0;
+constexpr double kMaxTelemetryOverheadPct = 5.0;
+
 double MsSince(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start)
       .count();
 }
 
-struct OpsResult {
-  uint64_t ops = 0;
-  double wall_ms = 0.0;
-  double ops_per_sec = 0.0;
-
-  void Finish(Clock::time_point start) {
-    wall_ms = MsSince(start);
-    ops_per_sec = wall_ms > 0.0 ? static_cast<double>(ops) / wall_ms * 1e3
-                                : 0.0;
-  }
-};
-
-// Single-threaded LLFree get/put throughput: batches of base-frame and
-// huge-frame allocations, freed in order (the allocator hot path every
-// guest operation rides on).
-OpsResult BenchLLFreeAllocFree(bool smoke) {
-  const uint64_t frames = 1ull << (smoke ? 16 : 20);
-  llfree::Config config;
-  config.cores = 4;
-  llfree::SharedState state(frames, config);
-  llfree::LLFree alloc(&state);
-
-  const int rounds = smoke ? 200 : 4000;
-  constexpr int kBatch = 512;
-  std::vector<FrameId> held;
-  held.reserve(kBatch);
-
-  OpsResult result;
-  const Clock::time_point start = Clock::now();
-  for (int round = 0; round < rounds; ++round) {
-    const unsigned core = static_cast<unsigned>(round % 4);
-    const unsigned order = round % 8 == 0 ? kHugeOrder : 0;
-    for (int i = 0; i < kBatch; ++i) {
-      const Result<FrameId> r = alloc.Get(core, order, AllocType::kMovable);
-      if (!r.ok()) {
-        break;
-      }
-      held.push_back(*r);
+// Median over kRatioPairs pairs of a() / b(), where each call runs one
+// sample and returns its cost. The side that runs first alternates, so
+// a host that drifts (clock frequency, cache state) biases neither.
+template <typename A, typename B>
+double MedianRatio(A&& a, B&& b) {
+  std::vector<double> ratios;
+  for (int pair = 0; pair < kRatioPairs; ++pair) {
+    double cost_a = 0.0;
+    double cost_b = 0.0;
+    if (pair % 2 == 0) {
+      cost_a = a();
+      cost_b = b();
+    } else {
+      cost_b = b();
+      cost_a = a();
     }
-    for (const FrameId frame : held) {
-      alloc.Put(frame, order);
-    }
-    result.ops += 2 * held.size();
-    held.clear();
+    ratios.push_back(cost_b > 0.0 ? cost_a / cost_b : 0.0);
   }
-  result.Finish(start);
-  return result;
+  std::nth_element(ratios.begin(), ratios.begin() + kRatioPairs / 2,
+                   ratios.end());
+  return ratios[kRatioPairs / 2];
+}
+
+// LLFree::Validate over every zone of `vm`; run at quiescence after a
+// stage, so a stage that corrupts allocator state fails even when its
+// figures look right.
+bool ValidateZones(guest::GuestVm* vm) {
+  for (guest::Zone& zone : vm->zones()) {
+    if (zone.llfree != nullptr && !zone.llfree->Validate()) {
+      return false;
+    }
+  }
+  return true;
 }
 
 // Batched vs single-frame hot path, same allocator shape: order-0 trains
-// of `batch` frames claimed word-at-a-time via GetBatch/PutBatch against
-// the same volume of per-frame Get/Put transactions, plus the per-core
-// FrameCache layered over the batch API. Each variant runs on a fresh
-// allocator so state is identical. speedup_vs_single is the perf-gate
-// metric (scripts/perf_gate.py FLOORS): both sides run in-process on the
-// same host, so the ratio cancels machine speed.
-struct BatchBenchResult {
-  OpsResult batched;
-  OpsResult single;
-  OpsResult cached;
+// of kBatch frames claimed word-at-a-time via GetBatch/PutBatch against
+// the same volume of per-frame Get/Put transactions, each on its own
+// allocator. speedup_vs_single is a ratio gate: both sides run
+// in-process on the same host, so machine speed cancels.
+struct BatchBench {
+  uint64_t ops = 0;  // batched-side ops over all pairs
   double speedup_vs_single = 0.0;
-  unsigned batch = 0;
+  bool valid = false;
 };
 
-BatchBenchResult BenchLLFreeBatchAllocFree(bool smoke, unsigned batch) {
+BatchBench BenchLLFreeBatch(bool smoke) {
   const uint64_t frames = 1ull << (smoke ? 16 : 20);
+  const int rounds = (smoke ? 200 : 4000) / kRatioPairs;
   llfree::Config config;
   config.cores = 4;
-  const int rounds = smoke ? 200 : 4000;
+  llfree::SharedState batched_state(frames, config);
+  llfree::LLFree batched(&batched_state);
+  llfree::SharedState single_state(frames, config);
+  llfree::LLFree single(&single_state);
 
-  BatchBenchResult result;
-  result.batch = batch;
+  BatchBench result;
   std::vector<FrameId> held;
-  held.reserve(batch);
-
-  {
-    llfree::SharedState state(frames, config);
-    llfree::LLFree alloc(&state);
+  held.reserve(kBatch);
+  // Each sample returns its wall ms per op.
+  auto run_batched = [&] {
+    uint64_t ops = 0;
     const Clock::time_point start = Clock::now();
     for (int round = 0; round < rounds; ++round) {
       const unsigned core = static_cast<unsigned>(round % 4);
       const unsigned got =
-          alloc.GetBatch(core, 0, batch, AllocType::kMovable, &held);
-      alloc.PutBatch(held, 0);
-      result.batched.ops += 2 * got;
+          batched.GetBatch(core, 0, kBatch, AllocType::kMovable, &held);
+      batched.PutBatch(held, 0);
+      ops += 2 * got;
       held.clear();
     }
-    result.batched.Finish(start);
-  }
-  {
-    llfree::SharedState state(frames, config);
-    llfree::LLFree alloc(&state);
-    const Clock::time_point start = Clock::now();
-    for (int round = 0; round < rounds; ++round) {
-      const unsigned core = static_cast<unsigned>(round % 4);
-      for (unsigned i = 0; i < batch; ++i) {
-        const Result<FrameId> r = alloc.Get(core, 0, AllocType::kMovable);
-        if (!r.ok()) {
-          break;
-        }
-        held.push_back(*r);
-      }
-      for (const FrameId frame : held) {
-        alloc.Put(frame, 0);
-      }
-      result.single.ops += 2 * held.size();
-      held.clear();
-    }
-    result.single.Finish(start);
-  }
-  {
-    llfree::SharedState state(frames, config);
-    llfree::LLFree alloc(&state);
-    llfree::FrameCache::CacheConfig cc;
-    cc.slots = 4;
-    cc.capacity = batch;
-    cc.refill = std::max(1u, batch / 2);
-    llfree::FrameCache cache(&alloc, cc);
-    const Clock::time_point start = Clock::now();
-    for (int round = 0; round < rounds; ++round) {
-      const unsigned core = static_cast<unsigned>(round % 4);
-      for (unsigned i = 0; i < batch; ++i) {
-        const Result<FrameId> r = cache.Get(core, 0, AllocType::kMovable);
-        if (!r.ok()) {
-          break;
-        }
-        held.push_back(*r);
-      }
-      for (const FrameId frame : held) {
-        cache.Put(core, frame, 0, AllocType::kMovable);
-      }
-      result.cached.ops += 2 * held.size();
-      held.clear();
-    }
-    cache.Drain();
-    result.cached.Finish(start);
-  }
-  if (result.single.ops_per_sec > 0.0) {
-    result.speedup_vs_single =
-        result.batched.ops_per_sec / result.single.ops_per_sec;
-  }
-  return result;
-}
-
-// Multi-threaded TryReserve/Release storm on one pool. Mixed batch sizes
-// exercise the shard fast path, the batched global refill/drain, and —
-// because the pool is sized near the demand — the cross-shard
-// rebalancer. The quiescent invariant (credits == total - used, used ==
-// 0) is validated after the threads join.
-OpsResult BenchHostPool(unsigned threads, bool smoke, bool* invariant_ok,
-                        uint64_t* refills, uint64_t* drains,
-                        uint64_t* rebalances, uint64_t* rebalance_skips) {
-  // 32 MiB worth of frames — smaller than even one thread's outstanding
-  // window (64 batches averaging 256 frames), so admission runs at the
-  // capacity limit where it has to raid other shards' credits (the
-  // rebalancer path) and reservations legitimately fail, however the OS
-  // schedules the threads.
-  hv::HostMemory pool(1ull << 13);
-  const int iters = smoke ? 40000 : 800000;
-
-  auto worker = [&pool, iters](uint64_t* ops) {
-    std::vector<uint64_t> outstanding;
-    outstanding.reserve(64);
-    uint64_t local_ops = 0;
-    for (int i = 0; i < iters; ++i) {
-      const uint64_t batch = static_cast<uint64_t>(i % 7 + 1) * 64;
-      if (outstanding.size() < 64 && pool.TryReserve(batch)) {
-        outstanding.push_back(batch);
-      } else if (!outstanding.empty()) {
-        pool.Release(outstanding.back());
-        outstanding.pop_back();
-      }
-      ++local_ops;
-    }
-    for (const uint64_t batch : outstanding) {
-      pool.Release(batch);
-    }
-    *ops = local_ops;
+    result.ops += ops;
+    return MsSince(start) / static_cast<double>(std::max<uint64_t>(ops, 1));
   };
-
-  std::vector<uint64_t> ops(threads, 0);
-  OpsResult result;
-  const Clock::time_point start = Clock::now();
-  std::vector<std::thread> pool_threads;
-  pool_threads.reserve(threads);
-  for (unsigned t = 0; t < threads; ++t) {
-    pool_threads.emplace_back(worker, &ops[t]);
-  }
-  for (std::thread& t : pool_threads) {
-    t.join();
-  }
-  for (const uint64_t n : ops) {
-    result.ops += n;
-  }
-  result.Finish(start);
-  *invariant_ok = pool.used_frames() == 0 &&
-                  pool.DebugFreeCredits() == pool.total_frames();
-  *refills = pool.refills();
-  *drains = pool.drains();
-  *rebalances = pool.rebalances();
-  *rebalance_skips = pool.rebalance_skips();
+  auto run_single = [&] {
+    uint64_t ops = 0;
+    const Clock::time_point start = Clock::now();
+    for (int round = 0; round < rounds; ++round) {
+      const unsigned core = static_cast<unsigned>(round % 4);
+      for (unsigned i = 0; i < kBatch; ++i) {
+        const Result<FrameId> r = single.Get(core, 0, AllocType::kMovable);
+        if (!r.ok()) {
+          break;
+        }
+        held.push_back(*r);
+      }
+      for (const FrameId frame : held) {
+        single.Put(frame, 0);
+      }
+      ops += 2 * held.size();
+      held.clear();
+    }
+    return MsSince(start) / static_cast<double>(std::max<uint64_t>(ops, 1));
+  };
+  result.speedup_vs_single = MedianRatio(run_single, run_batched);
+  result.valid = batched.Validate() && single.Validate();
   return result;
 }
 
@@ -266,8 +171,6 @@ struct PhaseAttribution {
   uint64_t total_vns = 0;      // root span virtual duration
   uint64_t charged_ns = 0;     // sum of charge_ns over the trace
   bool charge_closed = false;  // charged_ns == total_vns
-  double wall_ms = 0.0;
-  double virtual_wall_skew = 0.0;  // virtual ns per wall ns
   uint64_t layer_ns[trace::kNumLayers] = {};
 };
 
@@ -276,18 +179,15 @@ struct AttributionBench {
   PhaseAttribution inflate;  // shrink (hard reclamation)
   PhaseAttribution deflate;  // grow (return)
   uint64_t dropped_spans = 0;
-  double traced_wall_ms = 0.0;
-  double untraced_wall_ms = 0.0;
-  double trace_overhead_pct = 0.0;
+  bool valid = true;
   std::vector<trace::SpanRecord> spans;  // both phases, for --trace-out
 };
 
 #if HYPERALLOC_TRACE
 
 PhaseAttribution AttributePhase(const std::vector<trace::SpanRecord>& spans,
-                                const char* root_name, double wall_ms) {
+                                const char* root_name) {
   PhaseAttribution phase;
-  phase.wall_ms = wall_ms;
   const trace::SpanRecord* root = nullptr;
   for (const trace::SpanRecord& span : spans) {
     if (span.layer == trace::Layer::kRequest &&
@@ -309,68 +209,42 @@ PhaseAttribution AttributePhase(const std::vector<trace::SpanRecord>& spans,
     phase.layer_ns[static_cast<unsigned>(span.layer)] += span.charge_ns;
   }
   phase.charge_closed = phase.charged_ns == phase.total_vns;
-  if (wall_ms > 0.0) {
-    phase.virtual_wall_skew =
-        static_cast<double>(phase.total_vns) / (wall_ms * 1e6);
-  }
   return phase;
 }
 
+// One cycle: prepare 6 GiB of touched-then-freed guest memory, shrink
+// the limit to 2 GiB (inflate), grow it back (deflate).
 AttributionBench BenchAttribution() {
   AttributionBench result;
   result.enabled = true;
   trace::SpanTracer& spans = trace::SpanTracer::Global();
   spans.SetCapacity(size_t{1} << 18);
   const uint64_t dropped_before = spans.dropped_spans();
+  spans.SetEnabled(true);
 
-  // One cycle: prepare 6 GiB of touched-then-freed guest memory, shrink
-  // the limit to 2 GiB (inflate), grow it back (deflate). With `traced`
-  // off this measures the span machinery's wall overhead (arming checks
-  // only — the same binary, tracer disabled).
-  auto cycle = [&spans](bool traced, AttributionBench* out) {
-    spans.SetEnabled(traced);
-    SetupOptions options;
-    options.memory_bytes = 8 * kGiB;
-    options.host_bytes = 16 * kGiB;
-    Setup setup = MakeSetup(Candidate::kHyperAlloc, options);
-    workloads::MemoryPool pool(setup.vm.get());
-    const uint64_t prep = pool.AllocRegion(6 * kGiB, /*thp_fraction=*/0.95, 0);
-    pool.FreeRegion(prep, 0);
-    setup.vm->PurgeAllocatorCaches();
-    (void)spans.Drain();  // prep-phase install traces are not under test
+  SetupOptions options;
+  options.memory_bytes = 8 * kGiB;
+  options.host_bytes = 16 * kGiB;
+  Setup setup = MakeSetup(Candidate::kHyperAlloc, options);
+  workloads::MemoryPool pool(setup.vm.get());
+  const uint64_t prep = pool.AllocRegion(6 * kGiB, /*thp_fraction=*/0.95, 0);
+  pool.FreeRegion(prep, 0);
+  setup.vm->PurgeAllocatorCaches();
+  (void)spans.Drain();  // prep-phase install traces are not under test
 
-    const Clock::time_point t_shrink = Clock::now();
-    setup.SetLimit(2 * kGiB);
-    const double shrink_ms = MsSince(t_shrink);
-    if (traced && out != nullptr) {
-      std::vector<trace::SpanRecord> shrink_spans = spans.Drain();
-      out->inflate = AttributePhase(shrink_spans, "request.inflate",
-                                    shrink_ms);
-      out->spans.insert(out->spans.end(), shrink_spans.begin(),
-                        shrink_spans.end());
-    }
+  setup.SetLimit(2 * kGiB);
+  std::vector<trace::SpanRecord> shrink_spans = spans.Drain();
+  result.inflate = AttributePhase(shrink_spans, "request.inflate");
+  result.spans = std::move(shrink_spans);
 
-    const Clock::time_point t_grow = Clock::now();
-    setup.SetLimit(8 * kGiB);
-    const double grow_ms = MsSince(t_grow);
-    if (traced && out != nullptr) {
-      std::vector<trace::SpanRecord> grow_spans = spans.Drain();
-      out->deflate = AttributePhase(grow_spans, "request.deflate", grow_ms);
-      out->spans.insert(out->spans.end(), grow_spans.begin(),
-                        grow_spans.end());
-    }
-    spans.SetEnabled(false);
-    return shrink_ms + grow_ms;
-  };
-
-  result.traced_wall_ms = cycle(true, &result);
+  setup.SetLimit(8 * kGiB);
+  const std::vector<trace::SpanRecord> grow_spans = spans.Drain();
+  result.deflate = AttributePhase(grow_spans, "request.deflate");
+  result.spans.insert(result.spans.end(), grow_spans.begin(),
+                      grow_spans.end());
+  spans.SetEnabled(false);
   result.dropped_spans = spans.dropped_spans() - dropped_before;
-  result.untraced_wall_ms = cycle(false, nullptr);
-  if (result.untraced_wall_ms > 0.0) {
-    result.trace_overhead_pct = (result.traced_wall_ms -
-                                 result.untraced_wall_ms) /
-                                result.untraced_wall_ms * 100.0;
-  }
+  result.valid = ValidateZones(setup.vm.get());
   return result;
 }
 
@@ -453,13 +327,11 @@ CompileFleetOptions MultiVmBenchConfig(bool smoke, unsigned threads) {
 struct MultiVmBench {
   int vms = 0;
   unsigned threads = 0;
-  double wall_ms_single = 0.0;
-  double wall_ms_parallel = 0.0;
   bool deterministic = false;
   double footprint_gib_min = 0.0;
   double peak_gib = 0.0;
   // Span-stream determinism guard (satellite of the RSS-series one):
-  // checked only when spans are compiled in and no ring overflowed.
+  // checked whenever spans are compiled in; a dropped span fails it.
   bool spans_checked = false;
   bool spans_deterministic = false;
   uint64_t spans_single = 0;
@@ -489,8 +361,6 @@ MultiVmBench BenchMultiVm(bool smoke, unsigned threads) {
   MultiVmBench result;
   result.vms = config.vms;
   result.threads = threads;
-  result.wall_ms_single = single.wall_ms;
-  result.wall_ms_parallel = parallel.wall_ms;
   result.footprint_gib_min = single.footprint_gib_min;
   result.peak_gib = single.peak_gib;
   result.deterministic =
@@ -503,20 +373,15 @@ MultiVmBench BenchMultiVm(bool smoke, unsigned threads) {
         fleet::SeriesEqual(single.per_vm_rss[i], parallel.per_vm_rss[i]);
   }
 #if HYPERALLOC_TRACE
+  result.spans_checked = true;
   result.spans_single = single_spans.size();
   result.spans_dropped = spans.dropped_spans() - dropped_before;
-  result.spans_checked = result.spans_dropped == 0;
-  if (result.spans_checked) {
-    const auto a = CanonicalPerVmStreams(single_spans, config.vms);
-    const auto b = CanonicalPerVmStreams(parallel_spans, config.vms);
-    result.spans_deterministic = true;
-    for (int i = 0; i < config.vms; ++i) {
-      if (!SpanStreamsEqual(a[static_cast<size_t>(i)],
-                            b[static_cast<size_t>(i)])) {
-        result.spans_deterministic = false;
-        break;
-      }
-    }
+  const auto a = CanonicalPerVmStreams(single_spans, config.vms);
+  const auto b = CanonicalPerVmStreams(parallel_spans, config.vms);
+  result.spans_deterministic = result.spans_dropped == 0;
+  for (int i = 0; result.spans_deterministic && i < config.vms; ++i) {
+    result.spans_deterministic =
+        SpanStreamsEqual(a[static_cast<size_t>(i)], b[static_cast<size_t>(i)]);
   }
 #endif
   return result;
@@ -533,20 +398,20 @@ struct FleetBench {
   FleetScenarioOptions options;
   fleet::FleetResult result;     // the N-thread run (reported)
   bool deterministic = false;
-  // Span cross-check: resize latencies re-derived from request-layer
-  // spans of a small traced run must reproduce the engine's p99 exactly
+  // Span cross-check: every resize the engine records must appear as a
+  // request-layer span of a small traced run, and the latencies
+  // re-derived from those spans must reproduce the engine's p99 exactly
   // (same nearest-rank method, same virtual instants).
   bool span_checked = false;
   bool span_matched = false;
+  uint64_t span_count = 0;
+  uint64_t span_resizes = 0;
   double span_p99_ms = 0.0;
   double engine_p99_ms = 0.0;
-  // Telemetry: the N-thread run samples the pipeline every barrier
-  // (wall_ms_on is its wall time); the same scenario with telemetry
-  // disabled gives wall_ms_off. The pipeline's stream digest must match
-  // the 1-thread reference (telemetry_deterministic).
+  // Telemetry: the pipeline's stream digest must match the 1-thread
+  // reference (telemetry_deterministic); its wall cost is a ratio gate
+  // against the same scenario with sampling off.
   bool telemetry_deterministic = false;
-  double wall_ms_on = 0.0;
-  double wall_ms_off = 0.0;
   double telemetry_overhead_pct = 0.0;
   // Flight-recorder probe: a fault plan aggressive enough to quarantine
   // VMs mid-run must freeze at least one schema-valid dump, and the dump
@@ -582,22 +447,13 @@ FleetBench BenchFleet(bool smoke, unsigned threads) {
       reference.telemetry.flight_digest ==
           bench.result.telemetry.flight_digest;
   // Telemetry overhead: the identical scenario with the pipeline off.
-  // Both sides are sub-second wall-clock runs, so take the minimum of
-  // three samples each — the least-noise estimate of the true cost.
-  bench.wall_ms_on = bench.result.wall_ms;
   FleetScenarioOptions off = bench.options;
   off.telemetry.enabled = false;
-  bench.wall_ms_off = RunFleetScenario(off).wall_ms;
-  for (int i = 0; i < 2; ++i) {
-    bench.wall_ms_on =
-        std::min(bench.wall_ms_on, RunFleetScenario(bench.options).wall_ms);
-    bench.wall_ms_off =
-        std::min(bench.wall_ms_off, RunFleetScenario(off).wall_ms);
-  }
   bench.telemetry_overhead_pct =
-      bench.wall_ms_off > 0.0
-          ? (bench.wall_ms_on - bench.wall_ms_off) / bench.wall_ms_off * 100.0
-          : 0.0;
+      (MedianRatio([&] { return RunFleetScenario(bench.options).wall_ms; },
+                   [&] { return RunFleetScenario(off).wall_ms; }) -
+       1.0) *
+      100.0;
 
   // Flight-recorder probe: permanent unmap faults aggressive enough to
   // push VMs over the frame-quarantine limit mid-run. Small fleet — the
@@ -651,11 +507,13 @@ FleetBench BenchFleet(bool smoke, unsigned threads) {
       span_ms.push_back(static_cast<double>(span.virtual_ns()) / 1e6);
     }
   }
-  bench.span_checked = span_ms.size() == traced_result.slo.resizes;
+  bench.span_checked = true;
+  bench.span_count = span_ms.size();
+  bench.span_resizes = traced_result.slo.resizes;
   bench.span_p99_ms = fleet::PercentileMs(span_ms, 0.99);
   bench.engine_p99_ms = traced_result.slo.p99_resize_ms;
   bench.span_matched =
-      bench.span_checked &&
+      bench.span_count == bench.span_resizes &&
       std::abs(bench.span_p99_ms - bench.engine_p99_ms) < 1e-9;
 #endif
   return bench;
@@ -688,7 +546,7 @@ struct HugeFrameVariant {
   uint64_t flush_entries_4k = 0;
   uint64_t flush_entries_all4k = 0;  // what per-4K flushing would have cost
   double flush_savings = 0.0;        // 1 - actual entries / all-4K entries
-  double wall_ms = 0.0;
+  bool valid = false;
 };
 
 struct HugeFrameBench {
@@ -704,12 +562,12 @@ struct HugeFrameBench {
   // page demotes 2M entries and invalidates per-4K.
   uint64_t balloon_demotions_2m = 0;
   double balloon_flush_savings = 0.0;
+  bool valid = false;
 };
 
 HugeFrameVariant RunHugeFrameVariant(bool smoke, bool compact) {
   HugeFrameVariant variant;
   variant.compaction = compact;
-  const Clock::time_point start = Clock::now();
 
   SetupOptions options;
   options.memory_bytes = smoke ? 2 * kGiB : 4 * kGiB;
@@ -776,7 +634,7 @@ HugeFrameVariant RunHugeFrameVariant(bool smoke, bool compact) {
                                   variant.flush_entries_4k) /
                   static_cast<double>(variant.flush_entries_all4k);
   }
-  variant.wall_ms = MsSince(start);
+  variant.valid = ValidateZones(setup.vm.get());
   return variant;
 }
 
@@ -793,26 +651,26 @@ HugeFrameBench BenchHugeFrame(bool smoke) {
   // Contrast probe: 4 KiB ballooning of THP-backed-then-freed memory.
   // Every reclaimed page punches a hole in a live 2 MiB entry — the
   // first hole demotes the entry, the rest invalidate per-4K.
-  {
-    SetupOptions options;
-    options.memory_bytes = kGiB;
-    options.host_bytes = 2 * kGiB;
-    Setup setup = MakeSetup(Candidate::kBalloon, options);
-    workloads::MemoryPool pool(setup.vm.get());
-    const uint64_t id =
-        pool.AllocRegion(options.memory_bytes / 2, /*thp_fraction=*/1.0, 0);
-    pool.FreeRegion(id, 0);
-    setup.vm->PurgeAllocatorCaches();
-    setup.SetLimit(options.memory_bytes / 4);
-    const hv::Ept& ept = setup.vm->ept();
-    bench.balloon_demotions_2m = ept.demotions_2m();
-    if (ept.tlb_flushed_frames() > 0) {
-      bench.balloon_flush_savings =
-          1.0 - static_cast<double>(ept.entries_invalidated_2m() +
-                                    ept.entries_invalidated_4k()) /
-                    static_cast<double>(ept.tlb_flushed_frames());
-    }
+  SetupOptions options;
+  options.memory_bytes = kGiB;
+  options.host_bytes = 2 * kGiB;
+  Setup setup = MakeSetup(Candidate::kBalloon, options);
+  workloads::MemoryPool pool(setup.vm.get());
+  const uint64_t id =
+      pool.AllocRegion(options.memory_bytes / 2, /*thp_fraction=*/1.0, 0);
+  pool.FreeRegion(id, 0);
+  setup.vm->PurgeAllocatorCaches();
+  setup.SetLimit(options.memory_bytes / 4);
+  const hv::Ept& ept = setup.vm->ept();
+  bench.balloon_demotions_2m = ept.demotions_2m();
+  if (ept.tlb_flushed_frames() > 0) {
+    bench.balloon_flush_savings =
+        1.0 - static_cast<double>(ept.entries_invalidated_2m() +
+                                  ept.entries_invalidated_4k()) /
+                  static_cast<double>(ept.tlb_flushed_frames());
   }
+  bench.valid = bench.no_compaction.valid && bench.with_compaction.valid &&
+                ValidateZones(setup.vm.get());
   return bench;
 }
 
@@ -826,20 +684,17 @@ std::string Num(uint64_t value) {
   return std::to_string(value);
 }
 
+std::string Bool(bool value) { return value ? "true" : "false"; }
+
 // Serializes one attribution phase, including per-layer ns + share of
 // the root's virtual time (only layers that received charges).
 std::string PhaseJson(const PhaseAttribution& phase) {
   std::string json;
   json += "{\n";
-  json += "        \"found\": " + std::string(phase.found ? "true" : "false") +
-          ",\n";
+  json += "        \"found\": " + Bool(phase.found) + ",\n";
   json += "        \"total_vns\": " + Num(phase.total_vns) + ",\n";
   json += "        \"charged_ns\": " + Num(phase.charged_ns) + ",\n";
-  json += "        \"charge_closed\": " +
-          std::string(phase.charge_closed ? "true" : "false") + ",\n";
-  json += "        \"wall_ms\": " + Num(phase.wall_ms) + ",\n";
-  json += "        \"virtual_wall_skew\": " + Num(phase.virtual_wall_skew) +
-          ",\n";
+  json += "        \"charge_closed\": " + Bool(phase.charge_closed) + ",\n";
   json += "        \"layers\": {";
   bool first = true;
   for (unsigned layer = 0; layer < trace::kNumLayers; ++layer) {
@@ -864,8 +719,7 @@ std::string PhaseJson(const PhaseAttribution& phase) {
 std::string HugeVariantJson(const HugeFrameVariant& variant) {
   std::string json;
   json += "{\n";
-  json += "        \"compaction\": " +
-          std::string(variant.compaction ? "true" : "false") + ",\n";
+  json += "        \"compaction\": " + Bool(variant.compaction) + ",\n";
   json += "        \"frag_before\": " + Num(variant.frag_before) + ",\n";
   json += "        \"frag_after\": " + Num(variant.frag_after) + ",\n";
   json += "        \"compaction_blocks\": " + Num(variant.compaction_blocks) +
@@ -884,69 +738,63 @@ std::string HugeVariantJson(const HugeFrameVariant& variant) {
           ",\n";
   json += "        \"flush_entries_all4k\": " +
           Num(variant.flush_entries_all4k) + ",\n";
-  json += "        \"flush_savings\": " + Num(variant.flush_savings) + ",\n";
-  json += "        \"wall_ms\": " + Num(variant.wall_ms) + "\n";
+  json += "        \"flush_savings\": " + Num(variant.flush_savings) + "\n";
   json += "      }";
   return json;
 }
 
+int Usage() {
+  std::fprintf(stderr,
+               "usage: bench_runner [--smoke] [--out=PATH] [--threads=N] "
+               "[--trace-out=PATH | --trace-out PATH]\n");
+  return 2;
+}
+
 int Main(int argc, char** argv) {
   bool smoke = false;
-  std::string out = "BENCH_PR10.json";
-  const std::string trace_out = TraceOutPath(argc, argv);
+  std::string out = "BENCH_BASELINE.json";
   unsigned threads = 4;
-  unsigned batch = 512;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
+    const std::string_view arg = argv[i];
+    if (arg == "--smoke") {
       smoke = true;
-    } else if (std::strncmp(argv[i], "--out=", 6) == 0) {
-      out = argv[i] + 6;
-    } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      threads = static_cast<unsigned>(std::atoi(argv[i] + 10));
-    } else if (std::strncmp(argv[i], "--batch=", 8) == 0) {
-      batch = static_cast<unsigned>(std::atoi(argv[i] + 8));
+    } else if (arg.substr(0, 6) == "--out=") {
+      out = arg.substr(6);
+    } else if (arg.substr(0, 10) == "--threads=") {
+      const std::string_view value = arg.substr(10);
+      const auto [end, error] = std::from_chars(
+          value.data(), value.data() + value.size(), threads);
+      if (error != std::errc() || end != value.data() + value.size() ||
+          threads == 0) {
+        return Usage();
+      }
+    } else if (arg == "--trace-out" && i + 1 < argc) {
+      ++i;  // the path; TraceOutPath reads both forms
+    } else if (arg.substr(0, 12) != "--trace-out=") {
+      return Usage();
     }
   }
-  if (threads == 0) {
-    threads = 1;
-  }
-  if (batch == 0) {
-    batch = 1;
-  }
+  const std::string trace_out = TraceOutPath(argc, argv);
   const unsigned hw = std::thread::hardware_concurrency();
 
-  std::fprintf(stderr, "[1/7] llfree_alloc_free...\n");
-  const OpsResult llfree_result = BenchLLFreeAllocFree(smoke);
+  std::fprintf(stderr, "[1/5] llfree_batch_alloc_free (batch %u, %d "
+                       "pairs)...\n",
+               kBatch, kRatioPairs);
+  const BatchBench batch = BenchLLFreeBatch(smoke);
 
-  std::fprintf(stderr, "[2/7] llfree_batch_alloc_free (batch %u)...\n",
-               batch);
-  const BatchBenchResult batch_result =
-      BenchLLFreeBatchAllocFree(smoke, batch);
-
-  std::fprintf(stderr, "[3/7] host_reserve_release (%u threads)...\n",
-               threads);
-  bool invariant_ok = false;
-  uint64_t refills = 0;
-  uint64_t drains = 0;
-  uint64_t rebalances = 0;
-  uint64_t rebalance_skips = 0;
-  const OpsResult pool_result =
-      BenchHostPool(threads, smoke, &invariant_ok, &refills, &drains,
-                    &rebalances, &rebalance_skips);
-
-  std::fprintf(stderr, "[4/7] attribution (HyperAlloc shrink+grow)...\n");
+  std::fprintf(stderr, "[2/5] attribution (HyperAlloc shrink+grow)...\n");
   const AttributionBench attribution = BenchAttribution();
 
-  std::fprintf(stderr, "[5/7] multivm (8 VMs, 1 vs %u threads)...\n",
+  std::fprintf(stderr, "[3/5] multivm (8 VMs, 1 vs %u threads)...\n",
                threads);
   const MultiVmBench multivm = BenchMultiVm(smoke, threads);
 
-  std::fprintf(stderr, "[6/7] fleet (%s VMs, 1 vs %u threads, telemetry "
-                       "on/off + flight probe)...\n",
-               smoke ? "128" : "1024", threads);
+  std::fprintf(stderr, "[4/5] fleet (%s VMs, 1 vs %u threads, %d telemetry "
+                       "on/off pairs + flight probe)...\n",
+               smoke ? "128" : "1024", threads, kRatioPairs);
   const FleetBench fleet_bench = BenchFleet(smoke, threads);
 
-  std::fprintf(stderr, "[7/7] huge_frame (churn + shrink, compaction "
+  std::fprintf(stderr, "[5/5] huge_frame (churn + shrink, compaction "
                        "off/on + balloon probe)...\n");
   const HugeFrameBench huge_frame = BenchHugeFrame(smoke);
 
@@ -956,80 +804,36 @@ int Main(int argc, char** argv) {
 
   std::string json;
   json += "{\n";
-  json += "  \"schema\": \"hyperalloc-bench-v6\",\n";
-  json += "  \"pr\": \"PR10\",\n";
-  json += "  \"smoke\": " + std::string(smoke ? "true" : "false") + ",\n";
+  json += "  \"schema\": \"hyperalloc-bench-v7\",\n";
+  json += "  \"smoke\": " + Bool(smoke) + ",\n";
   json += "  \"hardware_concurrency\": " + Num(uint64_t{hw}) + ",\n";
-  json += "  \"note\": \"virtual-time results are deterministic; wall-clock"
-          " numbers depend on the host (a single-core host serializes the"
-          " multi-VM workers, so parallel wall time only drops with >1"
-          " cores)\",\n";
+  json += "  \"ratio_pairs\": " + Num(uint64_t{kRatioPairs}) + ",\n";
   json += "  \"benches\": {\n";
-  json += "    \"llfree_alloc_free\": {\n";
-  json += "      \"ops\": " + Num(llfree_result.ops) + ",\n";
-  json += "      \"wall_ms\": " + Num(llfree_result.wall_ms) + ",\n";
-  json += "      \"ops_per_sec\": " + Num(llfree_result.ops_per_sec) + "\n";
-  json += "    },\n";
   json += "    \"llfree_batch_alloc_free\": {\n";
-  json += "      \"batch\": " + Num(uint64_t{batch_result.batch}) + ",\n";
-  json += "      \"ops\": " + Num(batch_result.batched.ops) + ",\n";
-  json += "      \"wall_ms\": " + Num(batch_result.batched.wall_ms) + ",\n";
-  json += "      \"ops_per_sec\": " + Num(batch_result.batched.ops_per_sec) +
-          ",\n";
-  json += "      \"single_ops_per_sec\": " +
-          Num(batch_result.single.ops_per_sec) + ",\n";
-  json += "      \"cached_ops_per_sec\": " +
-          Num(batch_result.cached.ops_per_sec) + ",\n";
-  json += "      \"speedup_vs_single\": " +
-          Num(batch_result.speedup_vs_single) + "\n";
-  json += "    },\n";
-  json += "    \"host_reserve_release\": {\n";
-  json += "      \"threads\": " + Num(uint64_t{threads}) + ",\n";
-  json += "      \"ops\": " + Num(pool_result.ops) + ",\n";
-  json += "      \"wall_ms\": " + Num(pool_result.wall_ms) + ",\n";
-  json += "      \"ops_per_sec\": " + Num(pool_result.ops_per_sec) + ",\n";
-  json += "      \"invariant_ok\": " +
-          std::string(invariant_ok ? "true" : "false") + ",\n";
-  json += "      \"refills\": " + Num(refills) + ",\n";
-  json += "      \"drains\": " + Num(drains) + ",\n";
-  json += "      \"rebalances\": " + Num(rebalances) + ",\n";
-  json += "      \"rebalance_skips\": " + Num(rebalance_skips) + "\n";
+  json += "      \"batch\": " + Num(uint64_t{kBatch}) + ",\n";
+  json += "      \"ops\": " + Num(batch.ops) + ",\n";
+  json += "      \"speedup_vs_single\": " + Num(batch.speedup_vs_single) +
+          "\n";
   json += "    },\n";
   json += "    \"attribution\": {\n";
-  json += "      \"enabled\": " +
-          std::string(attribution.enabled ? "true" : "false") + ",\n";
+  json += "      \"enabled\": " + Bool(attribution.enabled) + ",\n";
   if (attribution.enabled) {
     json += "      \"candidate\": \"HyperAlloc\",\n";
     json += "      \"dropped_spans\": " + Num(attribution.dropped_spans) +
             ",\n";
     json += "      \"inflate\": " + PhaseJson(attribution.inflate) + ",\n";
-    json += "      \"deflate\": " + PhaseJson(attribution.deflate) + ",\n";
-    json += "      \"trace_overhead\": {\n";
-    json += "        \"traced_wall_ms\": " + Num(attribution.traced_wall_ms) +
-            ",\n";
-    json += "        \"untraced_wall_ms\": " +
-            Num(attribution.untraced_wall_ms) + ",\n";
-    json += "        \"overhead_pct\": " +
-            Num(attribution.trace_overhead_pct) + "\n";
-    json += "      }\n";
+    json += "      \"deflate\": " + PhaseJson(attribution.deflate) + "\n";
   } else {
     json += "      \"note\": \"built with HYPERALLOC_TRACE=0\"\n";
   }
   json += "    },\n";
   json += "    \"multivm\": {\n";
-  json += "      \"vms\": " + Num(uint64_t{static_cast<uint64_t>(
-                                  multivm.vms)}) + ",\n";
+  json += "      \"vms\": " + Num(static_cast<uint64_t>(multivm.vms)) + ",\n";
   json += "      \"threads\": " + Num(uint64_t{multivm.threads}) + ",\n";
-  json += "      \"wall_ms_single\": " + Num(multivm.wall_ms_single) + ",\n";
-  json += "      \"wall_ms_parallel\": " + Num(multivm.wall_ms_parallel) +
-          ",\n";
-  json += "      \"deterministic\": " +
-          std::string(multivm.deterministic ? "true" : "false") + ",\n";
-  json += "      \"spans_checked\": " +
-          std::string(multivm.spans_checked ? "true" : "false") + ",\n";
+  json += "      \"deterministic\": " + Bool(multivm.deterministic) + ",\n";
+  json += "      \"spans_checked\": " + Bool(multivm.spans_checked) + ",\n";
   json += "      \"spans_deterministic\": " +
-          std::string(multivm.spans_deterministic ? "true" : "false") +
-          ",\n";
+          Bool(multivm.spans_deterministic) + ",\n";
   json += "      \"spans_single\": " + Num(multivm.spans_single) + ",\n";
   json += "      \"spans_dropped\": " + Num(multivm.spans_dropped) + ",\n";
   json += "      \"footprint_gib_min\": " + Num(multivm.footprint_gib_min) +
@@ -1038,13 +842,13 @@ int Main(int argc, char** argv) {
   json += "    },\n";
   json += "    \"fleet\": " +
           FleetJson(fleet_bench.options, fleet_bench.result,
-                    fleet_bench.deterministic, 6) +
+                    fleet_bench.deterministic, 6, /*wall_ms=*/false) +
           ",\n";
   json += "    \"fleet_span_check\": {\n";
-  json += "      \"checked\": " +
-          std::string(fleet_bench.span_checked ? "true" : "false") + ",\n";
-  json += "      \"matched\": " +
-          std::string(fleet_bench.span_matched ? "true" : "false") + ",\n";
+  json += "      \"checked\": " + Bool(fleet_bench.span_checked) + ",\n";
+  json += "      \"matched\": " + Bool(fleet_bench.span_matched) + ",\n";
+  json += "      \"spans\": " + Num(fleet_bench.span_count) + ",\n";
+  json += "      \"resizes\": " + Num(fleet_bench.span_resizes) + ",\n";
   json += "      \"span_p99_ms\": " + Num(fleet_bench.span_p99_ms) + ",\n";
   json += "      \"engine_p99_ms\": " + Num(fleet_bench.engine_p99_ms) + "\n";
   json += "    },\n";
@@ -1053,26 +857,19 @@ int Main(int argc, char** argv) {
                 fleet_bench.flight_digest);
   json += "    \"telemetry\": {\n";
   json += "      \"enabled\": " +
-          std::string(fleet_bench.result.telemetry.enabled ? "true"
-                                                           : "false") +
-          ",\n";
+          Bool(fleet_bench.result.telemetry.enabled) + ",\n";
   json += "      \"epochs\": " + Num(fleet_bench.result.telemetry.epochs) +
           ",\n";
   json += "      \"alerts\": " + Num(fleet_bench.result.telemetry.alerts) +
           ",\n";
-  json += "      \"wall_ms_on\": " + Num(fleet_bench.wall_ms_on) + ",\n";
-  json += "      \"wall_ms_off\": " + Num(fleet_bench.wall_ms_off) + ",\n";
   json += "      \"telemetry_overhead_pct\": " +
           Num(fleet_bench.telemetry_overhead_pct) + ",\n";
   json += "      \"deterministic\": " +
-          std::string(fleet_bench.telemetry_deterministic ? "true"
-                                                          : "false") +
-          ",\n";
+          Bool(fleet_bench.telemetry_deterministic) + ",\n";
   json += "      \"flight\": {\"dumps\": " + Num(fleet_bench.flight_dumps) +
           ", \"ring_epochs\": " + Num(fleet_bench.flight_ring_epochs) +
           ", \"digest\": \"" + flight_digest + "\", \"deterministic\": " +
-          std::string(fleet_bench.flight_deterministic ? "true" : "false") +
-          "}\n";
+          Bool(fleet_bench.flight_deterministic) + "}\n";
   json += "    },\n";
   json += "    \"huge_frame\": {\n";
   json += "      \"memory_mib\": " + Num(huge_frame.memory_mib) + ",\n";
@@ -1101,46 +898,52 @@ int Main(int argc, char** argv) {
   std::printf("%s", json.c_str());
   std::fprintf(stderr, "wrote %s\n", out.c_str());
 
-  // The runner doubles as a correctness gate: a non-deterministic
-  // multi-VM run, a pool imbalance, or a broken span-charge closure is a
-  // regression, not a slow run.
-  const bool attribution_ok =
-      !attribution.enabled ||
-      (attribution.inflate.found && attribution.inflate.charge_closed &&
-       attribution.deflate.found && attribution.deflate.charge_closed);
-  const bool spans_ok = !multivm.spans_checked || multivm.spans_deterministic;
-  const bool fleet_span_ok =
-      !fleet_bench.span_checked || fleet_bench.span_matched;
-  const bool telemetry_ok =
-      fleet_bench.telemetry_deterministic &&
-      fleet_bench.flight_deterministic &&
-      (!fleet_bench.result.telemetry.enabled || fleet_bench.flight_dumps > 0);
+  // The gate: every check that failed is named on one FAILED line.
+  std::string failed;
+  auto check = [&failed](bool ok, const char* reason) {
+    if (!ok) {
+      failed += failed.empty() ? "" : "; ";
+      failed += reason;
+    }
+  };
+  check(batch.speedup_vs_single >= kMinBatchSpeedup,
+        "batched/single LLFree speedup below 2.0");
+  check(smoke ||
+            fleet_bench.telemetry_overhead_pct <= kMaxTelemetryOverheadPct,
+        "telemetry overhead above 5%");
+  check(batch.valid, "LLFree::Validate failed after the batch stage");
+  check(!attribution.enabled ||
+            (attribution.inflate.found && attribution.inflate.charge_closed &&
+             attribution.deflate.found && attribution.deflate.charge_closed),
+        "span charge closure broken");
+  check(attribution.dropped_spans == 0, "attribution span ring dropped spans");
+  check(attribution.valid, "LLFree::Validate failed after attribution");
+  check(multivm.deterministic, "multivm non-deterministic");
+  check(multivm.spans_dropped == 0, "multivm span ring dropped spans");
+  check(!multivm.spans_checked || multivm.spans_deterministic,
+        "span streams differ across thread counts");
+  check(fleet_bench.deterministic, "fleet non-deterministic");
+  check(fleet_bench.result.slo.spike_satisfied,
+        "fleet pressure spike never satisfied");
+  check(!fleet_bench.span_checked || fleet_bench.span_matched,
+        "fleet request spans disagree with the engine's resizes");
+  check(fleet_bench.telemetry_deterministic &&
+            fleet_bench.flight_deterministic &&
+            (!fleet_bench.result.telemetry.enabled ||
+             fleet_bench.flight_dumps > 0),
+        "telemetry stream/flight recorder broken");
   // §4.14: compaction must actually evacuate blocks, lower the
   // fragmentation score, and let the shrink reclaim at least as much as
   // the uncompacted run (perf_gate.py holds the share >= 0.8 floor).
-  const bool huge_ok =
-      huge_frame.with_compaction.compaction_blocks > 0 &&
-      huge_frame.with_compaction.frag_after <
-          huge_frame.with_compaction.frag_before &&
-      huge_frame.with_compaction.reclaimed_mib >=
-          huge_frame.no_compaction.reclaimed_mib;
-  if (!invariant_ok || !multivm.deterministic || !attribution_ok ||
-      !spans_ok || !fleet_bench.deterministic ||
-      !fleet_bench.result.slo.spike_satisfied || !fleet_span_ok ||
-      !telemetry_ok || !huge_ok) {
-    std::fprintf(
-        stderr, "FAILED: %s%s%s%s%s%s%s%s%s\n",
-        invariant_ok ? "" : "pool invariant violated ",
-        multivm.deterministic ? "" : "multivm non-deterministic ",
-        attribution_ok ? "" : "span charge closure broken ",
-        spans_ok ? "" : "span streams differ across thread counts ",
-        fleet_bench.deterministic ? "" : "fleet non-deterministic ",
-        fleet_bench.result.slo.spike_satisfied
-            ? ""
-            : "fleet pressure spike never satisfied ",
-        fleet_span_ok ? "" : "fleet span-derived p99 mismatch",
-        telemetry_ok ? "" : "telemetry stream/flight recorder broken ",
-        huge_ok ? "" : "huge-frame compaction ineffective ");
+  check(huge_frame.with_compaction.compaction_blocks > 0 &&
+            huge_frame.with_compaction.frag_after <
+                huge_frame.with_compaction.frag_before &&
+            huge_frame.with_compaction.reclaimed_mib >=
+                huge_frame.no_compaction.reclaimed_mib,
+        "huge-frame compaction ineffective");
+  check(huge_frame.valid, "LLFree::Validate failed after huge_frame");
+  if (!failed.empty()) {
+    std::fprintf(stderr, "FAILED: %s\n", failed.c_str());
     return 1;
   }
   return 0;

@@ -153,7 +153,7 @@ fleet::FleetResult RunFleetScenario(const FleetScenarioOptions& options) {
 
 std::string FleetJson(const FleetScenarioOptions& options,
                       const fleet::FleetResult& result, bool deterministic,
-                      int indent) {
+                      int indent, bool wall_ms) {
   const std::string in(static_cast<size_t>(indent), ' ');
   const std::string out(indent >= 2 ? static_cast<size_t>(indent - 2) : 0,
                         ' ');
@@ -236,9 +236,11 @@ std::string FleetJson(const FleetScenarioOptions& options,
           ", \"reclaim_untouched\": " + Num(hr.untouched) +
           ", \"reclaim_2m\": " + Num(hr.via_2m) +
           ", \"reclaim_4k\": " + Num(hr.via_4k) +
-          ", \"share\": " + Num(hr.Share()) + "},\n";
-  json += in + "\"wall_ms\": " + Num(result.wall_ms) + "\n";
-  json += out + "}";
+          ", \"share\": " + Num(hr.Share()) + "}";
+  if (wall_ms) {
+    json += ",\n" + in + "\"wall_ms\": " + Num(result.wall_ms);
+  }
+  json += "\n" + out + "}";
   return json;
 }
 

@@ -95,10 +95,12 @@ fleet::FleetResult RunFleetScenario(const FleetScenarioOptions& options);
 
 // The `hyperalloc-bench-fleet-v1` JSON object (no surrounding key).
 // `deterministic` is the caller's digest comparison across worker-thread
-// counts; `indent` is the column of the object's members.
+// counts; `indent` is the column of the object's members. `wall_ms`
+// adds the run's host wall time (bench_runner's document is
+// deterministic, so it leaves it out).
 std::string FleetJson(const FleetScenarioOptions& options,
                       const fleet::FleetResult& result, bool deterministic,
-                      int indent);
+                      int indent, bool wall_ms);
 
 }  // namespace hyperalloc::bench
 

@@ -1,19 +1,18 @@
 #!/bin/sh
-# Performance snapshot: builds the default preset, runs bench_runner, and
-# validates the emitted JSON against the hyperalloc-bench-v6 schema.
+# Deterministic bench gate: builds the default preset, runs bench_runner,
+# and validates the emitted JSON against the hyperalloc-bench-v7 schema.
 #
-#   scripts/bench.sh              full run, writes BENCH_PR10.json
+#   scripts/bench.sh              full run, writes BENCH_BASELINE.json
 #   scripts/bench.sh --smoke      CI-sized run (seconds), same schema
 #
-# Extra flags are passed through to bench_runner (e.g. --threads=8,
-# --batch=N, --out=PATH, --trace-out=PATH). The JSON at the repo root is
-# the committed perf baseline; scripts/perf_gate.py compares a fresh run
-# against the committed baselines (latest gates, earlier ones feed the
-# trendline).
+# Extra flags are passed through to bench_runner (--threads=N,
+# --out=PATH, --trace-out=PATH). BENCH_BASELINE.json at the repo root is
+# the one committed baseline; compare a fresh run against it with
+#   python3 scripts/perf_gate.py BENCH_BASELINE.json CURRENT.json
 set -e
 cd "$(dirname "$0")/.."
 
-OUT=BENCH_PR10.json
+OUT=BENCH_BASELINE.json
 for arg in "$@"; do
   case "$arg" in
     --out=*) OUT="${arg#--out=}" ;;

@@ -1,37 +1,26 @@
 #!/usr/bin/env python3
 """Validates a bench JSON document.
 
-Accepts all schema revisions:
-  hyperalloc-bench-v1       (PR3: llfree / pool / multivm)
-  hyperalloc-bench-v2       (PR4: adds the `attribution` section and the
-                             multivm span-determinism fields)
-  hyperalloc-bench-faults-v1 (PR5: bench_faults degraded-mode reclaim
-                             sweep; the zero-rate baseline must be clean)
-  hyperalloc-bench-v3       (PR6: adds the `llfree_batch_alloc_free`
-                             section and host-pool `rebalance_skips`)
-  hyperalloc-bench-v4       (PR8: adds the `fleet` orchestration section
-                             and the `fleet_span_check` cross-check)
-  hyperalloc-bench-fleet-v1 (PR8: standalone bench_fleet output; same
-                             `fleet` section shape as v4's embedded one,
-                             plus the PR9 `telemetry` subobject when the
-                             emitting binary has the pipeline)
-  hyperalloc-bench-v5       (PR9: adds the `telemetry` section — sampling
-                             overhead, alert counts, flight-recorder
-                             determinism and dump digest)
-  hyperalloc-bench-v6       (PR10: adds the `huge_frame` section — the
-                             §4.14 fragmentation/compaction study: reclaim
-                             share split, compaction migrations, EPT flush
-                             savings — and the fleet section's `huge`
-                             subobject)
-  hyperalloc-flight-v1      (PR9: a black-box flight-recorder dump frozen
-                             by the telemetry pipeline; --min-epochs=N
+Accepts the schemas the current binaries emit:
+  hyperalloc-bench-v7        bench_runner: the deterministic bench gate
+                             (batch ratio, span attribution, compile
+                             fleet, policy fleet + span cross-check,
+                             telemetry + flight probe, huge-frame study)
+  hyperalloc-bench-fleet-v1  bench_fleet: one fleet section, the shape
+                             v7 embeds plus the run's `wall_ms`
+  hyperalloc-bench-faults-v1 bench_faults: degraded-mode reclaim sweep;
+                             the zero-rate baseline must be clean
+  hyperalloc-flight-v1       a black-box flight-recorder dump frozen by
+                             the telemetry pipeline; --min-epochs=N
                              additionally requires the ring to cover at
-                             least N epochs before the trigger)
+                             least N epochs before the trigger
 
 Stdlib-only on purpose: runs in CI containers with no extra packages.
 Checks structure and types, plus the semantic gates the runner itself
-enforces (pool invariant, multi-VM determinism, charge closure, span
-stream determinism, fleet thread-count determinism and spike SLO).
+enforces (multi-VM determinism, charge closure, span stream determinism,
+the fleet span cross-check, fleet thread-count determinism and spike
+SLO, telemetry determinism, huge-frame compaction). The two wall-clock
+ratio bounds are scripts/perf_gate.py's.
 """
 import json
 import numbers
@@ -60,7 +49,7 @@ def check_phase(phase, ctx):
     """One attribution phase (inflate/deflate): totals plus charge closure."""
     if not require(phase, "found", bool, ctx):
         fail(f"{ctx}: request root span not found in trace")
-    for key in ("total_vns", "charged_ns", "wall_ms", "virtual_wall_skew"):
+    for key in ("total_vns", "charged_ns"):
         require(phase, key, numbers.Real, ctx)
     if not require(phase, "charge_closed", bool, ctx):
         fail(f"{ctx}: span charges do not sum to the root's virtual "
@@ -137,8 +126,7 @@ def check_fleet(fleet, ctx):
     """One fleet section (embedded `benches.fleet` or standalone)."""
     for key in ("vms", "threads", "vm_mib", "host_gib", "horizon_s",
                 "epoch_s", "resizes", "p50_resize_ms", "p99_resize_ms",
-                "footprint_gib_min", "peak_gib", "pool_peak_gib",
-                "wall_ms"):
+                "footprint_gib_min", "peak_gib", "pool_peak_gib"):
         require(fleet, key, numbers.Real, ctx)
     for key in ("policy", "arrival", "candidate", "fleet_digest"):
         require(fleet, key, str, ctx)
@@ -171,20 +159,16 @@ def check_fleet(fleet, ctx):
                  f"SLO unmeasurable)")
         if spike["time_to_reclaim_ms"] < 0:
             fail(f"{ctx}: negative time-to-reclaim")
-    # PR9 emitters embed the telemetry digests; older fleet-v1 documents
-    # predate the pipeline and legitimately lack the key.
-    if "telemetry" in fleet:
-        check_fleet_telemetry(fleet["telemetry"], f"{ctx}.telemetry")
-    # PR10 emitters report the fleet-wide huge-frame reclaim split.
-    if "huge" in fleet:
-        huge = fleet["huge"]
-        hctx = f"{ctx}.huge"
-        require(huge, "mode", bool, hctx)
-        for key in ("reclaim_untouched", "reclaim_2m", "reclaim_4k",
-                    "share"):
-            require(huge, key, numbers.Real, hctx)
-        if not 0.0 <= huge["share"] <= 1.0:
-            fail(f"{hctx}: share {huge['share']} outside [0, 1]")
+    check_fleet_telemetry(require(fleet, "telemetry", dict, ctx),
+                          f"{ctx}.telemetry")
+    # The fleet-wide huge-frame reclaim split.
+    hctx = f"{ctx}.huge"
+    huge = require(fleet, "huge", dict, ctx)
+    require(huge, "mode", bool, hctx)
+    for key in ("reclaim_untouched", "reclaim_2m", "reclaim_4k", "share"):
+        require(huge, key, numbers.Real, hctx)
+    if not 0.0 <= huge["share"] <= 1.0:
+        fail(f"{hctx}: share {huge['share']} outside [0, 1]")
 
 
 def check_huge_variant(variant, ctx):
@@ -193,8 +177,7 @@ def check_huge_variant(variant, ctx):
     for key in ("frag_before", "frag_after", "compaction_blocks",
                 "compaction_migrations", "reclaim_untouched", "reclaim_2m",
                 "reclaim_4k", "share", "reclaimed_mib", "flush_entries_2m",
-                "flush_entries_4k", "flush_entries_all4k", "flush_savings",
-                "wall_ms"):
+                "flush_entries_4k", "flush_entries_all4k", "flush_savings"):
         require(variant, key, numbers.Real, ctx)
     for key in ("frag_before", "frag_after", "share"):
         if not 0.0 <= variant[key] <= 1.0:
@@ -287,6 +270,114 @@ def check_flight(doc, min_epochs):
              f"ends at {epochs[-1]['epoch']}")
 
 
+def check_bench(doc, min_epochs):
+    """hyperalloc-bench-v7: the bench_runner document."""
+    require(doc, "smoke", bool, "$")
+    require(doc, "hardware_concurrency", numbers.Real, "$")
+    require(doc, "ratio_pairs", numbers.Real, "$")
+    benches = require(doc, "benches", dict, "$")
+
+    batch = require(benches, "llfree_batch_alloc_free", dict, "benches")
+    for key in ("batch", "ops", "speedup_vs_single"):
+        require(batch, key, numbers.Real, "llfree_batch_alloc_free")
+    if batch["ops"] <= 0:
+        fail("llfree_batch_alloc_free: no work recorded")
+
+    attribution = require(benches, "attribution", dict, "benches")
+    # enabled=false is legal (HYPERALLOC_TRACE=0 build): the section
+    # must exist and say so, nothing more to check.
+    if require(attribution, "enabled", bool, "attribution"):
+        require(attribution, "candidate", str, "attribution")
+        require(attribution, "dropped_spans", numbers.Real, "attribution")
+        if attribution["dropped_spans"] != 0:
+            fail("attribution: span ring dropped spans; raise capacity")
+        check_phase(require(attribution, "inflate", dict, "attribution"),
+                    "attribution.inflate")
+        check_phase(require(attribution, "deflate", dict, "attribution"),
+                    "attribution.deflate")
+
+    multivm = require(benches, "multivm", dict, "benches")
+    for key in ("vms", "threads", "footprint_gib_min", "peak_gib",
+                "spans_single", "spans_dropped"):
+        require(multivm, key, numbers.Real, "multivm")
+    if not require(multivm, "deterministic", bool, "multivm"):
+        fail("multivm: per-VM series differ between thread counts")
+    if multivm["vms"] < 2:
+        fail("multivm: needs at least 2 VMs to mean anything")
+    # spans_checked is false only in a HYPERALLOC_TRACE=0 build.
+    if require(multivm, "spans_checked", bool, "multivm"):
+        if multivm["spans_dropped"] != 0:
+            fail("multivm: span ring dropped spans; raise capacity")
+        if not require(multivm, "spans_deterministic", bool, "multivm"):
+            fail("multivm: canonical span streams differ between "
+                 "thread counts")
+
+    check_fleet(require(benches, "fleet", dict, "benches"), "benches.fleet")
+    span = require(benches, "fleet_span_check", dict, "benches")
+    for key in ("spans", "resizes", "span_p99_ms", "engine_p99_ms"):
+        require(span, key, numbers.Real, "fleet_span_check")
+    require(span, "matched", bool, "fleet_span_check")
+    # checked is false only in a HYPERALLOC_TRACE=0 build.
+    if require(span, "checked", bool, "fleet_span_check"):
+        if span["spans"] != span["resizes"]:
+            fail(f"fleet_span_check: {span['spans']} request spans for "
+                 f"{span['resizes']} engine resizes")
+        if not span["matched"]:
+            fail("fleet_span_check: span-derived p99 resize latency "
+                 f"({span['span_p99_ms']}) disagrees with the engine's "
+                 f"({span['engine_p99_ms']})")
+
+    tel = require(benches, "telemetry", dict, "benches")
+    enabled = require(tel, "enabled", bool, "telemetry")
+    for key in ("epochs", "alerts", "telemetry_overhead_pct"):
+        require(tel, key, numbers.Real, "telemetry")
+    flight = require(tel, "flight", dict, "telemetry")
+    for key in ("dumps", "ring_epochs"):
+        require(flight, key, numbers.Real, "telemetry.flight")
+    require(flight, "digest", str, "telemetry.flight")
+    if enabled:
+        # The digests must match across worker-thread counts — a
+        # diverging stream means the pipeline leaked thread order.
+        if not require(tel, "deterministic", bool, "telemetry"):
+            fail("telemetry: stream digest differs between "
+                 "worker-thread counts")
+        if not require(flight, "deterministic", bool, "telemetry.flight"):
+            fail("telemetry.flight: dump bytes differ between "
+                 "worker-thread counts")
+        if tel["epochs"] <= 0:
+            fail("telemetry: enabled but sampled no epochs")
+        # The runner's fault-plan probe must actually freeze a dump;
+        # a recorder that never triggers is untested.
+        if flight["dumps"] <= 0:
+            fail("telemetry.flight: the quarantine probe froze no dump")
+        if flight["ring_epochs"] < min_epochs:
+            fail(f"telemetry.flight: ring covered {flight['ring_epochs']} "
+                 f"epochs, need >= {min_epochs}")
+
+    huge = require(benches, "huge_frame", dict, "benches")
+    for key in ("memory_mib", "share", "compaction_migrations",
+                "flush_savings"):
+        require(huge, key, numbers.Real, "huge_frame")
+    no_compaction = require(huge, "no_compaction", dict, "huge_frame")
+    with_compaction = require(huge, "with_compaction", dict, "huge_frame")
+    check_huge_variant(no_compaction, "huge_frame.no_compaction")
+    check_huge_variant(with_compaction, "huge_frame.with_compaction")
+    # The runner's own exit gates, mirrored: compaction must evacuate
+    # blocks, lower the fragmentation score, and not reclaim less than
+    # the uncompacted run. (perf_gate.py holds the share floor.)
+    if with_compaction["compaction_blocks"] <= 0:
+        fail("huge_frame.with_compaction: compaction evacuated no blocks")
+    if with_compaction["frag_after"] >= with_compaction["frag_before"]:
+        fail("huge_frame.with_compaction: compaction did not lower the "
+             "fragmentation score")
+    if with_compaction["reclaimed_mib"] < no_compaction["reclaimed_mib"]:
+        fail("huge_frame: compaction reclaimed less than the uncompacted "
+             "run")
+    probe = require(huge, "balloon_probe", dict, "huge_frame")
+    for key in ("demotions_2m", "flush_savings"):
+        require(probe, key, numbers.Real, "huge_frame.balloon_probe")
+
+
 def main():
     min_epochs = 0
     paths = []
@@ -304,169 +395,19 @@ def main():
         fail(f"cannot parse {paths[0]}: {e}")
 
     schema = require(doc, "schema", str, "$")
-    if schema == "hyperalloc-bench-faults-v1":
+    if schema == "hyperalloc-bench-v7":
+        check_bench(doc, min_epochs)
+    elif schema == "hyperalloc-bench-fleet-v1":
+        fleet = require(doc, "fleet", dict, "$")
+        check_fleet(fleet, "fleet")
+        require(fleet, "wall_ms", numbers.Real, "fleet")
+    elif schema == "hyperalloc-bench-faults-v1":
         check_faults(doc)
-        print(f"check_bench_json: OK ({paths[0]}, {schema})")
-        return
-    if schema == "hyperalloc-bench-fleet-v1":
-        check_fleet(require(doc, "fleet", dict, "$"), "fleet")
-        print(f"check_bench_json: OK ({paths[0]}, {schema})")
-        return
-    if schema == "hyperalloc-flight-v1":
+    elif schema == "hyperalloc-flight-v1":
         check_flight(doc, min_epochs)
-        print(f"check_bench_json: OK ({paths[0]}, {schema}, "
-              f"{len(doc['epochs'])} ring epochs)")
-        return
-    if schema not in ("hyperalloc-bench-v1", "hyperalloc-bench-v2",
-                      "hyperalloc-bench-v3", "hyperalloc-bench-v4",
-                      "hyperalloc-bench-v5", "hyperalloc-bench-v6"):
+        schema += f", {len(doc['epochs'])} ring epochs"
+    else:
         fail(f"unknown schema '{schema}'")
-    v6 = schema == "hyperalloc-bench-v6"
-    v5 = schema == "hyperalloc-bench-v5" or v6
-    v4 = schema == "hyperalloc-bench-v4" or v5
-    v3 = schema == "hyperalloc-bench-v3" or v4
-    v2 = schema == "hyperalloc-bench-v2" or v3
-    require(doc, "pr", str, "$")
-    require(doc, "smoke", bool, "$")
-    require(doc, "hardware_concurrency", numbers.Real, "$")
-    benches = require(doc, "benches", dict, "$")
-
-    llfree = require(benches, "llfree_alloc_free", dict, "benches")
-    for key in ("ops", "wall_ms", "ops_per_sec"):
-        require(llfree, key, numbers.Real, "llfree_alloc_free")
-    if llfree["ops"] <= 0 or llfree["ops_per_sec"] <= 0:
-        fail("llfree_alloc_free: no work recorded")
-
-    if v3:
-        batch = require(benches, "llfree_batch_alloc_free", dict, "benches")
-        for key in ("batch", "ops", "wall_ms", "ops_per_sec",
-                    "single_ops_per_sec", "cached_ops_per_sec",
-                    "speedup_vs_single"):
-            require(batch, key, numbers.Real, "llfree_batch_alloc_free")
-        if batch["ops"] <= 0 or batch["ops_per_sec"] <= 0:
-            fail("llfree_batch_alloc_free: no work recorded")
-        if batch["speedup_vs_single"] <= 0:
-            fail("llfree_batch_alloc_free: no single-frame comparison run")
-
-    pool = require(benches, "host_reserve_release", dict, "benches")
-    pool_keys = ["threads", "ops", "wall_ms", "ops_per_sec", "refills",
-                 "drains", "rebalances"]
-    if v3:
-        pool_keys.append("rebalance_skips")
-    for key in pool_keys:
-        require(pool, key, numbers.Real, "host_reserve_release")
-    if not require(pool, "invariant_ok", bool, "host_reserve_release"):
-        fail("host_reserve_release: pool invariant violated")
-    if pool["ops"] <= 0:
-        fail("host_reserve_release: no work recorded")
-
-    multivm = require(benches, "multivm", dict, "benches")
-    for key in ("vms", "threads", "wall_ms_single", "wall_ms_parallel",
-                "footprint_gib_min", "peak_gib"):
-        require(multivm, key, numbers.Real, "multivm")
-    if not require(multivm, "deterministic", bool, "multivm"):
-        fail("multivm: per-VM series differ between thread counts")
-    if multivm["vms"] < 2:
-        fail("multivm: needs at least 2 VMs to mean anything")
-
-    if v2:
-        attribution = require(benches, "attribution", dict, "benches")
-        if require(attribution, "enabled", bool, "attribution"):
-            require(attribution, "candidate", str, "attribution")
-            require(attribution, "dropped_spans", numbers.Real, "attribution")
-            if attribution["dropped_spans"] != 0:
-                fail("attribution: span ring dropped events; raise capacity")
-            check_phase(require(attribution, "inflate", dict, "attribution"),
-                        "attribution.inflate")
-            check_phase(require(attribution, "deflate", dict, "attribution"),
-                        "attribution.deflate")
-            overhead = require(attribution, "trace_overhead", dict,
-                               "attribution")
-            for key in ("traced_wall_ms", "untraced_wall_ms", "overhead_pct"):
-                require(overhead, key, numbers.Real,
-                        "attribution.trace_overhead")
-        # enabled=false is legal (HYPERALLOC_TRACE=0 build): the section
-        # must exist and say so, nothing more to check.
-
-        require(multivm, "spans_checked", bool, "multivm")
-        require(multivm, "spans_single", numbers.Real, "multivm")
-        require(multivm, "spans_dropped", numbers.Real, "multivm")
-        if multivm["spans_checked"]:
-            if not require(multivm, "spans_deterministic", bool, "multivm"):
-                fail("multivm: canonical span streams differ between "
-                     "thread counts")
-
-    if v4:
-        check_fleet(require(benches, "fleet", dict, "benches"),
-                    "benches.fleet")
-        span = require(benches, "fleet_span_check", dict, "benches")
-        require(span, "checked", bool, "fleet_span_check")
-        require(span, "matched", bool, "fleet_span_check")
-        require(span, "span_p99_ms", numbers.Real, "fleet_span_check")
-        require(span, "engine_p99_ms", numbers.Real, "fleet_span_check")
-        if span["checked"] and not span["matched"]:
-            fail("fleet_span_check: span-derived p99 resize latency "
-                 f"({span['span_p99_ms']}) disagrees with the engine's "
-                 f"({span['engine_p99_ms']})")
-
-    if v5:
-        tel = require(benches, "telemetry", dict, "benches")
-        enabled = require(tel, "enabled", bool, "telemetry")
-        for key in ("epochs", "alerts", "wall_ms_on", "wall_ms_off",
-                    "telemetry_overhead_pct"):
-            require(tel, key, numbers.Real, "telemetry")
-        flight = require(tel, "flight", dict, "telemetry")
-        for key in ("dumps", "ring_epochs"):
-            require(flight, key, numbers.Real, "telemetry.flight")
-        require(flight, "digest", str, "telemetry.flight")
-        if enabled:
-            # The digests must match across worker-thread counts — a
-            # diverging stream means the pipeline leaked thread order.
-            if not require(tel, "deterministic", bool, "telemetry"):
-                fail("telemetry: stream digest differs between "
-                     "worker-thread counts")
-            if not require(flight, "deterministic", bool,
-                           "telemetry.flight"):
-                fail("telemetry.flight: dump bytes differ between "
-                     "worker-thread counts")
-            if tel["epochs"] <= 0:
-                fail("telemetry: enabled but sampled no epochs")
-            # The runner's fault-plan probe must actually freeze a dump;
-            # a recorder that never triggers is untested.
-            if flight["dumps"] <= 0:
-                fail("telemetry.flight: the quarantine probe froze no "
-                     "dump")
-            if min_epochs and flight["ring_epochs"] < min_epochs:
-                fail(f"telemetry.flight: ring covered "
-                     f"{flight['ring_epochs']} epochs, need "
-                     f">= {min_epochs}")
-
-    if v6:
-        huge = require(benches, "huge_frame", dict, "benches")
-        for key in ("memory_mib", "share", "compaction_migrations",
-                    "flush_savings"):
-            require(huge, key, numbers.Real, "huge_frame")
-        no_compaction = require(huge, "no_compaction", dict, "huge_frame")
-        with_compaction = require(huge, "with_compaction", dict,
-                                  "huge_frame")
-        check_huge_variant(no_compaction, "huge_frame.no_compaction")
-        check_huge_variant(with_compaction, "huge_frame.with_compaction")
-        # The runner's own exit gates, mirrored: compaction must evacuate
-        # blocks, lower the fragmentation score, and not reclaim less
-        # than the uncompacted run. (perf_gate.py holds the share floor.)
-        if with_compaction["compaction_blocks"] <= 0:
-            fail("huge_frame.with_compaction: compaction evacuated no "
-                 "blocks")
-        if with_compaction["frag_after"] >= with_compaction["frag_before"]:
-            fail("huge_frame.with_compaction: compaction did not lower "
-                 "the fragmentation score")
-        if with_compaction["reclaimed_mib"] < no_compaction["reclaimed_mib"]:
-            fail("huge_frame: compaction reclaimed less than the "
-                 "uncompacted run")
-        probe = require(huge, "balloon_probe", dict, "huge_frame")
-        for key in ("demotions_2m", "flush_savings"):
-            require(probe, key, numbers.Real, "huge_frame.balloon_probe")
-
     print(f"check_bench_json: OK ({paths[0]}, {schema})")
 
 

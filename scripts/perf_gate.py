@@ -1,95 +1,38 @@
 #!/usr/bin/env python3
-"""Perf-regression gate: compares a bench_runner JSON against baselines.
+"""Perf gate: compares a bench_runner JSON exactly against one baseline.
 
-    perf_gate.py BASELINE.json [BASELINE2.json ...] CURRENT.json \\
-        [--threshold=0.25] [--wall]
+    perf_gate.py BENCH_BASELINE.json CURRENT.json
 
-All positional arguments but the last are committed baselines in
-chronological order; the last is the current run. With more than one
-baseline a trendline across the whole sequence is printed for every
-metric, so a slow drift that stays under the per-PR threshold is still
-visible. The regression gate itself compares CURRENT against the LATEST
-baseline only.
+Every value of a `hyperalloc-bench-v7` document is deterministic —
+virtual time, op counts, digests, attribution layer ns and shares —
+except the host-dependent values in HOST. Those deterministic values
+must be identical in CURRENT and the baseline: any difference, and any
+key present on one side only, fails (a smoke run against a full
+baseline fails too). Then FLOORS and CEILINGS bound CURRENT alone; the
+two wall-clock ratios among them are medians over interleaved
+in-process pairs, so machine speed cancels.
 
-Fails (exit 1) when a guarded metric regresses by more than the
-threshold (default 25%), or a FLOOR is not met. Two classes of relative
-metric:
-
-  * deterministic — virtual-time results (multivm footprint/peak,
-    attribution totals and per-layer shares) and op counts. These are
-    identical across machines, so any drift is a real behavior change
-    and is always gated.
-  * wall-clock — ops_per_sec, wall_ms. Noisy on shared CI runners, so
-    they are only gated under --wall (for dedicated perf hardware);
-    otherwise they are reported informationally.
-
-FLOORS are absolute requirements on CURRENT alone, for ratio metrics
-whose two sides run in-process on the same host (machine speed cancels):
-the batched LLFree path must stay at least 2x the single-frame path.
-
-Sections or keys missing from a BASELINE are skipped with a note —
-that is how a new schema revision lands: the first run after adding a
-section has nothing to compare against (e.g. BENCH_PR3.json predates
-the `attribution` section). Keys missing from CURRENT fail: a metric
-that existed must not silently disappear.
-
-Stdlib-only; runs in CI containers with no extra packages.
+Exit 1 on any failure. Stdlib-only; runs in CI containers with no extra
+packages.
 """
 import json
 import sys
 
-# metric path -> (direction, kind). direction "higher"/"lower" is the
-# good direction; kind "det" is always gated, "wall" only under --wall.
-METRICS = {
-    ("benches", "llfree_alloc_free", "ops"): ("higher", "det"),
-    ("benches", "llfree_alloc_free", "ops_per_sec"): ("higher", "wall"),
-    ("benches", "llfree_batch_alloc_free", "ops"): ("higher", "det"),
-    ("benches", "llfree_batch_alloc_free", "ops_per_sec"):
-        ("higher", "wall"),
-    ("benches", "host_reserve_release", "ops"): ("higher", "det"),
-    ("benches", "host_reserve_release", "ops_per_sec"): ("higher", "wall"),
-    ("benches", "host_reserve_release", "rebalances"): ("lower", "wall"),
-    ("benches", "multivm", "footprint_gib_min"): ("lower", "det"),
-    ("benches", "multivm", "peak_gib"): ("lower", "det"),
-    ("benches", "multivm", "wall_ms_single"): ("lower", "wall"),
-    ("benches", "multivm", "wall_ms_parallel"): ("lower", "wall"),
-    ("benches", "attribution", "inflate", "total_vns"): ("lower", "det"),
-    ("benches", "attribution", "deflate", "total_vns"): ("lower", "det"),
-    ("benches", "attribution", "trace_overhead", "overhead_pct"):
-        ("lower", "wall"),
-    # Fleet SLOs (PR8): virtual-time results of the deterministic
-    # 1024-VM scenario, so any drift is a real behavior change.
-    ("benches", "fleet", "p99_resize_ms"): ("lower", "det"),
-    ("benches", "fleet", "spike", "time_to_reclaim_ms"): ("lower", "det"),
-    ("benches", "fleet", "footprint_gib_min"): ("lower", "det"),
-    ("benches", "fleet", "peak_gib"): ("lower", "det"),
-    ("benches", "fleet", "wall_ms"): ("lower", "wall"),
-    # Fleet telemetry (PR9): the pipeline's wall cost relative to the
-    # same scenario with sampling off. The ratio is in-process on one
-    # host, but both sides are short wall-clock runs, so the relative
-    # trend stays informational; the hard bound is the CEILING below.
-    ("benches", "telemetry", "telemetry_overhead_pct"): ("lower", "wall"),
-    # Huge-frame fast path (PR10): virtual-time results of the
-    # deterministic churn+shrink scenario. The compacted run reclaiming
-    # less, or either variant's reclaim share dropping, is a real
-    # behavior change.
-    ("benches", "huge_frame", "with_compaction", "reclaimed_mib"):
-        ("higher", "det"),
-    ("benches", "huge_frame", "no_compaction", "reclaimed_mib"):
-        ("higher", "det"),
-    ("benches", "huge_frame", "share"): ("higher", "det"),
-    ("benches", "huge_frame", "flush_savings"): ("higher", "det"),
-}
+SPEEDUP = ("benches", "llfree_batch_alloc_free", "speedup_vs_single")
+TELEMETRY = ("benches", "telemetry", "telemetry_overhead_pct")
 
-# metric path -> minimum value required of CURRENT (always gated when the
-# metric is present; the schema checker guards presence per revision).
+# Values that depend on the host, not on the simulated system.
+HOST = {("hardware_concurrency",), SPEEDUP, TELEMETRY}
+
+# metric path -> minimum value required of CURRENT.
 FLOORS = {
-    ("benches", "llfree_batch_alloc_free", "speedup_vs_single"): 2.0,
+    # The batched LLFree path must stay at least 2x the single-frame one.
+    SPEEDUP: 2.0,
     # The fleet policy loop must actually exercise the resize path.
     ("benches", "fleet", "resizes"): 1,
-    # Huge-frame reclaim share (PR10 acceptance bound): at least 80% of
-    # the huge frames HyperAlloc reclaims must avoid per-4K EPT work —
-    # in BOTH churn variants (`share` is the min of the two).
+    # Huge-frame reclaim share: at least 80% of the huge frames
+    # HyperAlloc reclaims must avoid per-4K EPT work — in BOTH churn
+    # variants (`share` is the min of the two).
     ("benches", "huge_frame", "share"): 0.8,
     # Coalesced 2M invalidation must actually save flush entries vs
     # per-4K invalidation of the same reclaim.
@@ -98,28 +41,18 @@ FLOORS = {
     ("benches", "huge_frame", "compaction_migrations"): 1,
 }
 
-# metric path -> maximum value allowed of CURRENT (same in-process-ratio
-# rationale as FLOORS, for metrics where smaller is required).
+# metric path -> maximum value allowed of CURRENT, on non-smoke runs
+# (a smoke fleet finishes in milliseconds; its ratio is noise).
 CEILINGS = {
     # Barrier-sampled telemetry must stay cheap enough to leave on:
-    # <5% of bench_fleet wall time (the PR9 acceptance bound).
-    ("benches", "telemetry", "telemetry_overhead_pct"): 5.0,
+    # <5% of the fleet's wall time.
+    TELEMETRY: 5.0,
 }
 
 
 def fail(message):
     print(f"perf_gate: FAIL: {message}", file=sys.stderr)
     sys.exit(1)
-
-
-def lookup(doc, path):
-    """Returns the value at `path` or None if any component is missing."""
-    node = doc
-    for key in path:
-        if not isinstance(node, dict) or key not in node:
-            return None
-        node = node[key]
-    return node
 
 
 def load(path):
@@ -130,140 +63,58 @@ def load(path):
         fail(f"cannot parse {path}: {e}")
 
 
+def leaves(node, path=()):
+    """Maps every leaf path of a JSON object to its value."""
+    if not isinstance(node, dict):
+        return {path: node}
+    out = {}
+    for key, value in node.items():
+        out.update(leaves(value, path + (key,)))
+    return out
+
+
 def main():
-    args = [a for a in sys.argv[1:] if not a.startswith("--")]
-    flags = [a for a in sys.argv[1:] if a.startswith("--")]
-    if len(args) < 2:
-        fail("usage: perf_gate.py BASELINE.json [BASELINE2.json ...] "
-             "CURRENT.json [--threshold=0.25] [--wall]")
-    threshold = 0.25
-    gate_wall = False
-    for flag in flags:
-        if flag.startswith("--threshold="):
-            threshold = float(flag.split("=", 1)[1])
-        elif flag == "--wall":
-            gate_wall = True
-        else:
-            fail(f"unknown flag {flag}")
-
-    docs = [load(a) for a in args]
-    baseline, current = docs[-2], docs[-1]
-    if current.get("smoke") and not baseline.get("smoke"):
-        print("perf_gate: note: comparing a --smoke run against a full "
-              "baseline; only scale-independent metrics are meaningful")
-
-    # Trendline across the whole committed-baseline sequence: visible
-    # drift detection; the gate below is CURRENT vs the latest baseline.
-    if len(docs) > 2:
-        for path in sorted(METRICS):
-            values = [lookup(doc, path) for doc in docs]
-            if all(v is None for v in values[:-1]):
-                continue
-            rendered = " -> ".join(
-                "n/a" if v is None else f"{v:g}" for v in values)
-            print(f"perf_gate: trend {'.'.join(path)}: {rendered}")
+    if len(sys.argv) != 3:
+        fail("usage: perf_gate.py BENCH_BASELINE.json CURRENT.json")
+    baseline = leaves(load(sys.argv[1]))
+    current = leaves(load(sys.argv[2]))
 
     failures = []
-    for path, (direction, kind) in sorted(METRICS.items()):
+    for path in sorted(baseline.keys() | current.keys()):
+        if path in HOST:
+            continue
         name = ".".join(path)
-        before = lookup(baseline, path)
-        after = lookup(current, path)
-        if before is None:
-            print(f"perf_gate: skip  {name}: not in baseline")
-            continue
-        if after is None:
-            failures.append(f"{name}: present in baseline but missing "
-                            f"from current")
-            continue
-        if before == 0:
-            print(f"perf_gate: skip  {name}: baseline is zero")
-            continue
-        # Regression = movement in the bad direction, as a fraction of
-        # the baseline.
-        change = (after - before) / before
-        regression = -change if direction == "higher" else change
-        gated = kind == "det" or gate_wall
-        status = "ok   "
-        if regression > threshold:
-            if gated:
-                status = "FAIL "
-                failures.append(
-                    f"{name}: {before} -> {after} "
-                    f"({regression:+.1%} regression, threshold "
-                    f"{threshold:.0%})")
-            else:
-                status = "info "
-        print(f"perf_gate: {status} {name}: {before} -> {after} "
-              f"({change:+.1%}{'' if gated else ', wall-clock, not gated'})")
+        if path not in current:
+            failures.append(f"{name}: missing from current")
+        elif path not in baseline:
+            failures.append(f"{name}: not in baseline (re-record it)")
+        elif current[path] != baseline[path]:
+            failures.append(f"{name}: {baseline[path]} -> {current[path]}")
 
-    # Attribution layer shares: a layer silently absorbing a much larger
-    # share of the request is a perf smell even when totals move little.
-    for phase in ("inflate", "deflate"):
-        base_layers = lookup(baseline, ("benches", "attribution", phase,
-                                        "layers"))
-        cur_layers = lookup(current, ("benches", "attribution", phase,
-                                      "layers"))
-        if base_layers is None or cur_layers is None:
-            if base_layers is None:
-                print(f"perf_gate: skip  attribution.{phase}.layers: "
-                      f"not in baseline")
-            continue
-        for layer, entry in sorted(base_layers.items()):
-            before = entry.get("share", 0.0)
-            after = cur_layers.get(layer, {}).get("share", 0.0)
-            delta = after - before
-            status = "ok   "
-            if abs(delta) > threshold:
-                status = "FAIL "
-                failures.append(
-                    f"attribution.{phase}.layers.{layer}.share: "
-                    f"{before} -> {after} (moved {delta:+.2f}, threshold "
-                    f"{threshold:.2f})")
-            print(f"perf_gate: {status} attribution.{phase}.layers."
-                  f"{layer}.share: {before} -> {after}")
-
-    # Absolute floors on the current run (in-process ratios, so they hold
-    # regardless of machine speed).
-    for path, floor in sorted(FLOORS.items()):
+    bounds = [(path, floor, "floor") for path, floor in FLOORS.items()]
+    if not current.get(("smoke",)):
+        bounds += [(path, ceiling, "ceiling")
+                   for path, ceiling in CEILINGS.items()]
+    for path, bound, kind in sorted(bounds):
         name = ".".join(path)
-        value = lookup(current, path)
+        value = current.get(path)
         if value is None:
-            print(f"perf_gate: skip  {name}: not in current (pre-floor "
-                  f"schema)")
+            failures.append(f"{name}: missing from current")
             continue
-        if value < floor:
-            print(f"perf_gate: FAIL  {name}: {value} < floor {floor}")
-            failures.append(f"{name}: {value} below floor {floor}")
-        else:
-            print(f"perf_gate: ok    {name}: {value} >= floor {floor}")
-
-    for path, ceiling in sorted(CEILINGS.items()):
-        name = ".".join(path)
-        value = lookup(current, path)
-        if value is None:
-            print(f"perf_gate: skip  {name}: not in current (pre-ceiling "
-                  f"schema)")
-            continue
-        if current.get("smoke"):
-            # Smoke scenarios finish in tens of milliseconds; an on/off
-            # wall ratio at that scale is scheduler noise, not a result.
-            print(f"perf_gate: skip  {name}: smoke run (wall ratio is "
-                  f"noise at smoke scale)")
-            continue
-        if value > ceiling:
-            print(f"perf_gate: FAIL  {name}: {value} > ceiling {ceiling}")
-            failures.append(f"{name}: {value} above ceiling {ceiling}")
-        else:
-            print(f"perf_gate: ok    {name}: {value} <= ceiling {ceiling}")
+        ok = value >= bound if kind == "floor" else value <= bound
+        print(f"perf_gate: {'ok  ' if ok else 'FAIL'} {name}: {value} "
+              f"({kind} {bound})")
+        if not ok:
+            failures.append(f"{name}: {value} beyond {kind} {bound}")
 
     if failures:
-        print(f"perf_gate: FAILED ({len(failures)} regression(s) vs "
-              f"{args[-2]}):", file=sys.stderr)
+        print(f"perf_gate: FAILED ({len(failures)} check(s) vs "
+              f"{sys.argv[1]}):", file=sys.stderr)
         for failure in failures:
             print(f"  {failure}", file=sys.stderr)
         sys.exit(1)
-    print(f"perf_gate: OK ({args[-1]} vs {args[-2]}, "
-          f"threshold {threshold:.0%})")
+    print(f"perf_gate: OK ({sys.argv[2]} identical to {sys.argv[1]} in "
+          f"{len(baseline) - len(HOST)} deterministic values)")
 
 
 if __name__ == "__main__":

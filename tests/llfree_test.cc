@@ -376,6 +376,31 @@ TEST_F(LLFreeTest, ExhaustBaseFrames) {
   EXPECT_EQ(unique.size(), kFrames16MiB);
 }
 
+// Trains of 512 base or huge frames (every eighth train huge), each
+// fully allocated then freed, rotating over 4 per-core reservations on
+// a 4 GiB allocator: every Get succeeds and every train returns intact.
+TEST_F(LLFreeTest, MixedOrderTrainsRoundTrip) {
+  Config config;
+  config.cores = 4;
+  Init(1ull << 20, config);
+  std::vector<FrameId> held;
+  for (unsigned round = 0; round < 64; ++round) {
+    const unsigned order = round % 8 == 0 ? kHugeOrder : 0;
+    for (int i = 0; i < 512; ++i) {
+      const Result<FrameId> r =
+          alloc_->Get(round % 4, order, AllocType::kMovable);
+      ASSERT_TRUE(r.ok()) << "round " << round << ", get " << i;
+      held.push_back(*r);
+    }
+    for (const FrameId frame : held) {
+      ASSERT_FALSE(alloc_->Put(frame, order).has_value());
+    }
+    held.clear();
+  }
+  EXPECT_EQ(alloc_->FreeFrames(), 1ull << 20);
+  EXPECT_TRUE(alloc_->Validate());
+}
+
 TEST_F(LLFreeTest, MixedTypesSucceedInSingleTree) {
   // Regression test for the reservation fallback: with one tree and
   // per-type reservations, the second and third type must still allocate.
