@@ -1,18 +1,21 @@
 #!/bin/sh
 # Full verification wall:
 #   1. tier-1 build + full ctest (default preset),
-#   2. static gates (scripts/lint.sh),
-#   3. full ctest under ASan+UBSan (asan-ubsan preset, no recovery),
-#   4. the model checker in BOTH memory-model configurations — the
+#   2. the real-thread tests (ctest label `stress`) repeated until they
+#      fail, up to 100 times, so a race shows up whatever the scheduling,
+#   3. static gates (scripts/lint.sh),
+#   4. full ctest under ASan+UBSan (asan-ubsan preset, no recovery),
+#   5. the model checker in BOTH memory-model configurations — the
 #      happens-before layer on (HYPERALLOC_MC_MM=1: stale reads, race
 #      detection, the mutant scenarios) and off (HYPERALLOC_MC_MM=0:
 #      the SC-only fallback every older scenario was written against).
 #      A failure prints which configuration produced it,
-#   5. ThreadSanitizer on the lock-free paths (tsan preset): the LLFree
+#   6. ThreadSanitizer on the lock-free paths (tsan preset): the LLFree
 #      concurrent stress test, the sharded host frame pool stress test,
-#      the trace-layer counter/histogram tests, and a capped model-check run
+#      the trace-layer counter/histogram tests, a capped model-check run
 #      (the model checker is deterministic, so a small TSan run only
-#      needs to cover the harness machinery itself).
+#      needs to cover the harness machinery itself), and the `stress`
+#      label repeated.
 set -e
 cd "$(dirname "$0")/.."
 
@@ -20,6 +23,10 @@ echo "== tier-1: build + ctest (preset: default) =="
 cmake --preset default >/dev/null
 cmake --build --preset default -j
 ctest --preset default -j "$(nproc)"
+
+echo "== stress: real-thread tests, repeated (label: stress) =="
+ctest --preset default -L stress --no-tests=error \
+  --repeat until-fail:100 -j "$(nproc)"
 
 echo "== lint: pragma-once / explicit memory orders / clang-tidy =="
 sh scripts/lint.sh
@@ -47,11 +54,13 @@ done
 echo "== tsan: lock-free paths (preset: tsan) =="
 cmake --preset tsan >/dev/null
 cmake --build --preset tsan -j \
-  --target llfree_concurrent_test host_memory_test trace_test \
+  --target llfree_concurrent_test host_memory_test trace_test span_test \
   model_check_test
 ./build-tsan/tests/llfree_concurrent_test
 ./build-tsan/tests/host_memory_test
 ./build-tsan/tests/trace_test
 HYPERALLOC_MC_ITERS=50 ./build-tsan/tests/model_check_test
+ctest --preset tsan -L stress --no-tests=error --repeat until-fail:100 \
+  -j "$(nproc)"
 
 echo "== all checks passed =="

@@ -125,6 +125,12 @@ struct Reservation {
 // Lock-free read-modify-write: repeatedly applies `f` to the current
 // value; `f` returns std::nullopt to abort (value no longer eligible).
 // Returns the value that was successfully replaced, or nullopt.
+//
+// `f` may run several times: once per failed CAS, each time on a fresher
+// value. Anything `f` writes to its captures is therefore meaningful only
+// when AtomicUpdate returns a value; after an abort the captures hold
+// whatever an earlier, lost attempt left there. Derive results from the
+// returned value, or reset the captures on the nullopt path.
 template <typename Raw, typename F>
 std::optional<Raw> AtomicUpdate(Atomic<Raw>& atom, F&& f) {
   Raw current = atom.load(std::memory_order_acquire);

@@ -111,36 +111,8 @@ std::optional<uint64_t> LLFree::TakeFromReservation(unsigned slot,
       }
       continue;  // raced; retry
     }
-    // Local counter dry: re-steal whatever the reserved tree accumulated
-    // from frees since we reserved it ("put-reserve" resync).
-    uint32_t stolen = 0;
-    AtomicUpdate(state_->trees_[r.tree], [&](uint32_t tree_raw)
-                     -> std::optional<uint32_t> {
-      TreeEntry entry = TreeEntry::Unpack(tree_raw);
-      if (entry.free == 0) {
-        return std::nullopt;
-      }
-      stolen = entry.free;
-      entry.free = 0;
-      return entry.Pack();
-    });
-    if (stolen == 0) {
+    if (!ReStealIntoReservation(slot, raw)) {
       return std::nullopt;  // genuinely dry; caller reserves a new tree
-    }
-    Reservation next = r;
-    next.free = static_cast<uint16_t>(r.free + stolen);
-    uint64_t expected = raw;
-    if (!slot_atom.compare_exchange_strong(expected, next.Pack(),
-                                           std::memory_order_acq_rel,
-                                           std::memory_order_acquire)) {
-      // Reservation changed under us: return the stolen frames to the
-      // tree's global counter and start over.
-      AtomicUpdate(state_->trees_[r.tree],
-                   [&](uint32_t tree_raw) -> std::optional<uint32_t> {
-                     TreeEntry entry = TreeEntry::Unpack(tree_raw);
-                     entry.free += stolen;
-                     return entry.Pack();
-                   });
     }
   }
 }
@@ -170,36 +142,50 @@ std::optional<uint64_t> LLFree::TakeUpToFromReservation(unsigned slot,
       }
       continue;  // raced; retry
     }
-    // Local counter dry: re-steal whatever the reserved tree accumulated
-    // from frees since we reserved it (same resync as the single path).
-    uint32_t stolen = 0;
-    AtomicUpdate(state_->trees_[r.tree], [&](uint32_t tree_raw)
-                     -> std::optional<uint32_t> {
-      TreeEntry entry = TreeEntry::Unpack(tree_raw);
-      if (entry.free == 0) {
-        return std::nullopt;
-      }
-      stolen = entry.free;
-      entry.free = 0;
-      return entry.Pack();
-    });
-    if (stolen == 0) {
+    if (!ReStealIntoReservation(slot, raw)) {
       return std::nullopt;  // genuinely dry; caller reserves a new tree
     }
-    Reservation next = r;
-    next.free = static_cast<uint16_t>(r.free + stolen);
-    uint64_t expected = raw;
-    if (!slot_atom.compare_exchange_strong(expected, next.Pack(),
-                                           std::memory_order_acq_rel,
-                                           std::memory_order_acquire)) {
-      AtomicUpdate(state_->trees_[r.tree],
-                   [&](uint32_t tree_raw) -> std::optional<uint32_t> {
-                     TreeEntry entry = TreeEntry::Unpack(tree_raw);
-                     entry.free += stolen;
-                     return entry.Pack();
-                   });
-    }
   }
+}
+
+bool LLFree::ReStealIntoReservation(unsigned slot, uint64_t raw) {
+  // Local counter dry: re-steal whatever the reserved tree accumulated
+  // from frees since we reserved it ("put-reserve" resync). The count is
+  // read from the value AtomicUpdate replaced, never from a capture: the
+  // lambda may run several times, and a retry that aborts on an empty
+  // counter would otherwise leave the losing attempt's count behind and
+  // credit frames another thread already took.
+  const Reservation r = Reservation::Unpack(raw);
+  const std::optional<uint32_t> old = AtomicUpdate(
+      state_->trees_[r.tree],
+      [](uint32_t tree_raw) -> std::optional<uint32_t> {
+        TreeEntry entry = TreeEntry::Unpack(tree_raw);
+        if (entry.free == 0) {
+          return std::nullopt;
+        }
+        entry.free = 0;
+        return entry.Pack();
+      });
+  if (!old.has_value()) {
+    return false;
+  }
+  const uint32_t stolen = TreeEntry::Unpack(*old).free;
+  Reservation next = r;
+  next.free = static_cast<uint16_t>(r.free + stolen);
+  uint64_t expected = raw;
+  if (!state_->reservations_[slot].compare_exchange_strong(
+          expected, next.Pack(), std::memory_order_acq_rel,
+          std::memory_order_acquire)) {
+    // Reservation changed under us: return the stolen frames to the
+    // tree's global counter; the caller starts over.
+    AtomicUpdate(state_->trees_[r.tree],
+                 [&](uint32_t tree_raw) -> std::optional<uint32_t> {
+                   TreeEntry entry = TreeEntry::Unpack(tree_raw);
+                   entry.free += stolen;
+                   return entry.Pack();
+                 });
+  }
+  return true;
 }
 
 void LLFree::GiveBack(unsigned slot, uint64_t tree, unsigned need) {

@@ -291,6 +291,12 @@ class LLFree {
                                                   unsigned max_runs,
                                                   unsigned* taken_runs);
 
+  // The dry-counter resync of both takes: moves the reserved tree's
+  // global free count into the slot's reservation, whose packed value the
+  // caller loaded as `raw`. False when that counter is empty too; true
+  // when the caller should retry its take.
+  bool ReStealIntoReservation(unsigned slot, uint64_t raw);
+
   // Returns `need` frames: to the slot's reservation if it still points
   // at `tree`, otherwise to the tree's global counter.
   void GiveBack(unsigned slot, uint64_t tree, unsigned need);

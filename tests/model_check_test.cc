@@ -16,6 +16,7 @@
 #include <bit>
 #include <cstdlib>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -28,6 +29,7 @@
 #include "src/core/reclaim_states.h"
 #include "src/fault/fault.h"
 #include "src/hv/host_memory.h"
+#include "src/llfree/entries.h"
 #include "src/llfree/frame_cache.h"
 #include "src/llfree/llfree.h"
 #include "src/trace/span_ring.h"
@@ -1040,6 +1042,149 @@ TEST(ModelCheckScenarios, ConcurrentDoubleFreeMultiword) {
   const RunResult r = Explore(opt, DoubleFreeMultiword());
   ExpectClean(r);
   EXPECT_TRUE(r.complete) << "exhaustive exploration was time-boxed";
+}
+
+// Regression for a real race LLFreeConcurrent.MixedOrdersUnderContention
+// hit on real cores: the re-steal ("put-reserve resync") of a dry
+// reservation captured `stolen` inside its AtomicUpdate lambda and then
+// decided on the capture, not on AtomicUpdate's result. When two threads
+// found the same reservation dry and both read a non-zero tree counter,
+// the CAS loser's lambda ran again, saw free == 0 and aborted, but
+// `stolen` kept the first attempt's value: the loser credited phantom
+// frames to the reservation (or "returned" them to the tree counter).
+// Set-up: tree 0's reservation is dry and its counter is 1 (one frame
+// freed since the tree was reserved); two threads each get and put one
+// base frame through that reservation.
+Scenario ReStealDryReservation() {
+  return [](Execution& exec) {
+    Config cfg;
+    cfg.mode = Config::ReservationMode::kPerType;
+    cfg.areas_per_tree = 1;
+    auto c = std::make_shared<Ctx>(1024, cfg);
+    FrameId last = 0;
+    for (uint64_t i = 0; i < kFramesPerHuge; ++i) {
+      const Result<FrameId> r = c->guest.Get(0, 0, AllocType::kMovable);
+      Require(r.ok(), "prefill get failed");
+      c->owner.Acquire(*r, 0);
+      last = *r;
+    }
+    c->owner.Release(last, 0);
+    Require(!c->guest.Put(last, 0).has_value(), "prefill put failed");
+    const auto slot = static_cast<unsigned>(AllocType::kMovable);
+    const llfree::Reservation res = llfree::Reservation::Unpack(
+        c->state.reservations()[slot].load(std::memory_order_acquire));
+    const llfree::TreeEntry tree = llfree::TreeEntry::Unpack(
+        c->state.trees()[0].load(std::memory_order_acquire));
+    Require(res.active && res.tree == 0 && res.free == 0 && tree.free == 1,
+            "set-up: tree 0's reservation should be dry with counter 1");
+
+    for (int t = 0; t < 2; ++t) {
+      exec.Spawn([c] {
+        std::vector<std::pair<FrameId, unsigned>> held;
+        GetAndHold(c, 0, 0, AllocType::kMovable, &held);
+        PutAll(c, &held);
+      });
+    }
+    exec.OnStep([c] {
+      CheckStepInvariants(c->state);
+      c->owner();
+    });
+    exec.OnEnd([c] {
+      CheckQuiescent(c->guest);
+      Require(c->guest.FreeFrames() == 1024 - (kFramesPerHuge - 1),
+              "frames leaked after the re-steal round trips");
+    });
+  };
+}
+
+TEST(ModelCheckScenarios, ReStealDryReservation) {
+  ExpectClean(ExploreRandom(ReStealDryReservation(), ScaledIters(1500)));
+}
+
+// --------------------------------------------------------------------
+// Mutant: the re-steal as it was before the fix above. `stolen` is set
+// inside the AtomicUpdate lambda and not reset when a retry aborts, and
+// the caller decides on the capture instead of AtomicUpdate's result.
+// One frame sits on the tree counter, the reservation is dry, and two
+// threads each take a frame and free it back to the tree. Frames are
+// conserved unless the CAS loser credits the phantom frame.
+// --------------------------------------------------------------------
+struct PhantomReStealCtx {
+  Atomic<uint32_t> tree{1};      // the tree's global free counter
+  Atomic<uint32_t> reserved{0};  // the reservation's local counter
+
+  bool TakeOne() {
+    for (;;) {
+      const uint32_t r = reserved.load(std::memory_order_acquire);
+      if (r > 0) {
+        uint32_t expected = r;
+        if (reserved.compare_exchange_weak(expected, r - 1,
+                                           std::memory_order_acq_rel,
+                                           std::memory_order_acquire)) {
+          return true;
+        }
+        continue;
+      }
+      uint32_t stolen = 0;
+      // BUG (deliberate): the result of AtomicUpdate is dropped, and a
+      // retry that aborts on free == 0 leaves `stolen` at the value of
+      // the attempt whose CAS lost.
+      (void)llfree::AtomicUpdate(
+          tree, [&](uint32_t free) -> std::optional<uint32_t> {
+            if (free == 0) {
+              return std::nullopt;
+            }
+            stolen = free;
+            return 0u;
+          });
+      if (stolen == 0) {
+        return false;
+      }
+      uint32_t expected = r;
+      if (!reserved.compare_exchange_strong(expected, r + stolen,
+                                            std::memory_order_acq_rel,
+                                            std::memory_order_acquire)) {
+        tree.fetch_add(stolen, std::memory_order_acq_rel);
+      }
+    }
+  }
+};
+
+Scenario PhantomReStealMutant() {
+  return [](Execution& exec) {
+    auto c = std::make_shared<PhantomReStealCtx>();
+    for (int t = 0; t < 2; ++t) {
+      exec.Spawn([c] {
+        if (c->TakeOne()) {
+          c->tree.fetch_add(1, std::memory_order_acq_rel);  // the put
+        }
+      });
+    }
+    exec.OnEnd([c] {
+      Require(c->tree.load(std::memory_order_acquire) +
+                      c->reserved.load(std::memory_order_acquire) ==
+                  1,
+              "re-steal double credit: tree + reservation exceed the "
+              "one frame there is");
+    });
+  };
+}
+
+TEST(ModelCheckMutant, RandomWalkFindsPhantomReSteal) {
+  const RunResult r = ExploreRandom(PhantomReStealMutant(), 2000);
+  ASSERT_TRUE(r.failed) << "random exploration missed the re-steal mutant";
+  EXPECT_NE(r.message.find("re-steal double credit"), std::string::npos)
+      << r.message;
+}
+
+TEST(ModelCheckMutant, ExhaustiveFindsPhantomReSteal) {
+  Options opt;
+  opt.mode = Options::Mode::kExhaustive;
+  const RunResult r = Explore(opt, PhantomReStealMutant());
+  ASSERT_TRUE(r.failed) << "exhaustive exploration missed the re-steal "
+                           "mutant";
+  EXPECT_NE(r.message.find("re-steal double credit"), std::string::npos)
+      << r.message;
 }
 
 // --------------------------------------------------------------------
