@@ -24,6 +24,7 @@
 #      HA_LINT_GATE6_MUTANT=1 to also scan the committed mutant
 #      (tests/lint/gate6_protocol_mutant.cc) and watch the gate fail —
 #      proof the pairing check is live.
+# Gates 2 and 6 run as one pass over one table of atomic call sites.
 set -e
 cd "$(dirname "$0")/.."
 
@@ -39,55 +40,151 @@ if [ -n "$missing" ]; then
   status=1
 fi
 
-echo "-- gate 2: explicit memory orders in src/llfree src/core src/trace src/check src/hv src/balloon"
+echo "-- gates 2 and 6: explicit memory orders and per-field ordering protocol in src/llfree src/core src/trace src/check src/hv src/balloon"
 python3 - <<'EOF' || status=1
+import os
 import re
 import sys
 from pathlib import Path
 
-# Atomic member operations that default to seq_cst when the order is
-# omitted. Matched as member calls (".op(" / "->op("); the argument list
-# is extracted with paren matching so multi-line calls and nested calls
-# are handled, then required to name a std::memory_order.
+# One site table of every atomic member operation in the concurrency-
+# critical directories feeds both gates. Matched as member calls
+# (".op(" / "->op("); the argument list is extracted with paren
+# matching so multi-line calls and nested calls are handled.
 OPS = ("load", "store", "exchange", "compare_exchange_weak",
        "compare_exchange_strong", "fetch_add", "fetch_sub", "fetch_or",
        "fetch_and", "fetch_xor")
-
+ROOTS = ("src/llfree", "src/core", "src/trace", "src/check", "src/hv",
+         "src/balloon")
 # The shim is the one place that legitimately forwards caller-provided
 # orders held in plain parameters — it has no defaulted-order overloads,
-# which is the property this gate enforces everywhere else.
+# which is the property gate 2 enforces everywhere else; its internal
+# std::atomic member is not a protocol field for gate 6 either.
 EXEMPT = {Path("src/check/shim.h")}
+# Gate-6 self-test: the committed one-sided mutant joins the scan.
+MUTANT = Path("tests/lint/gate6_protocol_mutant.cc")
 
 call_re = re.compile(r"(?:\.|->)(%s)\s*\(" % "|".join(OPS))
 
-failures = []
-for root in ("src/llfree", "src/core", "src/trace", "src/check", "src/hv",
-             "src/balloon"):
-    for path in sorted(Path(root).rglob("*.cc")) + sorted(
-            Path(root).rglob("*.h")):
-        if path in EXEMPT:
-            continue
-        text = path.read_text()
-        for m in call_re.finditer(text):
-            op = m.group(1)
-            # Extract the balanced argument list after the opening paren.
-            depth, i = 1, m.end()
-            while i < len(text) and depth:
-                if text[i] == "(":
-                    depth += 1
-                elif text[i] == ")":
-                    depth -= 1
-                i += 1
-            args = text[m.end():i - 1]
-            if "memory_order" not in args:
-                line = text.count("\n", 0, m.start()) + 1
-                failures.append(f"{path}:{line}: .{op}({args.strip()[:60]}"
-                                f"...) has no explicit std::memory_order")
 
-if failures:
+def field_before(text, pos):
+    """The member name the op is invoked on: the identifier before the
+    ./-> accessor, skipping one trailing [index] or (call) group."""
+    i = pos
+    while i > 0 and text[i - 1] in ")]":
+        close = text[i - 1]
+        opener = "(" if close == ")" else "["
+        depth = 0
+        while i > 0:
+            i -= 1
+            if text[i] == close:
+                depth += 1
+            elif text[i] == opener:
+                depth -= 1
+                if depth == 0:
+                    break
+    j = i
+    while j > 0 and (text[j - 1].isalnum() or text[j - 1] == "_"):
+        j -= 1
+    return text[j:i]
+
+
+files = []
+for root in ROOTS:
+    files += sorted(Path(root).rglob("*.cc")) + sorted(
+        Path(root).rglob("*.h"))
+files = [path for path in files if path not in EXEMPT]
+if os.environ.get("HA_LINT_GATE6_MUTANT") == "1":
+    files.append(MUTANT)
+
+# (path, line, op, args, field) for every atomic member call.
+sites = []
+for path in files:
+    text = path.read_text()
+    for m in call_re.finditer(text):
+        depth, i = 1, m.end()
+        while i < len(text) and depth:
+            if text[i] == "(":
+                depth += 1
+            elif text[i] == ")":
+                depth -= 1
+            i += 1
+        sites.append((path, text.count("\n", 0, m.start()) + 1, m.group(1),
+                      text[m.end():i - 1], field_before(text, m.start())))
+
+failed = False
+
+# Gate 2: every atomic operation there must spell out its
+# std::memory_order (the defaulted order is seq_cst).
+implicit = [f"{path}:{line}: .{op}({args.strip()[:60]}...) has no "
+            f"explicit std::memory_order"
+            for path, line, op, args, _ in sites
+            if path != MUTANT and "memory_order" not in args]
+if implicit:
     print("atomic operations with implicit seq_cst ordering:")
-    print("\n".join(failures))
-    sys.exit(1)
+    print("\n".join(implicit))
+    failed = True
+
+# Gate 6: per field, acquire-side consumers need a release-side
+# publisher and vice versa. An RMW with acq_rel (or seq_cst) counts as
+# both, so CAS-transaction fields satisfy the rule by construction; the
+# gate exists for split protocols (store-release / load-acquire) where a
+# downgrade on either side silently breaks the other.
+RELEASE = {"memory_order_release", "memory_order_acq_rel",
+           "memory_order_seq_cst"}
+ACQUIRE = {"memory_order_acquire", "memory_order_consume",
+           "memory_order_acq_rel", "memory_order_seq_cst"}
+# Lexical aliases for one location reached under two names: the global
+# bit-field array is mutated through the AreaBits view (`words_`,
+# src/llfree/bitfield.h) but read by the invariants oracle through the
+# SharedState accessor (`bitfield()`). Extend this table deliberately —
+# every entry is a pairing the lexical scan cannot see on its own.
+ALIASES = {"bitfield": "words"}
+
+publishers = {}  # field -> [site, ...]
+consumers = {}
+fields = set()
+for path, line, op, args, field in sites:
+    orders = re.findall(r"memory_order_\w+", args)
+    if not orders or not field:
+        continue  # forwarded parameter order (gate 2 polices this)
+    # Repo convention: member `bitfield_` and accessor `bitfield()`
+    # name the same location — aggregate them as one protocol field.
+    field = ALIASES.get(field.rstrip("_"), field.rstrip("_"))
+    fields.add(field)
+    site = f"{path}:{line}: .{op}({', '.join(orders)})"
+    if op == "load":
+        acquire, release = orders[0] in ACQUIRE, False
+    elif op == "store":
+        acquire, release = False, orders[0] in RELEASE
+    else:  # exchange / fetch_* / CAS, whose failure order may acquire
+        acquire = orders[0] in ACQUIRE or (
+            op.startswith("compare_exchange") and len(orders) > 1 and
+            orders[1] in ACQUIRE)
+        release = orders[0] in RELEASE
+    if release:
+        publishers.setdefault(field, []).append(site)
+    if acquire:
+        consumers.setdefault(field, []).append(site)
+
+one_sided = []
+for field in sorted(fields):
+    if field in consumers and field not in publishers:
+        one_sided.append(
+            f"field '{field}' has acquire-side consumers but no "
+            f"release/acq_rel/seq_cst publisher — the acquire orders "
+            f"nothing:\n    " + "\n    ".join(consumers[field]))
+    elif field in publishers and field not in consumers:
+        one_sided.append(
+            f"field '{field}' has release-side publishers but no "
+            f"acquire-side consumer — nobody orders against the "
+            f"release:\n    " + "\n    ".join(publishers[field]))
+if one_sided:
+    print("one-sided atomic ordering protocols:")
+    print("\n".join(one_sided))
+    failed = True
+
+sys.exit(1 if failed else 0)
 EOF
 
 echo "-- gate 3: clang-tidy (bugprone-*, concurrency-*)"
@@ -205,144 +302,6 @@ for number, where in sorted(subsections.items()):
 
 if failures:
     print("docs drifted from the sources:")
-    print("\n".join(failures))
-    sys.exit(1)
-EOF
-
-echo "-- gate 6: per-field atomic ordering protocol (publisher/consumer pairing)"
-python3 - <<'EOF' || status=1
-import os
-import re
-import sys
-from pathlib import Path
-
-# Builds a per-field ordering-protocol table from every atomic member
-# operation in the gate-2 directories and checks that the release and
-# acquire sides pair up. An RMW with acq_rel (or seq_cst) counts as both
-# publisher and consumer, so CAS-transaction fields satisfy the rule by
-# construction; the gate exists for split protocols (store-release /
-# load-acquire) where a downgrade on either side silently breaks the
-# other.
-OPS = ("load", "store", "exchange", "compare_exchange_weak",
-       "compare_exchange_strong", "fetch_add", "fetch_sub", "fetch_or",
-       "fetch_and", "fetch_xor")
-RELEASE = {"memory_order_release", "memory_order_acq_rel",
-           "memory_order_seq_cst"}
-ACQUIRE = {"memory_order_acquire", "memory_order_consume",
-           "memory_order_acq_rel", "memory_order_seq_cst"}
-
-# The shim forwards caller-provided orders (exempt from gate 2 for the
-# same reason); its internal std::atomic member is not a protocol field.
-EXEMPT_FILES = {Path("src/check/shim.h")}
-
-# Lexical aliases for one location reached under two names: the global
-# bit-field array is mutated through the AreaBits view (`words_`,
-# src/llfree/bitfield.h) but read by the invariants oracle through the
-# SharedState accessor (`bitfield()`). Extend this table deliberately —
-# every entry is a pairing the lexical scan cannot see on its own.
-ALIASES = {"bitfield": "words"}
-
-call_re = re.compile(r"(?:\.|->)(%s)\s*\(" % "|".join(OPS))
-
-
-def field_before(text, pos):
-    """The member name the op is invoked on: the identifier before the
-    ./-> accessor, skipping one trailing [index] or (call) group."""
-    i = pos
-    while i > 0 and text[i - 1] in ")]":
-        close = text[i - 1]
-        opener = "(" if close == ")" else "["
-        depth = 0
-        while i > 0:
-            i -= 1
-            if text[i] == close:
-                depth += 1
-            elif text[i] == opener:
-                depth -= 1
-                if depth == 0:
-                    break
-    j = i
-    while j > 0 and (text[j - 1].isalnum() or text[j - 1] == "_"):
-        j -= 1
-    return text[j:i]
-
-
-publishers = {}  # field -> [site, ...]
-consumers = {}
-sites = {}       # field -> every op site, for the report
-
-roots = ["src/llfree", "src/core", "src/trace", "src/check", "src/hv",
-         "src/balloon"]
-files = []
-for root in roots:
-    files += sorted(Path(root).rglob("*.cc")) + sorted(
-        Path(root).rglob("*.h"))
-if os.environ.get("HA_LINT_GATE6_MUTANT") == "1":
-    files.append(Path("tests/lint/gate6_protocol_mutant.cc"))
-
-for path in files:
-    if path in EXEMPT_FILES:
-        continue
-    text = path.read_text()
-    for m in call_re.finditer(text):
-        op = m.group(1)
-        depth, i = 1, m.end()
-        while i < len(text) and depth:
-            if text[i] == "(":
-                depth += 1
-            elif text[i] == ")":
-                depth -= 1
-            i += 1
-        args = text[m.end():i - 1]
-        orders = re.findall(r"memory_order_\w+", args)
-        if not orders:
-            continue  # forwarded parameter order (gate 2 polices this)
-        field = field_before(text, m.start())
-        if not field:
-            continue
-        # Repo convention: member `bitfield_` and accessor `bitfield()`
-        # name the same location — aggregate them as one protocol field.
-        field = field.rstrip("_")
-        field = ALIASES.get(field, field)
-        line = text.count("\n", 0, m.start()) + 1
-        site = f"{path}:{line}: .{op}({', '.join(orders)})"
-        sites.setdefault(field, []).append(site)
-        if op == "load":
-            if orders[0] in ACQUIRE:
-                consumers.setdefault(field, []).append(site)
-        elif op == "store":
-            if orders[0] in RELEASE:
-                publishers.setdefault(field, []).append(site)
-        elif op.startswith("compare_exchange"):
-            if orders[0] in RELEASE:
-                publishers.setdefault(field, []).append(site)
-            if orders[0] in ACQUIRE:
-                consumers.setdefault(field, []).append(site)
-            if len(orders) > 1 and orders[1] in ACQUIRE:
-                consumers.setdefault(field, []).append(site)
-        else:  # exchange / fetch_*
-            if orders[0] in RELEASE:
-                publishers.setdefault(field, []).append(site)
-            if orders[0] in ACQUIRE:
-                consumers.setdefault(field, []).append(site)
-
-failures = []
-for field in sorted(sites):
-    has_pub = field in publishers
-    has_con = field in consumers
-    if has_con and not has_pub:
-        failures.append(
-            f"field '{field}' has acquire-side consumers but no "
-            f"release/acq_rel/seq_cst publisher — the acquire orders "
-            f"nothing:\n    " + "\n    ".join(consumers[field]))
-    elif has_pub and not has_con:
-        failures.append(
-            f"field '{field}' has release-side publishers but no "
-            f"acquire-side consumer — nobody orders against the "
-            f"release:\n    " + "\n    ".join(publishers[field]))
-
-if failures:
-    print("one-sided atomic ordering protocols:")
     print("\n".join(failures))
     sys.exit(1)
 EOF

@@ -6,59 +6,16 @@
 
 namespace hyperalloc::llfree {
 
-std::optional<unsigned> AreaBits::Set(unsigned order, unsigned start_hint) {
+unsigned AreaBits::Set(unsigned order, unsigned count, unsigned* offsets) {
   HA_CHECK(order <= kMaxBitfieldOrder);
   if (order > kMaxSingleWordOrder) {
-    return SetMultiWord(order, start_hint);
+    return SetMultiWord(order, count, offsets);
   }
   const unsigned run = 1u << order;
   const uint64_t mask = (order == 6) ? ~0ull : ((1ull << run) - 1);
-  const unsigned first_word = (start_hint / 64) % kWordsPerArea;
-  // Run-aligned in-word position of the hint; the first word scanned
-  // starts there and wraps so the hinted run itself is tried first.
-  const unsigned first_pos = (start_hint % 64) & ~(run - 1);
-
-  for (unsigned i = 0; i < kWordsPerArea; ++i) {
-    const unsigned w = (first_word + i) % kWordsPerArea;
-    const unsigned start_pos = (i == 0) ? first_pos : 0;
-    Atomic<uint64_t>& word = words_[w];
-    uint64_t current = word.load(std::memory_order_acquire);
-    for (;;) {
-      // Find an aligned zero run in `current`, starting at the hinted
-      // position and wrapping within the word.
-      int shift = -1;
-      for (unsigned j = 0; j < 64; j += run) {
-        const unsigned pos = (start_pos + j) % 64;
-        if ((current & (mask << pos)) == 0) {
-          shift = static_cast<int>(pos);
-          break;
-        }
-      }
-      if (shift < 0) {
-        break;  // word full for this order; next word
-      }
-      const uint64_t desired = current | (mask << shift);
-      if (word.compare_exchange_weak(current, desired,
-                                     std::memory_order_acq_rel,
-                                     std::memory_order_acquire)) {
-        return w * 64 + static_cast<unsigned>(shift);
-      }
-      // CAS failed: `current` reloaded; retry within this word.
-    }
-  }
-  return std::nullopt;
-}
-
-unsigned AreaBits::SetBatch(unsigned order, unsigned count,
-                            unsigned start_hint, unsigned* offsets) {
-  HA_CHECK(order <= kMaxSingleWordOrder);
-  const unsigned run = 1u << order;
-  const uint64_t mask = (order == 6) ? ~0ull : ((1ull << run) - 1);
-  const unsigned first_word = (start_hint / 64) % kWordsPerArea;
   unsigned claimed = 0;
 
-  for (unsigned i = 0; i < kWordsPerArea && claimed < count; ++i) {
-    const unsigned w = (first_word + i) % kWordsPerArea;
+  for (unsigned w = 0; w < kWordsPerArea && claimed < count; ++w) {
     Atomic<uint64_t>& word = words_[w];
     uint64_t current = word.load(std::memory_order_acquire);
     for (;;) {
@@ -112,35 +69,35 @@ unsigned AreaBits::SetBatch(unsigned order, unsigned count,
   return claimed;
 }
 
-std::optional<unsigned> AreaBits::SetMultiWord(unsigned order,
-                                               unsigned start_hint) {
-  // Orders 7..8 cover 2/4 naturally aligned whole words. Claim the run
-  // word-by-word (each word 0 -> ~0); on a conflict, roll back the words
-  // already taken. Lock-free: every step is a CAS, rollback cannot fail.
-  // The hint selects which run-aligned word group is tried first,
-  // wrapping over the area.
+unsigned AreaBits::SetMultiWord(unsigned order, unsigned count,
+                                unsigned* offsets) {
+  // Orders 7..8 cover 2/4 naturally aligned whole words. Each iteration
+  // claims one run word-by-word (each word 0 -> ~0); on a conflict, it
+  // rolls back the words already taken and moves to the next run.
+  // Lock-free: every step is a CAS, rollback cannot fail.
   const unsigned words_per_run = (1u << order) / 64;
   const unsigned num_runs = kWordsPerArea / words_per_run;
-  const unsigned first_run = ((start_hint / 64) / words_per_run) % num_runs;
-  for (unsigned r = 0; r < num_runs; ++r) {
-    const unsigned base = ((first_run + r) % num_runs) * words_per_run;
-    unsigned claimed = 0;
-    for (; claimed < words_per_run; ++claimed) {
+  unsigned claimed = 0;
+  for (unsigned r = 0; r < num_runs && claimed < count; ++r) {
+    const unsigned base = r * words_per_run;
+    unsigned taken = 0;
+    for (; taken < words_per_run; ++taken) {
       uint64_t expected = 0;
-      if (!words_[base + claimed].compare_exchange_strong(
+      if (!words_[base + taken].compare_exchange_strong(
               expected, ~0ull, std::memory_order_acq_rel,
               std::memory_order_acquire)) {
         break;
       }
     }
-    if (claimed == words_per_run) {
-      return base * 64;
+    if (taken == words_per_run) {
+      offsets[claimed++] = base * 64;
+      continue;
     }
-    while (claimed-- > 0) {
-      words_[base + claimed].store(0, std::memory_order_release);
+    while (taken-- > 0) {
+      words_[base + taken].store(0, std::memory_order_release);
     }
   }
-  return std::nullopt;
+  return claimed;
 }
 
 bool AreaBits::Clear(unsigned offset, unsigned order) {

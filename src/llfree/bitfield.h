@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 
 #include "src/base/atomic.h"
 #include "src/base/types.h"
@@ -25,27 +24,21 @@ class AreaBits {
  public:
   explicit AreaBits(Atomic<uint64_t>* words) : words_(words) {}
 
-  // Finds and claims a naturally aligned run of 2^order zero bits.
-  // `start_hint` is a frame offset within the area (0..511) biasing where
-  // the search begins — both the word and the in-word position, wrapping
-  // in each. Returns the frame offset within the area.
-  std::optional<unsigned> Set(unsigned order, unsigned start_hint);
-
-  // Batched claim (orders 0..kMaxSingleWordOrder): claims up to `count`
-  // naturally aligned runs of 2^order zero bits, word-at-a-time — every
-  // run found within one word is taken by a single CAS, so one CAS can
-  // claim up to 64 base frames. Writes the frame offset of each claimed
-  // run to `offsets` (capacity >= count) and returns the number claimed;
-  // fewer than `count` means the area ran out of runs of this order.
-  unsigned SetBatch(unsigned order, unsigned count, unsigned start_hint,
-                    unsigned* offsets);
+  // Claims up to `count` naturally aligned runs of 2^order zero bits
+  // (orders 0..8), lowest offsets first. Orders 0..6 claim word-at-a-time:
+  // every run found within one word is taken by a single CAS, so one CAS
+  // can claim up to 64 base frames. Orders 7..8 claim one multi-word run
+  // per iteration. Writes the frame offset of each claimed run to
+  // `offsets` (capacity >= count) and returns the number claimed; fewer
+  // than `count` means the area ran out of runs of this order.
+  unsigned Set(unsigned order, unsigned count, unsigned* offsets);
 
   // Clears a previously set run. Returns false (and changes nothing) if
   // any bit in the run was already clear — i.e. a double free.
   bool Clear(unsigned offset, unsigned order);
 
   // Batched clear: clears every bit in `mask` within word `w` with one
-  // CAS (the put-side counterpart of SetBatch; `mask` is a union of
+  // CAS (the put-side counterpart of Set; `mask` is a union of
   // previously claimed single-word runs). Returns false — changing
   // nothing — if any bit in the mask is already clear (double free
   // somewhere in the batch; the caller falls back to per-run clears to
@@ -63,7 +56,7 @@ class AreaBits {
   void FillAll();
 
  private:
-  std::optional<unsigned> SetMultiWord(unsigned order, unsigned start_hint);
+  unsigned SetMultiWord(unsigned order, unsigned count, unsigned* offsets);
 
   Atomic<uint64_t>* words_;
 };

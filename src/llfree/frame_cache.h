@@ -2,9 +2,10 @@
 // (DESIGN.md §4.10). The same idiom as Linux's per-CPU page lists: each
 // slot holds a small stack of order-0 movable frames so the common
 // alloc/free pair touches no shared cache line at all. The cache refills
-// and drains in batches via LLFree::GetBatch/PutBatch, so even the
-// misses are amortized word-at-a-time claims instead of full Get
-// transactions.
+// and drains in batches via LLFree::GetBatch/PutBatch: a refill is one
+// pass of LLFree's claim loop for `refill` runs (one reservation CAS,
+// word-at-a-time claims), so even the misses are amortized instead of
+// paying `refill` Get transactions.
 //
 // Discipline: exactly one thread may use a given slot at a time (the
 // same rule as LLFree's per-core reservation slots). The stacks are
@@ -43,9 +44,9 @@ class FrameCache {
 
   // Order-0 movable allocations are served from the slot's stack,
   // refilling in batches when empty; everything else passes through to
-  // the allocator. The refill (GetBatch) itself exercises the
-  // single-Get pressure fallback for its tail, so a refill that claims
-  // zero frames means the allocator is genuinely dry (kNoMemory).
+  // the allocator. Runs the refill's claim loop cannot take are retried
+  // through single Gets, pressure fallback included, so a refill that
+  // claims zero frames means the allocator is genuinely dry (kNoMemory).
   Result<FrameId> Get(unsigned core, unsigned order, AllocType type);
 
   // Order-0 *movable* frees park in the slot's stack (draining overflow

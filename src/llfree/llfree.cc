@@ -19,6 +19,10 @@ SharedState::SharedState(uint64_t frames, const Config& config)
   HA_CHECK(frames > 0);
   HA_CHECK(frames % kFramesPerHuge == 0);
   HA_CHECK(config.areas_per_tree > 0);
+  // A tree's free count lives in the 16-bit counters of TreeEntry and
+  // Reservation; a larger tree would overflow them.
+  HA_CHECK(uint64_t{config.areas_per_tree} * kFramesPerHuge <=
+           TreeEntry::kFreeMask);
   HA_CHECK(config.NumSlots() > 0);
 
   num_areas_ = frames / kFramesPerHuge;
@@ -90,32 +94,6 @@ uint64_t LLFree::TreeCapacity(uint64_t tree) const {
 // ----------------------------------------------------------------------
 // Reservation management
 // ----------------------------------------------------------------------
-
-std::optional<uint64_t> LLFree::TakeFromReservation(unsigned slot,
-                                                    unsigned need) {
-  Atomic<uint64_t>& slot_atom = state_->reservations_[slot];
-  for (;;) {
-    uint64_t raw = slot_atom.load(std::memory_order_acquire);
-    const Reservation r = Reservation::Unpack(raw);
-    if (!r.active) {
-      return std::nullopt;
-    }
-    if (r.free >= need) {
-      Reservation next = r;
-      next.free = static_cast<uint16_t>(r.free - need);
-      uint64_t expected = raw;
-      if (slot_atom.compare_exchange_weak(expected, next.Pack(),
-                                          std::memory_order_acq_rel,
-                                          std::memory_order_acquire)) {
-        return r.tree;
-      }
-      continue;  // raced; retry
-    }
-    if (!ReStealIntoReservation(slot, raw)) {
-      return std::nullopt;  // genuinely dry; caller reserves a new tree
-    }
-  }
-}
 
 std::optional<uint64_t> LLFree::TakeUpToFromReservation(unsigned slot,
                                                         unsigned run,
@@ -350,35 +328,15 @@ Result<FrameId> LLFree::Get(unsigned core, unsigned order, AllocType type) {
     HA_COUNT("llfree.get_fail");
     return AllocError::kInvalid;
   }
-  const bool huge = order == kHugeOrder;
-  const AllocType effective_type = huge && config().mode ==
-      Config::ReservationMode::kPerType ? AllocType::kHuge : type;
-  const unsigned need = 1u << order;
-  const unsigned slot = SlotFor(core, effective_type);
-
-  std::optional<uint64_t> avoid;
-  for (unsigned attempt = 0; attempt < kMaxReserveAttempts; ++attempt) {
-    std::optional<uint64_t> tree = TakeFromReservation(slot, need);
-    if (!tree.has_value()) {
-      if (!ReserveNewTree(slot, effective_type, need, avoid)) {
-        return GetFallback(order, huge);
-      }
-      continue;
-    }
-    std::optional<FrameId> frame =
-        huge ? SearchTreeHuge(*tree) : SearchTree(*tree, order);
-    if (frame.has_value()) {
-      HA_COUNT("llfree.get");
-      HA_HIST("llfree.get_order", order);
-      return *frame;
-    }
-    // The counter promised frames, but no suitable run exists in this
-    // tree (fragmentation or a race). Return the frames and move on.
-    GiveBack(slot, *tree, need);
-    avoid = *tree;
-    if (!ReserveNewTree(slot, effective_type, need, avoid)) {
-      return GetFallback(order, huge);
-    }
+  FrameId frame = 0;
+  bool dry = false;
+  if (ClaimRuns(core, order, type, std::span<FrameId>(&frame, 1), &dry) == 1) {
+    HA_COUNT("llfree.get");
+    HA_HIST("llfree.get_order", order);
+    return frame;
+  }
+  if (dry) {
+    return GetFallback(order);
   }
   HA_COUNT("llfree.get_fail");
   return AllocError::kRetry;
@@ -386,52 +344,14 @@ Result<FrameId> LLFree::Get(unsigned core, unsigned order, AllocType type) {
 
 unsigned LLFree::GetBatch(unsigned core, unsigned order, unsigned count,
                           AllocType type, std::vector<FrameId>* out) {
-  if (count == 0) {
-    return 0;
-  }
-  if (order == kHugeOrder) {
-    return GetBatchHuge(core, count, type, out);
-  }
-  if (order > kMaxSingleWordOrder) {
-    // Multi-word orders (7..8) gain nothing from word-batching (each
-    // run already spans whole words); loop the single-run path.
-    unsigned done = 0;
-    for (; done < count; ++done) {
-      const Result<FrameId> r = Get(core, order, type);
-      if (!r.ok()) {
-        break;
-      }
-      out->push_back(*r);
-    }
-    return done;
-  }
-
-  const unsigned run = 1u << order;
-  const unsigned slot = SlotFor(core, type);
   unsigned claimed = 0;
-  std::optional<uint64_t> avoid;
-  for (unsigned attempt = 0;
-       attempt < kMaxReserveAttempts && claimed < count; ++attempt) {
-    unsigned taken_runs = 0;
-    const std::optional<uint64_t> tree =
-        TakeUpToFromReservation(slot, run, count - claimed, &taken_runs);
-    if (!tree.has_value()) {
-      if (!ReserveNewTree(slot, type, run, avoid)) {
-        break;
-      }
-      continue;
-    }
-    const unsigned got = SearchTreeBatch(*tree, order, taken_runs, out);
-    claimed += got;
-    if (got < taken_runs) {
-      // The counter promised more runs than the tree could deliver
-      // (fragmentation or a race): return the shortfall and move on.
-      GiveBack(slot, *tree, (taken_runs - got) * run);
-      avoid = *tree;
-      if (!ReserveNewTree(slot, type, run, avoid)) {
-        break;
-      }
-    }
+  if (count > 0 && (order <= kMaxBitfieldOrder || order == kHugeOrder)) {
+    const size_t base = out->size();
+    out->resize(base + count);
+    bool dry = false;
+    claimed = ClaimRuns(core, order, type,
+                        std::span<FrameId>(out->data() + base, count), &dry);
+    out->resize(base + claimed);
   }
   // The singles tail below counts its own "llfree.get"s.
   if (claimed > 0) {
@@ -452,68 +372,56 @@ unsigned LLFree::GetBatch(unsigned core, unsigned order, unsigned count,
   return claimed;
 }
 
-unsigned LLFree::GetBatchHuge(unsigned core, unsigned count, AllocType type,
-                              std::vector<FrameId>* out) {
-  // Native order-9 batch (DESIGN.md §4.14): the reservation CAS debits
-  // whole multiples of kFramesPerHuge and each tree visit claims every
-  // free huge frame it can, so a slice-sized deflate (512 MiB = 256 huge
-  // frames) costs a handful of reservation transactions instead of 256
-  // full Get transactions.
-  const AllocType effective_type =
-      config().mode == Config::ReservationMode::kPerType ? AllocType::kHuge
-                                                         : type;
-  const unsigned slot = SlotFor(core, effective_type);
+unsigned LLFree::ClaimRuns(unsigned core, unsigned order, AllocType type,
+                           std::span<FrameId> out, bool* dry) {
+  // Order-9 traffic has its own reservation slot in the per-type mode.
+  if (order == kHugeOrder &&
+      config().mode == Config::ReservationMode::kPerType) {
+    type = AllocType::kHuge;
+  }
+  const unsigned slot = SlotFor(core, type);
+  const unsigned run = 1u << order;
+  const unsigned count = static_cast<unsigned>(out.size());
   unsigned claimed = 0;
   std::optional<uint64_t> avoid;
   for (unsigned attempt = 0;
        attempt < kMaxReserveAttempts && claimed < count; ++attempt) {
     unsigned taken_runs = 0;
-    const std::optional<uint64_t> tree = TakeUpToFromReservation(
-        slot, kFramesPerHuge, count - claimed, &taken_runs);
+    const std::optional<uint64_t> tree =
+        TakeUpToFromReservation(slot, run, count - claimed, &taken_runs);
     if (!tree.has_value()) {
-      if (!ReserveNewTree(slot, effective_type, kFramesPerHuge, avoid)) {
+      if (!ReserveNewTree(slot, type, run, avoid)) {
+        *dry = true;
         break;
       }
       continue;
     }
-    const unsigned got = SearchTreeHugeBatch(*tree, taken_runs, out);
+    const unsigned got =
+        SearchTree(*tree, order, out.subspan(claimed, taken_runs));
     claimed += got;
     if (got < taken_runs) {
-      // The counter promised more whole areas than the tree held
+      // The counter promised more runs than the tree could deliver
       // (fragmentation or a race): return the shortfall and move on.
-      GiveBack(slot, *tree, (taken_runs - got) * kFramesPerHuge);
+      GiveBack(slot, *tree, (taken_runs - got) * run);
       avoid = *tree;
-      if (!ReserveNewTree(slot, effective_type, kFramesPerHuge, avoid)) {
+      if (!ReserveNewTree(slot, type, run, avoid)) {
+        *dry = true;
         break;
       }
     }
   }
-  // The singles tail below counts its own "llfree.get"s.
-  if (claimed > 0) {
-    HA_COUNT_N("llfree.get", claimed);
-    HA_COUNT("llfree.get_batch");
-    HA_HIST("llfree.get_batch_runs", claimed);
-  }
-  // Tail under pressure: fall back to single Gets so the batch keeps the
-  // exact semantics (fallback steal included) of `count` single calls.
-  while (claimed < count) {
-    const Result<FrameId> r = Get(core, kHugeOrder, type);
-    if (!r.ok()) {
-      break;
-    }
-    out->push_back(*r);
-    ++claimed;
-  }
   return claimed;
 }
 
-Result<FrameId> LLFree::GetFallback(unsigned order, bool huge) {
+Result<FrameId> LLFree::GetFallback(unsigned order) {
   // Last resort under memory pressure: no unreserved tree has room, but
   // trees reserved by *other* slots (or fragmented ones) may still hold
   // free frames. Steal directly from the global tree counters, ignoring
   // the reserved flag.
   HA_COUNT("llfree.fallback_steal");
   const unsigned need = 1u << order;
+  FrameId frame = 0;
+  const std::span<FrameId> one(&frame, 1);
   for (uint64_t t = 0; t < num_trees(); ++t) {
     const auto stolen = AtomicUpdate(
         state_->trees_[t], [&](uint32_t raw) -> std::optional<uint32_t> {
@@ -527,12 +435,10 @@ Result<FrameId> LLFree::GetFallback(unsigned order, bool huge) {
     if (!stolen.has_value()) {
       continue;
     }
-    const std::optional<FrameId> frame =
-        huge ? SearchTreeHuge(t) : SearchTree(t, order);
-    if (frame.has_value()) {
+    if (SearchTree(t, order, one) == 1) {
       HA_COUNT("llfree.get");
       HA_HIST("llfree.get_order", order);
-      return *frame;
+      return frame;
     }
     AtomicUpdate(state_->trees_[t],
                  [&](uint32_t raw) -> std::optional<uint32_t> {
@@ -559,12 +465,10 @@ Result<FrameId> LLFree::GetFallback(unsigned order, bool huge) {
     if (!taken.has_value()) {
       continue;
     }
-    const std::optional<FrameId> frame =
-        huge ? SearchTreeHuge(victim_tree) : SearchTree(victim_tree, order);
-    if (frame.has_value()) {
+    if (SearchTree(victim_tree, order, one) == 1) {
       HA_COUNT("llfree.get");
       HA_HIST("llfree.get_order", order);
-      return *frame;
+      return frame;
     }
     GiveBack(s, victim_tree, need);
   }
@@ -572,141 +476,31 @@ Result<FrameId> LLFree::GetFallback(unsigned order, bool huge) {
   return AllocError::kNoMemory;
 }
 
-std::optional<FrameId> LLFree::SearchTree(uint64_t tree, unsigned order) {
-  const uint64_t first = FirstAreaOf(tree);
-  const uint64_t count = AreasInTree(tree);
-  const int start_pass = config().prefer_non_evicted ? 0 : 1;
-  for (int pass = start_pass; pass < 2; ++pass) {
-    for (uint64_t i = 0; i < count; ++i) {
-      const uint64_t area = first + i;
-      const AreaEntry entry =
-          AreaEntry::Unpack(state_->areas_[area].load(std::memory_order_acquire));
-      if (entry.allocated || entry.free < (1u << order)) {
-        continue;
-      }
-      if (pass == 0 && entry.evicted) {
-        continue;
-      }
-      FrameId frame = 0;
-      if (ClaimBase(area, order, &frame)) {
-        return frame;
-      }
-    }
-  }
-  return std::nullopt;
-}
-
-unsigned LLFree::SearchTreeBatch(uint64_t tree, unsigned order,
-                                 unsigned count, std::vector<FrameId>* out) {
+unsigned LLFree::SearchTree(uint64_t tree, unsigned order,
+                            std::span<FrameId> out) {
   const uint64_t first = FirstAreaOf(tree);
   const uint64_t areas = AreasInTree(tree);
-  const int start_pass = config().prefer_non_evicted ? 0 : 1;
+  const unsigned run = 1u << order;
   unsigned claimed = 0;
-  for (int pass = start_pass; pass < 2 && claimed < count; ++pass) {
-    for (uint64_t i = 0; i < areas && claimed < count; ++i) {
+  // Pass 0 skips evicted areas, so frames still backed by host memory go
+  // first; pass 1 takes any area (an evicted one triggers an install).
+  for (int pass = 0; pass < 2 && claimed < out.size(); ++pass) {
+    for (uint64_t i = 0; i < areas && claimed < out.size(); ++i) {
       const uint64_t area = first + i;
       const AreaEntry entry = AreaEntry::Unpack(
           state_->areas_[area].load(std::memory_order_acquire));
-      if (entry.allocated || entry.free < (1u << order)) {
+      if (entry.allocated || entry.free < run ||
+          (pass == 0 && entry.evicted)) {
         continue;
       }
-      if (pass == 0 && entry.evicted) {
-        continue;
-      }
-      claimed += ClaimBaseBatch(area, order, count - claimed, out);
+      claimed += ClaimInArea(area, order, out.subspan(claimed));
     }
   }
   return claimed;
 }
 
-std::optional<FrameId> LLFree::SearchTreeHuge(uint64_t tree) {
-  const uint64_t first = FirstAreaOf(tree);
-  const uint64_t count = AreasInTree(tree);
-  const int start_pass = config().prefer_non_evicted ? 0 : 1;
-  for (int pass = start_pass; pass < 2; ++pass) {
-    for (uint64_t i = 0; i < count; ++i) {
-      const uint64_t area = first + i;
-      const AreaEntry entry =
-          AreaEntry::Unpack(state_->areas_[area].load(std::memory_order_acquire));
-      if (!entry.IsFreeHuge()) {
-        continue;
-      }
-      if (pass == 0 && entry.evicted) {
-        continue;
-      }
-      if (ClaimHuge(area)) {
-        return HugeToFrame(area);
-      }
-    }
-  }
-  return std::nullopt;
-}
-
-unsigned LLFree::SearchTreeHugeBatch(uint64_t tree, unsigned count,
-                                     std::vector<FrameId>* out) {
-  const uint64_t first = FirstAreaOf(tree);
-  const uint64_t areas = AreasInTree(tree);
-  const int start_pass = config().prefer_non_evicted ? 0 : 1;
-  unsigned claimed = 0;
-  for (int pass = start_pass; pass < 2 && claimed < count; ++pass) {
-    for (uint64_t i = 0; i < areas && claimed < count; ++i) {
-      const uint64_t area = first + i;
-      const AreaEntry entry = AreaEntry::Unpack(
-          state_->areas_[area].load(std::memory_order_acquire));
-      if (!entry.IsFreeHuge()) {
-        continue;
-      }
-      if (pass == 0 && entry.evicted) {
-        continue;
-      }
-      if (ClaimHuge(area)) {
-        out->push_back(HugeToFrame(area));
-        ++claimed;
-      }
-    }
-  }
-  return claimed;
-}
-
-bool LLFree::ClaimBase(uint64_t area, unsigned order, FrameId* out) {
-  const unsigned need = 1u << order;
-  bool was_evicted = false;
-  const auto claimed = AtomicUpdate(
-      state_->areas_[area], [&](uint16_t raw) -> std::optional<uint16_t> {
-        AreaEntry entry = AreaEntry::Unpack(raw);
-        if (entry.allocated || entry.free < need) {
-          return std::nullopt;
-        }
-        was_evicted = entry.evicted;
-        entry.free = static_cast<uint16_t>(entry.free - need);
-        return entry.Pack();
-      });
-  if (!claimed.has_value()) {
-    return false;
-  }
-  const std::optional<unsigned> offset = BitsOf(area).Set(order, 0);
-  if (!offset.has_value()) {
-    // Counter said yes, bit field says no: transient race with concurrent
-    // claims. Roll the counter back.
-    AtomicUpdate(state_->areas_[area],
-                 [&](uint16_t raw) -> std::optional<uint16_t> {
-                   AreaEntry entry = AreaEntry::Unpack(raw);
-                   entry.free = static_cast<uint16_t>(entry.free + need);
-                   return entry.Pack();
-                 });
-    return false;
-  }
-  if (was_evicted) {
-    // DMA safety: wait for the hypervisor to install backing memory
-    // before handing the frame to the caller (§3.2).
-    TriggerInstall(area);
-  }
-  *out = HugeToFrame(area) + *offset;
-  return true;
-}
-
-unsigned LLFree::ClaimBaseBatch(uint64_t area, unsigned order,
-                                unsigned count, std::vector<FrameId>* out) {
+unsigned LLFree::ClaimInArea(uint64_t area, unsigned order,
+                             std::span<FrameId> out) {
   const unsigned run = 1u << order;
   bool was_evicted = false;
   unsigned want = 0;
@@ -717,57 +511,45 @@ unsigned LLFree::ClaimBaseBatch(uint64_t area, unsigned order,
           return std::nullopt;
         }
         was_evicted = entry.evicted;
-        want = std::min<unsigned>(count, entry.free / run);
+        want = std::min<unsigned>(static_cast<unsigned>(out.size()),
+                                  entry.free / run);
         entry.free = static_cast<uint16_t>(entry.free - want * run);
+        // An order-9 claim takes the whole area through its allocated
+        // flag and never touches the bit field.
+        entry.allocated = order == kHugeOrder;
         return entry.Pack();
       });
   if (!taken.has_value()) {
     return 0;
   }
-  unsigned offsets[kFramesPerHuge];
-  const unsigned got = BitsOf(area).SetBatch(order, want, 0, offsets);
-  if (got < want) {
-    // Counter promised more runs than the bit field held (transient race
-    // with concurrent claims): roll the shortfall back.
-    AtomicUpdate(state_->areas_[area],
-                 [&](uint16_t raw) -> std::optional<uint16_t> {
-                   AreaEntry entry = AreaEntry::Unpack(raw);
-                   entry.free = static_cast<uint16_t>(entry.free +
-                                                      (want - got) * run);
-                   return entry.Pack();
-                 });
+  unsigned got = want;
+  if (order == kHugeOrder) {
+    out[0] = HugeToFrame(area);
+  } else {
+    unsigned offsets[kFramesPerHuge];
+    got = BitsOf(area).Set(order, want, offsets);
+    if (got < want) {
+      // Counter promised more runs than the bit field held (transient
+      // race with concurrent claims): roll the shortfall back.
+      AtomicUpdate(state_->areas_[area],
+                   [&](uint16_t raw) -> std::optional<uint16_t> {
+                     AreaEntry entry = AreaEntry::Unpack(raw);
+                     entry.free = static_cast<uint16_t>(entry.free +
+                                                        (want - got) * run);
+                     return entry.Pack();
+                   });
+    }
+    for (unsigned i = 0; i < got; ++i) {
+      out[i] = HugeToFrame(area) + offsets[i];
+    }
   }
   if (got > 0 && was_evicted) {
-    // DMA safety, once per area rather than once per frame: the whole
-    // batch waits for a single install (§3.2 at batch granularity).
+    // DMA safety: wait for the hypervisor to install backing memory
+    // before handing the frames to the caller (§3.2), once per area
+    // rather than once per frame.
     TriggerInstall(area);
-  }
-  for (unsigned i = 0; i < got; ++i) {
-    out->push_back(HugeToFrame(area) + offsets[i]);
   }
   return got;
-}
-
-bool LLFree::ClaimHuge(uint64_t area) {
-  bool was_evicted = false;
-  const auto claimed = AtomicUpdate(
-      state_->areas_[area], [&](uint16_t raw) -> std::optional<uint16_t> {
-        AreaEntry entry = AreaEntry::Unpack(raw);
-        if (!entry.IsFreeHuge()) {
-          return std::nullopt;
-        }
-        was_evicted = entry.evicted;
-        entry.free = 0;
-        entry.allocated = true;
-        return entry.Pack();
-      });
-  if (!claimed.has_value()) {
-    return false;
-  }
-  if (was_evicted) {
-    TriggerInstall(area);
-  }
-  return true;
 }
 
 void LLFree::TriggerInstall(HugeId huge) {
@@ -1001,7 +783,7 @@ unsigned LLFree::ClaimFreeInArea(HugeId area, std::vector<FrameId>* out) {
     // claimed frames are the holes the migration fills around and are
     // never written through.
     unsigned offsets[kFramesPerHuge];
-    const unsigned set = BitsOf(area).SetBatch(0, got, 0, offsets);
+    const unsigned set = BitsOf(area).Set(0, got, offsets);
     if (set < got) {
       // Bits raced ahead of the counter: roll the shortfall back.
       AtomicUpdate(state_->areas_[area],

@@ -38,11 +38,9 @@ struct Config {
   // Number of reservation slots in per-core mode.
   unsigned cores = 1;
   // Areas per tree: 8 (16 MiB) for the HyperAlloc variant, 32 (64 MiB)
-  // for the original LLFree.
+  // for the original LLFree. At most 127, so that a tree's free count
+  // fits the 16-bit tree and reservation counters.
   unsigned areas_per_tree = 8;
-  // HyperAlloc allocation policy: prefer frames that are still backed by
-  // host memory over evicted ones.
-  bool prefer_non_evicted = true;
 
   unsigned NumSlots() const {
     return mode == ReservationMode::kPerCore ? cores : kNumAllocTypes;
@@ -147,16 +145,15 @@ class LLFree {
 
   // Batched allocation (DESIGN.md §4.10): claims up to `count` runs of
   // 2^order frames for `core`, appending the first frame of each run to
-  // `out`. For orders 0..6 the claim runs word-at-a-time inside the
-  // slot's reserved tree — one CAS on the reservation takes the whole
-  // batch's worth of frames and one CAS per bit-field word claims every
-  // run that word holds — so a 64-frame order-0 batch costs a handful of
-  // atomics instead of 64 full Get transactions. Order 9 has its own
-  // native batch (§4.14): one reservation CAS covers several huge frames
-  // and each tree visit claims every free area it holds. The remaining
-  // multi-word orders (7..8) fall back to a Get loop. Returns the number
-  // of runs claimed; fewer than `count` means the allocator ran dry (the
-  // pressure fallback is still exercised for the tail, so a batch is
+  // `out`. Get and GetBatch share one claim loop for every order 0..9:
+  // one CAS on the slot's reservation takes the whole batch's worth of
+  // frames, and each area visit claims every run it can — one CAS per
+  // bit-field word for orders 0..6, one multi-word run per iteration for
+  // 7..8, the area's allocated flag for 9 — so a 64-frame order-0 batch
+  // costs a handful of atomics instead of 64 full Get transactions.
+  // Returns the number of runs claimed; fewer than `count` means the
+  // allocator ran dry (runs the loop could not claim are retried through
+  // single Gets, so the pressure fallback still runs and a batch is
   // exactly equivalent to `count` single Gets).
   unsigned GetBatch(unsigned core, unsigned order, unsigned count,
                     AllocType type, std::vector<FrameId>* out);
@@ -279,19 +276,16 @@ class LLFree {
   }
   uint64_t AreasInTree(uint64_t tree) const;
 
-  // Attempts to take `need` frames from the slot's local counter,
-  // re-stealing from the reserved tree's global counter when the local
-  // counter runs dry. Returns the reserved tree index on success.
-  std::optional<uint64_t> TakeFromReservation(unsigned slot, unsigned need);
-
-  // Batch variant: takes between 1 and `max_runs` runs of `run` frames
-  // (as many as the local counter covers), writing the count taken to
-  // `*taken_runs`. Same dry-counter resync as TakeFromReservation.
+  // Takes between 1 and `max_runs` runs of `run` frames from the slot's
+  // local counter (as many as it covers), writing the count taken to
+  // `*taken_runs`; re-steals from the reserved tree's global counter when
+  // the local counter runs dry. Returns the reserved tree index on
+  // success.
   std::optional<uint64_t> TakeUpToFromReservation(unsigned slot, unsigned run,
                                                   unsigned max_runs,
                                                   unsigned* taken_runs);
 
-  // The dry-counter resync of both takes: moves the reserved tree's
+  // The dry-counter resync of the take: moves the reserved tree's
   // global free count into the slot's reservation, whose packed value the
   // caller loaded as `raw`. False when that counter is empty too; true
   // when the caller should retry its take.
@@ -307,43 +301,31 @@ class LLFree {
   bool ReserveNewTree(unsigned slot, AllocType type, unsigned need,
                       std::optional<uint64_t> avoid);
 
-  // Claims 2^order frames inside `tree`. Two internal passes: non-evicted
-  // areas first (if configured), then evicted ones (triggering install).
-  std::optional<FrameId> SearchTree(uint64_t tree, unsigned order);
+  // The one allocation path behind Get and GetBatch: claims up to
+  // `out.size()` runs of 2^order frames (orders 0..9) for `core`, writing
+  // the first frame of each run to `out`. Each attempt takes runs from
+  // the slot's reservation (reserving a new tree when it is dry),
+  // searches the tree and gives any shortfall back. Returns the number of
+  // runs claimed; sets `*dry` when it stopped because no tree could be
+  // reserved (the cue for the pressure fallback).
+  unsigned ClaimRuns(unsigned core, unsigned order, AllocType type,
+                     std::span<FrameId> out, bool* dry);
 
-  // Batch variant: claims up to `count` runs across the tree's areas
-  // (same two evicted-preference passes). Returns the number claimed.
-  unsigned SearchTreeBatch(uint64_t tree, unsigned order, unsigned count,
-                           std::vector<FrameId>* out);
-
-  // Native order-9 batch behind GetBatch (§4.14).
-  unsigned GetBatchHuge(unsigned core, unsigned count, AllocType type,
-                        std::vector<FrameId>* out);
-
-  // Claims one huge frame inside `tree` (area allocated flag).
-  std::optional<FrameId> SearchTreeHuge(uint64_t tree);
-
-  // Batch variant (§4.14): claims up to `count` free huge frames across
-  // the tree's areas (same two evicted-preference passes — installed
-  // frames first, the LLFREE_PREFER_INSTALLED policy). Returns the
-  // number claimed.
-  unsigned SearchTreeHugeBatch(uint64_t tree, unsigned count,
-                               std::vector<FrameId>* out);
+  // Claims up to `out.size()` runs of 2^order frames across the areas of
+  // `tree`: non-evicted areas first, then evicted ones (triggering
+  // install). Returns the number claimed.
+  unsigned SearchTree(uint64_t tree, unsigned order, std::span<FrameId> out);
 
   // Pressure fallback: steals directly from tree counters, ignoring the
   // reserved flag, when no tree can be reserved for the slot.
-  Result<FrameId> GetFallback(unsigned order, bool huge);
+  Result<FrameId> GetFallback(unsigned order);
 
-  // Area-level claim helpers; return true on success.
-  bool ClaimBase(uint64_t area, unsigned order, FrameId* out);
-  bool ClaimHuge(uint64_t area);
-
-  // Batch variant: one counter transaction reserves up to `count` runs in
-  // the area, one word-at-a-time bit-field pass claims them; a shortfall
+  // Area-level claim: one counter transaction reserves up to `out.size()`
+  // runs in the area (order 9 takes the whole area through its allocated
+  // flag), one word-at-a-time bit-field pass claims them, and a shortfall
   // is rolled back to the counter. Install triggers once per area, not
   // per frame (fault sites at batch granularity). Returns runs claimed.
-  unsigned ClaimBaseBatch(uint64_t area, unsigned order, unsigned count,
-                          std::vector<FrameId>* out);
+  unsigned ClaimInArea(uint64_t area, unsigned order, std::span<FrameId> out);
 
   void TriggerInstall(HugeId huge);
 

@@ -10,6 +10,7 @@
 // end state of each real-thread stress run.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <thread>
@@ -17,6 +18,7 @@
 
 #include "src/base/rng.h"
 #include "src/check/invariants.h"
+#include "src/llfree/frame_cache.h"
 #include "src/llfree/llfree.h"
 
 namespace hyperalloc::llfree {
@@ -138,6 +140,171 @@ TEST(LLFreeConcurrent, MixedOrdersUnderContention) {
     }
   }
   EXPECT_EQ(alloc.FreeFrames(), kFrames - live_frames);
+}
+
+// Runs [first, first + 2^order) held by the threads of one test; fails
+// if two of them share a frame.
+void ExpectNoOverlap(std::vector<std::pair<FrameId, unsigned>> runs) {
+  std::sort(runs.begin(), runs.end());
+  for (size_t i = 1; i < runs.size(); ++i) {
+    const auto [prev, prev_order] = runs[i - 1];
+    ASSERT_LE(prev + (1ull << prev_order), runs[i].first)
+        << "frame " << runs[i].first << " was handed out twice";
+  }
+}
+
+TEST(LLFreeConcurrent, BatchesUnderContention) {
+  // Batch trains of orders 0, 3 and 9 from four threads through one
+  // per-type allocator: the threads share the reservation slots, so
+  // reservation takes, tree searches and area claims all race.
+  Config config;
+  SharedState state(kFrames, config);
+  LLFree alloc(&state);
+
+  constexpr unsigned kThreads = 4;
+  struct Train {
+    unsigned order;
+    std::vector<FrameId> frames;
+  };
+  std::vector<std::vector<Train>> held(kThreads);
+  std::vector<std::thread> threads;
+  std::atomic<bool> failed{false};
+
+  for (unsigned t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(t + 301);
+      static constexpr unsigned kOrders[] = {0, 3, 9};
+      static constexpr unsigned kMaxRuns[] = {64, 16, 3};
+      uint64_t held_frames = 0;
+      for (int i = 0; i < 3000 && !failed; ++i) {
+        if (held_frames < kFrames / (2 * kThreads) && rng.Chance(0.55)) {
+          const unsigned pick = static_cast<unsigned>(rng.Below(3));
+          const unsigned order = kOrders[pick];
+          const unsigned count =
+              1 + static_cast<unsigned>(rng.Below(kMaxRuns[pick]));
+          const AllocType type = static_cast<AllocType>(rng.Below(3));
+          Train train{order, {}};
+          const unsigned got =
+              alloc.GetBatch(t, order, count, type, &train.frames);
+          if (got != train.frames.size()) {
+            failed = true;
+          }
+          held_frames += uint64_t{got} << order;
+          if (got > 0) {
+            held[t].push_back(std::move(train));
+          }
+        } else if (!held[t].empty()) {
+          const size_t idx = rng.Below(held[t].size());
+          const Train& train = held[t][idx];
+          if (alloc.PutBatch(train.frames, train.order) !=
+              train.frames.size()) {
+            failed = true;  // refused free => overlapping handout
+          }
+          held_frames -= train.frames.size() << train.order;
+          held[t][idx] = std::move(held[t].back());
+          held[t].pop_back();
+        }
+      }
+    });
+  }
+  for (auto& thread : threads) {
+    thread.join();
+  }
+  ASSERT_FALSE(failed);
+
+  std::vector<std::pair<FrameId, unsigned>> runs;
+  for (const auto& trains : held) {
+    for (const Train& train : trains) {
+      for (const FrameId frame : train.frames) {
+        runs.emplace_back(frame, train.order);
+      }
+    }
+  }
+  ExpectNoOverlap(runs);
+  EXPECT_TRUE(alloc.Validate());
+  ExpectInvariantsHold(state, alloc);
+
+  for (const auto& trains : held) {
+    for (const Train& train : trains) {
+      ASSERT_EQ(alloc.PutBatch(train.frames, train.order),
+                train.frames.size());
+    }
+  }
+  EXPECT_EQ(alloc.FreeFrames(), kFrames);
+  EXPECT_TRUE(alloc.Validate());
+}
+
+TEST(LLFreeConcurrent, FrameCacheSlotsOnRealThreads) {
+  // Four threads, each on its own FrameCache slot, over one allocator:
+  // trains longer than the slot capacity make every cycle refill (one
+  // GetBatch per miss) and drain (one PutBatch per overflow), and the
+  // refills and drains of different slots race inside LLFree.
+  Config config;
+  SharedState state(kFrames, config);
+  LLFree alloc(&state);
+  constexpr unsigned kThreads = 4;
+  FrameCache::CacheConfig cache_config;
+  cache_config.slots = kThreads;
+  cache_config.capacity = 64;
+  cache_config.refill = 32;
+  FrameCache cache(&alloc, cache_config);
+
+  std::vector<std::vector<FrameId>> held(kThreads);
+  std::vector<std::thread> threads;
+  std::atomic<bool> failed{false};
+  for (unsigned t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(t + 501);
+      for (int cycle = 0; cycle < 200 && !failed; ++cycle) {
+        // The last cycle keeps its train for the overlap check below.
+        if (!held[t].empty()) {
+          for (size_t i = held[t].size(); i > 1; --i) {
+            std::swap(held[t][i - 1], held[t][rng.Below(i)]);
+          }
+          for (const FrameId frame : held[t]) {
+            if (cache.Put(t, frame, 0, AllocType::kMovable).has_value()) {
+              failed = true;
+            }
+          }
+          held[t].clear();
+        }
+        const uint64_t train = 1 + rng.Below(160);
+        for (uint64_t i = 0; i < train; ++i) {
+          const Result<FrameId> r = cache.Get(t, 0, AllocType::kMovable);
+          if (!r.ok()) {
+            failed = true;
+            break;
+          }
+          held[t].push_back(*r);
+        }
+      }
+    });
+  }
+  for (auto& thread : threads) {
+    thread.join();
+  }
+  ASSERT_FALSE(failed);
+  EXPECT_GT(cache.refills(), 0u);
+  EXPECT_GT(cache.drains(), 0u);
+
+  std::vector<std::pair<FrameId, unsigned>> runs;
+  for (const auto& frames : held) {
+    for (const FrameId frame : frames) {
+      runs.emplace_back(frame, 0);
+    }
+  }
+  ExpectNoOverlap(runs);
+
+  for (unsigned t = 0; t < kThreads; ++t) {
+    for (const FrameId frame : held[t]) {
+      ASSERT_FALSE(cache.Put(t, frame, 0, AllocType::kMovable).has_value());
+    }
+  }
+  EXPECT_EQ(cache.Drain(), 0u);
+  EXPECT_EQ(cache.lost_frames(), 0u);
+  EXPECT_EQ(cache.CachedFrames(), 0u);
+  EXPECT_TRUE(alloc.Validate());
+  EXPECT_EQ(alloc.FreeFrames(), kFrames);
 }
 
 TEST(LLFreeConcurrent, GuestVsHypervisorRace) {

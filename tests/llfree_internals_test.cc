@@ -5,6 +5,7 @@
 
 #include <array>
 #include <atomic>
+#include <optional>
 #include <set>
 
 #include "src/llfree/bitfield.h"
@@ -22,63 +23,42 @@ class AreaBitsTest : public ::testing::Test {
     }
   }
 
+  // Claims one run through the batch entry point.
+  std::optional<unsigned> SetOne(unsigned order) {
+    unsigned offset = 0;
+    if (bits_.Set(order, 1, &offset) == 0) {
+      return std::nullopt;
+    }
+    return offset;
+  }
+
   std::array<std::atomic<uint64_t>, kWordsPerArea> words_;
   AreaBits bits_;
 };
 
 TEST_F(AreaBitsTest, SetFindsFirstFreeRun) {
-  const auto a = bits_.Set(0, 0);
+  const auto a = SetOne(0);
   ASSERT_TRUE(a.has_value());
   EXPECT_EQ(*a, 0u);
-  const auto b = bits_.Set(0, 0);
+  const auto b = SetOne(0);
   ASSERT_TRUE(b.has_value());
   EXPECT_EQ(*b, 1u);
   EXPECT_EQ(bits_.CountSet(), 2u);
 }
 
-TEST_F(AreaBitsTest, StartHintBiasesSearch) {
-  const auto a = bits_.Set(0, 128);
-  ASSERT_TRUE(a.has_value());
-  EXPECT_EQ(*a, 128u);  // word 2 searched first
-}
-
-TEST_F(AreaBitsTest, StartHintHonoredWithinWord) {
-  // Regression: the intra-word bit offset of the hint used to be
-  // dropped, restarting every search at bit 0 of the hinted word.
-  const auto a = bits_.Set(0, 130);
-  ASSERT_TRUE(a.has_value());
-  EXPECT_EQ(*a, 130u);
-  const auto b = bits_.Set(0, 130);
-  ASSERT_TRUE(b.has_value());
-  EXPECT_EQ(*b, 131u);
-}
-
-TEST_F(AreaBitsTest, StartHintWrapsWithinWord) {
-  // Fill [60,64) of word 0 from hinted positions, then a hint at 60 must
-  // wrap to the beginning of the same word, not skip to word 1.
-  for (unsigned bit = 60; bit < 64; ++bit) {
-    const auto r = bits_.Set(0, bit);
-    ASSERT_TRUE(r.has_value());
-    EXPECT_EQ(*r, bit);
-  }
-  const auto wrapped = bits_.Set(0, 60);
-  ASSERT_TRUE(wrapped.has_value());
-  EXPECT_EQ(*wrapped, 0u);
-}
-
-TEST_F(AreaBitsTest, MultiWordStartHintHonored) {
-  // Regression: orders above the single-word maximum ignored the hint
-  // entirely. An order-7 run spans two words; a hint at frame 256 must
-  // start the run search at that run, and wrap once the tail is taken.
-  const auto a = bits_.Set(7, 256);
-  ASSERT_TRUE(a.has_value());
-  EXPECT_EQ(*a, 256u);
-  const auto b = bits_.Set(7, 384);
-  ASSERT_TRUE(b.has_value());
-  EXPECT_EQ(*b, 384u);
-  const auto c = bits_.Set(7, 384);  // hinted run taken: wraps to run 0
-  ASSERT_TRUE(c.has_value());
-  EXPECT_EQ(*c, 0u);
+TEST_F(AreaBitsTest, MultiWordClaimsOneRunPerIteration) {
+  // Order-7 runs span two words. With run [128, 256) partly taken, a
+  // batch of three skips it and takes the other runs in offset order.
+  words_[3].store(1ull << 5);  // frame 197, inside run 1
+  unsigned offsets[4];
+  ASSERT_EQ(bits_.Set(7, 4, offsets), 3u);
+  EXPECT_EQ(offsets[0], 0u);
+  EXPECT_EQ(offsets[1], 256u);
+  EXPECT_EQ(offsets[2], 384u);
+  // The blocked run's first word was rolled back, not left claimed.
+  EXPECT_EQ(words_[2].load(), 0u);
+  EXPECT_EQ(bits_.CountSet(), 3u * 128u + 1u);
+  EXPECT_EQ(bits_.Set(8, 1, offsets), 0u);
 }
 
 TEST_F(AreaBitsTest, AlignedRunsPerOrder) {
@@ -88,7 +68,7 @@ TEST_F(AreaBitsTest, AlignedRunsPerOrder) {
     }
     std::set<unsigned> offsets;
     for (;;) {
-      const auto offset = bits_.Set(order, 0);
+      const auto offset = SetOne(order);
       if (!offset.has_value()) {
         break;
       }
@@ -102,15 +82,15 @@ TEST_F(AreaBitsTest, AlignedRunsPerOrder) {
 
 TEST_F(AreaBitsTest, SetSkipsOccupiedRuns) {
   // Occupy bit 1: no order-1 run fits in [0,2), next run is [2,4).
-  ASSERT_TRUE(bits_.Set(0, 0).has_value());  // bit 0
-  ASSERT_TRUE(bits_.Set(0, 0).has_value());  // bit 1
-  const auto run = bits_.Set(1, 0);
+  ASSERT_TRUE(SetOne(0).has_value());  // bit 0
+  ASSERT_TRUE(SetOne(0).has_value());  // bit 1
+  const auto run = SetOne(1);
   ASSERT_TRUE(run.has_value());
   EXPECT_EQ(*run, 2u);
 }
 
 TEST_F(AreaBitsTest, ClearDetectsDoubleFree) {
-  const auto offset = bits_.Set(3, 0);
+  const auto offset = SetOne(3);
   ASSERT_TRUE(offset.has_value());
   EXPECT_TRUE(bits_.Clear(*offset, 3));
   EXPECT_FALSE(bits_.Clear(*offset, 3)) << "double free must fail";
@@ -118,14 +98,14 @@ TEST_F(AreaBitsTest, ClearDetectsDoubleFree) {
 }
 
 TEST_F(AreaBitsTest, PartialClearRejected) {
-  ASSERT_TRUE(bits_.Set(2, 0).has_value());  // bits 0..3
+  ASSERT_TRUE(SetOne(2).has_value());  // bits 0..3
   ASSERT_TRUE(bits_.Clear(0, 2));
   // Clearing again at a different order over the now-free range fails.
   EXPECT_FALSE(bits_.Clear(0, 1));
 }
 
 TEST_F(AreaBitsTest, IsFreeChecksWholeRun) {
-  ASSERT_TRUE(bits_.Set(0, 0).has_value());  // bit 0
+  ASSERT_TRUE(SetOne(0).has_value());  // bit 0
   EXPECT_FALSE(bits_.IsFree(0, 0));
   EXPECT_FALSE(bits_.IsFree(0, 2));  // run [0,4) contains bit 0
   EXPECT_TRUE(bits_.IsFree(4, 2));
@@ -134,12 +114,12 @@ TEST_F(AreaBitsTest, IsFreeChecksWholeRun) {
 TEST_F(AreaBitsTest, FillAllMarksEverything) {
   bits_.FillAll();
   EXPECT_EQ(bits_.CountSet(), kFramesPerHuge);
-  EXPECT_FALSE(bits_.Set(0, 0).has_value());
+  EXPECT_FALSE(SetOne(0).has_value());
 }
 
 TEST_F(AreaBitsTest, SetBatchClaimsWordAtATime) {
   unsigned offsets[kFramesPerHuge];
-  const unsigned got = bits_.SetBatch(0, 70, 0, offsets);
+  const unsigned got = bits_.Set(0, 70, offsets);
   ASSERT_EQ(got, 70u);
   for (unsigned i = 0; i < got; ++i) {
     EXPECT_EQ(offsets[i], i);
@@ -148,9 +128,9 @@ TEST_F(AreaBitsTest, SetBatchClaimsWordAtATime) {
 }
 
 TEST_F(AreaBitsTest, SetBatchSkipsOccupiedAndAligns) {
-  ASSERT_TRUE(bits_.Set(0, 1).has_value());  // occupy bit 1
+  words_[0].store(1ull << 1);  // occupy bit 1
   unsigned offsets[8];
-  const unsigned got = bits_.SetBatch(1, 3, 0, offsets);
+  const unsigned got = bits_.Set(1, 3, offsets);
   ASSERT_EQ(got, 3u);
   EXPECT_EQ(offsets[0], 2u);  // pair [0,2) blocked by bit 1
   EXPECT_EQ(offsets[1], 4u);
@@ -161,14 +141,14 @@ TEST_F(AreaBitsTest, SetBatchStopsWhenFull) {
   bits_.FillAll();
   ASSERT_TRUE(bits_.Clear(17, 0));
   unsigned offsets[8];
-  const unsigned got = bits_.SetBatch(0, 8, 0, offsets);
+  const unsigned got = bits_.Set(0, 8, offsets);
   ASSERT_EQ(got, 1u);
   EXPECT_EQ(offsets[0], 17u);
 }
 
 TEST_F(AreaBitsTest, ClearMaskRoundTripAndDoubleFree) {
   unsigned offsets[64];
-  ASSERT_EQ(bits_.SetBatch(0, 64, 0, offsets), 64u);
+  ASSERT_EQ(bits_.Set(0, 64, offsets), 64u);
   EXPECT_TRUE(bits_.ClearMask(0, ~0ull));
   EXPECT_FALSE(bits_.ClearMask(0, ~0ull)) << "double free must fail";
   EXPECT_EQ(bits_.CountSet(), 0u);
@@ -176,7 +156,7 @@ TEST_F(AreaBitsTest, ClearMaskRoundTripAndDoubleFree) {
 
 TEST_F(AreaBitsTest, ClearMaskRejectsPartiallyFreeWord) {
   unsigned offsets[4];
-  ASSERT_EQ(bits_.SetBatch(0, 4, 0, offsets), 4u);
+  ASSERT_EQ(bits_.Set(0, 4, offsets), 4u);
   // Mask covers one free bit: the whole clear must be rejected and the
   // four set bits left intact (all-or-nothing, like Clear).
   EXPECT_FALSE(bits_.ClearMask(0, 0x1full));
@@ -234,6 +214,17 @@ TEST(TreeEntry, PackUnpackRoundTrip) {
       }
     }
   }
+}
+
+TEST(SharedStateDeathTest, RefusesTreesBeyondSixteenBitCounters) {
+  // 127 areas (65024 frames) still fit the 16-bit tree and reservation
+  // counters; 128 areas (65536 frames) would overflow them.
+  Config config;
+  config.areas_per_tree = 127;
+  SharedState fits(127 * kFramesPerHuge, config);
+  EXPECT_EQ(LLFree(&fits).ReadTree(0).free, 127 * kFramesPerHuge);
+  config.areas_per_tree = 128;
+  EXPECT_DEATH(SharedState(128 * kFramesPerHuge, config), "check failed");
 }
 
 TEST(Reservation, PackUnpackRoundTrip) {

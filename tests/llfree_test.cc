@@ -122,7 +122,8 @@ TEST_F(LLFreeTest, BatchSequenceEquivalentToSingles) {
   const struct {
     unsigned order;
     unsigned count;
-  } rounds[] = {{0, 513}, {2, 17}, {6, 9}, {0, 64}, {3, 5}, {0, 1}};
+  } rounds[] = {{0, 513}, {2, 17}, {6, 9}, {0, 64}, {3, 5},
+                {0, 1},   {7, 3},  {8, 2}, {9, 4}};
   std::vector<std::pair<unsigned, std::vector<FrameId>>> batched_held;
   std::vector<std::pair<unsigned, std::vector<FrameId>>> single_held;
   for (const auto& round : rounds) {

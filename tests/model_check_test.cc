@@ -635,7 +635,7 @@ Scenario DroppedRollbackOnFailedMapMutant() {
 }
 
 // --------------------------------------------------------------------
-// Mutant: ClaimBaseBatch's shortfall rollback dropped. The batched claim
+// Mutant: ClaimInArea's shortfall rollback dropped. The batched claim
 // pre-charges the counter for `want` frames, then the word CAS discovers
 // fewer free bits (a racing free has credited the counter but not yet
 // cleared its bit) — the real code gives the difference back; this one
@@ -696,7 +696,7 @@ struct LostBatchCtx {
     }
     // BUG (deliberate): when got < want, the (want - got) frames charged
     // off the counter were never claimed in the bitfield — the real
-    // ClaimBaseBatch adds the shortfall back here.
+    // ClaimInArea adds the shortfall back here.
     return got;
   }
 };

@@ -3,6 +3,9 @@
 # until-fail:100`. gtest_discover_tests only learns the test names at
 # ctest time, so tests/CMakeLists.txt registers this file as a ctest
 # include that runs after every discovered list (<target>_TESTS).
+# Every test in llfree_concurrent_test is labeled through its list:
+# the LLFree batch and single-run races and the FrameCache slots on
+# real threads (LLFreeConcurrent.FrameCacheSlotsOnRealThreads).
 # If any name listed here no longer exists, ctest silently drops the
 # whole call and the label matches nothing; scripts/check.sh and CI run
 # the label with `--no-tests=error` so that shows up as a failure.
