@@ -171,11 +171,8 @@ int Main(int argc, char** argv) {
     std::printf("wrote %s\n", out.c_str());
   }
   if (!telemetry_out.empty()) {
-    const unsigned shards = options.telemetry.shards != 0
-                                ? options.telemetry.shards
-                                : hv::HostMemory::kDefaultShards;
     telemetry::WriteTelemetryArtifacts(telemetry_out, result.telemetry,
-                                       shards);
+                                       options.telemetry.shards);
     std::printf("wrote %s.{fleet.csv,vms.csv,prom,perfetto.json} "
                 "+ %llu flight dump(s)\n",
                 telemetry_out.c_str(),

@@ -2,7 +2,7 @@
 // data-structure operations that underlie the paper's §5.3 rates: base and
 // huge allocation, free, the bilateral hard-reclaim/return transitions,
 // and the install-path CAS, plus the per-core FrameCache over the batch
-// API and the sharded host frame pool under contention. These run on
+// API and the host frame pool under contention. These run on
 // real hardware (no virtual time).
 #include <benchmark/benchmark.h>
 
@@ -160,12 +160,11 @@ void BM_FrameCacheGetPut(benchmark::State& state) {
 }
 BENCHMARK(BM_FrameCacheGetPut);
 
-// TryReserve/Release storm on one sharded host pool. Mixed batch sizes
-// exercise the shard fast path, the batched global refill/drain and —
-// because 32 MiB is smaller than even one thread's outstanding window
-// (64 batches averaging 256 frames) — the cross-shard rebalancer, where
-// reservations legitimately fail. One iteration is one reserve or
-// release. The counters are the pool's slow-path totals over the run.
+// TryReserve/Release storm on one host pool: every thread's reserves
+// and releases hit the same `used` counter. 32 MiB is smaller than even
+// one thread's outstanding window (64 batches averaging 256 frames), so
+// reservations also legitimately fail. One iteration is one reserve or
+// release.
 void BM_HostPoolReserveRelease(benchmark::State& state) {
   static std::unique_ptr<hv::HostMemory> pool;
   if (state.thread_index() == 0) {
@@ -187,11 +186,6 @@ void BM_HostPoolReserveRelease(benchmark::State& state) {
     pool->Release(batch);
   }
   state.SetItemsProcessed(state.iterations());
-  if (state.thread_index() == 0) {
-    state.counters["refills"] = static_cast<double>(pool->refills());
-    state.counters["drains"] = static_cast<double>(pool->drains());
-    state.counters["rebalances"] = static_cast<double>(pool->rebalances());
-  }
 }
 BENCHMARK(BM_HostPoolReserveRelease)->ThreadRange(1, 4)->UseRealTime();
 

@@ -5,7 +5,7 @@
 // accumulated footprint and peak host memory demand.
 //
 // Each VM runs in its own virtual-time simulation against the shared
-// sharded host pool, so the experiment parallelizes across host threads
+// host pool, so the experiment parallelizes across host threads
 // (--threads=N) without changing any result series — see
 // src/fleet/fleet.h for the determinism contract. This bench is a thin
 // client of the fleet engine's run-to-completion mode.

@@ -250,9 +250,8 @@ AttributionBench BenchAttribution() {
 
 // ----------------------------------------------------------------------
 // Span determinism across thread counts: canonicalized per-VM span
-// streams (virtual-time fields only, host-pool slow paths excluded —
-// refills/rebalances depend on the OS interleaving by design) must be
-// identical between the 1-thread and N-thread multi-VM runs.
+// streams (virtual-time fields only) must be identical between the
+// 1-thread and N-thread multi-VM runs.
 // ----------------------------------------------------------------------
 
 std::vector<std::vector<trace::SpanRecord>> CanonicalPerVmStreams(
@@ -267,9 +266,6 @@ std::vector<std::vector<trace::SpanRecord>> CanonicalPerVmStreams(
               return a.seq < b.seq;
             });
   for (const trace::SpanRecord& span : spans) {
-    if (span.layer == trace::Layer::kHostPool) {
-      continue;
-    }
     if (span.vm < static_cast<uint32_t>(vms)) {
       streams[span.vm].push_back(span);
     }

@@ -11,7 +11,7 @@
 #      the SC-only fallback every older scenario was written against).
 #      A failure prints which configuration produced it,
 #   6. ThreadSanitizer on the lock-free paths (tsan preset): the LLFree
-#      concurrent stress test, the sharded host frame pool stress test,
+#      concurrent stress test, the host frame pool stress test,
 #      the trace-layer counter/histogram tests, a capped model-check run
 #      (the model checker is deterministic, so a small TSan run only
 #      needs to cover the harness machinery itself), and the `stress`

@@ -107,36 +107,20 @@ inline void CheckQuiescent(const llfree::LLFree& ll) {
           "stderr for the first violation)");
 }
 
-// Host frame pool (src/hv/host_memory.h), same under-promise discipline
-// one layer up: TryReserve debits a credit chain *before* charging
-// `used`, Release un-charges `used` before crediting. Frames in hand
-// between two credit buckets are counted in neither, so at every step
-//
-//   used <= total   and   credits + used <= total
-//
-// (never an overshoot — the pool cannot overcommit), while the exact
-// equality only holds at quiescence.
+// Host frame pool (src/hv/host_memory.h): admission is one CAS on
+// `used`, so at every step the pool has not overcommitted.
 inline void CheckHostMemoryStep(const hv::HostMemory& pool) {
   const uint64_t used = pool.used_frames();
-  const uint64_t credits = pool.DebugFreeCredits();
   Require(used <= pool.total_frames(),
           "host pool: used " + std::to_string(used) + " exceeds total " +
               std::to_string(pool.total_frames()) + " (overcommit)");
-  Require(credits + used <= pool.total_frames(),
-          "host pool: credits " + std::to_string(credits) + " + used " +
-              std::to_string(used) + " exceed total " +
-              std::to_string(pool.total_frames()) + " (double credit)");
 }
 
-// Quiescent: every free frame is parked in exactly one credit bucket,
-// and the CAS-max peak has caught up with the last admission.
+// Quiescent: the CAS-max peak has caught up with the last admission and
+// never exceeds the pool.
 inline void CheckHostMemoryQuiescent(const hv::HostMemory& pool) {
+  CheckHostMemoryStep(pool);
   const uint64_t used = pool.used_frames();
-  const uint64_t credits = pool.DebugFreeCredits();
-  Require(credits + used == pool.total_frames(),
-          "host pool quiescent: credits " + std::to_string(credits) +
-              " + used " + std::to_string(used) + " != total " +
-              std::to_string(pool.total_frames()) + " (leaked frames)");
   Require(pool.peak_frames() >= used,
           "host pool quiescent: peak " +
               std::to_string(pool.peak_frames()) + " below current used " +

@@ -555,7 +555,7 @@ FleetResult FleetEngine::Run() {
     RunToCompletion();
   } else {
     telemetry_ = std::make_unique<telemetry::Pipeline>(
-        config_.telemetry, config_.vms, host_->shards(), config_.epoch);
+        config_.telemetry, config_.vms, config_.epoch);
     RunEpochs(&result);
     result.telemetry = telemetry_->Finish();
   }

@@ -1,4 +1,4 @@
-// Fleet engine: N simulated VMs de/inflating against one sharded host
+// Fleet engine: N simulated VMs de/inflating against one host
 // pool under a pluggable resize policy (DESIGN.md §4.12) — the
 // orchestration API that replaced the bench-private multi-VM harness.
 //
@@ -14,8 +14,10 @@
 // plus the *boolean* outcomes of HostMemory::TryReserve. Admission
 // control keeps the committed-bytes ledger
 //     sum_i max(limit_i, inflight_target_i) <= capacity * (1 - reserve)
-// so TryReserve never fails mid-epoch, which makes every per-VM outcome
-// byte-identical no matter how many worker threads drive the fleet.
+// and the pool is one exact counter that refuses a reservation only when
+// it does not fit, so TryReserve never fails mid-epoch, whatever the
+// interleaving. That makes every per-VM outcome byte-identical no matter
+// how many worker threads drive the fleet.
 // Each VM's outcome stream is folded into an FNV-1a digest
 // (samples, resize records, final limit); equal fleet digests across
 // thread counts are the determinism check at 512-1024 VMs.

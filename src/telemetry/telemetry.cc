@@ -62,10 +62,8 @@ double Seconds(sim::Time t) {
 }
 
 // Counter prefixes whose values are pure functions of the per-VM event
-// streams (and therefore of virtual time). Host-pool refill/rebalance
-// activity depends on the worker-thread interleaving and must never
-// enter the flight stream — there is deliberately no "hostpool." or
-// "pool." entry here.
+// streams (and therefore of virtual time). Anything that depends on the
+// worker-thread interleaving must never enter the flight stream.
 constexpr const char* kCounterAllowlist[] = {
     "monitor.", "fault.", "llfree.", "ept.",
     "iommu.",   "balloon.", "vmem.",  "guest.",
@@ -118,11 +116,10 @@ double Pipeline::Burn::Rate(unsigned epochs, double budget) const {
 }
 
 Pipeline::Pipeline(const TelemetryOptions& options, uint64_t vms,
-                   unsigned pool_shards, sim::Time epoch)
+                   sim::Time epoch)
     : options_(options),
       vms_(vms),
-      shards_(options.shards != 0 ? options.shards
-                                  : std::max(1u, pool_shards)),
+      shards_(std::max(1u, options.shards)),
       epoch_period_(epoch) {
   enabled_ = options_.enabled && vms_ > 0;
   if (!enabled_) {

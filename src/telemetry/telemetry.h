@@ -46,10 +46,9 @@ namespace hyperalloc::telemetry {
 
 struct TelemetryOptions {
   bool enabled = true;
-  // Aggregation shards for the per-host-pool-shard rollup; 0 = the pool
-  // shard count the engine passes to the pipeline. VM -> shard is the
+  // Aggregation shards for the per-shard rollup. VM -> shard is the
   // static `vm % shards` association (see ShardOf).
-  unsigned shards = 0;
+  unsigned shards = 8;
   // Keep per-VM limit/WSS series in the result (the shard and fleet
   // series are always kept). Off by default: at 1024 VMs the per-VM
   // series dominate the result's footprint.
@@ -83,9 +82,9 @@ struct TelemetryOptions {
   uint64_t flight_vm_detail_cap = 64;
 };
 
-// The static VM -> aggregation-shard association. Deliberately NOT the
-// pool shard a VM's frames actually came from — that depends on which
-// worker thread ran the VM and would break stream determinism.
+// The static VM -> aggregation-shard association: a function of the VM
+// index alone, never of which worker thread ran the VM, so the rollup
+// stays deterministic across thread counts.
 inline unsigned ShardOf(uint64_t vm, unsigned shards) {
   return shards == 0 ? 0 : static_cast<unsigned>(vm % shards);
 }
@@ -217,10 +216,8 @@ struct TelemetryResult {
 
 class Pipeline {
  public:
-  // `pool_shards` backs TelemetryOptions::shards == 0; `epoch` is the
-  // barrier period (series time base).
-  Pipeline(const TelemetryOptions& options, uint64_t vms,
-           unsigned pool_shards, sim::Time epoch);
+  // `epoch` is the barrier period (series time base).
+  Pipeline(const TelemetryOptions& options, uint64_t vms, sim::Time epoch);
   ~Pipeline();
 
   Pipeline(const Pipeline&) = delete;
@@ -302,7 +299,7 @@ class Pipeline {
 // Empty stand-in: same API surface, no state, no sampling.
 class Pipeline {
  public:
-  Pipeline(const TelemetryOptions&, uint64_t, unsigned, sim::Time) {}
+  Pipeline(const TelemetryOptions&, uint64_t, sim::Time) {}
   bool enabled() const { return false; }
   void OnEpoch(sim::Time, std::vector<VmGauges>, uint64_t, double, uint64_t,
                uint64_t, uint64_t, const std::vector<double>&) {}

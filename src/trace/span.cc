@@ -22,8 +22,6 @@ const char* Name(Layer layer) {
       return "ept";
     case Layer::kIommu:
       return "iommu";
-    case Layer::kHostPool:
-      return "hostpool";
     case Layer::kTelemetry:
       return "telemetry";
   }

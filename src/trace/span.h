@@ -5,7 +5,7 @@
 // becomes a tree of spans: the request root (monitor / balloon /
 // virtio-mem backend), per-slice spans, and leaf spans for the layers
 // that actually spend the time — llfree state CAS work, EPT unmap runs,
-// IOMMU unpin + IOTLB flushes, host-pool refills. Every cost-model
+// IOMMU unpin + IOTLB flushes. Every cost-model
 // charge (hv::ChargeTraced / hv::Charge) is attributed to the innermost
 // open span on the charging thread, so summing `charge_ns` over a
 // request's spans reproduces the cost model's total charge for that
@@ -40,7 +40,7 @@
 namespace hyperalloc::trace {
 
 // The layer a span accounts to — the tree levels of the de/inflation
-// path (ISSUE: monitor -> backend -> llfree -> ept/iommu -> host pool).
+// path (monitor -> backend -> llfree -> ept/iommu).
 enum class Layer : uint8_t {
   kRequest,   // resize-request roots and slices
   kMonitor,   // HyperAlloc monitor state work (reclaim/return/install)
@@ -49,12 +49,11 @@ enum class Layer : uint8_t {
   kLLFree,    // shared page-frame allocator operations
   kEpt,        // second-stage unmap/populate (madvise, TLB shootdown)
   kIommu,      // VFIO pin/unpin + IOTLB flushes
-  kHostPool,   // sharded host frame pool slow paths
   kTelemetry,  // fleet telemetry markers (SLO burn-rate alerts)
 };
 
 const char* Name(Layer layer);
-inline constexpr unsigned kNumLayers = 9;
+inline constexpr unsigned kNumLayers = 8;
 
 // One closed span. `name` must be a string literal (stored by pointer).
 struct SpanRecord {

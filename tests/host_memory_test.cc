@@ -1,8 +1,10 @@
-// Sharded host frame pool: credit-chain conservation, batched
-// refill/drain, the cross-shard rebalancer, and (under TSan) the
-// concurrent admission / peak-tracking paths.
+// Host frame pool: exact single-counter admission (a reservation is
+// refused iff it does not fit, and a refusal changes nothing), frame
+// conservation, and (under TSan) the concurrent admission /
+// peak-tracking paths.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <thread>
@@ -16,155 +18,111 @@ namespace {
 
 using hv::HostMemory;
 
-constexpr uint64_t kBatch = HostMemory::kCreditBatch;  // 512
+constexpr uint64_t kBatch = 512;  // one 2 MiB huge frame's worth
 
-// Every free frame is parked in exactly one credit bucket when no
-// operation is in flight.
+// Nothing in flight: no overcommit, and the high-water mark has caught
+// up with the last admission.
 void ExpectQuiescent(const HostMemory& pool) {
-  EXPECT_EQ(pool.DebugFreeCredits() + pool.used_frames(),
-            pool.total_frames())
-      << "credit chain leaked or double-counted frames";
+  EXPECT_LE(pool.used_frames(), pool.total_frames()) << "overcommit";
   EXPECT_GE(pool.peak_frames(), pool.used_frames());
   EXPECT_LE(pool.peak_frames(), pool.total_frames());
 }
 
-TEST(HostMemorySharded, FirstReserveRefillsShardFromGlobal) {
-  HostMemory pool(4 * kBatch, /*shards=*/2);
-  EXPECT_TRUE(pool.TryReserve(100, /*shard=*/0));
-  // The refill pulled the shortfall plus one credit batch, so the next
-  // reservations stay shard-local.
-  EXPECT_EQ(pool.DebugShardCredit(0), kBatch);
-  EXPECT_EQ(pool.DebugGlobalFree(), 4 * kBatch - 100 - kBatch);
-  EXPECT_EQ(pool.refills(), 1u);
-
-  // Exactly the banked credit line: the fast path drains it to zero
-  // without touching the global reserve again.
-  EXPECT_TRUE(pool.TryReserve(kBatch, /*shard=*/0));
-  EXPECT_EQ(pool.refills(), 1u);
-  EXPECT_EQ(pool.DebugShardCredit(0), 0u);
-  ExpectQuiescent(pool);
-}
-
-TEST(HostMemorySharded, ShardLocalFastPathLeavesGlobalAlone) {
-  HostMemory pool(4 * kBatch, /*shards=*/2);
-  EXPECT_TRUE(pool.TryReserve(8, 0));  // refill: credit line now 512
-  const uint64_t global_before = pool.DebugGlobalFree();
-  for (int i = 0; i < 64; ++i) {
-    EXPECT_TRUE(pool.TryReserve(8, 0));
-  }
-  EXPECT_EQ(pool.DebugGlobalFree(), global_before)
-      << "512 frames of credit must absorb 64 x 8 frames shard-locally";
-  EXPECT_EQ(pool.refills(), 1u);
-  ExpectQuiescent(pool);
-}
-
 TEST(HostMemorySharded, RebalanceRaidsOtherShardsNearTheLimit) {
-  HostMemory pool(2 * kBatch, /*shards=*/2);
-  // Shard 0 takes half the pool and banks a full credit batch.
-  EXPECT_TRUE(pool.TryReserve(kBatch, 0));
-  EXPECT_EQ(pool.DebugShardCredit(0), kBatch);
-  EXPECT_EQ(pool.DebugGlobalFree(), 0u);
-
-  // Shard 1 wants the other half: the global reserve is dry, so the
-  // remaining free memory has to come out of shard 0's credit line.
-  EXPECT_TRUE(pool.TryReserve(kBatch, 1));
-  EXPECT_EQ(pool.rebalances(), 1u);
+  // Any thread can take the last free frames: a reservation from a
+  // second thread that exactly exhausts the pool succeeds.
+  HostMemory pool(2 * kBatch);
+  EXPECT_TRUE(pool.TryReserve(kBatch));
+  bool last_ok = false;
+  std::thread([&pool, &last_ok] { last_ok = pool.TryReserve(kBatch); })
+      .join();
+  EXPECT_TRUE(last_ok);
   EXPECT_EQ(pool.used_frames(), 2 * kBatch);
-  EXPECT_EQ(pool.DebugFreeCredits(), 0u);
+  EXPECT_EQ(pool.free_frames(), 0u);
 
   // Fully committed: nothing more to admit, nothing changed by asking.
-  EXPECT_FALSE(pool.TryReserve(1, 0));
-  EXPECT_FALSE(pool.TryReserve(1, 1));
+  EXPECT_FALSE(pool.TryReserve(1));
+  std::thread([&pool] { EXPECT_FALSE(pool.TryReserve(1)); }).join();
+  EXPECT_EQ(pool.used_frames(), 2 * kBatch);
   ExpectQuiescent(pool);
 }
 
 TEST(HostMemorySharded, ReserveSucceedsWhenPeersAndGlobalJointlyCover) {
-  // Regression: the hysteresis drain can leave free memory split between
-  // a peer shard's credit line and the global reserve so that neither
-  // alone covers a request while their sum does. The feasibility
-  // pre-scan must consider the joint sum — a partial peer raid topped
-  // off from the global reserve — or the reservation fails with 3000
-  // frames free.
-  HostMemory pool(3000, /*shards=*/2);
-  EXPECT_TRUE(pool.TryReserve(2500, 0));
-  pool.Release(2500, 0);
-  // With the default watermarks shard 0 keeps drain_low (1024) and the
-  // drain parks the rest (1976) in the global reserve: each bucket
-  // individually short of the 2000-frame request below.
-  EXPECT_LT(pool.DebugShardCredit(0), 2000u);
-  EXPECT_LT(pool.DebugGlobalFree(), 2000u);
-  EXPECT_TRUE(pool.TryReserve(2000, 1))
-      << "3000 frames free, 2000 requested: the raid must combine peer "
-         "credit with the global reserve";
-  EXPECT_EQ(pool.rebalances(), 1u);
+  // Frames released on one thread are admissible from another at once:
+  // 3000 frames free and a 2000-frame request from a second thread must
+  // succeed, whatever thread released them.
+  HostMemory pool(3000);
+  EXPECT_TRUE(pool.TryReserve(2500));
+  pool.Release(2500);
+  bool ok = false;
+  std::thread([&pool, &ok] { ok = pool.TryReserve(2000); }).join();
+  EXPECT_TRUE(ok) << "3000 frames free, 2000 requested";
   EXPECT_EQ(pool.used_frames(), 2000u);
-  pool.Release(2000, 1);
+  EXPECT_EQ(pool.peak_frames(), 2500u);
+  pool.Release(2000);
+  EXPECT_EQ(pool.used_frames(), 0u);
   ExpectQuiescent(pool);
 }
 
 TEST(HostMemorySharded, FailedReserveReturnsPartialCredit) {
-  HostMemory pool(kBatch, /*shards=*/2);
-  EXPECT_TRUE(pool.TryReserve(kBatch / 2, 0));
-  // Asking for more than the whole pool still has: must fail and leave
-  // every remaining frame findable (no stranded in-hand credit).
-  EXPECT_FALSE(pool.TryReserve(kBatch, 1));
+  HostMemory pool(kBatch);
+  EXPECT_TRUE(pool.TryReserve(kBatch / 2));
+  // Asking for more than the pool still has fails and changes nothing:
+  // neither `used` nor the peak moves, and every remaining frame stays
+  // admissible.
+  EXPECT_FALSE(pool.TryReserve(kBatch / 2 + 1));
+  EXPECT_FALSE(pool.TryReserve(kBatch));
   EXPECT_EQ(pool.used_frames(), kBatch / 2);
-  EXPECT_EQ(pool.DebugFreeCredits(), kBatch / 2);
-  EXPECT_TRUE(pool.TryReserve(kBatch / 2, 1));
-  ExpectQuiescent(pool);
-}
-
-TEST(HostMemorySharded, ReleaseDrainsExcessCreditBackToGlobal) {
-  HostMemory pool(8 * kBatch, /*shards=*/2);
-  EXPECT_TRUE(pool.TryReserve(4 * kBatch, 0));
-  pool.Release(4 * kBatch, 0);
-  // The shard keeps one batch; the rest went back to the reserve, so an
-  // idle shard cannot strand free memory.
-  EXPECT_LE(pool.DebugShardCredit(0), 2 * kBatch);
-  EXPECT_GE(pool.drains(), 1u);
-  EXPECT_EQ(pool.used_frames(), 0u);
-  ExpectQuiescent(pool);
-
-  // The drained frames are admissible from the *other* shard.
-  EXPECT_TRUE(pool.TryReserve(6 * kBatch, 1));
+  EXPECT_EQ(pool.free_frames(), kBatch / 2);
+  EXPECT_EQ(pool.peak_frames(), kBatch / 2);
+  EXPECT_TRUE(pool.TryReserve(kBatch / 2));
+  EXPECT_EQ(pool.free_frames(), 0u);
   ExpectQuiescent(pool);
 }
 
 TEST(HostMemorySharded, RandomOpsConserveCredits) {
-  HostMemory pool(16 * kBatch, /*shards=*/4);
+  // Against a shadow ledger: a reservation succeeds iff it fits, and
+  // `used` always equals the sum of the frames held.
+  HostMemory pool(16 * kBatch);
   Rng rng(7);
-  std::vector<std::pair<uint64_t, unsigned>> held;  // {frames, shard}
+  std::vector<uint64_t> held;
+  uint64_t held_sum = 0;
+  uint64_t max_used = 0;
   for (int i = 0; i < 20000; ++i) {
-    const unsigned shard = static_cast<unsigned>(rng.Below(4));
     if (rng.Chance(0.55)) {
       const uint64_t frames = 1 + rng.Below(3 * kBatch);
-      if (pool.TryReserve(frames, shard)) {
-        held.emplace_back(frames, shard);
+      const bool fits = held_sum + frames <= pool.total_frames();
+      ASSERT_EQ(pool.TryReserve(frames), fits);
+      if (fits) {
+        held.push_back(frames);
+        held_sum += frames;
       }
     } else if (!held.empty()) {
       const size_t idx = rng.Below(held.size());
-      pool.Release(held[idx].first, held[idx].second);
+      pool.Release(held[idx]);
+      held_sum -= held[idx];
       held[idx] = held.back();
       held.pop_back();
     }
-    ASSERT_LE(pool.used_frames(), pool.total_frames()) << "overcommit";
+    ASSERT_EQ(pool.used_frames(), held_sum) << "frames not conserved";
+    max_used = std::max(max_used, held_sum);
   }
-  for (const auto& [frames, shard] : held) {
-    pool.Release(frames, shard);
+  EXPECT_EQ(pool.peak_frames(), max_used);
+  for (const uint64_t frames : held) {
+    pool.Release(frames);
   }
   EXPECT_EQ(pool.used_frames(), 0u);
   ExpectQuiescent(pool);
 }
 
 // The TSan target for scripts/check.sh: concurrent admission against one
-// pool sized at half the aggregate demand, so every thread constantly
-// crosses shard boundaries (refill, drain, rebalance, failure). The
-// credit-conservation check afterwards catches lost or duplicated
-// frames; TSan catches ordering bugs on the way.
+// pool sized at half the aggregate demand, so reservations constantly
+// succeed and fail. The conservation check afterwards catches lost or
+// duplicated frames; TSan catches ordering bugs on the way.
 TEST(HostMemorySharded, ConcurrentStressConservesFrames) {
   constexpr unsigned kThreads = 4;
   constexpr int kIters = 20000;
-  HostMemory pool(8 * kBatch, kThreads);
+  HostMemory pool(8 * kBatch);
   std::atomic<uint64_t> observed_peak{0};
 
   auto worker = [&pool, &observed_peak](unsigned seed) {
@@ -208,8 +166,55 @@ TEST(HostMemorySharded, ConcurrentStressConservesFrames) {
   EXPECT_GE(pool.peak_frames(), observed_peak.load());
 }
 
+// Each of 4 threads holds at most a quarter of the pool, so the summed
+// outstanding frames never exceed `total`: an exact admission counter
+// must admit every single reservation, whatever the interleaving.
+TEST(HostMemorySharded, ConcurrentReservesBelowCapacityNeverFail) {
+  constexpr unsigned kThreads = 4;
+  constexpr int kIters = 20000;
+  constexpr uint64_t kShare = 2 * kBatch;
+  HostMemory pool(kThreads * kShare);
+  std::atomic<uint64_t> refused{0};
+
+  auto worker = [&pool, &refused](unsigned seed) {
+    Rng rng(seed);
+    std::vector<uint64_t> held;
+    uint64_t held_sum = 0;
+    for (int i = 0; i < kIters; ++i) {
+      const uint64_t frames = 1 + rng.Below(kBatch);
+      if (held_sum + frames <= kShare && rng.Chance(0.6)) {
+        if (pool.TryReserve(frames)) {
+          held.push_back(frames);
+          held_sum += frames;
+        } else {
+          refused.fetch_add(1, std::memory_order_relaxed);
+        }
+      } else if (!held.empty()) {
+        pool.Release(held.back());
+        held_sum -= held.back();
+        held.pop_back();
+      }
+    }
+    for (const uint64_t frames : held) {
+      pool.Release(frames);
+    }
+  };
+
+  std::vector<std::thread> threads;
+  for (unsigned t = 0; t < kThreads; ++t) {
+    threads.emplace_back(worker, 200 + t);
+  }
+  for (std::thread& t : threads) {
+    t.join();
+  }
+
+  EXPECT_EQ(refused.load(), 0u) << "a reservation that fit was refused";
+  EXPECT_EQ(pool.used_frames(), 0u);
+  ExpectQuiescent(pool);
+}
+
 TEST(HostMemorySharded, ConcurrentSnapshotsStayInBounds) {
-  HostMemory pool(4 * kBatch, 2);
+  HostMemory pool(4 * kBatch);
   std::atomic<bool> stop{false};
   std::thread reader([&pool, &stop] {
     while (!stop.load(std::memory_order_acquire)) {

@@ -328,35 +328,32 @@ Scenario DeflateVsGuestAlloc() {
 }
 
 // --------------------------------------------------------------------
-// Scenario 5: the sharded host frame pool under concurrent admission.
-// Two VMs (threads, each pinned to its shard) reserve and release
-// against a pool that only fits both if the cross-shard rebalancer
-// works; the credit-chain under-promise invariant is checked at every
-// schedule point and exact conservation plus the CAS-max peak at the
-// end. HostMemory is header-only, so this binary's check::Atomic shim
-// instruments it just like the LLFree core.
+// Scenario 5: the host frame pool under concurrent admission. Two VMs
+// (threads) race twice for the last frames of a pool that fits only one
+// of them at a time; `used <= total` is checked at every schedule point,
+// and at the end everything is released and the CAS-max peak covers
+// every usage a thread observed. HostMemory is header-only, so this
+// binary's check::Atomic shim instruments it just like the LLFree core.
 // --------------------------------------------------------------------
+constexpr uint64_t kPoolFrames = 8;
+constexpr uint64_t kPoolWant = 5;  // two of these overcommit the pool
+
 Scenario HostPoolReserveRelease() {
   return [](Execution& exec) {
-    constexpr uint64_t kBatch = hv::HostMemory::kCreditBatch;
     struct PoolCtx {
-      hv::HostMemory pool{2 * kBatch, /*shards=*/2};
+      hv::HostMemory pool{kPoolFrames};
       uint64_t max_used = 0;  // model threads are sequentialized
+      int admitted = 0;
     };
     auto c = std::make_shared<PoolCtx>();
     for (unsigned t = 0; t < 2; ++t) {
-      exec.Spawn([c, t] {
-        // Half the pool each: the second thread's refill finds the
-        // global reserve dry and must raid the first shard's credit.
-        if (c->pool.TryReserve(kBatch, t)) {
-          c->max_used = std::max(c->max_used, c->pool.used_frames());
-          c->pool.Release(kBatch, t);
-        }
-        // Sub-batch round: exercises the banked-credit fast path and the
-        // drain-back-to-global on release.
-        if (c->pool.TryReserve(kBatch / 2 + 1, t)) {
-          c->max_used = std::max(c->max_used, c->pool.used_frames());
-          c->pool.Release(kBatch / 2 + 1, t);
+      exec.Spawn([c] {
+        for (int round = 0; round < 2; ++round) {
+          if (c->pool.TryReserve(kPoolWant)) {
+            ++c->admitted;
+            c->max_used = std::max(c->max_used, c->pool.used_frames());
+            c->pool.Release(kPoolWant);
+          }
         }
       });
     }
@@ -368,6 +365,38 @@ Scenario HostPoolReserveRelease() {
       Require(c->pool.peak_frames() >= c->max_used,
               "peak below a usage level a thread observed (lost CAS-max "
               "update)");
+      // The first attempt on the empty pool fits, so it cannot be
+      // refused whatever the interleaving.
+      Require(c->admitted >= 1, "no reservation admitted on an empty pool");
+    });
+  };
+}
+
+// Mutant: admission as check-then-fetch_add instead of one CAS. Both
+// threads can pass the free-frames check before either charges `used`,
+// so the pool admits two reservations that only fit one at a time.
+Scenario OvercommitMutant() {
+  return [](Execution& exec) {
+    struct RacyPool {
+      Atomic<uint64_t> used{0};
+    };
+    auto c = std::make_shared<RacyPool>();
+    for (unsigned t = 0; t < 2; ++t) {
+      exec.Spawn([c] {
+        const uint64_t used = c->used.load(std::memory_order_acquire);
+        if (kPoolFrames - used >= kPoolWant) {
+          // BUG (deliberate): not a CAS — the check above may be stale.
+          c->used.fetch_add(kPoolWant, std::memory_order_acq_rel);
+          c->used.fetch_sub(kPoolWant, std::memory_order_acq_rel);
+        }
+      });
+    }
+    exec.OnStep([c] {
+      const uint64_t used = c->used.load(std::memory_order_acquire);
+      Require(used <= kPoolFrames,
+              "host pool: used " + std::to_string(used) +
+                  " exceeds total " + std::to_string(kPoolFrames) +
+                  " (overcommit)");
     });
   };
 }
@@ -922,6 +951,22 @@ TEST(ModelCheckScenarios, DeflateVsGuestAlloc) {
 
 TEST(ModelCheckScenarios, HostPoolReserveRelease) {
   ExpectClean(ExploreRandom(HostPoolReserveRelease(), ScaledIters(1500)));
+}
+
+TEST(ModelCheckMutant, RandomWalkFindsOvercommit) {
+  const RunResult r = ExploreRandom(OvercommitMutant(), 2000);
+  ASSERT_TRUE(r.failed)
+      << "random exploration missed the check-then-add admission mutant";
+  EXPECT_NE(r.message.find("overcommit"), std::string::npos) << r.message;
+}
+
+TEST(ModelCheckMutant, ExhaustiveFindsOvercommit) {
+  Options opt;
+  opt.mode = Options::Mode::kExhaustive;
+  const RunResult r = Explore(opt, OvercommitMutant());
+  ASSERT_TRUE(r.failed)
+      << "exhaustive exploration missed the check-then-add admission mutant";
+  EXPECT_NE(r.message.find("overcommit"), std::string::npos) << r.message;
 }
 
 TEST(ModelCheckScenarios, FaultedReclaimRollsBack) {

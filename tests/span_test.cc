@@ -188,7 +188,7 @@ TEST_F(SpanTest, FullRingCountsDroppedSpans) {
   SpanTracer::Global().SetCapacity(4);
   ScopedRoot root;
   for (int i = 0; i < 10; ++i) {
-    Span span(Layer::kHostPool, "test.flood");
+    Span span(Layer::kEpt, "test.flood");
   }
   EXPECT_GT(SpanTracer::Global().dropped_spans(), 0u);
   EXPECT_LE(SpanTracer::Global().Drain().size(), 4u);

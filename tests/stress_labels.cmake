@@ -13,6 +13,7 @@ set_tests_properties(
   ${llfree_concurrent_test_TESTS}
   HostMemorySharded.ConcurrentStressConservesFrames
   HostMemorySharded.ConcurrentSnapshotsStayInBounds
+  HostMemorySharded.ConcurrentReservesBelowCapacityNeverFail
   SpanTest.RequestSpanPropagatesAcrossThreads
   TraceTest.CountersExactUnderEightThreads
   PROPERTIES LABELS stress)

@@ -47,7 +47,8 @@ TEST(Burn, LatencyAlertFiresOnRisingEdgeOnly) {
   options.burn_slow_epochs = 4;
   // Defaults otherwise: budget 0.01, thresholds 8x fast / 2x slow,
   // latency target 400 ms.
-  Pipeline pipeline(options, /*vms=*/4, /*pool_shards=*/2, kEpoch);
+  options.shards = 2;
+  Pipeline pipeline(options, /*vms=*/4, kEpoch);
   const std::vector<VmGauges> gauges = QuietGauges(4, 64 << 20, 32 << 20);
 
   sim::Time at = 0;
@@ -94,7 +95,8 @@ TEST(Burn, PressureAlertUsesPressureCeiling) {
   options.burn_fast_epochs = 1;
   options.burn_slow_epochs = 2;
   options.slo_pressure = 0.9;
-  Pipeline pipeline(options, 2, 1, kEpoch);
+  options.shards = 1;
+  Pipeline pipeline(options, 2, kEpoch);
   const std::vector<VmGauges> gauges = QuietGauges(2, 64 << 20, 32 << 20);
   // Over the ceiling from the first epoch: binary error 1.0.
   pipeline.OnEpoch(kEpoch, gauges, 1 << 30, /*pressure=*/0.95, 0, 0, 0, {});
@@ -108,7 +110,8 @@ TEST(Burn, PressureAlertUsesPressureCeiling) {
 TEST(Flight, QuarantineFreezesRingWithHistory) {
   TelemetryOptions options = QuietOptions();
   options.flight_depth = 8;
-  Pipeline pipeline(options, 4, 2, kEpoch);
+  options.shards = 2;
+  Pipeline pipeline(options, 4, kEpoch);
   std::vector<VmGauges> gauges = QuietGauges(4, 64 << 20, 32 << 20);
 
   // Ten quiet epochs fill the ring past its depth...
@@ -156,7 +159,8 @@ TEST(Flight, CooldownSpacesDumpsAndCapHolds) {
   options.flight_cooldown_epochs = 4;
   options.flight_max_dumps = 2;
   const uint64_t vms = 24;
-  Pipeline pipeline(options, vms, 2, kEpoch);
+  options.shards = 2;
+  Pipeline pipeline(options, vms, kEpoch);
   std::vector<VmGauges> gauges = QuietGauges(vms, 64 << 20, 32 << 20);
   // A new VM quarantines every epoch: without the cooldown this would
   // dump every epoch, without the cap it would dump forever.
@@ -173,7 +177,8 @@ TEST(Flight, CooldownSpacesDumpsAndCapHolds) {
 TEST(Flight, RejectSpikeTrigger) {
   TelemetryOptions options = QuietOptions();
   options.reject_spike_threshold = 5;
-  Pipeline pipeline(options, 2, 1, kEpoch);
+  options.shards = 1;
+  Pipeline pipeline(options, 2, kEpoch);
   const std::vector<VmGauges> gauges = QuietGauges(2, 64 << 20, 32 << 20);
   // Cumulative rejections: +2 (quiet), +7 (spike).
   pipeline.OnEpoch(kEpoch, gauges, 1 << 30, 0.5, 10, 0, 2, {});
@@ -191,7 +196,7 @@ TEST(Hierarchy, ShardMergeEqualsDirectVmAggregation) {
   options.shards = 4;
   options.record_vm_series = true;
   const uint64_t vms = 10;  // deliberately not a multiple of shards
-  Pipeline pipeline(options, vms, /*pool_shards=*/8, kEpoch);
+  Pipeline pipeline(options, vms, kEpoch);
 
   for (int k = 0; k < 6; ++k) {
     std::vector<VmGauges> gauges(vms);
@@ -240,7 +245,8 @@ TEST(Hierarchy, ShardMergeEqualsDirectVmAggregation) {
 TEST(Digest, IdenticalInputsIdenticalStream) {
   auto run = [](uint64_t wss_tweak) {
     TelemetryOptions options = QuietOptions();
-    Pipeline pipeline(options, 3, 2, kEpoch);
+    options.shards = 2;
+    Pipeline pipeline(options, 3, kEpoch);
     for (int k = 0; k < 5; ++k) {
       std::vector<VmGauges> gauges = QuietGauges(3, 64 << 20, 32 << 20);
       gauges[1].wss_bytes += wss_tweak;
@@ -261,7 +267,8 @@ TEST(Digest, IdenticalInputsIdenticalStream) {
 TEST(Pipeline, DisabledSamplesNothing) {
   TelemetryOptions options = QuietOptions();
   options.enabled = false;
-  Pipeline pipeline(options, 2, 1, kEpoch);
+  options.shards = 1;
+  Pipeline pipeline(options, 2, kEpoch);
   EXPECT_FALSE(pipeline.enabled());
   pipeline.OnEpoch(kEpoch, QuietGauges(2, 1 << 20, 1 << 20), 1 << 30, 0.99,
                    0, 0, 100, {});
@@ -276,7 +283,7 @@ TEST(Pipeline, DisabledSamplesNothing) {
 #else  // !HYPERALLOC_TRACE
 
 TEST(Pipeline, NotraceStubIsInert) {
-  Pipeline pipeline(TelemetryOptions{}, 4, 2, 5 * sim::kSec);
+  Pipeline pipeline(TelemetryOptions{}, 4, 5 * sim::kSec);
   EXPECT_FALSE(pipeline.enabled());
   pipeline.OnEpoch(sim::kSec, {}, 0, 0.0, 0, 0, 0, {});
   const TelemetryResult result = pipeline.Finish();

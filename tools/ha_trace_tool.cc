@@ -121,7 +121,7 @@ bool Load(const std::string& path, std::vector<Row>* rows) {
 bool KnownSpanLayer(const std::string& layer) {
   static const char* const kLayers[] = {"request", "monitor", "backend",
                                         "guest",   "llfree",  "ept",
-                                        "iommu",   "hostpool"};
+                                        "iommu"};
   for (const char* known : kLayers) {
     if (layer == known) {
       return true;
