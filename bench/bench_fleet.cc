@@ -171,8 +171,7 @@ int Main(int argc, char** argv) {
     std::printf("wrote %s\n", out.c_str());
   }
   if (!telemetry_out.empty()) {
-    telemetry::WriteTelemetryArtifacts(telemetry_out, result.telemetry,
-                                       options.telemetry.shards);
+    telemetry::WriteTelemetryArtifacts(telemetry_out, result.telemetry);
     std::printf("wrote %s.{fleet.csv,vms.csv,prom,perfetto.json} "
                 "+ %llu flight dump(s)\n",
                 telemetry_out.c_str(),

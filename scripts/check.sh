@@ -15,7 +15,8 @@
 #      the trace-layer counter/histogram tests, a capped model-check run
 #      (the model checker is deterministic, so a small TSan run only
 #      needs to cover the harness machinery itself), and the `stress`
-#      label repeated.
+#      label repeated (fleet_test is built for its faulted 1-vs-4-thread
+#      fleet case).
 set -e
 cd "$(dirname "$0")/.."
 
@@ -55,7 +56,7 @@ echo "== tsan: lock-free paths (preset: tsan) =="
 cmake --preset tsan >/dev/null
 cmake --build --preset tsan -j \
   --target llfree_concurrent_test host_memory_test trace_test span_test \
-  model_check_test
+  model_check_test fleet_test
 ./build-tsan/tests/llfree_concurrent_test
 ./build-tsan/tests/host_memory_test
 ./build-tsan/tests/trace_test

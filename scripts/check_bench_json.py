@@ -10,7 +10,7 @@ Accepts the schemas the current binaries emit:
                              v7 embeds plus the run's `wall_ms`
   hyperalloc-bench-faults-v1 bench_faults: degraded-mode reclaim sweep;
                              the zero-rate baseline must be clean
-  hyperalloc-flight-v1       a black-box flight-recorder dump frozen by
+  hyperalloc-flight-v2       a black-box flight-recorder dump frozen by
                              the telemetry pipeline; --min-epochs=N
                              additionally requires the ring to cover at
                              least N epochs before the trigger
@@ -189,7 +189,7 @@ def check_huge_variant(variant, ctx):
 
 
 def check_flight(doc, min_epochs):
-    """hyperalloc-flight-v1: one frozen flight-recorder dump."""
+    """hyperalloc-flight-v2: one frozen flight-recorder dump."""
     trigger = require(doc, "trigger", dict, "$")
     kind = require(trigger, "kind", str, "trigger")
     if kind not in ("alert", "quarantine", "reject_spike"):
@@ -199,9 +199,8 @@ def check_flight(doc, min_epochs):
     if kind == "quarantine":
         require(trigger, "vm", numbers.Real, "trigger")
     vms = require(doc, "vms", numbers.Real, "$")
-    shards = require(doc, "shards", numbers.Real, "$")
-    if vms <= 0 or shards <= 0:
-        fail("flight dump covers no VMs/shards")
+    if vms <= 0:
+        fail("flight dump covers no VMs")
     for alert in require(doc, "alerts", list, "$"):
         actx = "alerts[]"
         require(alert, "epoch", numbers.Real, actx)
@@ -229,21 +228,6 @@ def check_flight(doc, min_epochs):
             fail(f"{ectx}: ring epochs not consecutive "
                  f"({previous} -> {entry['epoch']})")
         previous = entry["epoch"]
-        shard_list = require(entry, "shards", list, ectx)
-        if len(shard_list) != shards:
-            fail(f"{ectx}: {len(shard_list)} shard rollups, "
-                 f"expected {shards}")
-        shard_vms = 0
-        for shard in shard_list:
-            sctx = f"{ectx}.shards[{shard.get('shard')}]"
-            for key in ("shard", "vms", "limit_bytes", "wss_bytes",
-                        "rss_bytes", "busy_vms", "quarantined_vms",
-                        "faults"):
-                require(shard, key, numbers.Real, sctx)
-            shard_vms += shard["vms"]
-        if shard_vms != vms:
-            fail(f"{ectx}: shard rollups cover {shard_vms} VMs, "
-                 f"expected {vms}")
         deltas = require(entry, "counter_deltas", dict, ectx)
         for name, value in deltas.items():
             if not isinstance(value, numbers.Real) or value <= 0:
@@ -403,7 +387,7 @@ def main():
         require(fleet, "wall_ms", numbers.Real, "fleet")
     elif schema == "hyperalloc-bench-faults-v1":
         check_faults(doc)
-    elif schema == "hyperalloc-flight-v1":
+    elif schema == "hyperalloc-flight-v2":
         check_flight(doc, min_epochs)
         schema += f", {len(doc['epochs'])} ring epochs"
     else:

@@ -54,16 +54,9 @@ HyperAllocMonitor::HyperAllocMonitor(guest::GuestVm* vm,
 }
 
 AllocType HyperAllocMonitor::TreeTypeOf(HugeId global_huge) const {
-  for (const auto& view : zones_) {
-    const HugeId first = FrameToHuge(view->zone->start);
-    if (global_huge >= first && global_huge < first + view->states.size()) {
-      const uint64_t tree =
-          (global_huge - first) / view->zone->llfree->config().areas_per_tree;
-      return view->zone->llfree->ReadTree(tree).type;
-    }
-  }
-  HA_CHECK(false && "huge frame outside every zone");
-  __builtin_unreachable();
+  HugeId local = 0;
+  const llfree::LLFree& llfree = *FindView(global_huge, &local)->zone->llfree;
+  return llfree.ReadTree(local / llfree.config().areas_per_tree).type;
 }
 
 std::vector<HyperAllocMonitor::ZoneView*> HyperAllocMonitor::ReclaimOrder() {
@@ -91,8 +84,8 @@ uint64_t HyperAllocMonitor::limit_bytes() const {
          (hard_reclaimed_huge_ + quarantined_huge_) * kHugeSize;
 }
 
-HyperAllocMonitor::ZoneView* HyperAllocMonitor::FindView(HugeId global_huge,
-                                                         HugeId* local_huge) {
+HyperAllocMonitor::ZoneView* HyperAllocMonitor::FindView(
+    HugeId global_huge, HugeId* local_huge) const {
   for (const auto& view : zones_) {
     const HugeId first = FrameToHuge(view->zone->start);
     if (global_huge >= first && global_huge < first + view->states.size()) {
@@ -196,14 +189,8 @@ bool HyperAllocMonitor::RequestTimedOut() const {
 }
 
 ReclaimState HyperAllocMonitor::StateOf(HugeId global_huge) const {
-  for (const auto& view : zones_) {
-    const HugeId first = FrameToHuge(view->zone->start);
-    if (global_huge >= first && global_huge < first + view->states.size()) {
-      return view->states.Get(global_huge - first);
-    }
-  }
-  HA_CHECK(false && "huge frame outside every zone");
-  __builtin_unreachable();
+  HugeId local = 0;
+  return FindView(global_huge, &local)->states.Get(local);
 }
 
 void HyperAllocMonitor::Install(ZoneView& view, HugeId local_huge) {
@@ -686,14 +673,8 @@ void HyperAllocMonitor::GrowSlice(uint64_t target_huge,
 }
 
 bool HyperAllocMonitor::IsHot(HugeId global_huge) const {
-  for (const auto& view : zones_) {
-    const HugeId first = FrameToHuge(view->zone->start);
-    if (global_huge >= first && global_huge < first + view->states.size()) {
-      return view->zone->llfree->HotnessOf(global_huge - first) > 0;
-    }
-  }
-  HA_CHECK(false && "huge frame outside every zone");
-  __builtin_unreachable();
+  HugeId local = 0;
+  return FindView(global_huge, &local)->zone->llfree->HotnessOf(local) > 0;
 }
 
 uint64_t HyperAllocMonitor::AutoReclaimPass() {

@@ -165,8 +165,9 @@ class HyperAllocMonitor : public hv::Deflator {
   void AutoTick();
 
   // --- Fault recovery (DESIGN.md §4.9) -------------------------------
-  // Maps a global huge id back to its zone view + local id.
-  ZoneView* FindView(HugeId global_huge, HugeId* local_huge);
+  // Maps a global huge id back to its zone view + local id; the one
+  // zone-range lookup behind every per-frame query.
+  ZoneView* FindView(HugeId global_huge, HugeId* local_huge) const;
   // Charges the exponential backoff before retry number `retry` (0-based)
   // and bumps the retry accounting (innermost span + request span).
   void ChargeBackoff(unsigned retry);

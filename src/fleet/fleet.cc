@@ -43,11 +43,6 @@ double PercentileMs(std::vector<double> values, double q) {
   return values[rank];
 }
 
-metrics::TimeSeries MergeSum(const std::vector<metrics::TimeSeries>& series,
-                             sim::Time period) {
-  return metrics::MergeSum(series, period);
-}
-
 bool SeriesEqual(const metrics::TimeSeries& a, const metrics::TimeSeries& b) {
   if (a.points().size() != b.points().size()) {
     return false;
@@ -251,8 +246,7 @@ void FleetEngine::ParallelPass(const std::function<void(uint64_t)>& task) {
   }
 }
 
-void FleetEngine::ControlStep(sim::Time barrier, FleetResult* result) {
-  (void)result;
+void FleetEngine::ControlStep(sim::Time barrier) {
   const uint64_t n = states_.size();
 
   // Pressure-spike injection: bump the first spike.vms agents' demand at
@@ -283,6 +277,14 @@ void FleetEngine::ControlStep(sim::Time barrier, FleetResult* result) {
     s.wss_primed = true;
     sig.wss_bytes = s.wss_bytes;
     committed += std::max(sig.limit_bytes, sig.busy ? s.inflight_target : 0);
+    // A quarantined frame counts against the limit, but one quarantined
+    // after a permanent unmap fault stays mapped and keeps its host
+    // memory. Count every quarantined frame as committed: the ones
+    // quarantined after a failed unpin are already unmapped, so this
+    // over-counts, which only makes admission stricter.
+    if (s.parts.fault != nullptr) {
+      committed += s.parts.fault->quarantined_frames() * kHugeSize;
+    }
   }
   const uint64_t capacity = host_->total_frames() * kFrameSize;
   const uint64_t usable = static_cast<uint64_t>(
@@ -481,7 +483,7 @@ void FleetEngine::SampleTelemetry(sim::Time barrier, uint64_t committed_bytes,
                       admission_.rejected, completed_ms);
 }
 
-void FleetEngine::RunEpochs(FleetResult* result) {
+void FleetEngine::RunEpochs() {
   for (sim::Time barrier = config_.epoch; barrier <= config_.horizon;
        barrier += config_.epoch) {
     ParallelPass([this, barrier](uint64_t i) {
@@ -494,7 +496,7 @@ void FleetEngine::RunEpochs(FleetResult* result) {
 #endif
       s.sim->RunUntil(barrier);
     });
-    ControlStep(barrier, result);
+    ControlStep(barrier);
   }
   // Run-out: drive in-flight resizes (including ones issued at the last
   // barrier) to completion. The sampler and agent chains all end at the
@@ -554,9 +556,9 @@ FleetResult FleetEngine::Run() {
   if (config_.run_to_completion) {
     RunToCompletion();
   } else {
-    telemetry_ = std::make_unique<telemetry::Pipeline>(
-        config_.telemetry, config_.vms, config_.epoch);
-    RunEpochs(&result);
+    telemetry_ =
+        std::make_unique<telemetry::Pipeline>(config_.telemetry, config_.vms);
+    RunEpochs();
     result.telemetry = telemetry_->Finish();
   }
   const auto wall_end = std::chrono::steady_clock::now();

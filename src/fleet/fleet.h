@@ -13,11 +13,14 @@
 // fleet scale): a VM's event stream depends only on its own simulation
 // plus the *boolean* outcomes of HostMemory::TryReserve. Admission
 // control keeps the committed-bytes ledger
-//     sum_i max(limit_i, inflight_target_i) <= capacity * (1 - reserve)
-// and the pool is one exact counter that refuses a reservation only when
-// it does not fit, so TryReserve never fails mid-epoch, whatever the
-// interleaving. That makes every per-VM outcome byte-identical no matter
-// how many worker threads drive the fleet.
+//     sum_i max(limit_i, inflight_target_i) + quarantined_i
+//         <= capacity * (1 - reserve)
+// (quarantined_i: the VM's quarantined frames, which count against its
+// limit but may still hold host memory), and the pool is one exact
+// counter that refuses a reservation only when it does not fit, so
+// TryReserve never fails mid-epoch, whatever the interleaving. That
+// makes every per-VM outcome byte-identical no matter how many worker
+// threads drive the fleet.
 // Each VM's outcome stream is folded into an FNV-1a digest
 // (samples, resize records, final limit); equal fleet digests across
 // thread counts are the determinism check at 512-1024 VMs.
@@ -201,11 +204,6 @@ struct FleetResult {
   telemetry::TelemetryResult telemetry;
 };
 
-// Sums sample index k across all series; series that ended keep
-// contributing their last value (an idle VM still holds its memory).
-metrics::TimeSeries MergeSum(const std::vector<metrics::TimeSeries>& series,
-                             sim::Time period);
-
 // Nearest-rank percentile (q in [0, 1]) over an unsorted millisecond
 // sample — the method behind FleetSlo's p50/p99, exported so external
 // cross-checks (e.g. span-derived latencies) compare like with like.
@@ -246,9 +244,9 @@ class FleetEngine {
   struct VmState;
 
   void BuildVms();
-  void RunEpochs(FleetResult* result);
+  void RunEpochs();
   void RunToCompletion();
-  void ControlStep(sim::Time barrier, FleetResult* result);
+  void ControlStep(sim::Time barrier);
   void ParallelPass(const std::function<void(uint64_t)>& task);
   void StartSampling(VmState* state);
   // End-of-barrier telemetry sample: reads gauges with the fleet

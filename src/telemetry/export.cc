@@ -54,11 +54,10 @@ void WriteFleetCsv(const std::string& path, const TelemetryResult& result) {
   std::fclose(file);
 }
 
-void WriteVmsCsv(const std::string& path, const TelemetryResult& result,
-                 unsigned shards) {
+void WriteVmsCsv(const std::string& path, const TelemetryResult& result) {
   std::FILE* file = OpenOrDie(path);
   std::fprintf(file,
-               "vm,shard,limit_mib,wss_mib,peak_wss_mib,peak_pressure,"
+               "vm,limit_mib,wss_mib,peak_wss_mib,peak_pressure,"
                "resizes,faults,retries,rollbacks,quarantined_frames,"
                "quarantined\n");
   for (const VmGauges& g : result.vm_last) {
@@ -66,9 +65,9 @@ void WriteVmsCsv(const std::string& path, const TelemetryResult& result,
                               ? result.vm_peaks[g.vm]
                               : VmPeaks{};
     std::fprintf(file,
-                 "%" PRIu64 ",%u,%.3f,%.3f,%.3f,%.6f,%" PRIu64 ",%" PRIu64
+                 "%" PRIu64 ",%.3f,%.3f,%.3f,%.6f,%" PRIu64 ",%" PRIu64
                  ",%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%u\n",
-                 g.vm, ShardOf(g.vm, shards), Mib(g.limit_bytes),
+                 g.vm, Mib(g.limit_bytes),
                  Mib(g.wss_bytes), Mib(peaks.peak_wss_bytes),
                  peaks.peak_pressure, g.resizes, g.faults, g.retries,
                  g.rollbacks, g.quarantined_frames, g.quarantined ? 1 : 0);
@@ -77,7 +76,7 @@ void WriteVmsCsv(const std::string& path, const TelemetryResult& result,
 }
 
 void WriteFleetPrometheus(const std::string& path,
-                          const TelemetryResult& result, unsigned shards) {
+                          const TelemetryResult& result) {
   std::FILE* file = OpenOrDie(path);
   const EpochSummary last =
       result.fleet.empty() ? EpochSummary{} : result.fleet.back();
@@ -114,37 +113,18 @@ void WriteFleetPrometheus(const std::string& path,
     std::fprintf(file, "# TYPE %s %s\n%s %.6f\n", row.name, row.type,
                  row.name, row.value);
   }
-  std::fprintf(file, "# TYPE hyperalloc_shard_limit_gib gauge\n");
-  for (const ShardGauges& s : result.shard_last) {
-    std::fprintf(file, "hyperalloc_shard_limit_gib{shard=\"%u\"} %.6f\n",
-                 s.shard, Gib(s.limit_bytes));
-  }
-  std::fprintf(file, "# TYPE hyperalloc_shard_wss_gib gauge\n");
-  for (const ShardGauges& s : result.shard_last) {
-    std::fprintf(file, "hyperalloc_shard_wss_gib{shard=\"%u\"} %.6f\n",
-                 s.shard, Gib(s.wss_bytes));
-  }
-  std::fprintf(file, "# TYPE hyperalloc_shard_quarantined_vms gauge\n");
-  for (const ShardGauges& s : result.shard_last) {
-    std::fprintf(file,
-                 "hyperalloc_shard_quarantined_vms{shard=\"%u\"} %" PRIu64
-                 "\n",
-                 s.shard, s.quarantined_vms);
-  }
   if (result.vm_last.size() <= kPrometheusVmLimit) {
     std::fprintf(file, "# TYPE hyperalloc_vm_limit_mib gauge\n");
     for (const VmGauges& g : result.vm_last) {
       std::fprintf(file,
-                   "hyperalloc_vm_limit_mib{vm=\"%" PRIu64
-                   "\",shard=\"%u\"} %.3f\n",
-                   g.vm, ShardOf(g.vm, shards), Mib(g.limit_bytes));
+                   "hyperalloc_vm_limit_mib{vm=\"%" PRIu64 "\"} %.3f\n",
+                   g.vm, Mib(g.limit_bytes));
     }
     std::fprintf(file, "# TYPE hyperalloc_vm_wss_mib gauge\n");
     for (const VmGauges& g : result.vm_last) {
       std::fprintf(file,
-                   "hyperalloc_vm_wss_mib{vm=\"%" PRIu64
-                   "\",shard=\"%u\"} %.3f\n",
-                   g.vm, ShardOf(g.vm, shards), Mib(g.wss_bytes));
+                   "hyperalloc_vm_wss_mib{vm=\"%" PRIu64 "\"} %.3f\n",
+                   g.vm, Mib(g.wss_bytes));
     }
   }
   std::fclose(file);
@@ -152,62 +132,9 @@ void WriteFleetPrometheus(const std::string& path,
 
 void WriteFleetPerfetto(const std::string& path,
                         const TelemetryResult& result) {
+  const std::string json = FleetPerfettoJson(result.fleet, result.alert_events);
   std::FILE* file = OpenOrDie(path);
-  std::fprintf(file, "{\"traceEvents\":[\n");
-  std::fprintf(file,
-               "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,"
-               "\"args\":{\"name\":\"fleet\"}}");
-  std::fprintf(file,
-               ",\n{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,"
-               "\"args\":{\"name\":\"shards\"}}");
-  for (const EpochSummary& e : result.fleet) {
-    const double ts = static_cast<double>(e.at) / 1000.0;  // virtual µs
-    const struct {
-      const char* name;
-      double value;
-    } tracks[] = {
-        {"pressure", e.pressure},
-        {"committed_gib", Gib(e.committed_bytes)},
-        {"limit_gib", Gib(e.limit_bytes)},
-        {"wss_gib", Gib(e.wss_bytes)},
-        {"busy_vms", static_cast<double>(e.busy_vms)},
-        {"quarantined_vms", static_cast<double>(e.quarantined_vms)},
-        {"rejected_delta", static_cast<double>(e.rejected_delta)},
-        {"latency_burn_fast", e.latency_burn_fast},
-        {"pressure_burn_fast", e.pressure_burn_fast},
-    };
-    for (const auto& track : tracks) {
-      std::fprintf(file,
-                   ",\n{\"name\":\"%s\",\"ph\":\"C\",\"pid\":0,\"ts\":%.3f,"
-                   "\"args\":{\"value\":%.6f}}",
-                   track.name, ts, track.value);
-    }
-  }
-  for (size_t sh = 0; sh < result.shard_limit_gib.size(); ++sh) {
-    for (const auto& p : result.shard_limit_gib[sh].points()) {
-      std::fprintf(file,
-                   ",\n{\"name\":\"shard%zu.limit_gib\",\"ph\":\"C\","
-                   "\"pid\":1,\"ts\":%.3f,\"args\":{\"value\":%.6f}}",
-                   sh, static_cast<double>(p.at) / 1000.0, p.value);
-    }
-  }
-  for (size_t sh = 0; sh < result.shard_wss_gib.size(); ++sh) {
-    for (const auto& p : result.shard_wss_gib[sh].points()) {
-      std::fprintf(file,
-                   ",\n{\"name\":\"shard%zu.wss_gib\",\"ph\":\"C\","
-                   "\"pid\":1,\"ts\":%.3f,\"args\":{\"value\":%.6f}}",
-                   sh, static_cast<double>(p.at) / 1000.0, p.value);
-    }
-  }
-  // Instant markers for the alert stream so alerts line up against the
-  // counter tracks without loading the span trace.
-  for (const AlertEvent& a : result.alert_events) {
-    std::fprintf(file,
-                 ",\n{\"name\":\"alert.%s\",\"ph\":\"i\",\"pid\":0,"
-                 "\"ts\":%.3f,\"s\":\"g\"}",
-                 Name(a.kind), static_cast<double>(a.at) / 1000.0);
-  }
-  std::fprintf(file, "\n],\"displayTimeUnit\":\"ns\"}\n");
+  std::fwrite(json.data(), 1, json.size(), file);
   std::fclose(file);
 }
 
@@ -231,10 +158,10 @@ uint64_t WriteFlightDumps(const std::string& prefix,
 }
 
 void WriteTelemetryArtifacts(const std::string& prefix,
-                             const TelemetryResult& result, unsigned shards) {
+                             const TelemetryResult& result) {
   WriteFleetCsv(prefix + ".fleet.csv", result);
-  WriteVmsCsv(prefix + ".vms.csv", result, shards);
-  WriteFleetPrometheus(prefix + ".prom", result, shards);
+  WriteVmsCsv(prefix + ".vms.csv", result);
+  WriteFleetPrometheus(prefix + ".prom", result);
   WriteFleetPerfetto(prefix + ".perfetto.json", result);
   WriteFlightDumps(prefix, result);
 }

@@ -21,28 +21,24 @@ namespace hyperalloc::telemetry {
 void WriteFleetCsv(const std::string& path, const TelemetryResult& result);
 
 // Final per-VM gauge rows plus run peaks:
-// "vm,shard,limit_mib,wss_mib,peak_wss_mib,peak_pressure,resizes,
-//  faults,retries,rollbacks,quarantined_frames,quarantined".
-void WriteVmsCsv(const std::string& path, const TelemetryResult& result,
-                 unsigned shards);
+// "vm,limit_mib,wss_mib,peak_wss_mib,peak_pressure,resizes,faults,
+//  retries,rollbacks,quarantined_frames,quarantined".
+void WriteVmsCsv(const std::string& path, const TelemetryResult& result);
 
 // Prometheus text exposition of the final-epoch fleet state: fleet-level
-// gauges plus per-shard series labeled {shard="N"} and per-VM series
-// labeled {vm="N",shard="M"} (per-VM only when the fleet is small enough
-// to keep cardinality sane — see kPrometheusVmLimit).
+// gauges plus per-VM series labeled {vm="N"} (per-VM only when the fleet
+// is small enough to keep cardinality sane — see kPrometheusVmLimit).
 inline constexpr uint64_t kPrometheusVmLimit = 256;
 void WriteFleetPrometheus(const std::string& path,
-                          const TelemetryResult& result, unsigned shards);
+                          const TelemetryResult& result);
 
-// Perfetto counter tracks (ph:"C") over the whole run: fleet pressure /
-// committed / limit / WSS / burn rates on pid 0 ("fleet"), per-shard
-// limit+WSS tracks on pid 1 ("shards"). ts is virtual µs, so it overlays
-// the span trace from trace::WritePerfettoJson directly.
+// FleetPerfettoJson over the whole run: the fleet counter tracks of
+// every epoch plus the alert markers.
 void WriteFleetPerfetto(const std::string& path,
                         const TelemetryResult& result);
 
 // Writes each retained flight dump as `prefix.flight<i>.json` (the
-// hyperalloc-flight-v1 document) and `prefix.flight<i>.perfetto.json`.
+// hyperalloc-flight-v2 document) and `prefix.flight<i>.perfetto.json`.
 // Returns the number of dumps written.
 uint64_t WriteFlightDumps(const std::string& prefix,
                           const TelemetryResult& result);
@@ -51,6 +47,6 @@ uint64_t WriteFlightDumps(const std::string& prefix,
 // `prefix.fleet.csv`, `prefix.vms.csv`, `prefix.prom`,
 // `prefix.perfetto.json`, plus the flight dumps.
 void WriteTelemetryArtifacts(const std::string& prefix,
-                             const TelemetryResult& result, unsigned shards);
+                             const TelemetryResult& result);
 
 }  // namespace hyperalloc::telemetry

@@ -34,6 +34,71 @@ const char* Name(FlightTrigger trigger) {
   return "?";
 }
 
+namespace {
+
+double Gib(uint64_t bytes) {
+  return static_cast<double>(bytes) / static_cast<double>(kGiB);
+}
+
+void Append(std::string* out, const char* format, ...)
+    __attribute__((format(printf, 2, 3)));
+
+void Append(std::string* out, const char* format, ...) {
+  char buffer[256];
+  va_list args;
+  va_start(args, format);
+  const int n = std::vsnprintf(buffer, sizeof(buffer), format, args);
+  va_end(args);
+  HA_CHECK(n >= 0 && n < static_cast<int>(sizeof(buffer)));
+  out->append(buffer, static_cast<size_t>(n));
+}
+
+}  // namespace
+
+std::string FleetPerfettoJson(const std::vector<EpochSummary>& epochs,
+                              const std::vector<AlertEvent>& alerts) {
+  std::string out;
+  out.reserve(1024 + epochs.size() * 1024);
+  Append(&out, "{\"traceEvents\":[\n");
+  Append(&out,
+         "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,"
+         "\"args\":{\"name\":\"fleet\"}}");
+  for (const EpochSummary& e : epochs) {
+    const double ts = static_cast<double>(e.at) / 1000.0;  // virtual µs
+    const struct {
+      const char* name;
+      double value;
+    } tracks[] = {
+        {"pressure", e.pressure},
+        {"committed_gib", Gib(e.committed_bytes)},
+        {"limit_gib", Gib(e.limit_bytes)},
+        {"wss_gib", Gib(e.wss_bytes)},
+        {"rss_gib", Gib(e.rss_bytes)},
+        {"busy_vms", static_cast<double>(e.busy_vms)},
+        {"quarantined_vms", static_cast<double>(e.quarantined_vms)},
+        {"rejected_delta", static_cast<double>(e.rejected_delta)},
+        {"latency_burn_fast", e.latency_burn_fast},
+        {"pressure_burn_fast", e.pressure_burn_fast},
+    };
+    for (const auto& track : tracks) {
+      Append(&out,
+             ",\n{\"name\":\"%s\",\"ph\":\"C\",\"pid\":0,\"ts\":%.3f,"
+             "\"args\":{\"value\":%.6f}}",
+             track.name, ts, track.value);
+    }
+  }
+  // Instant markers for the alert stream so alerts line up against the
+  // counter tracks without loading the span trace.
+  for (const AlertEvent& a : alerts) {
+    Append(&out,
+           ",\n{\"name\":\"alert.%s\",\"ph\":\"i\",\"pid\":0,"
+           "\"ts\":%.3f,\"s\":\"g\"}",
+           Name(a.kind), static_cast<double>(a.at) / 1000.0);
+  }
+  Append(&out, "\n],\"displayTimeUnit\":\"ns\"}\n");
+  return out;
+}
+
 #if HYPERALLOC_TRACE
 
 namespace {
@@ -52,10 +117,6 @@ void MixInto(uint64_t* h, uint64_t v) {
 }
 
 void MixInto(uint64_t* h, double v) { MixInto(h, std::bit_cast<uint64_t>(v)); }
-
-double Gib(uint64_t bytes) {
-  return static_cast<double>(bytes) / static_cast<double>(kGiB);
-}
 
 double Seconds(sim::Time t) {
   return static_cast<double>(t) / static_cast<double>(sim::kSec);
@@ -76,19 +137,6 @@ bool Allowlisted(const std::string& name) {
     }
   }
   return false;
-}
-
-void Append(std::string* out, const char* format, ...)
-    __attribute__((format(printf, 2, 3)));
-
-void Append(std::string* out, const char* format, ...) {
-  char buffer[256];
-  va_list args;
-  va_start(args, format);
-  const int n = std::vsnprintf(buffer, sizeof(buffer), format, args);
-  va_end(args);
-  HA_CHECK(n >= 0 && n < static_cast<int>(sizeof(buffer)));
-  out->append(buffer, static_cast<size_t>(n));
 }
 
 }  // namespace
@@ -115,24 +163,14 @@ double Pipeline::Burn::Rate(unsigned epochs, double budget) const {
   return sum / static_cast<double>(n) / budget;
 }
 
-Pipeline::Pipeline(const TelemetryOptions& options, uint64_t vms,
-                   sim::Time epoch)
-    : options_(options),
-      vms_(vms),
-      shards_(std::max(1u, options.shards)),
-      epoch_period_(epoch) {
+Pipeline::Pipeline(const TelemetryOptions& options, uint64_t vms)
+    : options_(options), vms_(vms) {
   enabled_ = options_.enabled && vms_ > 0;
   if (!enabled_) {
     return;
   }
   quarantined_.assign(vms_, 0);
   result_.vm_peaks.assign(vms_, {});
-  result_.shard_limit_gib.resize(shards_);
-  result_.shard_wss_gib.resize(shards_);
-  if (options_.record_vm_series) {
-    result_.vm_limit_gib.resize(vms_);
-    result_.vm_wss_gib.resize(vms_);
-  }
   counter_prev_ = CounterDeltas();  // baseline: deltas vs zero = values
 }
 
@@ -255,21 +293,10 @@ void Pipeline::OnEpoch(sim::Time at, std::vector<VmGauges> gauges,
   e.rejected_delta = rejected - prev_rejected_;
   prev_rejected_ = rejected;
 
-  std::vector<ShardGauges> shards(shards_);
   bool new_quarantine = false;
   uint64_t first_quarantined = ~0ull;
   FlightFrame frame;
   for (const VmGauges& g : gauges) {
-    const unsigned sh = ShardOf(g.vm, shards_);
-    ShardGauges& s = shards[sh];
-    s.shard = sh;
-    ++s.vms;
-    s.limit_bytes += g.limit_bytes;
-    s.wss_bytes += g.wss_bytes;
-    s.rss_bytes += g.rss_bytes;
-    s.busy_vms += g.busy ? 1 : 0;
-    s.quarantined_vms += g.quarantined ? 1 : 0;
-    s.faults += g.faults;
     e.limit_bytes += g.limit_bytes;
     e.wss_bytes += g.wss_bytes;
     e.rss_bytes += g.rss_bytes;
@@ -293,10 +320,6 @@ void Pipeline::OnEpoch(sim::Time at, std::vector<VmGauges> gauges,
                                             static_cast<double>(g.limit_bytes));
     }
     MixGauges(g);
-    if (options_.record_vm_series) {
-      result_.vm_limit_gib[g.vm].Sample(at, Gib(g.limit_bytes));
-      result_.vm_wss_gib[g.vm].Sample(at, Gib(g.wss_bytes));
-    }
     // Flight-ring detail: retain per-VM rows only for the VMs a
     // postmortem reader would look at — in a healthy fleet that is
     // near-zero rows instead of N. The filter reads only sampled gauge
@@ -313,10 +336,6 @@ void Pipeline::OnEpoch(sim::Time at, std::vector<VmGauges> gauges,
         frame.vm_detail.push_back(g);
       }
     }
-  }
-  for (unsigned sh = 0; sh < shards_; ++sh) {
-    result_.shard_limit_gib[sh].Sample(at, Gib(shards[sh].limit_bytes));
-    result_.shard_wss_gib[sh].Sample(at, Gib(shards[sh].wss_bytes));
   }
 
   // Burn-rate windows. An epoch's latency error fraction is the share of
@@ -378,7 +397,6 @@ void Pipeline::OnEpoch(sim::Time at, std::vector<VmGauges> gauges,
   MixSummary(e);
 
   frame.fleet = e;
-  frame.shards = shards;
   frame.counter_deltas = CounterDeltas();
   // The deltas scan returns absolute values relative to counter_prev_;
   // advance the baseline by re-reading (same values, quiesced).
@@ -405,7 +423,6 @@ void Pipeline::OnEpoch(sim::Time at, std::vector<VmGauges> gauges,
 
   result_.fleet.push_back(e);
   result_.vm_last = std::move(gauges);
-  result_.shard_last = std::move(shards);
 
   MaybeDump(at, alert_edge, new_quarantine, first_quarantined,
             e.rejected_delta);
@@ -445,11 +462,18 @@ void Pipeline::MaybeDump(sim::Time at, bool alert_edge, bool new_quarantine,
   result_.dumps.push_back(std::move(dump));
 }
 
+const Pipeline::FlightFrame& Pipeline::RingFrame(uint64_t k) const {
+  // When the ring is full, ring_next_ points at the oldest frame.
+  return ring_[ring_filled_ < options_.flight_depth
+                   ? k
+                   : (ring_next_ + k) % ring_.size()];
+}
+
 std::string Pipeline::BuildFlightJson(const FlightDump& dump) const {
   std::string out;
   out.reserve(4096 +
               ring_filled_ * (options_.flight_vm_detail_cap * 224 + 768));
-  Append(&out, "{\n  \"schema\": \"hyperalloc-flight-v1\",\n");
+  Append(&out, "{\n  \"schema\": \"hyperalloc-flight-v2\",\n");
   Append(&out,
          "  \"trigger\": {\"kind\": \"%s\", \"epoch\": %" PRIu64
          ", \"at_s\": %.6f",
@@ -458,7 +482,7 @@ std::string Pipeline::BuildFlightJson(const FlightDump& dump) const {
     Append(&out, ", \"vm\": %" PRIu64, dump.vm);
   }
   Append(&out, "},\n");
-  Append(&out, "  \"vms\": %" PRIu64 ",\n  \"shards\": %u,\n", vms_, shards_);
+  Append(&out, "  \"vms\": %" PRIu64 ",\n", vms_);
   Append(&out, "  \"alerts\": [");
   for (size_t i = 0; i < result_.alert_events.size(); ++i) {
     const AlertEvent& a = result_.alert_events[i];
@@ -472,12 +496,7 @@ std::string Pipeline::BuildFlightJson(const FlightDump& dump) const {
   Append(&out, "%s],\n", result_.alert_events.empty() ? "" : "\n  ");
   Append(&out, "  \"epochs\": [");
   for (uint64_t k = 0; k < ring_filled_; ++k) {
-    // Oldest first: when the ring is full, ring_next_ points at the
-    // oldest frame.
-    const FlightFrame& f =
-        ring_[ring_filled_ < options_.flight_depth
-                  ? k
-                  : (ring_next_ + k) % ring_.size()];
+    const FlightFrame& f = RingFrame(k);
     const EpochSummary& e = f.fleet;
     Append(&out,
            "%s\n    {\"epoch\": %" PRIu64 ", \"at_s\": %.6f, "
@@ -500,19 +519,6 @@ std::string Pipeline::BuildFlightJson(const FlightDump& dump) const {
            "\"pressure_burn_fast\": %.6f, \"pressure_burn_slow\": %.6f,\n",
            e.faults, e.retries, e.rollbacks, e.latency_burn_fast,
            e.latency_burn_slow, e.pressure_burn_fast, e.pressure_burn_slow);
-    Append(&out, "     \"shards\": [");
-    for (size_t s = 0; s < f.shards.size(); ++s) {
-      const ShardGauges& sh = f.shards[s];
-      Append(&out,
-             "%s{\"shard\": %u, \"vms\": %" PRIu64
-             ", \"limit_bytes\": %" PRIu64 ", \"wss_bytes\": %" PRIu64
-             ", \"rss_bytes\": %" PRIu64 ", \"busy_vms\": %" PRIu64
-             ", \"quarantined_vms\": %" PRIu64 ", \"faults\": %" PRIu64 "}",
-             s == 0 ? "" : ", ", sh.shard, sh.vms, sh.limit_bytes,
-             sh.wss_bytes, sh.rss_bytes, sh.busy_vms, sh.quarantined_vms,
-             sh.faults);
-    }
-    Append(&out, "],\n");
     Append(&out, "     \"counter_deltas\": {");
     for (size_t c = 0; c < f.counter_deltas.size(); ++c) {
       Append(&out, "%s\"%s\": %" PRIu64, c == 0 ? "" : ", ",
@@ -546,49 +552,12 @@ std::string Pipeline::BuildFlightJson(const FlightDump& dump) const {
 }
 
 std::string Pipeline::BuildFlightPerfetto() const {
-  std::string out;
-  out.reserve(1024 + ring_filled_ * 512);
-  Append(&out, "{\"traceEvents\":[\n");
-  Append(&out,
-         "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,"
-         "\"args\":{\"name\":\"fleet\"}}");
+  std::vector<EpochSummary> epochs;
+  epochs.reserve(ring_filled_);
   for (uint64_t k = 0; k < ring_filled_; ++k) {
-    const FlightFrame& f =
-        ring_[ring_filled_ < options_.flight_depth
-                  ? k
-                  : (ring_next_ + k) % ring_.size()];
-    const EpochSummary& e = f.fleet;
-    const double ts = static_cast<double>(e.at) / 1000.0;  // virtual µs
-    const struct {
-      const char* name;
-      double value;
-    } tracks[] = {
-        {"pressure", e.pressure},
-        {"committed_gib", Gib(e.committed_bytes)},
-        {"limit_gib", Gib(e.limit_bytes)},
-        {"wss_gib", Gib(e.wss_bytes)},
-        {"rss_gib", Gib(e.rss_bytes)},
-        {"busy_vms", static_cast<double>(e.busy_vms)},
-        {"quarantined_vms", static_cast<double>(e.quarantined_vms)},
-        {"rejected_delta", static_cast<double>(e.rejected_delta)},
-        {"latency_burn_fast", e.latency_burn_fast},
-        {"pressure_burn_fast", e.pressure_burn_fast},
-    };
-    for (const auto& track : tracks) {
-      Append(&out,
-             ",\n{\"name\":\"%s\",\"ph\":\"C\",\"pid\":0,\"ts\":%.3f,"
-             "\"args\":{\"value\":%.6f}}",
-             track.name, ts, track.value);
-    }
-    for (const ShardGauges& sh : f.shards) {
-      Append(&out,
-             ",\n{\"name\":\"shard%u.limit_gib\",\"ph\":\"C\",\"pid\":0,"
-             "\"ts\":%.3f,\"args\":{\"value\":%.6f}}",
-             sh.shard, ts, Gib(sh.limit_bytes));
-    }
+    epochs.push_back(RingFrame(k).fleet);
   }
-  Append(&out, "\n],\"displayTimeUnit\":\"ns\"}\n");
-  return out;
+  return FleetPerfettoJson(epochs, {});
 }
 
 TelemetryResult Pipeline::Finish() {
@@ -598,10 +567,6 @@ TelemetryResult Pipeline::Finish() {
   result_.flight_dumps = result_.dumps.size();
   result_.telemetry_digest = enabled_ ? digest_ : 0;
   result_.flight_digest = result_.dumps.empty() ? 0 : flight_digest_;
-  result_.fleet_limit_gib =
-      metrics::MergeSum(result_.shard_limit_gib, epoch_period_);
-  result_.fleet_wss_gib =
-      metrics::MergeSum(result_.shard_wss_gib, epoch_period_);
   return std::move(result_);
 }
 

@@ -1,7 +1,6 @@
 // Fleet-wide telemetry pipeline (DESIGN.md §4.13): barrier-sampled
-// per-VM gauges, hierarchical per-shard/fleet aggregation into
-// metrics::TimeSeries, an SLO burn-rate monitor, and a black-box flight
-// recorder.
+// per-VM gauges summed into one fleet row per epoch, an SLO burn-rate
+// monitor, and a black-box flight recorder.
 //
 // Sampling model: the fleet engine calls Pipeline::OnEpoch exactly once
 // per epoch barrier, on the sequential control thread, with every VM
@@ -21,10 +20,10 @@
 // kTelemetry span.
 //
 // Flight recorder: a bounded ring of the last `flight_depth` epochs of
-// full fleet snapshots (per-VM gauges, shard rollups, allowlisted
-// counter deltas). A trigger — alert edge, newly quarantined VM, or an
+// fleet snapshots (fleet row, per-VM detail rows, allowlisted counter
+// deltas). A trigger — alert edge, newly quarantined VM, or an
 // admission-rejection spike — freezes the ring into a postmortem bundle:
-// one `hyperalloc-flight-v1` JSON document plus one Perfetto
+// one `hyperalloc-flight-v2` JSON document plus one Perfetto
 // counter-track JSON, both retained in the result (and written to disk
 // by the bench harness).
 //
@@ -38,7 +37,6 @@
 #include <vector>
 
 #include "src/base/types.h"
-#include "src/metrics/timeseries.h"
 #include "src/sim/simulation.h"
 #include "src/trace/trace.h"
 
@@ -46,13 +44,6 @@ namespace hyperalloc::telemetry {
 
 struct TelemetryOptions {
   bool enabled = true;
-  // Aggregation shards for the per-shard rollup. VM -> shard is the
-  // static `vm % shards` association (see ShardOf).
-  unsigned shards = 8;
-  // Keep per-VM limit/WSS series in the result (the shard and fleet
-  // series are always kept). Off by default: at 1024 VMs the per-VM
-  // series dominate the result's footprint.
-  bool record_vm_series = false;
   // Emit alert/flight markers as zero-length kTelemetry spans when the
   // global span tracer is enabled.
   bool emit_spans = true;
@@ -82,13 +73,6 @@ struct TelemetryOptions {
   uint64_t flight_vm_detail_cap = 64;
 };
 
-// The static VM -> aggregation-shard association: a function of the VM
-// index alone, never of which worker thread ran the VM, so the rollup
-// stays deterministic across thread counts.
-inline unsigned ShardOf(uint64_t vm, unsigned shards) {
-  return shards == 0 ? 0 : static_cast<unsigned>(vm % shards);
-}
-
 // One VM's gauge set at an epoch barrier, read by the engine with the
 // fleet quiesced. Counts are cumulative over the run.
 struct VmGauges {
@@ -108,20 +92,9 @@ struct VmGauges {
   uint64_t quarantined_frames = 0;
 };
 
-// Per-shard rollup (sums over the shard's VMs).
-struct ShardGauges {
-  unsigned shard = 0;
-  uint64_t vms = 0;
-  uint64_t limit_bytes = 0;
-  uint64_t wss_bytes = 0;
-  uint64_t rss_bytes = 0;
-  uint64_t busy_vms = 0;
-  uint64_t quarantined_vms = 0;
-  uint64_t faults = 0;
-};
-
-// Fleet-level flat row, one per epoch (kept for the whole run; the
-// flight ring additionally keeps the per-VM/per-shard detail).
+// Fleet-level flat row, one per epoch: sums over the per-VM gauges
+// (kept for the whole run; the flight ring additionally keeps per-VM
+// detail rows).
 struct EpochSummary {
   uint64_t epoch = 0;  // 0-based barrier index
   sim::Time at = 0;
@@ -173,7 +146,7 @@ struct FlightDump {
   FlightTrigger trigger = FlightTrigger::kAlert;
   uint64_t vm = ~0ull;  // kQuarantine: first newly quarantined VM
   uint64_t ring_epochs = 0;
-  std::string json;      // the hyperalloc-flight-v1 document
+  std::string json;      // the hyperalloc-flight-v2 document
   std::string perfetto;  // counter-track Chrome-trace JSON
 };
 
@@ -197,27 +170,23 @@ struct TelemetryResult {
   std::vector<EpochSummary> fleet;
   std::vector<VmGauges> vm_last;    // final-epoch per-VM gauges
   std::vector<VmPeaks> vm_peaks;    // run peaks, index-aligned
-  std::vector<ShardGauges> shard_last;
-  // Hierarchical series: per-shard sums each epoch, and the fleet series
-  // produced by metrics::MergeSum over the shard series (equal to
-  // merging the raw per-VM series directly — tests/telemetry_test.cc).
-  std::vector<metrics::TimeSeries> shard_limit_gib;
-  std::vector<metrics::TimeSeries> shard_wss_gib;
-  metrics::TimeSeries fleet_limit_gib;
-  metrics::TimeSeries fleet_wss_gib;
-  // record_vm_series only.
-  std::vector<metrics::TimeSeries> vm_limit_gib;
-  std::vector<metrics::TimeSeries> vm_wss_gib;
   std::vector<AlertEvent> alert_events;
   std::vector<FlightDump> dumps;
 };
+
+// Perfetto counter-track JSON (Chrome trace, ph:"C") for fleet rows on
+// pid 0 ("fleet"), one track per EpochSummary gauge, plus an instant
+// marker per alert. ts is virtual µs, so it overlays the span trace from
+// trace::WritePerfettoJson. Both the whole-run artifact and every flight
+// dump's Perfetto bundle are this document.
+std::string FleetPerfettoJson(const std::vector<EpochSummary>& epochs,
+                              const std::vector<AlertEvent>& alerts);
 
 #if HYPERALLOC_TRACE
 
 class Pipeline {
  public:
-  // `epoch` is the barrier period (series time base).
-  Pipeline(const TelemetryOptions& options, uint64_t vms, sim::Time epoch);
+  Pipeline(const TelemetryOptions& options, uint64_t vms);
   ~Pipeline();
 
   Pipeline(const Pipeline&) = delete;
@@ -236,7 +205,7 @@ class Pipeline {
                uint64_t clipped, uint64_t rejected,
                const std::vector<double>& completed_ms);
 
-  // Finalizes the hierarchical series and moves the result out.
+  // Stamps the run totals and moves the result out.
   TelemetryResult Finish();
 
  private:
@@ -249,7 +218,6 @@ class Pipeline {
     // milliseconds at 1024 VMs.
     std::vector<VmGauges> vm_detail;
     uint64_t vm_detail_omitted = 0;  // interesting rows past the cap
-    std::vector<ShardGauges> shards;
     // Allowlisted (deterministic) counter deltas over this epoch.
     std::vector<std::pair<std::string, uint64_t>> counter_deltas;
   };
@@ -270,14 +238,14 @@ class Pipeline {
   void EmitMarker(sim::Time at, const char* name, uint64_t epoch);
   void MaybeDump(sim::Time at, bool alert_edge, bool new_quarantine,
                  uint64_t quarantined_vm, uint64_t rejected_delta);
+  // The k-th retained ring frame, oldest first.
+  const FlightFrame& RingFrame(uint64_t k) const;
   std::string BuildFlightJson(const FlightDump& dump) const;
   std::string BuildFlightPerfetto() const;
 
   TelemetryOptions options_;
   bool enabled_ = false;
   uint64_t vms_ = 0;
-  unsigned shards_ = 1;
-  sim::Time epoch_period_ = 0;
   uint64_t epochs_ = 0;
 
   TelemetryResult result_;
@@ -299,7 +267,7 @@ class Pipeline {
 // Empty stand-in: same API surface, no state, no sampling.
 class Pipeline {
  public:
-  Pipeline(const TelemetryOptions&, uint64_t, sim::Time) {}
+  Pipeline(const TelemetryOptions&, uint64_t) {}
   bool enabled() const { return false; }
   void OnEpoch(sim::Time, std::vector<VmGauges>, uint64_t, double, uint64_t,
                uint64_t, uint64_t, const std::vector<double>&) {}

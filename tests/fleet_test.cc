@@ -1,7 +1,8 @@
 // Fleet engine tests (DESIGN.md §4.12): cross-thread determinism at
 // 512 VMs, policy behavior on canned pressure traces, admission-control
-// rejection accounting, arrival-process determinism, and fault-plan
-// composition through the fleet VM factory path.
+// rejection accounting, arrival-process determinism, fault-plan
+// composition through the fleet VM factory path, and admission under
+// permanent unmap faults.
 //
 // The VM factory here is built from src/ parts only (GuestVm +
 // HyperAllocMonitor) — deliberately NOT bench/candidates.h, so the test
@@ -29,14 +30,16 @@ namespace {
 // per-VM decorrelated fault plan (same seed derivation as the bench
 // factory: plan.seed + index).
 VmFactory TestVmFactory(uint64_t vm_bytes, fault::Plan plan = {},
-                        core::HyperAllocConfig monitor = {}) {
-  return [vm_bytes, plan, monitor](sim::Simulation* sim,
-                                   hv::HostMemory* host, uint64_t index,
-                                   const std::string& name) {
+                        core::HyperAllocConfig monitor = {},
+                        unsigned vcpus = 1) {
+  return [vm_bytes, plan, monitor, vcpus](sim::Simulation* sim,
+                                          hv::HostMemory* host,
+                                          uint64_t index,
+                                          const std::string& name) {
     guest::GuestConfig gc;
     gc.name = name;
     gc.memory_bytes = vm_bytes;
-    gc.vcpus = 1;
+    gc.vcpus = vcpus;
     gc.allocator = guest::AllocatorKind::kLLFree;
     gc.dma32_bytes = 0;
 
@@ -418,9 +421,8 @@ TEST(FleetAdmission, RejectsGrowsNearExhaustionAndKeepsLedgerFeasible) {
       << "a 2.7x-overcommitted fleet must see grow rejections";
 
   // The ledger invariant the determinism contract rides on:
-  // sum(final limits) stays within the reserve-adjusted capacity. The
-  // pool rounds host_bytes up to its shard granularity, so read the
-  // real capacity back from the engine.
+  // sum(final limits) stays within the reserve-adjusted capacity, read
+  // back from the engine's pool.
   const uint64_t capacity = engine.host()->total_frames() * kFrameSize;
   const uint64_t usable = static_cast<uint64_t>(
       static_cast<double>(capacity) * (1.0 - config.admission_reserve));
@@ -429,6 +431,92 @@ TEST(FleetAdmission, RejectsGrowsNearExhaustionAndKeepsLedgerFeasible) {
     committed += limit;
   }
   EXPECT_LE(committed, usable);
+}
+
+// ---------------------------------------------------------------------
+// Permanent unmap faults: `bench_fleet --smoke --fault-plan='ept_unmap:0.6!'
+// --fault-seed=42`'s shape (128 x 64 MiB VMs, 1.6x overcommit, bursty
+// arrivals, 4 min horizon, 12 vCPUs, default quarantine limit). A frame
+// quarantined after a permanent unmap fault counts against its VM's
+// limit but stays mapped, so the admission ledger must still count it;
+// otherwise the pool fills up, refuses reservations mid-epoch, and which
+// worker hits a refusal depends on thread timing.
+// ---------------------------------------------------------------------
+
+struct PermanentFaultRun {
+  FleetResult result;
+  uint64_t usable_frames = 0;  // pool capacity less the admission reserve
+  uint64_t quarantined_frames = 0;  // summed over every VM's injector
+};
+
+PermanentFaultRun RunPermanentFaultFleet(unsigned threads) {
+  const uint64_t kVms = 128;
+  const uint64_t vm_bytes = 64 * kMiB;
+  PolicyConfig pc;
+
+  FleetConfig config;
+  config.vms = kVms;
+  config.threads = threads;
+  config.vm_bytes = vm_bytes;
+  config.host_bytes = kVms * vm_bytes * 5 / 8;  // 1.6x overcommit
+  config.horizon = 4 * sim::kMin;
+  config.epoch = 5 * sim::kSec;
+  config.record_series = false;
+  config.initial_limit_bytes = pc.min_limit_bytes + pc.headroom_bytes;
+  config.spike = {2 * sim::kMin, 32, 32 * kMiB};
+  config.telemetry.emit_spans = false;
+
+  fault::Plan plan;
+  std::string error;
+  EXPECT_TRUE(fault::Plan::Parse("ept_unmap:0.6!", &plan, &error)) << error;
+  plan.seed = 42;
+
+  ArrivalConfig ac;
+  ac.kind = ArrivalKind::kBursty;
+  ac.horizon = config.horizon;
+  auto arrivals = std::make_shared<std::unique_ptr<ArrivalProcess>>(
+      MakeArrivalProcess(ac));
+
+  FleetEngine engine(
+      config, TestVmFactory(vm_bytes, plan, {}, /*vcpus=*/12),
+      [arrivals](uint64_t index) {
+        DemandAgentConfig dc;
+        dc.trace = (*arrivals)->Generate(index);
+        return std::make_unique<DemandAgent>(dc);
+      },
+      MakeProportionalShare(pc));
+  PermanentFaultRun run;
+  run.result = engine.Run();
+  run.usable_frames = static_cast<uint64_t>(
+      static_cast<double>(engine.host()->total_frames()) *
+      (1.0 - config.admission_reserve));
+  for (uint64_t i = 0; i < kVms; ++i) {
+    run.quarantined_frames += engine.injector(i)->quarantined_frames();
+  }
+  return run;
+}
+
+TEST(FleetAdmission, QuarantinedFramesStayInTheLedger) {
+  const PermanentFaultRun run = RunPermanentFaultFleet(/*threads=*/1);
+  // The plan must actually quarantine frames, or the bound is vacuous.
+  ASSERT_GT(run.quarantined_frames, 0u);
+  // The ledger keeps committed memory, quarantined frames included,
+  // within the usable capacity, so the pool never climbs past it.
+  EXPECT_LE(run.result.pool_peak_frames, run.usable_frames);
+}
+
+// Real threads (ctest label `stress`): the same faulted fleet on 1 and 4
+// workers must agree on every per-VM outcome and on the telemetry and
+// flight streams.
+TEST(FleetDeterminism, PermanentUnmapFaultsIdenticalAcross1And4Threads) {
+  const PermanentFaultRun one = RunPermanentFaultFleet(1);
+  const PermanentFaultRun four = RunPermanentFaultFleet(4);
+  EXPECT_EQ(one.result.fleet_digest, four.result.fleet_digest);
+  EXPECT_TRUE(one.result.vm_digests == four.result.vm_digests);
+  EXPECT_EQ(one.result.telemetry.telemetry_digest,
+            four.result.telemetry.telemetry_digest);
+  EXPECT_EQ(one.result.telemetry.flight_digest,
+            four.result.telemetry.flight_digest);
 }
 
 // ---------------------------------------------------------------------

@@ -5,7 +5,8 @@
 # include that runs after every discovered list (<target>_TESTS).
 # Every test in llfree_concurrent_test is labeled through its list:
 # the LLFree batch and single-run races and the FrameCache slots on
-# real threads (LLFreeConcurrent.FrameCacheSlotsOnRealThreads).
+# real threads (LLFreeConcurrent.FrameCacheSlotsOnRealThreads). The
+# faulted-fleet case drives its VMs on 4 worker threads.
 # If any name listed here no longer exists, ctest silently drops the
 # whole call and the label matches nothing; scripts/check.sh and CI run
 # the label with `--no-tests=error` so that shows up as a failure.
@@ -16,4 +17,5 @@ set_tests_properties(
   HostMemorySharded.ConcurrentReservesBelowCapacityNeverFail
   SpanTest.RequestSpanPropagatesAcrossThreads
   TraceTest.CountersExactUnderEightThreads
+  FleetDeterminism.PermanentUnmapFaultsIdenticalAcross1And4Threads
   PROPERTIES LABELS stress)

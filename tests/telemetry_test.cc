@@ -1,7 +1,7 @@
 // Tests for the fleet telemetry pipeline (src/telemetry/): burn-window
 // math and alert rising edges, flight-recorder triggers / ring coverage /
-// cooldown / dump cap, the hierarchical per-shard -> fleet series merge,
-// the hyperalloc-flight-v1 document shape, and stream digest
+// cooldown / dump cap, the per-VM -> fleet epoch sums, the
+// hyperalloc-flight-v2 document shape, and stream digest
 // determinism. The pipeline is driven directly (no fleet engine) with
 // synthetic gauge sets; the engine-integration side — byte-identical
 // digests across worker-thread counts at fleet scale — lives in
@@ -47,8 +47,7 @@ TEST(Burn, LatencyAlertFiresOnRisingEdgeOnly) {
   options.burn_slow_epochs = 4;
   // Defaults otherwise: budget 0.01, thresholds 8x fast / 2x slow,
   // latency target 400 ms.
-  options.shards = 2;
-  Pipeline pipeline(options, /*vms=*/4, kEpoch);
+  Pipeline pipeline(options, /*vms=*/4);
   const std::vector<VmGauges> gauges = QuietGauges(4, 64 << 20, 32 << 20);
 
   sim::Time at = 0;
@@ -95,8 +94,7 @@ TEST(Burn, PressureAlertUsesPressureCeiling) {
   options.burn_fast_epochs = 1;
   options.burn_slow_epochs = 2;
   options.slo_pressure = 0.9;
-  options.shards = 1;
-  Pipeline pipeline(options, 2, kEpoch);
+  Pipeline pipeline(options, 2);
   const std::vector<VmGauges> gauges = QuietGauges(2, 64 << 20, 32 << 20);
   // Over the ceiling from the first epoch: binary error 1.0.
   pipeline.OnEpoch(kEpoch, gauges, 1 << 30, /*pressure=*/0.95, 0, 0, 0, {});
@@ -110,8 +108,7 @@ TEST(Burn, PressureAlertUsesPressureCeiling) {
 TEST(Flight, QuarantineFreezesRingWithHistory) {
   TelemetryOptions options = QuietOptions();
   options.flight_depth = 8;
-  options.shards = 2;
-  Pipeline pipeline(options, 4, kEpoch);
+  Pipeline pipeline(options, 4);
   std::vector<VmGauges> gauges = QuietGauges(4, 64 << 20, 32 << 20);
 
   // Ten quiet epochs fill the ring past its depth...
@@ -133,11 +130,12 @@ TEST(Flight, QuarantineFreezesRingWithHistory) {
   // postmortem acceptance bound is >= 8 epochs before the trigger
   // counting it).
   EXPECT_EQ(dump.ring_epochs, 8u);
-  // hyperalloc-flight-v1 document shape (full schema validation is
+  // hyperalloc-flight-v2 document shape (full schema validation is
   // scripts/check_bench_json.py's job; these are the load-bearing
   // landmarks).
-  EXPECT_NE(dump.json.find("\"schema\": \"hyperalloc-flight-v1\""),
+  EXPECT_NE(dump.json.find("\"schema\": \"hyperalloc-flight-v2\""),
             std::string::npos);
+  EXPECT_EQ(dump.json.find("\"shards\""), std::string::npos);
   EXPECT_NE(dump.json.find("\"kind\": \"quarantine\""), std::string::npos);
   EXPECT_NE(dump.json.find("\"vm\": 3"), std::string::npos);
   EXPECT_NE(dump.json.find("\"vms_detail\""), std::string::npos);
@@ -145,8 +143,14 @@ TEST(Flight, QuarantineFreezesRingWithHistory) {
   // Oldest ring frame is epoch 3 (10 - 8 + 1).
   EXPECT_NE(dump.json.find("{\"epoch\": 3,"), std::string::npos);
   EXPECT_EQ(dump.json.find("{\"epoch\": 2,"), std::string::npos);
-  // The Perfetto bundle carries counter tracks for the same window.
-  EXPECT_NE(dump.perfetto.find("\"ph\":\"C\""), std::string::npos);
+  // The Perfetto bundle is the whole-run counter-track document over the
+  // same window: epochs 3..10, no alerts.
+  ASSERT_EQ(result.fleet.size(), 11u);
+  const std::vector<EpochSummary> window(result.fleet.begin() + 3,
+                                         result.fleet.end());
+  EXPECT_EQ(dump.perfetto, FleetPerfettoJson(window, {}));
+  EXPECT_NE(dump.perfetto.find("\"name\":\"rss_gib\",\"ph\":\"C\""),
+            std::string::npos);
 
   // A quarantine is an edge, not a level: the already-quarantined VM
   // must not re-trigger (result would hold a second dump otherwise).
@@ -159,8 +163,7 @@ TEST(Flight, CooldownSpacesDumpsAndCapHolds) {
   options.flight_cooldown_epochs = 4;
   options.flight_max_dumps = 2;
   const uint64_t vms = 24;
-  options.shards = 2;
-  Pipeline pipeline(options, vms, kEpoch);
+  Pipeline pipeline(options, vms);
   std::vector<VmGauges> gauges = QuietGauges(vms, 64 << 20, 32 << 20);
   // A new VM quarantines every epoch: without the cooldown this would
   // dump every epoch, without the cap it would dump forever.
@@ -177,8 +180,7 @@ TEST(Flight, CooldownSpacesDumpsAndCapHolds) {
 TEST(Flight, RejectSpikeTrigger) {
   TelemetryOptions options = QuietOptions();
   options.reject_spike_threshold = 5;
-  options.shards = 1;
-  Pipeline pipeline(options, 2, kEpoch);
+  Pipeline pipeline(options, 2);
   const std::vector<VmGauges> gauges = QuietGauges(2, 64 << 20, 32 << 20);
   // Cumulative rejections: +2 (quiet), +7 (spike).
   pipeline.OnEpoch(kEpoch, gauges, 1 << 30, 0.5, 10, 0, 2, {});
@@ -191,62 +193,49 @@ TEST(Flight, RejectSpikeTrigger) {
             std::string::npos);
 }
 
-TEST(Hierarchy, ShardMergeEqualsDirectVmAggregation) {
+TEST(Aggregation, EpochSummaryEqualsSumOverVmGauges) {
   TelemetryOptions options = QuietOptions();
-  options.shards = 4;
-  options.record_vm_series = true;
-  const uint64_t vms = 10;  // deliberately not a multiple of shards
-  Pipeline pipeline(options, vms, kEpoch);
+  const uint64_t vms = 10;
+  Pipeline pipeline(options, vms);
 
-  for (int k = 0; k < 6; ++k) {
+  std::vector<std::vector<VmGauges>> epochs;
+  for (uint64_t k = 0; k < 6; ++k) {
     std::vector<VmGauges> gauges(vms);
     for (uint64_t i = 0; i < vms; ++i) {
       gauges[i].vm = i;
       gauges[i].limit_bytes = (i + 1) * (k + 2) * (4 << 20);
       gauges[i].wss_bytes = (i + 1) * (k + 1) * (3 << 20);
+      gauges[i].rss_bytes = (i + 2) * (k + 1) * (5 << 20);
     }
     pipeline.OnEpoch((k + 1) * kEpoch, gauges, 1 << 30, 0.4, 0, 0, 0, {});
+    epochs.push_back(std::move(gauges));
   }
   const TelemetryResult result = pipeline.Finish();
 
-  ASSERT_EQ(result.shard_limit_gib.size(), 4u);
-  ASSERT_EQ(result.vm_limit_gib.size(), vms);
-  // Per-shard -> fleet merge must equal merging the raw per-VM series
-  // directly: GiB values are exact doubles, so the grouping by ShardOf
-  // is associative (see metrics::MergeSum).
-  const metrics::TimeSeries direct_limit =
-      metrics::MergeSum(result.vm_limit_gib, kEpoch);
-  const metrics::TimeSeries direct_wss =
-      metrics::MergeSum(result.vm_wss_gib, kEpoch);
-  ASSERT_EQ(result.fleet_limit_gib.points().size(),
-            direct_limit.points().size());
-  for (size_t k = 0; k < direct_limit.points().size(); ++k) {
-    EXPECT_EQ(result.fleet_limit_gib.points()[k].value,
-              direct_limit.points()[k].value)
-        << k;
-    EXPECT_EQ(result.fleet_wss_gib.points()[k].value,
-              direct_wss.points()[k].value)
-        << k;
+  ASSERT_EQ(result.fleet.size(), epochs.size());
+  for (size_t k = 0; k < epochs.size(); ++k) {
+    uint64_t limit = 0;
+    uint64_t wss = 0;
+    uint64_t rss = 0;
+    for (const VmGauges& g : epochs[k]) {
+      limit += g.limit_bytes;
+      wss += g.wss_bytes;
+      rss += g.rss_bytes;
+    }
+    EXPECT_EQ(result.fleet[k].limit_bytes, limit) << k;
+    EXPECT_EQ(result.fleet[k].wss_bytes, wss) << k;
+    EXPECT_EQ(result.fleet[k].rss_bytes, rss) << k;
   }
-  // The shard rollup itself covers every VM exactly once.
-  uint64_t covered = 0;
-  for (const ShardGauges& s : result.shard_last) {
-    covered += s.vms;
-  }
-  EXPECT_EQ(covered, vms);
-  // And the fleet flat row agrees with the shard sums.
-  uint64_t shard_limit_sum = 0;
-  for (const ShardGauges& s : result.shard_last) {
-    shard_limit_sum += s.limit_bytes;
-  }
-  EXPECT_EQ(shard_limit_sum, result.fleet.back().limit_bytes);
+  // The per-VM rows the fleet row sums are the ones the result keeps.
+  ASSERT_EQ(result.vm_last.size(), vms);
+  EXPECT_EQ(result.vm_last.back().limit_bytes,
+            epochs.back().back().limit_bytes);
 }
 
 TEST(Digest, IdenticalInputsIdenticalStream) {
   auto run = [](uint64_t wss_tweak) {
     TelemetryOptions options = QuietOptions();
-    options.shards = 2;
-    Pipeline pipeline(options, 3, kEpoch);
+    Pipeline pipeline(options, 3);
     for (int k = 0; k < 5; ++k) {
       std::vector<VmGauges> gauges = QuietGauges(3, 64 << 20, 32 << 20);
       gauges[1].wss_bytes += wss_tweak;
@@ -267,8 +256,7 @@ TEST(Digest, IdenticalInputsIdenticalStream) {
 TEST(Pipeline, DisabledSamplesNothing) {
   TelemetryOptions options = QuietOptions();
   options.enabled = false;
-  options.shards = 1;
-  Pipeline pipeline(options, 2, kEpoch);
+  Pipeline pipeline(options, 2);
   EXPECT_FALSE(pipeline.enabled());
   pipeline.OnEpoch(kEpoch, QuietGauges(2, 1 << 20, 1 << 20), 1 << 30, 0.99,
                    0, 0, 100, {});
@@ -283,7 +271,7 @@ TEST(Pipeline, DisabledSamplesNothing) {
 #else  // !HYPERALLOC_TRACE
 
 TEST(Pipeline, NotraceStubIsInert) {
-  Pipeline pipeline(TelemetryOptions{}, 4, 5 * sim::kSec);
+  Pipeline pipeline(TelemetryOptions{}, 4);
   EXPECT_FALSE(pipeline.enabled());
   pipeline.OnEpoch(sim::kSec, {}, 0, 0.0, 0, 0, 0, {});
   const TelemetryResult result = pipeline.Finish();

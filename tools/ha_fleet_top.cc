@@ -56,7 +56,6 @@ struct FleetRow {
 // One row of PREFIX.vms.csv (final gauges + run peaks for one VM).
 struct VmRow {
   uint64_t vm = 0;
-  unsigned shard = 0;
   double limit_mib = 0.0;
   double wss_mib = 0.0;
   double peak_wss_mib = 0.0;
@@ -114,22 +113,21 @@ bool ParseFleetRow(const std::string& line, FleetRow* row) {
 
 bool ParseVmRow(const std::string& line, VmRow* row) {
   std::vector<std::string> f;
-  if (!SplitCsv(line, &f) || f.size() != 12) {
+  if (!SplitCsv(line, &f) || f.size() != 11) {
     return false;
   }
   try {
     row->vm = std::stoull(f[0]);
-    row->shard = static_cast<unsigned>(std::stoul(f[1]));
-    row->limit_mib = std::stod(f[2]);
-    row->wss_mib = std::stod(f[3]);
-    row->peak_wss_mib = std::stod(f[4]);
-    row->peak_pressure = std::stod(f[5]);
-    row->resizes = std::stoull(f[6]);
-    row->faults = std::stoull(f[7]);
-    row->retries = std::stoull(f[8]);
-    row->rollbacks = std::stoull(f[9]);
-    row->quarantined_frames = std::stoull(f[10]);
-    row->quarantined = f[11] == "1";
+    row->limit_mib = std::stod(f[1]);
+    row->wss_mib = std::stod(f[2]);
+    row->peak_wss_mib = std::stod(f[3]);
+    row->peak_pressure = std::stod(f[4]);
+    row->resizes = std::stoull(f[5]);
+    row->faults = std::stoull(f[6]);
+    row->retries = std::stoull(f[7]);
+    row->rollbacks = std::stoull(f[8]);
+    row->quarantined_frames = std::stoull(f[9]);
+    row->quarantined = f[10] == "1";
   } catch (...) {
     return false;
   }
@@ -237,14 +235,13 @@ void PrintTopVms(std::vector<VmRow> vms, size_t top) {
   SortHottest(&vms);
   std::printf("Top %zu VMs by run-peak pressure:\n",
               std::min(top, vms.size()));
-  std::printf("  %6s %5s %10s %10s %9s %8s %7s %8s %5s\n", "vm", "shard",
-              "limit_mib", "peak_wss", "peak_pr", "resizes", "faults",
-              "q_frames", "quar");
+  std::printf("  %6s %10s %10s %9s %8s %7s %8s %5s\n", "vm", "limit_mib",
+              "peak_wss", "peak_pr", "resizes", "faults", "q_frames", "quar");
   for (size_t i = 0; i < vms.size() && i < top; ++i) {
     const VmRow& v = vms[i];
-    std::printf("  %6" PRIu64 " %5u %10.1f %10.1f %9.3f %8" PRIu64
-                " %7" PRIu64 " %8" PRIu64 " %5s\n",
-                v.vm, v.shard, v.limit_mib, v.peak_wss_mib, v.peak_pressure,
+    std::printf("  %6" PRIu64 " %10.1f %10.1f %9.3f %8" PRIu64 " %7" PRIu64
+                " %8" PRIu64 " %5s\n",
+                v.vm, v.limit_mib, v.peak_wss_mib, v.peak_pressure,
                 v.resizes, v.faults, v.quarantined_frames,
                 v.quarantined ? "YES" : "");
   }
@@ -330,12 +327,17 @@ int SelfCheck() {
 
   VmRow vm_row;
   SELF_CHECK(
-      ParseVmRow("17,1,48.000,32.500,60.250,0.950000,12,3,1,0,16,1",
+      ParseVmRow("17,48.000,32.500,60.250,0.950000,12,3,1,0,16,1",
                  &vm_row));
-  SELF_CHECK(vm_row.vm == 17 && vm_row.shard == 1);
+  SELF_CHECK(vm_row.vm == 17 && vm_row.limit_mib == 48.0);
   SELF_CHECK(vm_row.peak_wss_mib == 60.25 && vm_row.quarantined);
   SELF_CHECK(vm_row.quarantined_frames == 16);
-  SELF_CHECK(!ParseVmRow("17,1,48.0", &vm_row));
+  SELF_CHECK(!ParseVmRow("17,48.0", &vm_row));
+  // A 12-field row (the old layout with a shard column) is rejected,
+  // not misparsed.
+  SELF_CHECK(
+      !ParseVmRow("17,1,48.000,32.500,60.250,0.950000,12,3,1,0,16,1",
+                  &vm_row));
 
   // Summaries: peaks over the series, totals from the last row.
   std::vector<FleetRow> fleet(3);
