@@ -408,7 +408,7 @@ void VirtioBalloon::ReportCycle() {
   if (!auto_running_) {
     return;
   }
-  trace::ScopedRoot report_root;
+  [[maybe_unused]] trace::ScopedRoot report_root;
   trace::Span span(trace::Layer::kBackend, "balloon.report_cycle");
   const sim::Time t0 = sim_->now();
   const unsigned order = config_.reporting_order;

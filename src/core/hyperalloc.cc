@@ -202,7 +202,7 @@ void HyperAllocMonitor::Install(ZoneView& view, HugeId local_huge) {
   const sim::Time t0 = sim_->now();
   // Installs are their own causal roots: they are triggered by guest
   // allocations, not by a resize request.
-  trace::ScopedRoot root;
+  [[maybe_unused]] trace::ScopedRoot root;
   trace::Span span(trace::Layer::kMonitor, "monitor.install");
   span.AddFrames(kFramesPerHuge);
   span.AddHugeFrames(kFramesPerHuge);
@@ -683,7 +683,7 @@ uint64_t HyperAllocMonitor::AutoReclaimPass() {
   }
   // Auto-reclamation is its own causal root (a periodic scan, not part
   // of any resize request).
-  trace::ScopedRoot root;
+  [[maybe_unused]] trace::ScopedRoot root;
   trace::Span pass(trace::Layer::kMonitor, "monitor.auto_reclaim_pass");
   std::vector<HugeId> batch;
   for (ZoneView* view : ReclaimOrder()) {

@@ -74,10 +74,10 @@ struct ResizeRequest {
   uint64_t deadline_ns = 0;
   // Fires in virtual time when the operation has gone as far as it can
   // (possibly partially — check limit_bytes()). May be empty.
-  std::function<void()> done;
+  std::function<void()> done{};
   // Optional partial-progress callback: fires just before `done` with
   // how far the request got (also readable via last_outcome()).
-  std::function<void(const ResizeOutcome&)> on_outcome;
+  std::function<void(const ResizeOutcome&)> on_outcome{};
 };
 
 // Huge-frame reclaim split (DESIGN.md §4.14): how the huge frames a

@@ -196,6 +196,8 @@ void LLFree::GiveBack(unsigned slot, uint64_t tree, unsigned need) {
 bool LLFree::ReserveNewTree(unsigned slot, AllocType type, unsigned need,
                             std::optional<uint64_t> avoid) {
   const uint64_t n = num_trees();
+  // A view over a larger tree index may have left an out-of-range hint;
+  // clamp it once here.
   const uint64_t hint =
       state_->tree_hints_[slot].load(std::memory_order_relaxed) % n;
 
@@ -212,41 +214,72 @@ bool LLFree::ReserveNewTree(unsigned slot, AllocType type, unsigned need,
   //      slab trees while free trees exist (this is what makes the
   //      per-type separation effective)
   //   4. anything with room
+  constexpr int kPasses = 5;
   const auto compatible = [type](AllocType other) {
     return other == type || (other != AllocType::kUnmovable &&
                              type != AllocType::kUnmovable);
   };
-  for (int pass = 0; pass < 5; ++pass) {
-    for (uint64_t i = 0; i < n; ++i) {
-      const uint64_t t = (hint + i) % n;
-      if (avoid.has_value() && t == *avoid && pass < 4) {
-        continue;
+  // Every pass takes only unreserved trees with room for `need`; most
+  // trees of a full zone fail this first test.
+  const auto has_room = [need](const TreeEntry& entry) {
+    return !entry.reserved && entry.free >= need;
+  };
+  // The preference policy proper, for a tree with room.
+  const auto preferred = [&](int pass, uint64_t t, const TreeEntry& entry) {
+    if (avoid.has_value() && t == *avoid && pass < kPasses - 1) {
+      return false;
+    }
+    const uint32_t cap = static_cast<uint32_t>(TreeCapacity(t));
+    switch (pass) {
+      case 0:
+        return entry.type == type && entry.free < cap - cap / 8;
+      case 1:
+        return compatible(entry.type) && entry.free < cap;
+      case 2:
+        return entry.free == cap;
+      case 3:
+        return entry.free < cap;
+      default:
+        return true;
+    }
+  };
+
+  // One walk from the hint records each pass's first eligible tree, as
+  // an offset from the hint. It stops at pass 0's first candidate, the
+  // tree tried first; a pass without a candidate by then resumes where
+  // the walk stopped. After a full walk, an offset of n means the pass
+  // has no candidate and takes no step, so a full zone costs one walk,
+  // not five.
+  uint64_t start[kPasses];
+  std::fill_n(start, kPasses, n);
+  uint64_t walked = 0;
+  for (uint64_t t = hint; walked < n && start[0] == n;
+       ++walked, t = t + 1 == n ? 0 : t + 1) {
+    const TreeEntry entry =
+        TreeEntry::Unpack(state_->trees_[t].load(std::memory_order_acquire));
+    if (has_room(entry)) {
+      for (int pass = 0; pass < kPasses; ++pass) {
+        if (start[pass] == n && preferred(pass, t, entry)) {
+          start[pass] = walked;
+        }
       }
-      const uint32_t cap = static_cast<uint32_t>(TreeCapacity(t));
-      uint32_t raw = state_->trees_[t].load(std::memory_order_acquire);
+    }
+  }
+  for (uint64_t& offset : start) {
+    offset = offset == n ? walked : offset;
+  }
+
+  // The passes proper, each from its recorded offset. A tree is
+  // re-checked before its CAS, and a lost CAS scans on through the rest
+  // of the pass and the later passes.
+  for (int pass = 0; pass < kPasses; ++pass) {
+    uint64_t t = hint + start[pass] < n ? hint + start[pass]
+                                        : hint + start[pass] - n;
+    for (uint64_t i = start[pass]; i < n;
+         ++i, t = t + 1 == n ? 0 : t + 1) {
+      const uint32_t raw = state_->trees_[t].load(std::memory_order_acquire);
       const TreeEntry entry = TreeEntry::Unpack(raw);
-      if (entry.reserved || entry.free < need) {
-        continue;
-      }
-      bool eligible = false;
-      switch (pass) {
-        case 0:
-          eligible = entry.type == type && entry.free < cap - cap / 8;
-          break;
-        case 1:
-          eligible = compatible(entry.type) && entry.free < cap;
-          break;
-        case 2:
-          eligible = entry.free == cap;
-          break;
-        case 3:
-          eligible = entry.free < cap;
-          break;
-        default:
-          eligible = true;
-          break;
-      }
-      if (!eligible) {
+      if (!has_room(entry) || !preferred(pass, t, entry)) {
         continue;
       }
       TreeEntry claimed = entry;
@@ -281,12 +314,9 @@ bool LLFree::ReserveNewTree(unsigned slot, AllocType type, unsigned need,
                        return e.Pack();
                      });
       }
-      // Hints are always stored in-range so a view over a shrunk tree
-      // index can never publish an out-of-bounds search start (the load
-      // side additionally clamps with % n, defense in depth).
-      state_->tree_hints_[slot].store(t % n, std::memory_order_relaxed);
+      // `t` is below n, so the stored hint is always in range.
+      state_->tree_hints_[slot].store(t, std::memory_order_relaxed);
       HA_COUNT("llfree.reserve_tree");
-      (void)need;
       return true;
     }
   }
@@ -1180,21 +1210,14 @@ bool LLFree::Validate() const {
   }
   for (uint64_t t = 0; t < num_trees(); ++t) {
     uint64_t area_free = 0;
-    uint64_t hard_reclaimed = 0;
     for (uint64_t a = FirstAreaOf(t); a < FirstAreaOf(t) + AreasInTree(t);
          ++a) {
-      const AreaEntry entry = ReadArea(a);
-      area_free += entry.free;
-      if (entry.allocated && entry.evicted) {
-        hard_reclaimed += kFramesPerHuge;
-      }
+      area_free += ReadArea(a).free;
     }
     const TreeEntry entry = ReadTree(t);
     const uint64_t counted = entry.free + reserved_extra[t];
     // Hard-reclaimed areas contribute neither to area_free nor to the
-    // tree counter, so both sides agree without adjustment. (The loop
-    // above tracks them only for potential diagnostics.)
-    (void)hard_reclaimed;
+    // tree counter, so both sides agree without adjustment.
     if (counted != area_free) {
       fail("tree counter mismatch", t, counted, area_free);
     }

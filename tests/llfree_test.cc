@@ -940,5 +940,161 @@ INSTANTIATE_TEST_SUITE_P(
       return param_info.param.name;
     });
 
+// ---------------------------------------------------------------------
+// Differential test of the tree search (ReserveNewTree)
+// ---------------------------------------------------------------------
+
+// The five-pass search as it was before the single walk: one full pass
+// over the tree index per preference level, from the hint. Read-only: it
+// returns the tree the search would try to reserve first.
+std::optional<uint64_t> ReferencePick(const std::vector<TreeEntry>& trees,
+                                      const std::vector<uint32_t>& caps,
+                                      uint64_t hint, AllocType type,
+                                      unsigned need,
+                                      std::optional<uint64_t> avoid) {
+  const uint64_t n = trees.size();
+  const auto compatible = [type](AllocType other) {
+    return other == type || (other != AllocType::kUnmovable &&
+                             type != AllocType::kUnmovable);
+  };
+  for (int pass = 0; pass < 5; ++pass) {
+    for (uint64_t i = 0; i < n; ++i) {
+      const uint64_t t = (hint + i) % n;
+      if (avoid.has_value() && t == *avoid && pass < 4) {
+        continue;
+      }
+      const uint32_t cap = caps[t];
+      const TreeEntry& entry = trees[t];
+      if (entry.reserved || entry.free < need) {
+        continue;
+      }
+      bool eligible = false;
+      switch (pass) {
+        case 0:
+          eligible = entry.type == type && entry.free < cap - cap / 8;
+          break;
+        case 1:
+          eligible = compatible(entry.type) && entry.free < cap;
+          break;
+        case 2:
+          eligible = entry.free == cap;
+          break;
+        case 3:
+          eligible = entry.free < cap;
+          break;
+        default:
+          eligible = true;
+          break;
+      }
+      if (eligible) {
+        return t;
+      }
+    }
+  }
+  return std::nullopt;
+}
+
+// Seeded random tree-index states, each searched once through `Get` on a
+// drained slot: the tree the slot ends up reserving must be the one the
+// reference picks, and the slot must stay unreserved exactly when the
+// reference finds nothing. In a quarter of the states the picked tree is
+// a "liar" (its counter promises frames its areas do not have), so the
+// claim comes up short and the search runs again with that tree as
+// `avoid` and the hint moved onto it.
+TEST(LLFreeSearchTest, SingleWalkPicksLikeFivePasses) {
+  Rng rng(21);
+  int refusals = 0;
+  int liars = 0;
+  for (int iter = 0; iter < 3000; ++iter) {
+    Config config;
+    const bool per_core = rng.Chance(0.25);
+    if (per_core) {
+      config = PerCoreConfig(2);
+    }
+    // 1..10 whole trees plus an optional shorter last tree.
+    const uint64_t whole = rng.Range(1, 10);
+    const uint64_t rest = rng.Below(config.areas_per_tree);
+    const uint64_t areas = whole * config.areas_per_tree + rest;
+    SharedState state(areas * kFramesPerHuge, config);
+    LLFree alloc(&state);
+    const uint64_t n = alloc.num_trees();
+
+    const unsigned order = rng.Chance(0.5) ? 0 : kHugeOrder;
+    const unsigned need = 1u << order;
+    const unsigned core = static_cast<unsigned>(rng.Below(2));
+    AllocType type = static_cast<AllocType>(rng.Below(kNumAllocTypes));
+    // ClaimRuns' own mapping of the request onto a slot and a type.
+    if (order == kHugeOrder && !per_core) {
+      type = AllocType::kHuge;
+    }
+    const unsigned slot = per_core ? core : static_cast<unsigned>(type);
+
+    // Nearly full states: every tree short of `need` or reserved.
+    const bool nearly_full = rng.Chance(0.25);
+    std::vector<TreeEntry> trees(n);
+    std::vector<uint32_t> caps(n);
+    for (uint64_t t = 0; t < n; ++t) {
+      const uint32_t cap = static_cast<uint32_t>(alloc.TreeCapacity(t));
+      caps[t] = cap;
+      TreeEntry& entry = trees[t];
+      entry.type = static_cast<AllocType>(rng.Below(kNumAllocTypes));
+      entry.reserved = rng.Chance(0.2);
+      if (nearly_full) {
+        entry.free = rng.Chance(0.5) ? 0 : need - 1;
+        if (rng.Chance(0.1)) {
+          entry.free = cap;  // the odd tree that still has room
+        }
+      } else {
+        const uint32_t picks[] = {0,           cap,
+                                  cap - cap / 8, cap - cap / 8 - 1,
+                                  need - 1,    need,
+                                  static_cast<uint32_t>(rng.Range(0, cap))};
+        entry.free = picks[rng.Below(std::size(picks))];
+      }
+      state.trees()[t].store(entry.Pack(), std::memory_order_relaxed);
+    }
+    // Hints may be out of range (written by a view over a larger index).
+    const uint64_t hint = rng.Below(2 * n + 2);
+    state.tree_hints()[slot].store(hint, std::memory_order_relaxed);
+    ASSERT_FALSE(alloc.ReadReservation(slot).active);
+
+    const std::optional<uint64_t> pick =
+        ReferencePick(trees, caps, hint % n, type, need, std::nullopt);
+    std::optional<uint64_t> expected = pick;
+    if (pick.has_value() && rng.Chance(0.25)) {
+      // Make the pick a liar: its areas are all huge-allocated.
+      ++liars;
+      for (uint64_t a = *pick * config.areas_per_tree;
+           a < std::min(areas, (*pick + 1) * config.areas_per_tree); ++a) {
+        AreaEntry full;
+        full.allocated = true;
+        state.areas()[a].store(full.Pack(), std::memory_order_relaxed);
+      }
+      TreeEntry& claimed = trees[*pick];
+      claimed.free = 0;
+      claimed.reserved = true;
+      claimed.type = type;
+      expected = ReferencePick(trees, caps, *pick, type, need, *pick)
+                     .value_or(*pick);
+    }
+
+    (void)alloc.Get(core, order, type);
+    const Reservation r = alloc.ReadReservation(slot);
+    SCOPED_TRACE(::testing::Message()
+                 << "iter " << iter << " trees " << n << " hint " << hint
+                 << " order " << order << " slot " << slot);
+    if (!expected.has_value()) {
+      ++refusals;
+      EXPECT_FALSE(r.active);
+    } else {
+      ASSERT_TRUE(r.active);
+      EXPECT_EQ(r.tree, *expected);
+    }
+  }
+  // The seeded mix covers both refusals and the avoid path.
+  EXPECT_GT(refusals, 100);
+  EXPECT_GT(liars, 100);
+}
+
 }  // namespace
 }  // namespace hyperalloc::llfree

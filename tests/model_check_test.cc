@@ -1233,6 +1233,145 @@ TEST(ModelCheckMutant, ExhaustiveFindsPhantomReSteal) {
 }
 
 // --------------------------------------------------------------------
+// Scenario: the single-walk tree search loses its candidate. LLFree's
+// ReserveNewTree walks the tree index once, records each preference
+// pass's first candidate and then tries them; a CAS lost on a candidate
+// must scan on, because trees the walk passed over (or never reached)
+// may have gained room since. Set-up: three two-area trees, trees 0 and
+// 2 fully allocated in huge frames, tree 1 half free (a same-type
+// candidate that stops A's walk early). A (core 0) takes one frame. B
+// (core 1) first frees a huge frame of tree 2, then takes a frame, so
+// whenever B reserves tree 1 under A, tree 2 already has room for A's
+// scan-on to find.
+// --------------------------------------------------------------------
+Scenario LostCandidateScansOn() {
+  return [](Execution& exec) {
+    Config cfg;
+    cfg.mode = Config::ReservationMode::kPerCore;
+    cfg.cores = 2;
+    cfg.areas_per_tree = 2;
+    constexpr uint64_t kFrames = 3 * 2 * kFramesPerHuge;
+    auto c = std::make_shared<Ctx>(kFrames, cfg);
+    std::vector<FrameId> huge;
+    for (uint64_t i = 0; i < kFrames / kFramesPerHuge; ++i) {
+      const Result<FrameId> r =
+          c->guest.Get(0, kHugeOrder, AllocType::kMovable);
+      Require(r.ok(), "prefill get failed");
+      huge.push_back(*r);
+    }
+    c->guest.DrainReservations();
+    std::sort(huge.begin(), huge.end());
+    Require(!c->guest.Put(huge[3], kHugeOrder).has_value(),
+            "prefill put failed");
+    for (const FrameId frame : huge) {
+      if (frame != huge[3]) {
+        c->owner.AcquireHuge(frame / kFramesPerHuge);
+      }
+    }
+    const FrameId tree2_frame = huge[4];
+    c->state.tree_hints()[0].store(0, std::memory_order_relaxed);
+    Require(c->guest.ReadTree(0).free == 0 &&
+                c->guest.ReadTree(1).free == kFramesPerHuge &&
+                c->guest.ReadTree(2).free == 0,
+            "set-up: trees 0 and 2 should be full, tree 1 half free");
+
+    exec.Spawn([c] {
+      std::vector<std::pair<FrameId, unsigned>> held;
+      GetAndHold(c, 0, 0, AllocType::kMovable, &held);
+    });
+    exec.Spawn([c, tree2_frame] {
+      c->owner.ReleaseHuge(tree2_frame / kFramesPerHuge);
+      Require(!c->guest.Put(tree2_frame, kHugeOrder).has_value(),
+              "put of an owned huge frame failed");
+      std::vector<std::pair<FrameId, unsigned>> held;
+      GetAndHold(c, 1, 0, AllocType::kMovable, &held);
+    });
+    exec.OnStep([c] {
+      CheckStepInvariants(c->state);
+      c->owner();
+    });
+    exec.OnEnd([c] {
+      Require(c->guest.ReadReservation(0).active,
+              "lost candidate: core 0 reserved no tree though tree 2 had "
+              "room");
+      Require(c->guest.ReadReservation(1).active,
+              "lost candidate: core 1 reserved no tree");
+      CheckQuiescent(c->guest);
+    });
+  };
+}
+
+TEST(ModelCheckScenarios, LostCandidateScansOn) {
+  ExpectClean(ExploreRandom(LostCandidateScansOn(), ScaledIters(1500)));
+}
+
+// --------------------------------------------------------------------
+// Mutant: the tree search trusts its walk. It reserves the walk's first
+// tree with room by a CAS against the value the walk read, and gives up
+// when that CAS loses instead of scanning on. Three trees' counters
+// (a set bit 31 marks a reserved tree): only tree 1 has room. B frees a
+// frame into tree 2, then reserves; A reserves. When B takes tree 1
+// between A's walk and A's CAS, A gives up although tree 2 has room.
+// --------------------------------------------------------------------
+struct TrustTheWalkCtx {
+  static constexpr uint32_t kReserved = 1u << 31;
+  Atomic<uint32_t> trees[3] = {Atomic<uint32_t>(0), Atomic<uint32_t>(1),
+                               Atomic<uint32_t>(0)};
+  bool reserved[2] = {false, false};  // model threads are sequentialized
+
+  void Reserve(int slot) {
+    for (uint64_t t = 0; t < 3; ++t) {
+      uint32_t raw = trees[t].load(std::memory_order_acquire);
+      if ((raw & kReserved) != 0 || raw == 0) {
+        continue;
+      }
+      if (trees[t].compare_exchange_strong(raw, kReserved,
+                                           std::memory_order_acq_rel,
+                                           std::memory_order_acquire)) {
+        reserved[slot] = true;
+      }
+      // BUG (deliberate): a lost CAS ends the search; the real search
+      // scans on through the trees after the lost candidate.
+      return;
+    }
+  }
+};
+
+Scenario TrustTheWalkMutant() {
+  return [](Execution& exec) {
+    auto c = std::make_shared<TrustTheWalkCtx>();
+    exec.Spawn([c] { c->Reserve(0); });
+    exec.Spawn([c] {
+      c->trees[2].fetch_add(1, std::memory_order_acq_rel);  // the put
+      c->Reserve(1);
+    });
+    exec.OnEnd([c] {
+      Require(c->reserved[0] && c->reserved[1],
+              "lost candidate: a slot reserved no tree though another "
+              "tree had room");
+    });
+  };
+}
+
+TEST(ModelCheckMutant, RandomWalkFindsTrustTheWalk) {
+  const RunResult r = ExploreRandom(TrustTheWalkMutant(), 2000);
+  ASSERT_TRUE(r.failed)
+      << "random exploration missed the trust-the-walk mutant";
+  EXPECT_NE(r.message.find("lost candidate"), std::string::npos)
+      << r.message;
+}
+
+TEST(ModelCheckMutant, ExhaustiveFindsTrustTheWalk) {
+  Options opt;
+  opt.mode = Options::Mode::kExhaustive;
+  const RunResult r = Explore(opt, TrustTheWalkMutant());
+  ASSERT_TRUE(r.failed)
+      << "exhaustive exploration missed the trust-the-walk mutant";
+  EXPECT_NE(r.message.find("lost candidate"), std::string::npos)
+      << r.message;
+}
+
+// --------------------------------------------------------------------
 // Mutant detection: a deliberately broken load/check/store decrement
 // (the bug a relaxed CAS-free counter update would have). The harness
 // must find the lost-update interleaving in both modes.

@@ -23,7 +23,7 @@ class TraceTest : public ::testing::Test {
   void SetUp() override { CounterRegistry::Global().ResetForTest(); }
 };
 
-uint64_t CounterValue(const std::string& name) {
+[[maybe_unused]] uint64_t CounterValue(const std::string& name) {
   for (const auto& [n, v] : CounterRegistry::Global().Counters()) {
     if (n == name) {
       return v;
