@@ -29,6 +29,16 @@ FleetScenarioOptions BaseOptions(uint64_t vms, unsigned threads) {
   return options;
 }
 
+int Usage() {
+  std::fprintf(stderr,
+               "usage: bench_fleet [--vms=N] [--threads=N (>= 1)] "
+               "[--policy=NAME] [--arrival=bursty|diurnal|heavy-tailed] "
+               "[--out=PATH] [--fault-plan=SPEC] [--fault-seed=N] "
+               "[--telemetry-out=PREFIX] [--no-telemetry] [--smoke] "
+               "[--huge] [--trace-out=PATH]\n");
+  return 2;
+}
+
 int Main(int argc, char** argv) {
   uint64_t vms = 128;
   unsigned threads = 4;
@@ -45,7 +55,9 @@ int Main(int argc, char** argv) {
     if (std::strncmp(argv[i], "--vms=", 6) == 0) {
       vms = static_cast<uint64_t>(std::atoll(argv[i] + 6));
     } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      threads = static_cast<unsigned>(std::atoi(argv[i] + 10));
+      if (!ParseThreads(argv[i] + 10, &threads)) {
+        return Usage();
+      }
     } else if (std::strncmp(argv[i], "--policy=", 9) == 0) {
       policy = argv[i] + 9;
     } else if (std::strncmp(argv[i], "--arrival=", 10) == 0) {

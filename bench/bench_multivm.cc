@@ -37,6 +37,12 @@ workloads::CompileConfig BuildConfig() {
   return config;
 }
 
+int Usage() {
+  std::fprintf(stderr, "usage: bench_multivm [--vms=N] [--threads=N (>= 1)] "
+                       "[--trace-out=PATH]\n");
+  return 2;
+}
+
 int Main(int argc, char** argv) {
   int vms = 3;
   unsigned threads = 1;
@@ -44,16 +50,16 @@ int Main(int argc, char** argv) {
     if (std::strncmp(argv[i], "--vms=", 6) == 0) {
       vms = std::atoi(argv[i] + 6);
     } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      threads = static_cast<unsigned>(std::atoi(argv[i] + 10));
+      if (!ParseThreads(argv[i] + 10, &threads)) {
+        return Usage();
+      }
     }
   }
 
   ::mkdir("bench_out", 0755);
   std::printf("Fig. 11: %d 16 GiB VMs compiling clang 3x each "
               "(%d GiB provisioned, %u host thread%s)\n\n",
-              vms, vms * 16, threads == 0 ? static_cast<unsigned>(vms)
-                                          : threads,
-              threads == 1 ? "" : "s");
+              vms, vms * 16, threads, threads == 1 ? "" : "s");
 
   struct Row {
     Candidate candidate;

@@ -8,9 +8,9 @@
 //   (b) HyperAlloc automatic reclamation (+ swap as backstop) — idle
 //       memory is returned cooperatively before pressure builds.
 //
-// Runs on the fleet engine's shared-clock mode (src/fleet/fleet.h): the
-// two VMs are causally coupled through the swap manager, so they live on
-// ONE simulation driven by one thread.
+// The two VMs are causally coupled through the swap manager, so they
+// live on ONE simulation driven by one thread; each is built by the
+// fleet VM factory (bench/candidates.h) against one host pool.
 //
 // Reported: total swap traffic, time spent in swap I/O, and the peak
 // host usage. The paper's prediction: "HyperAlloc, because of its better
@@ -18,11 +18,16 @@
 // out-of-memory situations."
 #include <cstdio>
 #include <memory>
+#include <string>
+#include <utility>
 
-#include "bench/fleet_bench.h"
+#include "bench/candidates.h"
 #include "bench/trace_io.h"
+#include "src/base/check.h"
 #include "src/base/units.h"
+#include "src/hv/host_memory.h"
 #include "src/hv/swap.h"
+#include "src/sim/simulation.h"
 #include "src/workloads/blender.h"
 #include "src/workloads/memory_pool.h"
 
@@ -33,35 +38,28 @@ namespace {
 // starts when VM 0 is mid-render; VM 0's memory goes idle (freed) before
 // VM 1 peaks — cooperative reclamation can exploit that, swapping cannot
 // (it only reacts to pressure).
-class BlenderAgent : public fleet::VmAgent {
+class Tenant {
  public:
-  explicit BlenderAgent(sim::Time start_at) : start_at_(start_at) {}
-
-  void Start(fleet::VmContext* context) override {
-    context_ = context;
-    if (context->deflator != nullptr) {
-      context->deflator->StartAuto();
+  Tenant(sim::Simulation* sim, fleet::FleetVmParts parts, sim::Time start_at)
+      : parts_(std::move(parts)) {
+    if (parts_.deflator != nullptr) {
+      parts_.deflator->StartAuto();
     }
-    pool_ = std::make_unique<workloads::MemoryPool>(context->vm);
+    pool_ = std::make_unique<workloads::MemoryPool>(parts_.vm.get());
     pool_->DisableMigrationTracking();
     workloads::BlenderConfig job;
     job.working_set = 12 * kGiB;
     job.scene_bytes = kGiB;
     job.render_time = 3 * sim::kMin;
-    job_ = std::make_unique<workloads::BlenderWorkload>(context->vm,
+    job_ = std::make_unique<workloads::BlenderWorkload>(parts_.vm.get(),
                                                         pool_.get(), job);
-    context->sim->At(start_at_,
-                     [this] { job_->Run([this] { done_ = true; }); });
+    sim->At(start_at, [this] { job_->Run([this] { done_ = true; }); });
   }
 
-  bool finished() const override { return done_; }
-  uint64_t demand_bytes() const override {
-    return context_ != nullptr ? context_->vm->rss_bytes() : 0;
-  }
+  bool done() const { return done_; }
 
  private:
-  sim::Time start_at_;
-  fleet::VmContext* context_ = nullptr;
+  fleet::FleetVmParts parts_;
   std::unique_ptr<workloads::MemoryPool> pool_;
   std::unique_ptr<workloads::BlenderWorkload> job_;
   bool done_ = false;
@@ -75,50 +73,36 @@ struct OvercommitResult {
 };
 
 OvercommitResult Run(bool hyperalloc_reclaim) {
-  fleet::FleetConfig config;
-  config.vms = 2;
-  config.threads = 1;
-  config.vm_bytes = 16 * kGiB;
-  config.host_bytes = 24 * kGiB;
-  config.shared_clock = true;
-  config.run_to_completion = true;
-  config.record_series = false;
-
   SetupOptions options;
-  options.memory_bytes = config.vm_bytes;
-  const Candidate candidate = hyperalloc_reclaim
-                                  ? Candidate::kHyperAlloc
-                                  : Candidate::kBaselineLLFree;
+  options.memory_bytes = 16 * kGiB;
+  const fleet::VmFactory factory = MakeFleetVmFactory(
+      hyperalloc_reclaim ? Candidate::kHyperAlloc
+                         : Candidate::kBaselineLLFree,
+      options);
 
-  fleet::FleetEngine engine(
-      config, MakeFleetVmFactory(candidate, options),
-      [](uint64_t index) {
-        return std::make_unique<BlenderAgent>(
-            index == 0 ? 0 : 5 * sim::kMin + 30 * sim::kSec);
-      },
-      /*policy=*/nullptr);
-
-  // The swap manager spans both VMs on the shared clock; register each
-  // tenant before its agent starts (StartAuto runs inside the agent).
-  std::unique_ptr<hv::SwapManager> swap;
-  sim::Simulation* shared_sim = nullptr;
-  engine.SetOnVmCreated([&engine, &swap, &shared_sim](
-                            uint64_t, sim::Simulation* sim,
-                            guest::GuestVm* vm, hv::Deflator*) {
-    if (swap == nullptr) {
-      shared_sim = sim;
-      swap = std::make_unique<hv::SwapManager>(sim, engine.host());
-    }
-    swap->Register(vm);
-  });
-
-  const fleet::FleetResult fleet_result = engine.Run();
+  sim::Simulation sim;
+  hv::HostMemory host(FramesForBytes(24 * kGiB));
+  // Declared before the tenants so it outlives the VMs that call it.
+  hv::SwapManager swap(&sim, &host);
+  std::unique_ptr<Tenant> tenants[2];
+  for (uint64_t i = 0; i < 2; ++i) {
+    fleet::FleetVmParts parts =
+        factory(&sim, &host, i, "vm" + std::to_string(i));
+    // Register before the tenant starts: StartAuto and the job's
+    // population must already see the swap backstop.
+    swap.Register(parts.vm.get());
+    tenants[i] = std::make_unique<Tenant>(
+        &sim, std::move(parts), i == 0 ? 0 : 5 * sim::kMin + 30 * sim::kSec);
+  }
+  while (!tenants[0]->done() || !tenants[1]->done()) {
+    HA_CHECK(sim.Step());
+  }
 
   OvercommitResult result;
-  result.swapped_out = swap->swapped_out_frames();
-  result.swapped_in = swap->swapped_in_frames();
-  result.runtime = shared_sim->now();
-  result.peak_gib = static_cast<double>(fleet_result.pool_peak_frames) *
+  result.swapped_out = swap.swapped_out_frames();
+  result.swapped_in = swap.swapped_in_frames();
+  result.runtime = sim.now();
+  result.peak_gib = static_cast<double>(host.peak_frames()) *
                     static_cast<double>(kFrameSize) /
                     static_cast<double>(kGiB);
   return result;

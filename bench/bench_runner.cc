@@ -22,7 +22,6 @@
 //                    Perfetto JSON (PATH itself when it ends in .json),
 //                    PATH.spans.csv and PATH.prom
 #include <algorithm>
-#include <charconv>
 #include <chrono>
 #include <cinttypes>
 #include <cmath>
@@ -757,11 +756,7 @@ int Main(int argc, char** argv) {
     } else if (arg.substr(0, 6) == "--out=") {
       out = arg.substr(6);
     } else if (arg.substr(0, 10) == "--threads=") {
-      const std::string_view value = arg.substr(10);
-      const auto [end, error] = std::from_chars(
-          value.data(), value.data() + value.size(), threads);
-      if (error != std::errc() || end != value.data() + value.size() ||
-          threads == 0) {
+      if (!ParseThreads(arg.substr(10), &threads)) {
         return Usage();
       }
     } else if (arg == "--trace-out" && i + 1 < argc) {

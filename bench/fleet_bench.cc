@@ -1,6 +1,7 @@
 #include "bench/fleet_bench.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
 
@@ -22,6 +23,12 @@ std::string Num(uint64_t v) {
 }
 
 }  // namespace
+
+bool ParseThreads(std::string_view value, unsigned* threads) {
+  const char* end = value.data() + value.size();
+  const auto [parsed, error] = std::from_chars(value.data(), end, *threads);
+  return error == std::errc() && parsed == end && *threads >= 1;
+}
 
 fleet::FleetResult RunCompileFleet(const CompileFleetOptions& options) {
   HA_CHECK(options.vms > 0);

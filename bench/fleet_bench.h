@@ -7,6 +7,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "bench/candidates.h"
 #include "src/fleet/agents.h"
@@ -22,7 +23,7 @@ namespace hyperalloc::bench {
 // Same knobs (and defaults) as the retired bench-private harness.
 struct CompileFleetOptions {
   int vms = 3;
-  // Host threads driving the per-VM simulations. 0 = one per VM.
+  // Host threads driving the per-VM simulations (>= 1).
   unsigned threads = 1;
   Candidate candidate = Candidate::kHyperAlloc;
   bool offset = false;  // stagger build starts by `offset_step` per VM
@@ -38,6 +39,10 @@ struct CompileFleetOptions {
   // `compile.seed + i` (VMs are identical tenants, as in Fig. 11).
   workloads::CompileConfig compile;
 };
+
+// Parses a --threads=N value: a whole number of fleet worker threads,
+// at least 1.
+bool ParseThreads(std::string_view value, unsigned* threads);
 
 // Runs the compile fleet in run-to-completion mode (no policy; resizes
 // come from per-VM auto-reclaim). Per-VM RSS series and digests are

@@ -164,10 +164,11 @@ class Injector {
 
   // Quarantine trigger hook. The recovery layers that decide to
   // quarantine (core/hyperalloc.cc frame/VM escalation) notify the VM's
-  // injector; pollers above the VM — the fleet telemetry pipeline at its
-  // epoch barrier — read the counts back without reaching into backend
-  // internals. Notifications happen on the VM's own simulation thread;
-  // barrier reads are quiesced, so the counts are determinism-safe.
+  // injector; pollers above the VM — the fleet engine, at the end of each
+  // epoch slice — read the counts back without reaching into backend
+  // internals. Notifications happen on the VM's own simulation thread and
+  // the reads on the worker that just ran it to the barrier, so the
+  // counts are determinism-safe.
   void NotifyQuarantineFrame() {
     quarantined_frames_.fetch_add(1, std::memory_order_relaxed);
   }

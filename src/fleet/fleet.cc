@@ -63,8 +63,8 @@ bool SeriesEqual(const metrics::TimeSeries& a, const metrics::TimeSeries& b) {
 // is the host pool.
 struct FleetEngine::VmState {
   uint64_t index = 0;
-  std::unique_ptr<sim::Simulation> own_sim;  // null in shared-clock mode
-  sim::Simulation* sim = nullptr;
+  // Declared before `parts` so it outlives the guest that points at it.
+  sim::Simulation sim;
   FleetVmParts parts;
   std::unique_ptr<VmAgent> agent;
   VmContext context;
@@ -77,17 +77,18 @@ struct FleetEngine::VmState {
   sim::Time sample_horizon = 0;  // 0 = unbounded (run-to-completion)
   metrics::TimeSeries rss_gib;
 
-  // Control-loop state (engine thread at barriers + done callbacks on
-  // this VM's own simulation — never concurrent).
+  // Control-loop state (this VM's worker at the end of a slice, the
+  // engine thread at barriers, and done callbacks on this VM's own
+  // simulation — never concurrent).
   uint64_t wss_bytes = 0;
   bool wss_primed = false;
   uint64_t inflight_target = 0;
   std::vector<ResizeRecord> records;
   Fnv1a digest;
 
-  // Telemetry accounting (engine thread at barriers only). Records
-  // complete in issue order — one in-flight resize per VM, never
-  // preempted — so a cursor scan finds this epoch's completions.
+  // Telemetry accounting. Records complete in issue order — one
+  // in-flight resize per VM, never preempted — so a cursor scan finds
+  // this epoch's completions.
   size_t records_scanned = 0;
   uint64_t last_achieved = 0;
   uint64_t faults_total = 0;
@@ -97,6 +98,48 @@ struct FleetEngine::VmState {
   uint64_t limit_bytes() const {
     return parts.deflator != nullptr ? parts.deflator->limit_bytes()
                                      : parts.vm->config().memory_bytes;
+  }
+
+  // Reads the VM's size, limit, demand and busy bit into `sig` (its WSS
+  // is the control loop's estimate, left as is) and returns its RSS.
+  uint64_t ReadSignal(VmSignal* sig) const {
+    sig->memory_bytes = parts.vm->config().memory_bytes;
+    sig->limit_bytes = limit_bytes();
+    sig->demand_bytes = agent->demand_bytes();
+    sig->busy = parts.deflator != nullptr && parts.deflator->busy();
+    return parts.vm->rss_bytes();
+  }
+
+  // Rewrites the VM's telemetry row from a fresh signal, advancing the
+  // record cursor and appending each new completion's latency.
+  void FillGauges(const VmSignal& sig, uint64_t rss, telemetry::VmGauges* g,
+                  std::vector<double>* completed_ms) {
+    while (records_scanned < records.size() &&
+           records[records_scanned].completed != 0) {
+      const ResizeRecord& r = records[records_scanned++];
+      completed_ms->push_back(static_cast<double>(r.completed - r.issued) /
+                              static_cast<double>(sim::kMs));
+      last_achieved = r.achieved_bytes;
+      faults_total += r.faults;
+      retries_total += r.retries;
+      rollbacks_total += r.rollbacks;
+    }
+    const fault::Injector* fault = parts.fault.get();
+    *g = {.vm = index,
+          .limit_bytes = sig.limit_bytes,
+          .target_bytes = inflight_target,
+          .achieved_bytes = last_achieved,
+          .wss_bytes = wss_bytes,
+          .rss_bytes = rss,
+          .demand_bytes = sig.demand_bytes,
+          .busy = sig.busy,
+          .quarantined = fault != nullptr && fault->quarantined_vm(),
+          .resizes = records_scanned,
+          .faults = faults_total,
+          .retries = retries_total,
+          .rollbacks = rollbacks_total,
+          .quarantined_frames =
+              fault != nullptr ? fault->quarantined_frames() : 0};
   }
 };
 
@@ -108,27 +151,14 @@ FleetEngine::FleetEngine(const FleetConfig& config, VmFactory vm_factory,
       agent_factory_(std::move(agent_factory)),
       policy_(std::move(policy)) {
   HA_CHECK(config_.vms > 0);
+  HA_CHECK(config_.threads >= 1);
   HA_CHECK(vm_factory_ != nullptr && agent_factory_ != nullptr);
-  if (config_.shared_clock) {
-    // Shared-clock scenarios are causally coupled: one event queue, one
-    // driving thread, agents finish on their own.
-    HA_CHECK(config_.run_to_completion);
-    HA_CHECK(config_.threads == 1);
-  }
   if (!config_.run_to_completion) {
     HA_CHECK(config_.epoch > 0 && config_.horizon >= config_.epoch);
   }
 }
 
 FleetEngine::~FleetEngine() = default;
-
-void FleetEngine::SetOnVmCreated(
-    std::function<void(uint64_t, sim::Simulation*, guest::GuestVm*,
-                       hv::Deflator*)>
-        hook) {
-  HA_CHECK(states_.empty());  // must be set before Run()
-  on_vm_created_ = std::move(hook);
-}
 
 guest::GuestVm* FleetEngine::vm(uint64_t index) {
   HA_CHECK(index < states_.size());
@@ -155,14 +185,14 @@ void FleetEngine::StartSampling(VmState* state) {
     }
     const double gib = static_cast<double>(state->parts.vm->rss_bytes()) /
                        static_cast<double>(kGiB);
-    state->digest.Mix(state->sim->now());
+    state->digest.Mix(state->sim.now());
     state->digest.Mix(gib);
     if (state->record_series) {
-      state->rss_gib.Sample(state->sim->now(), gib);
+      state->rss_gib.Sample(state->sim.now(), gib);
     }
-    const sim::Time next = state->sim->now() + state->sample_period;
+    const sim::Time next = state->sim.now() + state->sample_period;
     if (state->sample_horizon == 0 || next <= state->sample_horizon) {
-      state->sim->After(state->sample_period, state->sampler);
+      state->sim.After(state->sample_period, state->sampler);
     }
   };
   state->sampler();  // synchronous first sample, like the old harness
@@ -174,30 +204,17 @@ void FleetEngine::BuildVms() {
           ? config_.host_bytes
           : config_.vms * config_.vm_bytes + config_.host_slack_bytes;
   host_ = std::make_unique<hv::HostMemory>(FramesForBytes(capacity_bytes));
-  if (config_.shared_clock) {
-    shared_sim_ = std::make_unique<sim::Simulation>();
-  }
 
   states_.reserve(config_.vms);
   for (uint64_t i = 0; i < config_.vms; ++i) {
     auto state = std::make_unique<VmState>();
     state->index = i;
-    if (config_.shared_clock) {
-      state->sim = shared_sim_.get();
-    } else {
-      state->own_sim = std::make_unique<sim::Simulation>();
-      state->sim = state->own_sim.get();
-    }
-    state->parts = vm_factory_(state->sim, host_.get(), i,
+    state->parts = vm_factory_(&state->sim, host_.get(), i,
                                "vm" + std::to_string(i));
     HA_CHECK(state->parts.vm != nullptr);
     if (config_.arm_host_faults && i == 0 &&
         state->parts.fault != nullptr) {
       host_->SetFaultInjector(state->parts.fault.get());
-    }
-    if (on_vm_created_) {
-      on_vm_created_(i, state->sim, state->parts.vm.get(),
-                     state->parts.deflator.get());
     }
     if (!config_.run_to_completion && config_.initial_limit_bytes > 0 &&
         state->parts.deflator != nullptr) {
@@ -209,10 +226,10 @@ void FleetEngine::BuildVms() {
           {.target_bytes = config_.initial_limit_bytes,
            .done = [&settled] { settled = true; }});
       while (!settled) {
-        HA_CHECK(state->sim->Step());
+        HA_CHECK(state->sim.Step());
       }
     }
-    state->context = {state->sim, state->parts.vm.get(),
+    state->context = {&state->sim, state->parts.vm.get(),
                       state->parts.deflator.get(), i,
                       config_.run_to_completion ? 0 : config_.horizon};
     state->agent = agent_factory_(i);
@@ -223,16 +240,22 @@ void FleetEngine::BuildVms() {
   }
 }
 
-void FleetEngine::ParallelPass(const std::function<void(uint64_t)>& task) {
+void FleetEngine::ParallelPass(const std::function<void(VmState&)>& task) {
   const uint64_t n = states_.size();
-  unsigned threads =
-      config_.threads == 0 ? static_cast<unsigned>(n) : config_.threads;
-  threads = std::max(1u, std::min(threads, static_cast<unsigned>(n)));
+  const unsigned threads =
+      static_cast<unsigned>(std::min<uint64_t>(config_.threads, n));
   std::atomic<uint64_t> next{0};
-  auto worker = [&task, &next, n] {
+  auto worker = [this, &task, &next, n] {
     for (uint64_t i = next.fetch_add(1, std::memory_order_relaxed); i < n;
          i = next.fetch_add(1, std::memory_order_relaxed)) {
-      task(i);
+      VmState& s = *states_[i];
+#if HYPERALLOC_TRACE
+      trace::SpanContext span_context;
+      span_context.vm = static_cast<uint32_t>(i);
+      span_context.clock = &s.sim;
+      trace::ScopedContext scoped(span_context);
+#endif
+      task(s);
     }
   };
   std::vector<std::thread> pool;
@@ -246,45 +269,50 @@ void FleetEngine::ParallelPass(const std::function<void(uint64_t)>& task) {
   }
 }
 
+// The pressure spike lands at the first barrier past `at`: each spiked
+// VM's worker applies it before reading the VM's demand, and the barrier
+// marks it applied once the pass has joined.
+bool FleetEngine::SpikeDue(sim::Time barrier) const {
+  return !spike_applied_ && config_.spike.vms > 0 &&
+         barrier >= config_.spike.at;
+}
+
+void FleetEngine::ReadVm(VmState& s, sim::Time barrier) {
+  const uint64_t i = s.index;
+  if (i < config_.spike.vms && SpikeDue(barrier)) {
+    s.agent->OnPressureSpike(config_.spike.bytes);
+  }
+  VmSignal& sig = signals_[i];
+  const uint64_t rss = s.ReadSignal(&sig);
+  s.wss_bytes = s.wss_primed ? (3 * s.wss_bytes + rss) / 4 : rss;
+  s.wss_primed = true;
+  sig.wss_bytes = s.wss_bytes;
+  // A quarantined frame counts against the limit, but one quarantined
+  // after a permanent unmap fault stays mapped and keeps its host
+  // memory. Count every quarantined frame as committed: the ones
+  // quarantined after a failed unpin are already unmapped, so this
+  // over-counts, which only makes admission stricter.
+  committed_[i] =
+      std::max(sig.limit_bytes, sig.busy ? s.inflight_target : 0) +
+      (s.parts.fault != nullptr
+           ? s.parts.fault->quarantined_frames() * kHugeSize
+           : 0);
+  if (gauges_ != nullptr) {
+    s.FillGauges(sig, rss, &gauges_[i], &completed_ms_[i]);
+  }
+}
+
 void FleetEngine::ControlStep(sim::Time barrier) {
   const uint64_t n = states_.size();
-
-  // Pressure-spike injection: bump the first spike.vms agents' demand at
-  // the first barrier past `at`; the policy sees it immediately below.
-  if (!spike_applied_ && config_.spike.vms > 0 &&
-      barrier >= config_.spike.at) {
-    for (uint64_t i = 0; i < std::min<uint64_t>(config_.spike.vms, n); ++i) {
-      states_[i]->agent->OnPressureSpike(config_.spike.bytes);
-    }
+  if (SpikeDue(barrier)) {
     spike_applied_ = true;
     spike_applied_at_ = barrier;
     slo_.spike_applied = true;
   }
 
-  // One consistent signal sweep, VM-index order. All simulations are
-  // quiesced at `barrier`, so every reading is deterministic.
-  std::vector<VmSignal> signals(n);
   uint64_t committed = 0;
-  for (uint64_t i = 0; i < n; ++i) {
-    VmState& s = *states_[i];
-    VmSignal& sig = signals[i];
-    sig.memory_bytes = s.parts.vm->config().memory_bytes;
-    sig.limit_bytes = s.limit_bytes();
-    sig.demand_bytes = s.agent->demand_bytes();
-    sig.busy = s.parts.deflator != nullptr && s.parts.deflator->busy();
-    const uint64_t rss = s.parts.vm->rss_bytes();
-    s.wss_bytes = s.wss_primed ? (3 * s.wss_bytes + rss) / 4 : rss;
-    s.wss_primed = true;
-    sig.wss_bytes = s.wss_bytes;
-    committed += std::max(sig.limit_bytes, sig.busy ? s.inflight_target : 0);
-    // A quarantined frame counts against the limit, but one quarantined
-    // after a permanent unmap fault stays mapped and keeps its host
-    // memory. Count every quarantined frame as committed: the ones
-    // quarantined after a failed unpin are already unmapped, so this
-    // over-counts, which only makes admission stricter.
-    if (s.parts.fault != nullptr) {
-      committed += s.parts.fault->quarantined_frames() * kHugeSize;
-    }
+  for (const uint64_t term : committed_) {
+    committed += term;
   }
   const uint64_t capacity = host_->total_frames() * kFrameSize;
   const uint64_t usable = static_cast<uint64_t>(
@@ -304,8 +332,8 @@ void FleetEngine::ControlStep(sim::Time barrier) {
     bool satisfied = true;
     for (uint64_t i = 0; i < std::min<uint64_t>(config_.spike.vms, n); ++i) {
       const uint64_t need =
-          std::min(signals[i].demand_bytes, signals[i].memory_bytes);
-      satisfied = satisfied && signals[i].limit_bytes >= need;
+          std::min(signals_[i].demand_bytes, signals_[i].memory_bytes);
+      satisfied = satisfied && signals_[i].limit_bytes >= need;
     }
     if (satisfied) {
       slo_.spike_satisfied = true;
@@ -319,11 +347,10 @@ void FleetEngine::ControlStep(sim::Time barrier) {
     SampleTelemetry(barrier, committed, pool.pressure);
     return;
   }
-  std::vector<ResizeAction> actions(n);
   for (uint64_t i = 0; i < n; ++i) {
-    actions[i] = {signals[i].limit_bytes, 0};  // default: keep
+    actions_[i] = {signals_[i].limit_bytes, 0};  // default: keep
   }
-  policy_->Decide(pool, signals, &actions);
+  policy_->Decide(pool, signals_, &actions_);
 
   // The ledger arms once the commitment is feasible (with
   // initial_limit_bytes that is the first barrier); from then on grants
@@ -335,13 +362,12 @@ void FleetEngine::ControlStep(sim::Time barrier) {
 
   uint64_t ledger = committed;
   for (uint64_t i = 0; i < n; ++i) {
-    VmState& s = *states_[i];
-    const VmSignal& sig = signals[i];
+    const VmSignal& sig = signals_[i];
     if (sig.busy) {
       continue;  // never preempt an in-flight resize
     }
     uint64_t target =
-        std::min(actions[i].target_bytes, sig.memory_bytes);
+        std::min(actions_[i].target_bytes, sig.memory_bytes);
     if (target > sig.limit_bytes) {
       // Backends move limits in whole huge frames and round the achieved
       // limit UP; align grow targets down to the limit's lattice so a
@@ -368,21 +394,22 @@ void FleetEngine::ControlStep(sim::Time barrier) {
       ledger += target - sig.limit_bytes;
     }
 
+    VmState& s = *states_[i];
     s.inflight_target = target;
     const size_t slot = s.records.size();
     ResizeRecord record;
     record.vm = i;
-    record.issued = s.sim->now();
+    record.issued = s.sim.now();
     record.target_bytes = target;
     s.records.push_back(record);
 
     hv::ResizeRequest request;
     request.target_bytes = target;
-    request.deadline_ns = actions[i].deadline;
+    request.deadline_ns = actions_[i].deadline;
     request.done = [state = &s, slot] {
       ResizeRecord& r = state->records[slot];
       const hv::ResizeOutcome& o = state->parts.deflator->last_outcome();
-      r.completed = state->sim->now();
+      r.completed = state->sim.now();
       // A backend without outcome machinery (the generic monitor) leaves
       // last_outcome() stale; fall back to the observable limit.
       if (o.target_bytes == r.target_bytes) {
@@ -413,137 +440,67 @@ void FleetEngine::ControlStep(sim::Time barrier) {
       // though it is issued from the control thread.
       trace::SpanContext span_context;
       span_context.vm = static_cast<uint32_t>(i);
-      span_context.clock = s.sim;
+      span_context.clock = &s.sim;
       trace::ScopedContext scoped(span_context);
 #endif
       s.parts.deflator->Request(request);
     }
+    if (gauges_ != nullptr) {
+      // Request runs the first slice synchronously: the limit, the RSS,
+      // the busy bit and even a completed record may have moved since
+      // the worker read this VM, and the gauges must show the state the
+      // next epoch runs under.
+      VmSignal issued;
+      const uint64_t rss = s.ReadSignal(&issued);
+      s.FillGauges(issued, rss, &gauges_[i], &completed_ms_[i]);
+    }
   }
 
-  // Sampled after issue so the gauges see this barrier's in-flight
-  // targets and busy bits (the state the next epoch runs under).
   SampleTelemetry(barrier, committed, pool.pressure);
 }
 
 void FleetEngine::SampleTelemetry(sim::Time barrier, uint64_t committed_bytes,
                                   double pressure) {
-  if (telemetry_ == nullptr || !telemetry_->enabled()) {
+  if (gauges_ == nullptr) {
     return;
   }
-  const uint64_t n = states_.size();
-  std::vector<telemetry::VmGauges> gauges(n);
-  std::vector<double> completed_ms;
-  for (uint64_t i = 0; i < n; ++i) {
-    VmState& s = *states_[i];
-    if (i + 1 < n) {
-      // The fill below chases cold per-VM objects; overlapping the next
-      // VM's cache misses with this one's reads keeps the barrier sample
-      // inside the telemetry wall budget at fleet scale. Two-deep: the
-      // i+1 header was prefetched last iteration, so its guest/fault
-      // objects can be requested now.
-      VmState& next = *states_[i + 1];
-      __builtin_prefetch(next.parts.vm.get());
-      if (next.parts.fault != nullptr) {
-        __builtin_prefetch(next.parts.fault.get());
-      }
-      if (i + 2 < n) {
-        __builtin_prefetch(states_[i + 2].get());
-      }
-    }
-    while (s.records_scanned < s.records.size() &&
-           s.records[s.records_scanned].completed != 0) {
-      const ResizeRecord& r = s.records[s.records_scanned++];
-      completed_ms.push_back(static_cast<double>(r.completed - r.issued) /
-                             static_cast<double>(sim::kMs));
-      s.last_achieved = r.achieved_bytes;
-      s.faults_total += r.faults;
-      s.retries_total += r.retries;
-      s.rollbacks_total += r.rollbacks;
-    }
-    telemetry::VmGauges& g = gauges[i];
-    g.vm = i;
-    g.limit_bytes = s.limit_bytes();
-    g.target_bytes = s.inflight_target;
-    g.achieved_bytes = s.last_achieved;
-    g.wss_bytes = s.wss_bytes;
-    g.rss_bytes = s.parts.vm->rss_bytes();
-    g.demand_bytes = s.agent->demand_bytes();
-    g.busy = s.parts.deflator != nullptr && s.parts.deflator->busy();
-    g.resizes = s.records_scanned;
-    g.faults = s.faults_total;
-    g.retries = s.retries_total;
-    g.rollbacks = s.rollbacks_total;
-    if (s.parts.fault != nullptr) {
-      g.quarantined = s.parts.fault->quarantined_vm();
-      g.quarantined_frames = s.parts.fault->quarantined_frames();
-    }
+  completed_ms_flat_.clear();
+  for (std::vector<double>& latencies : completed_ms_) {
+    completed_ms_flat_.insert(completed_ms_flat_.end(), latencies.begin(),
+                              latencies.end());
+    latencies.clear();
   }
-  telemetry_->OnEpoch(barrier, std::move(gauges), committed_bytes, pressure,
-                      admission_.granted, admission_.clipped,
-                      admission_.rejected, completed_ms);
+  telemetry_->OnEpoch(barrier, committed_bytes, pressure, admission_.granted,
+                      admission_.clipped, admission_.rejected,
+                      completed_ms_flat_);
 }
 
 void FleetEngine::RunEpochs() {
   for (sim::Time barrier = config_.epoch; barrier <= config_.horizon;
        barrier += config_.epoch) {
-    ParallelPass([this, barrier](uint64_t i) {
-      VmState& s = *states_[i];
-#if HYPERALLOC_TRACE
-      trace::SpanContext span_context;
-      span_context.vm = static_cast<uint32_t>(i);
-      span_context.clock = s.sim;
-      trace::ScopedContext scoped(span_context);
-#endif
-      s.sim->RunUntil(barrier);
+    ParallelPass([this, barrier](VmState& s) {
+      s.sim.RunUntil(barrier);
+      ReadVm(s, barrier);
     });
     ControlStep(barrier);
   }
   // Run-out: drive in-flight resizes (including ones issued at the last
   // barrier) to completion. The sampler and agent chains all end at the
   // horizon, so only resize machinery remains — bounded by design.
-  ParallelPass([this](uint64_t i) {
-    VmState& s = *states_[i];
-#if HYPERALLOC_TRACE
-    trace::SpanContext span_context;
-    span_context.vm = static_cast<uint32_t>(i);
-    span_context.clock = s.sim;
-    trace::ScopedContext scoped(span_context);
-#endif
+  ParallelPass([](VmState& s) {
     while (s.parts.deflator != nullptr && s.parts.deflator->busy()) {
-      HA_CHECK(s.sim->Step());
+      HA_CHECK(s.sim.Step());
     }
   });
 }
 
 void FleetEngine::RunToCompletion() {
-  if (config_.shared_clock) {
-    // One queue, one thread: step until every agent is done.
-    auto all_finished = [this] {
-      for (const auto& s : states_) {
-        if (!s->agent->finished()) {
-          return false;
-        }
-      }
-      return true;
-    };
-    while (!all_finished()) {
-      HA_CHECK(shared_sim_->Step());
-    }
-    return;
-  }
   // The old harness semantics: workers pull whole VMs and run each
   // simulation dry. Not RunUntilIdle — auto-reclaim schedules periodic
   // events forever; the agent's finished() is the termination signal.
-  ParallelPass([this](uint64_t i) {
-    VmState& s = *states_[i];
-#if HYPERALLOC_TRACE
-    trace::SpanContext span_context;
-    span_context.vm = static_cast<uint32_t>(i);
-    span_context.clock = s.sim;
-    trace::ScopedContext scoped(span_context);
-#endif
+  ParallelPass([](VmState& s) {
     while (!s.agent->finished()) {
-      HA_CHECK(s.sim->Step());
+      HA_CHECK(s.sim.Step());
     }
   });
 }
@@ -558,8 +515,16 @@ FleetResult FleetEngine::Run() {
   } else {
     telemetry_ =
         std::make_unique<telemetry::Pipeline>(config_.telemetry, config_.vms);
+    signals_.resize(config_.vms);
+    committed_.resize(config_.vms);
+    actions_.resize(config_.vms);
+    if (telemetry_->enabled()) {
+      gauges_ = telemetry_->rows().data();
+      completed_ms_.resize(config_.vms);
+    }
     RunEpochs();
     result.telemetry = telemetry_->Finish();
+    gauges_ = nullptr;  // the rows moved out with the result
   }
   const auto wall_end = std::chrono::steady_clock::now();
 

@@ -4,10 +4,16 @@
 //
 // Execution model (epoch mode): every VM owns a private simulation and
 // advances in bulk-synchronous epochs. Worker threads drive the VM
-// simulations to the next epoch boundary in parallel; at the barrier
-// the control loop runs sequentially on the calling thread, in VM-index
-// order — signal collection, policy decision, admission control,
-// request issue. Between barriers VMs share nothing but the host pool.
+// simulations to the next epoch boundary in parallel; each worker then
+// reads the VM it just ran, once, while its objects are still in that
+// core's cache: limit, demand, busy bit, RSS (folded into the WSS
+// EWMA), its committed-bytes term and, with telemetry on, its gauge row,
+// all into per-VM slots the engine owns. At the barrier the control
+// loop runs sequentially on the calling thread, in VM-index order, over
+// those slots only: committed sum, policy decision, admission control,
+// request issue. The only VMs it reads are the ones it just issued to,
+// whose gauge rows it refills. Between barriers VMs share nothing but
+// the host pool.
 //
 // Determinism contract (inherited from the old harness, now enforced at
 // fleet scale): a VM's event stream depends only on its own simulation
@@ -25,12 +31,16 @@
 // (samples, resize records, final limit); equal fleet digests across
 // thread counts are the determinism check at 512-1024 VMs.
 //
-// Two legacy-compatibility modes ride on the same engine:
-//   * run_to_completion: no epochs/policy — workers pull VM indices and
-//     step each simulation until its agent finishes (the old compile
-//     harness semantics, byte-identical event ordering included);
-//   * shared_clock: all VMs live on ONE simulation (threads must be 1)
-//     for causally coupled scenarios like swap-based overcommit.
+// One legacy-compatibility mode rides on the same engine:
+// run_to_completion has no epochs and no policy — workers pull VM
+// indices and step each simulation until its agent finishes (the old
+// compile harness semantics, byte-identical event ordering included).
+// It stays because its agents (the Fig. 11 compile fleet, the
+// bench_faults probes, one fleet_test case) end when their work is
+// done, not at a horizon.
+// There is no shared-clock mode: scenarios whose VMs are causally
+// coupled (bench_overcommit's swap) build them on one simulation
+// themselves.
 #pragma once
 
 #include <cstdint>
@@ -107,7 +117,7 @@ struct PressureSpike {
 
 struct FleetConfig {
   uint64_t vms = 8;
-  // Worker threads driving the VM simulations; 0 = one per VM (capped).
+  // Worker threads driving the VM simulations (>= 1; capped at vms).
   unsigned threads = 1;
   uint64_t vm_bytes = 64 * kMiB;
   // Pool capacity; 0 = vms * vm_bytes + host_slack_bytes (the old
@@ -119,9 +129,6 @@ struct FleetConfig {
   sim::Time sample_period = sim::kSec;
   // Keep per-VM RSS series in the result (the digests are always kept).
   bool record_series = true;
-  // All VMs on one simulation; requires threads == 1 and
-  // run_to_completion (causally coupled scenarios, e.g. swap).
-  bool shared_clock = false;
   // Drive every agent to finished() instead of running epochs; no
   // policy, no admission (the legacy compile-harness mode).
   bool run_to_completion = false;
@@ -223,14 +230,6 @@ class FleetEngine {
   FleetEngine(const FleetEngine&) = delete;
   FleetEngine& operator=(const FleetEngine&) = delete;
 
-  // Post-construction hook per VM (e.g. registering with a swap
-  // manager); `sim` is the VM's simulation (the shared one in
-  // shared-clock mode). Must be set before Run().
-  void SetOnVmCreated(
-      std::function<void(uint64_t index, sim::Simulation* sim,
-                         guest::GuestVm* vm, hv::Deflator* deflator)>
-          hook);
-
   // Builds the fleet and runs the scenario to completion. Call once.
   FleetResult Run();
 
@@ -247,10 +246,18 @@ class FleetEngine {
   void RunEpochs();
   void RunToCompletion();
   void ControlStep(sim::Time barrier);
-  void ParallelPass(const std::function<void(uint64_t)>& task);
+  // Runs `task` on every VM across the worker threads, each under a
+  // span context carrying the VM's id and clock.
+  void ParallelPass(const std::function<void(VmState&)>& task);
   void StartSampling(VmState* state);
-  // End-of-barrier telemetry sample: reads gauges with the fleet
-  // quiesced and feeds Pipeline::OnEpoch.
+  bool SpikeDue(sim::Time barrier) const;
+  // The one read of a VM per epoch, on the worker that just ran it to
+  // `barrier`: applies a due pressure spike, then fills the VM's signal,
+  // committed-bytes term and (telemetry on) gauge row.
+  void ReadVm(VmState& s, sim::Time barrier);
+  // End-of-barrier telemetry hand-off: Pipeline::OnEpoch folds the gauge
+  // rows the workers wrote (and the barrier rewrote for the VMs it
+  // issued to) with this epoch's completion latencies. Reads no VM.
   void SampleTelemetry(sim::Time barrier, uint64_t committed_bytes,
                        double pressure);
 
@@ -258,14 +265,22 @@ class FleetEngine {
   VmFactory vm_factory_;
   AgentFactory agent_factory_;
   std::unique_ptr<ResizePolicy> policy_;
-  std::function<void(uint64_t, sim::Simulation*, guest::GuestVm*,
-                     hv::Deflator*)>
-      on_vm_created_;
 
   std::unique_ptr<hv::HostMemory> host_;
-  // Shared-clock mode only: the one simulation every VM lives on.
-  std::unique_ptr<sim::Simulation> shared_sim_;
   std::vector<std::unique_ptr<VmState>> states_;
+
+  // Epoch-mode per-VM slots, allocated once in Run(). Slot i is written
+  // by the worker that ran VM i (or by the barrier after issuing to it)
+  // and read at the barrier once the pass has joined.
+  std::vector<VmSignal> signals_;
+  std::vector<uint64_t> committed_;  // max(limit, inflight) + quarantined
+  std::vector<ResizeAction> actions_;
+  // Telemetry on only (null/empty otherwise): the pipeline's gauge rows,
+  // written in place, and the latencies of resizes completed since the
+  // last barrier, folded into completed_ms_flat_ for the hand-off.
+  telemetry::VmGauges* gauges_ = nullptr;
+  std::vector<std::vector<double>> completed_ms_;
+  std::vector<double> completed_ms_flat_;
 
   // Epoch-mode telemetry pipeline (null in run-to-completion mode).
   std::unique_ptr<telemetry::Pipeline> telemetry_;

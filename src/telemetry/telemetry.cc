@@ -171,6 +171,7 @@ Pipeline::Pipeline(const TelemetryOptions& options, uint64_t vms)
   }
   quarantined_.assign(vms_, 0);
   result_.vm_peaks.assign(vms_, {});
+  result_.vm_last.assign(vms_, {});
   counter_prev_ = CounterDeltas();  // baseline: deltas vs zero = values
 }
 
@@ -269,13 +270,14 @@ void Pipeline::EmitMarker(sim::Time at, const char* name, uint64_t epoch) {
   spans.Emit(record);
 }
 
-void Pipeline::OnEpoch(sim::Time at, std::vector<VmGauges> gauges,
-                       uint64_t committed_bytes, double pressure,
-                       uint64_t granted, uint64_t clipped, uint64_t rejected,
+void Pipeline::OnEpoch(sim::Time at, uint64_t committed_bytes,
+                       double pressure, uint64_t granted, uint64_t clipped,
+                       uint64_t rejected,
                        const std::vector<double>& completed_ms) {
   if (!enabled_) {
     return;
   }
+  const std::vector<VmGauges>& gauges = result_.vm_last;
   HA_CHECK(gauges.size() == vms_);
   const uint64_t epoch_index = epochs_++;
   if (cooldown_ > 0) {
@@ -422,7 +424,6 @@ void Pipeline::OnEpoch(sim::Time at, std::vector<VmGauges> gauges,
   ring_filled_ = ring_.size();
 
   result_.fleet.push_back(e);
-  result_.vm_last = std::move(gauges);
 
   MaybeDump(at, alert_edge, new_quarantine, first_quarantined,
             e.rejected_delta);

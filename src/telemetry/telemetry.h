@@ -194,15 +194,19 @@ class Pipeline {
 
   bool enabled() const { return enabled_; }
 
-  // One barrier sample, on the sequential control thread. `gauges` is
-  // VM-index-ordered; `completed_ms` holds the latencies of resizes that
-  // completed since the previous barrier (deterministic scan order);
-  // admission counters are cumulative. Taken by value so the per-epoch
-  // producer can move its buffer in — the pipeline keeps it as the
-  // last-seen snapshot instead of copying all N rows every epoch.
-  void OnEpoch(sim::Time at, std::vector<VmGauges> gauges,
-               uint64_t committed_bytes, double pressure, uint64_t granted,
-               uint64_t clipped, uint64_t rejected,
+  // The per-VM gauge rows the next OnEpoch folds, VM-index-ordered and
+  // sized at construction. The producer rewrites every row in place
+  // before each call (the fleet engine's workers each write their own
+  // VM's row), so no row is allocated or copied per epoch; after the
+  // last call they are the result's `vm_last`.
+  std::vector<VmGauges>& rows() { return result_.vm_last; }
+
+  // One barrier sample over rows(), on the sequential control thread.
+  // `completed_ms` holds the latencies of resizes that completed since
+  // the previous barrier (deterministic order); admission counters are
+  // cumulative.
+  void OnEpoch(sim::Time at, uint64_t committed_bytes, double pressure,
+               uint64_t granted, uint64_t clipped, uint64_t rejected,
                const std::vector<double>& completed_ms);
 
   // Stamps the run totals and moves the result out.
@@ -269,9 +273,13 @@ class Pipeline {
  public:
   Pipeline(const TelemetryOptions&, uint64_t) {}
   bool enabled() const { return false; }
-  void OnEpoch(sim::Time, std::vector<VmGauges>, uint64_t, double, uint64_t,
-               uint64_t, uint64_t, const std::vector<double>&) {}
+  std::vector<VmGauges>& rows() { return rows_; }
+  void OnEpoch(sim::Time, uint64_t, double, uint64_t, uint64_t, uint64_t,
+               const std::vector<double>&) {}
   TelemetryResult Finish() { return {}; }
+
+ private:
+  std::vector<VmGauges> rows_;  // stays empty
 };
 
 #endif  // HYPERALLOC_TRACE

@@ -106,6 +106,9 @@ TEST(FleetDeterminism, ByteIdenticalAcross1And4And16Threads) {
   const FleetResult one = RunDeterminismFleet(1, kVms);
   ASSERT_EQ(one.vm_digests.size(), kVms);
   EXPECT_GT(one.slo.resizes, 0u);
+  // Pinned: a change that samples or decides differently on every thread
+  // count alike still moves this digest.
+  EXPECT_EQ(one.fleet_digest, 0x61544825584231e8ull);
 
   for (const unsigned threads : {4u, 16u}) {
     const FleetResult many = RunDeterminismFleet(threads, kVms);
@@ -226,6 +229,11 @@ TEST(FleetTelemetry, DigestsByteIdenticalAcross1And4And16Threads) {
   // flight-digest equality below is vacuous.
   ASSERT_GT(one.telemetry.flight_dumps, 0u);
   EXPECT_NE(one.telemetry.flight_digest, 0u);
+  // Pinned: the gauges must show each VM as the next epoch runs it, so
+  // a barrier that skips re-reading the VMs it just issued to moves
+  // these on every thread count alike.
+  EXPECT_EQ(one.telemetry.telemetry_digest, 0xcefe768732f48663ull);
+  EXPECT_EQ(one.telemetry.flight_digest, 0x4122588c2c4cced3ull);
 
   for (const unsigned threads : {4u, 16u}) {
     const FleetResult many = RunTelemetryFleet(threads);
@@ -247,6 +255,20 @@ TEST(FleetTelemetry, DigestsByteIdenticalAcross1And4And16Threads) {
     }
   }
 #endif  // HYPERALLOC_TRACE
+}
+
+// A fleet needs at least one worker thread; the check fires in the
+// constructor, before any thread starts.
+TEST(FleetConfigDeathTest, ZeroThreadsIsRejected) {
+  FleetConfig config;
+  config.vms = 4;
+  config.threads = 0;
+  EXPECT_DEATH(FleetEngine(config, TestVmFactory(64 * kMiB),
+                           [](uint64_t) -> std::unique_ptr<VmAgent> {
+                             return nullptr;
+                           },
+                           nullptr),
+               "threads >= 1");
 }
 
 // ---------------------------------------------------------------------

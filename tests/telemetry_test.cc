@@ -50,10 +50,12 @@ TEST(Burn, LatencyAlertFiresOnRisingEdgeOnly) {
   Pipeline pipeline(options, /*vms=*/4);
   const std::vector<VmGauges> gauges = QuietGauges(4, 64 << 20, 32 << 20);
 
+  pipeline.rows() = gauges;
+
   sim::Time at = 0;
   auto epoch = [&](std::vector<double> completed_ms) {
     at += kEpoch;
-    pipeline.OnEpoch(at, gauges, /*committed=*/128 << 20, /*pressure=*/0.5,
+    pipeline.OnEpoch(at, /*committed=*/128 << 20, /*pressure=*/0.5,
                      /*granted=*/0, /*clipped=*/0, /*rejected=*/0,
                      completed_ms);
   };
@@ -97,8 +99,9 @@ TEST(Burn, PressureAlertUsesPressureCeiling) {
   Pipeline pipeline(options, 2);
   const std::vector<VmGauges> gauges = QuietGauges(2, 64 << 20, 32 << 20);
   // Over the ceiling from the first epoch: binary error 1.0.
-  pipeline.OnEpoch(kEpoch, gauges, 1 << 30, /*pressure=*/0.95, 0, 0, 0, {});
-  pipeline.OnEpoch(2 * kEpoch, gauges, 1 << 30, 0.95, 0, 0, 0, {});
+  pipeline.rows() = gauges;
+  pipeline.OnEpoch(kEpoch, 1 << 30, /*pressure=*/0.95, 0, 0, 0, {});
+  pipeline.OnEpoch(2 * kEpoch, 1 << 30, 0.95, 0, 0, 0, {});
   const TelemetryResult result = pipeline.Finish();
   ASSERT_GE(result.alert_events.size(), 1u);
   EXPECT_EQ(result.alert_events[0].kind, AlertKind::kPressureBurn);
@@ -109,16 +112,17 @@ TEST(Flight, QuarantineFreezesRingWithHistory) {
   TelemetryOptions options = QuietOptions();
   options.flight_depth = 8;
   Pipeline pipeline(options, 4);
-  std::vector<VmGauges> gauges = QuietGauges(4, 64 << 20, 32 << 20);
+  std::vector<VmGauges>& gauges = pipeline.rows();
+  gauges = QuietGauges(4, 64 << 20, 32 << 20);
 
   // Ten quiet epochs fill the ring past its depth...
   for (int k = 0; k < 10; ++k) {
-    pipeline.OnEpoch((k + 1) * kEpoch, gauges, 128 << 20, 0.5, 0, 0, 0, {});
+    pipeline.OnEpoch((k + 1) * kEpoch, 128 << 20, 0.5, 0, 0, 0, {});
   }
   // ...then VM 3 enters quarantine at epoch 10.
   gauges[3].quarantined = true;
   gauges[3].quarantined_frames = 16;
-  pipeline.OnEpoch(11 * kEpoch, gauges, 128 << 20, 0.5, 0, 0, 0, {});
+  pipeline.OnEpoch(11 * kEpoch, 128 << 20, 0.5, 0, 0, 0, {});
 
   const TelemetryResult result = pipeline.Finish();
   ASSERT_EQ(result.dumps.size(), 1u);
@@ -164,12 +168,13 @@ TEST(Flight, CooldownSpacesDumpsAndCapHolds) {
   options.flight_max_dumps = 2;
   const uint64_t vms = 24;
   Pipeline pipeline(options, vms);
-  std::vector<VmGauges> gauges = QuietGauges(vms, 64 << 20, 32 << 20);
+  std::vector<VmGauges>& gauges = pipeline.rows();
+  gauges = QuietGauges(vms, 64 << 20, 32 << 20);
   // A new VM quarantines every epoch: without the cooldown this would
   // dump every epoch, without the cap it would dump forever.
   for (uint64_t k = 0; k < vms; ++k) {
     gauges[k].quarantined = true;
-    pipeline.OnEpoch((k + 1) * kEpoch, gauges, 128 << 20, 0.5, 0, 0, 0, {});
+    pipeline.OnEpoch((k + 1) * kEpoch, 128 << 20, 0.5, 0, 0, 0, {});
   }
   const TelemetryResult result = pipeline.Finish();
   ASSERT_EQ(result.dumps.size(), 2u);
@@ -183,8 +188,9 @@ TEST(Flight, RejectSpikeTrigger) {
   Pipeline pipeline(options, 2);
   const std::vector<VmGauges> gauges = QuietGauges(2, 64 << 20, 32 << 20);
   // Cumulative rejections: +2 (quiet), +7 (spike).
-  pipeline.OnEpoch(kEpoch, gauges, 1 << 30, 0.5, 10, 0, 2, {});
-  pipeline.OnEpoch(2 * kEpoch, gauges, 1 << 30, 0.5, 10, 0, 9, {});
+  pipeline.rows() = gauges;
+  pipeline.OnEpoch(kEpoch, 1 << 30, 0.5, 10, 0, 2, {});
+  pipeline.OnEpoch(2 * kEpoch, 1 << 30, 0.5, 10, 0, 9, {});
   const TelemetryResult result = pipeline.Finish();
   ASSERT_EQ(result.dumps.size(), 1u);
   EXPECT_EQ(result.dumps[0].trigger, FlightTrigger::kRejectSpike);
@@ -207,7 +213,8 @@ TEST(Aggregation, EpochSummaryEqualsSumOverVmGauges) {
       gauges[i].wss_bytes = (i + 1) * (k + 1) * (3 << 20);
       gauges[i].rss_bytes = (i + 2) * (k + 1) * (5 << 20);
     }
-    pipeline.OnEpoch((k + 1) * kEpoch, gauges, 1 << 30, 0.4, 0, 0, 0, {});
+    pipeline.rows() = gauges;
+    pipeline.OnEpoch((k + 1) * kEpoch, 1 << 30, 0.4, 0, 0, 0, {});
     epochs.push_back(std::move(gauges));
   }
   const TelemetryResult result = pipeline.Finish();
@@ -239,7 +246,8 @@ TEST(Digest, IdenticalInputsIdenticalStream) {
     for (int k = 0; k < 5; ++k) {
       std::vector<VmGauges> gauges = QuietGauges(3, 64 << 20, 32 << 20);
       gauges[1].wss_bytes += wss_tweak;
-      pipeline.OnEpoch((k + 1) * kEpoch, gauges, 128 << 20, 0.5, 0, 0, 0,
+      pipeline.rows() = gauges;
+      pipeline.OnEpoch((k + 1) * kEpoch, 128 << 20, 0.5, 0, 0, 0,
                        {12.5});
     }
     return pipeline.Finish();
@@ -258,8 +266,8 @@ TEST(Pipeline, DisabledSamplesNothing) {
   options.enabled = false;
   Pipeline pipeline(options, 2);
   EXPECT_FALSE(pipeline.enabled());
-  pipeline.OnEpoch(kEpoch, QuietGauges(2, 1 << 20, 1 << 20), 1 << 30, 0.99,
-                   0, 0, 100, {});
+  EXPECT_TRUE(pipeline.rows().empty());
+  pipeline.OnEpoch(kEpoch, 1 << 30, 0.99, 0, 0, 100, {});
   const TelemetryResult result = pipeline.Finish();
   EXPECT_FALSE(result.enabled);
   EXPECT_EQ(result.epochs, 0u);
@@ -273,7 +281,8 @@ TEST(Pipeline, DisabledSamplesNothing) {
 TEST(Pipeline, NotraceStubIsInert) {
   Pipeline pipeline(TelemetryOptions{}, 4);
   EXPECT_FALSE(pipeline.enabled());
-  pipeline.OnEpoch(sim::kSec, {}, 0, 0.0, 0, 0, 0, {});
+  EXPECT_TRUE(pipeline.rows().empty());
+  pipeline.OnEpoch(sim::kSec, 0, 0.0, 0, 0, 0, {});
   const TelemetryResult result = pipeline.Finish();
   EXPECT_FALSE(result.enabled);
   EXPECT_EQ(result.epochs, 0u);
