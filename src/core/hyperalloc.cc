@@ -133,8 +133,8 @@ void HyperAllocMonitor::RollbackFrame(ZoneView& view, HugeId local_huge) {
   if (prior == ReclaimState::kHard) {
     // Hard reclaim could not unmap: return the frame (A<-0, R<-S) as if
     // it had never been hard-reclaimed. A later slice may retry it.
-    HA_CHECK(view.monitor_view->MarkReturned(local_huge));
     view.states.Set(local_huge, ReclaimState::kSoft);
+    HA_CHECK(view.monitor_view->MarkReturned(local_huge));
     HA_CHECK(hard_reclaimed_huge_ > 0);
     --hard_reclaimed_huge_;
   } else if (prior == ReclaimState::kSoft) {
@@ -647,8 +647,10 @@ void HyperAllocMonitor::GrowSlice(uint64_t target_huge,
         if (view->states.Get(h) != ReclaimState::kHard) {
           continue;
         }
-        HA_CHECK(view->monitor_view->MarkReturned(h));
+        // R<-S before the return: once the tree is credited the guest
+        // may allocate the frame and its install expects R = S.
         view->states.Set(h, ReclaimState::kSoft);
+        HA_CHECK(view->monitor_view->MarkReturned(h));
         cpu_.host_user_ns += hv::ChargeTraced(
             sim_, "monitor.return_ns", vm_->costs().ha_return_state_2m_ns);
         HA_COUNT("monitor.return");

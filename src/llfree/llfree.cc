@@ -1,6 +1,7 @@
 #include "src/llfree/llfree.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 
 #include "src/base/check.h"
@@ -59,6 +60,19 @@ SharedState::SharedState(uint64_t frames, const Config& config)
     reservations_[s].store(Reservation{}.Pack(), std::memory_order_relaxed);
     // Spread initial search positions so slots start in different trees.
     tree_hints_[s].store((num_trees_ * s) / slots, std::memory_order_relaxed);
+  }
+
+  // Every bit starts set: a set bit promises nothing, so raw tree-entry
+  // stores before the first failing search need not touch the summary.
+  tree_summary_ = std::make_unique<Atomic<uint64_t>[]>(summary_words());
+  MarkEveryTreeOccupied();
+}
+
+void SharedState::MarkEveryTreeOccupied() {
+  for (uint64_t w = 0; w < summary_words(); ++w) {
+    const uint64_t trees = std::min<uint64_t>(64, num_trees_ - w * 64);
+    tree_summary_[w].fetch_or(trees == 64 ? ~0ull : (1ull << trees) - 1,
+                              std::memory_order_seq_cst);
   }
 }
 
@@ -156,12 +170,7 @@ bool LLFree::ReStealIntoReservation(unsigned slot, uint64_t raw) {
           std::memory_order_acquire)) {
     // Reservation changed under us: return the stolen frames to the
     // tree's global counter; the caller starts over.
-    AtomicUpdate(state_->trees_[r.tree],
-                 [&](uint32_t tree_raw) -> std::optional<uint32_t> {
-                   TreeEntry entry = TreeEntry::Unpack(tree_raw);
-                   entry.free += stolen;
-                   return entry.Pack();
-                 });
+    CreditTree(r.tree, stolen);
   }
   return true;
 }
@@ -183,13 +192,98 @@ void LLFree::GiveBack(unsigned slot, uint64_t tree, unsigned need) {
       continue;
     }
     // Reservation moved on; credit the tree directly.
-    AtomicUpdate(state_->trees_[tree],
-                 [&](uint32_t tree_raw) -> std::optional<uint32_t> {
-                   TreeEntry entry = TreeEntry::Unpack(tree_raw);
-                   entry.free += need;
-                   return entry.Pack();
-                 });
+    CreditTree(tree, need);
     return;
+  }
+}
+
+void LLFree::CreditTree(uint64_t tree, uint32_t frames, bool unreserve) {
+  // The credit and the summary load below pair with ForgetEmptyTrees'
+  // clear and re-check (a store-buffering pattern): all four are
+  // seq_cst, so at least one side sees the other and a credit from 0
+  // never leaves the tree's bit clear (DESIGN.md §4.1).
+  Atomic<uint32_t>& atom = state_->trees_[tree];
+  uint32_t old_raw = atom.load(std::memory_order_acquire);
+  for (;;) {
+    TreeEntry next = TreeEntry::Unpack(old_raw);
+    next.free += frames;
+    next.reserved = next.reserved && !unreserve;
+    if (atom.compare_exchange_weak(old_raw, next.Pack(),
+                                   std::memory_order_seq_cst,
+                                   std::memory_order_acquire)) {
+      break;
+    }
+  }
+  if (frames == 0 || TreeEntry::Unpack(old_raw).free != 0) {
+    return;
+  }
+  Atomic<uint64_t>& word = state_->tree_summary_[tree / 64];
+  const uint64_t bit = 1ull << (tree % 64);
+  if ((word.load(std::memory_order_seq_cst) & bit) == 0) {
+    word.fetch_or(bit, std::memory_order_seq_cst);
+  }
+}
+
+template <typename Visit>
+uint64_t LLFree::ScanOccupied(uint64_t hint, uint64_t from,
+                              Visit&& visit) const {
+  const uint64_t n = num_trees();
+  // Offsets [0, n - hint) are trees [hint, n); the rest wrap to trees
+  // [0, hint). Each pass of the outer loop scans one of the two ranges.
+  for (uint64_t i = from; i < n;) {
+    const uint64_t first = hint + i < n ? hint + i : hint + i - n;
+    const uint64_t end = first >= hint ? n : hint;
+    const uint64_t shift = i - first;  // offset = tree + shift (mod 2^64)
+    for (uint64_t w = first / 64; w * 64 < end; ++w) {
+      uint64_t bits =
+          state_->tree_summary_[w].load(std::memory_order_acquire);
+      if (w == first / 64) {
+        bits &= ~0ull << (first % 64);
+      }
+      if ((w + 1) * 64 > end) {
+        bits &= (1ull << (end % 64)) - 1;
+      }
+      for (; bits != 0; bits &= bits - 1) {
+        const uint64_t t = w * 64 + std::countr_zero(bits);
+        if (visit(t + shift, t)) {
+          return t + shift;
+        }
+      }
+    }
+    i = end + shift;
+  }
+  return n;
+}
+
+void LLFree::ForgetEmptyTrees() {
+  for (uint64_t w = 0; w < state_->summary_words(); ++w) {
+    Atomic<uint64_t>& word = state_->tree_summary_[w];
+    uint64_t empty = 0;
+    for (uint64_t bits = word.load(std::memory_order_acquire); bits != 0;
+         bits &= bits - 1) {
+      const uint64_t t = w * 64 + std::countr_zero(bits);
+      const uint32_t raw = state_->trees_[t].load(std::memory_order_acquire);
+      if (TreeEntry::Unpack(raw).free == 0) {
+        empty |= bits & -bits;
+      }
+    }
+    if (empty == 0) {
+      continue;
+    }
+    word.fetch_and(~empty, std::memory_order_seq_cst);
+    // The re-check: a credit that loaded the word before the clear left
+    // the bit alone, so its frames must be seen here.
+    uint64_t refill = 0;
+    for (uint64_t bits = empty; bits != 0; bits &= bits - 1) {
+      const uint64_t t = w * 64 + std::countr_zero(bits);
+      const uint32_t raw = state_->trees_[t].load(std::memory_order_seq_cst);
+      if (TreeEntry::Unpack(raw).free != 0) {
+        refill |= bits & -bits;
+      }
+    }
+    if (refill != 0) {
+      word.fetch_or(refill, std::memory_order_seq_cst);
+    }
   }
 }
 
@@ -219,52 +313,56 @@ bool LLFree::ReserveNewTree(unsigned slot, AllocType type, unsigned need,
     return other == type || (other != AllocType::kUnmovable &&
                              type != AllocType::kUnmovable);
   };
-  // Every pass takes only unreserved trees with room for `need`; most
-  // trees of a full zone fail this first test.
-  const auto has_room = [need](const TreeEntry& entry) {
-    return !entry.reserved && entry.free >= need;
-  };
-  // The preference policy proper, for a tree with room.
-  const auto preferred = [&](int pass, uint64_t t, const TreeEntry& entry) {
-    if (avoid.has_value() && t == *avoid && pass < kPasses - 1) {
-      return false;
+  // Every tree but the last has the same capacity.
+  const auto full_cap = static_cast<uint32_t>(TreeCapacity(0));
+  // The preference policy proper: the passes that would take tree `t`,
+  // one bit per pass. Every pass takes only unreserved trees with room
+  // for `need`; most trees of a full zone fail this first test.
+  const auto passes_for = [&](uint64_t t, const TreeEntry& entry) {
+    if (entry.reserved || entry.free < need) {
+      return 0u;
     }
-    const uint32_t cap = static_cast<uint32_t>(TreeCapacity(t));
-    switch (pass) {
-      case 0:
-        return entry.type == type && entry.free < cap - cap / 8;
-      case 1:
-        return compatible(entry.type) && entry.free < cap;
-      case 2:
-        return entry.free == cap;
-      case 3:
-        return entry.free < cap;
-      default:
-        return true;
+    constexpr unsigned kLastPass = 1u << (kPasses - 1);
+    if (avoid.has_value() && t == *avoid) {
+      return kLastPass;
     }
+    const uint32_t cap =
+        t + 1 < n ? full_cap : static_cast<uint32_t>(TreeCapacity(t));
+    return unsigned{entry.type == type && entry.free < cap - cap / 8} |
+           unsigned{compatible(entry.type) && entry.free < cap} << 1 |
+           unsigned{entry.free == cap} << 2 |
+           unsigned{entry.free < cap} << 3 | kLastPass;
   };
 
-  // One walk from the hint records each pass's first eligible tree, as
-  // an offset from the hint. It stops at pass 0's first candidate, the
-  // tree tried first; a pass without a candidate by then resumes where
-  // the walk stopped. After a full walk, an offset of n means the pass
-  // has no candidate and takes no step, so a full zone costs one walk,
-  // not five.
+  // Offsets count trees from the hint. Both the walk and the passes
+  // scan only trees whose summary bit is set: a clear bit marks a tree a
+  // failing search found empty, which could not have room anyway.
+  //
+  // One walk from the hint records each pass's first eligible tree. It
+  // stops at pass 0's first candidate, the tree tried first; a pass
+  // without a candidate by then resumes where the walk stopped. After a
+  // full walk, an offset of n means the pass has no candidate and takes
+  // no step, so a full zone costs one walk, not five.
   uint64_t start[kPasses];
   std::fill_n(start, kPasses, n);
-  uint64_t walked = 0;
-  for (uint64_t t = hint; walked < n && start[0] == n;
-       ++walked, t = t + 1 == n ? 0 : t + 1) {
+  unsigned open = (1u << kPasses) - 1;  // passes without a candidate yet
+  const uint64_t stop = ScanOccupied(hint, 0, [&](uint64_t i, uint64_t t) {
     const TreeEntry entry =
         TreeEntry::Unpack(state_->trees_[t].load(std::memory_order_acquire));
-    if (has_room(entry)) {
-      for (int pass = 0; pass < kPasses; ++pass) {
-        if (start[pass] == n && preferred(pass, t, entry)) {
-          start[pass] = walked;
-        }
-      }
+    const unsigned passes = passes_for(t, entry);
+    for (unsigned found = passes & open; found != 0; found &= found - 1) {
+      start[std::countr_zero(found)] = i;
     }
+    open &= ~passes;
+    return (open & 1) == 0;  // pass 0 has its candidate
+  });
+  if (start[kPasses - 1] == n) {
+    // No tree has room (the last pass takes any): the search failed
+    // outright, so forget the trees it found empty.
+    ForgetEmptyTrees();
+    return false;
   }
+  const uint64_t walked = stop == n ? n : stop + 1;
   for (uint64_t& offset : start) {
     offset = offset == n ? walked : offset;
   }
@@ -273,14 +371,13 @@ bool LLFree::ReserveNewTree(unsigned slot, AllocType type, unsigned need,
   // re-checked before its CAS, and a lost CAS scans on through the rest
   // of the pass and the later passes.
   for (int pass = 0; pass < kPasses; ++pass) {
-    uint64_t t = hint + start[pass] < n ? hint + start[pass]
-                                        : hint + start[pass] - n;
-    for (uint64_t i = start[pass]; i < n;
-         ++i, t = t + 1 == n ? 0 : t + 1) {
+    uint64_t tree = n;
+    TreeEntry entry;
+    ScanOccupied(hint, start[pass], [&](uint64_t, uint64_t t) {
       const uint32_t raw = state_->trees_[t].load(std::memory_order_acquire);
-      const TreeEntry entry = TreeEntry::Unpack(raw);
-      if (!has_room(entry) || !preferred(pass, t, entry)) {
-        continue;
+      entry = TreeEntry::Unpack(raw);
+      if ((passes_for(t, entry) >> pass & 1) == 0) {
+        return false;
       }
       TreeEntry claimed = entry;
       claimed.free = 0;
@@ -290,35 +387,34 @@ bool LLFree::ReserveNewTree(unsigned slot, AllocType type, unsigned need,
       if (!state_->trees_[t].compare_exchange_strong(
               expected, claimed.Pack(), std::memory_order_acq_rel,
               std::memory_order_acquire)) {
-        continue;  // raced; try the next tree
+        return false;  // raced; try the next tree
       }
-
-      // Publish the new reservation; release the old one.
-      Atomic<uint64_t>& slot_atom = state_->reservations_[slot];
-      Reservation next;
-      next.active = true;
-      next.tree = static_cast<uint32_t>(t);
-      next.free = static_cast<uint16_t>(entry.free);
-      uint64_t old_raw = slot_atom.load(std::memory_order_acquire);
-      while (!slot_atom.compare_exchange_weak(old_raw, next.Pack(),
-                                              std::memory_order_acq_rel,
-                                              std::memory_order_acquire)) {
-      }
-      const Reservation old = Reservation::Unpack(old_raw);
-      if (old.active) {
-        AtomicUpdate(state_->trees_[old.tree],
-                     [&](uint32_t tree_raw) -> std::optional<uint32_t> {
-                       TreeEntry e = TreeEntry::Unpack(tree_raw);
-                       e.free += old.free;
-                       e.reserved = false;
-                       return e.Pack();
-                     });
-      }
-      // `t` is below n, so the stored hint is always in range.
-      state_->tree_hints_[slot].store(t, std::memory_order_relaxed);
-      HA_COUNT("llfree.reserve_tree");
+      tree = t;
       return true;
+    });
+    if (tree == n) {
+      continue;
     }
+
+    // Publish the new reservation; release the old one.
+    Atomic<uint64_t>& slot_atom = state_->reservations_[slot];
+    Reservation next;
+    next.active = true;
+    next.tree = static_cast<uint32_t>(tree);
+    next.free = static_cast<uint16_t>(entry.free);
+    uint64_t old_raw = slot_atom.load(std::memory_order_acquire);
+    while (!slot_atom.compare_exchange_weak(old_raw, next.Pack(),
+                                            std::memory_order_acq_rel,
+                                            std::memory_order_acquire)) {
+    }
+    const Reservation old = Reservation::Unpack(old_raw);
+    if (old.active) {
+      CreditTree(old.tree, old.free, /*unreserve=*/true);
+    }
+    // `tree` is below n, so the stored hint is always in range.
+    state_->tree_hints_[slot].store(tree, std::memory_order_relaxed);
+    HA_COUNT("llfree.reserve_tree");
+    return true;
   }
   return false;
 }
@@ -336,13 +432,7 @@ void LLFree::DrainReservations() {
       if (slot_atom.compare_exchange_weak(raw, Reservation{}.Pack(),
                                           std::memory_order_acq_rel,
                                           std::memory_order_acquire)) {
-        AtomicUpdate(state_->trees_[r.tree],
-                     [&](uint32_t tree_raw) -> std::optional<uint32_t> {
-                       TreeEntry e = TreeEntry::Unpack(tree_raw);
-                       e.free += r.free;
-                       e.reserved = false;
-                       return e.Pack();
-                     });
+        CreditTree(r.tree, r.free, /*unreserve=*/true);
         break;
       }
     }
@@ -375,10 +465,10 @@ Result<FrameId> LLFree::Get(unsigned core, unsigned order, AllocType type) {
 unsigned LLFree::GetBatch(unsigned core, unsigned order, unsigned count,
                           AllocType type, std::vector<FrameId>* out) {
   unsigned claimed = 0;
+  bool dry = false;
   if (count > 0 && (order <= kMaxBitfieldOrder || order == kHugeOrder)) {
     const size_t base = out->size();
     out->resize(base + count);
-    bool dry = false;
     claimed = ClaimRuns(core, order, type,
                         std::span<FrameId>(out->data() + base, count), &dry);
     out->resize(base + claimed);
@@ -389,10 +479,13 @@ unsigned LLFree::GetBatch(unsigned core, unsigned order, unsigned count,
     HA_COUNT("llfree.get_batch");
     HA_HIST("llfree.get_batch_runs", claimed);
   }
-  // Tail under pressure: fall back to single Gets so the batch keeps the
-  // exact semantics (fallback steal included) of `count` single calls.
+  // Tail under pressure, with the exact semantics of `count` single
+  // Gets. When no tree could be reserved, a single Get's claim loop would
+  // only fail the same search again, so the tail goes to the fallback
+  // steal directly.
   while (claimed < count) {
-    const Result<FrameId> r = Get(core, order, type);
+    const Result<FrameId> r =
+        dry ? GetFallback(order) : Get(core, order, type);
     if (!r.ok()) {
       break;
     }
@@ -452,7 +545,8 @@ Result<FrameId> LLFree::GetFallback(unsigned order) {
   const unsigned need = 1u << order;
   FrameId frame = 0;
   const std::span<FrameId> one(&frame, 1);
-  for (uint64_t t = 0; t < num_trees(); ++t) {
+  // Trees a failing search found empty are skipped (summary bit clear).
+  const uint64_t hit = ScanOccupied(0, 0, [&](uint64_t, uint64_t t) {
     const auto stolen = AtomicUpdate(
         state_->trees_[t], [&](uint32_t raw) -> std::optional<uint32_t> {
           TreeEntry entry = TreeEntry::Unpack(raw);
@@ -463,20 +557,20 @@ Result<FrameId> LLFree::GetFallback(unsigned order) {
           return entry.Pack();
         });
     if (!stolen.has_value()) {
-      continue;
+      return false;
     }
     if (SearchTree(t, order, one) == 1) {
-      HA_COUNT("llfree.get");
-      HA_HIST("llfree.get_order", order);
-      return frame;
+      return true;
     }
-    AtomicUpdate(state_->trees_[t],
-                 [&](uint32_t raw) -> std::optional<uint32_t> {
-                   TreeEntry entry = TreeEntry::Unpack(raw);
-                   entry.free += need;
-                   return entry.Pack();
-                 });
+    CreditTree(t, need);
+    return false;
+  });
+  if (hit < num_trees()) {
+    HA_COUNT("llfree.get");
+    HA_HIST("llfree.get_order", order);
+    return frame;
   }
+  ForgetEmptyTrees();  // the tree loop failed outright
   // The remaining frames may live in other slots' local reservation
   // counters; pull from those directly (the reservations are part of the
   // shared state, so this stays a lock-free CAS transaction).
@@ -633,12 +727,7 @@ std::optional<AllocError> LLFree::Put(FrameId frame, unsigned order) {
                  });
   }
 
-  AtomicUpdate(state_->trees_[TreeOf(area)],
-               [&](uint32_t raw) -> std::optional<uint32_t> {
-                 TreeEntry entry = TreeEntry::Unpack(raw);
-                 entry.free += need;
-                 return entry.Pack();
-               });
+  CreditTree(TreeOf(area), need);
   HA_COUNT("llfree.put");
   return std::nullopt;
 }
@@ -700,12 +789,7 @@ unsigned LLFree::PutBatch(std::span<const FrameId> frames, unsigned order) {
                                                         group_runs * run);
                      return entry.Pack();
                    });
-      AtomicUpdate(state_->trees_[TreeOf(area)],
-                   [&](uint32_t raw) -> std::optional<uint32_t> {
-                     TreeEntry entry = TreeEntry::Unpack(raw);
-                     entry.free += group_runs * run;
-                     return entry.Pack();
-                   });
+      CreditTree(TreeOf(area), group_runs * run);
       freed_total += group_runs;
       freed_batched += group_runs;
     } else {
@@ -799,12 +883,7 @@ unsigned LLFree::ClaimFreeInArea(HugeId area, std::vector<FrameId>* out) {
       got = 0;
     }
     if (got < take) {
-      AtomicUpdate(state_->trees_[tree],
-                   [&](uint32_t raw) -> std::optional<uint32_t> {
-                     TreeEntry te = TreeEntry::Unpack(raw);
-                     te.free += take - got;
-                     return te.Pack();
-                   });
+      CreditTree(tree, take - got);
       if (got == 0) {
         break;
       }
@@ -823,12 +902,7 @@ unsigned LLFree::ClaimFreeInArea(HugeId area, std::vector<FrameId>* out) {
                                                         (got - set));
                      return entry.Pack();
                    });
-      AtomicUpdate(state_->trees_[tree],
-                   [&](uint32_t raw) -> std::optional<uint32_t> {
-                     TreeEntry te = TreeEntry::Unpack(raw);
-                     te.free += got - set;
-                     return te.Pack();
-                   });
+      CreditTree(tree, got - set);
     }
     for (unsigned i = 0; i < set; ++i) {
       out->push_back(HugeToFrame(area) + offsets[i]);
@@ -954,12 +1028,7 @@ bool LLFree::TryHardReclaim(HugeId huge, bool allow_reserved) {
     return true;
   }
   // Lost the race for this area (guest allocated it); undo the steal.
-  AtomicUpdate(state_->trees_[tree],
-               [&](uint32_t raw) -> std::optional<uint32_t> {
-                 TreeEntry te = TreeEntry::Unpack(raw);
-                 te.free += kFramesPerHuge;
-                 return te.Pack();
-               });
+  CreditTree(tree, kFramesPerHuge);
   return false;
 }
 
@@ -983,12 +1052,7 @@ bool LLFree::MarkReturned(HugeId huge) {
   if (!transitioned) {
     return false;
   }
-  AtomicUpdate(state_->trees_[TreeOf(huge)],
-               [&](uint32_t raw) -> std::optional<uint32_t> {
-                 TreeEntry entry = TreeEntry::Unpack(raw);
-                 entry.free += kFramesPerHuge;
-                 return entry.Pack();
-               });
+  CreditTree(TreeOf(huge), kFramesPerHuge);
   HA_COUNT("llfree.return");
   return true;
 }
@@ -1168,6 +1232,8 @@ uint64_t LLFree::Recover() {
       ++repaired;
     }
   }
+  // The repaired counters may hold frames behind clear summary bits.
+  state_->MarkEveryTreeOccupied();
   return repaired;
 }
 
@@ -1220,6 +1286,12 @@ bool LLFree::Validate() const {
     // tree counter, so both sides agree without adjustment.
     if (counted != area_free) {
       fail("tree counter mismatch", t, counted, area_free);
+    }
+    // A tree with frames on its counter must not be skipped by searches.
+    const uint64_t word = state_->tree_summary_[t / 64].load(
+        std::memory_order_acquire);
+    if (entry.free != 0 && (word >> (t % 64) & 1) == 0) {
+      fail("summary bit clear on a non-empty tree", t, entry.free, 0);
     }
   }
   return ok;

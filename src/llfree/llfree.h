@@ -79,6 +79,17 @@ class SharedState {
   // shrink); every reader clamps with % num_trees() and every store
   // re-clamps, so stale hints only bias the search start.
   Atomic<uint64_t>* tree_hints() { return tree_hints_.get(); }
+  // Tree-occupancy summary (DESIGN.md §4.1): one bit per tree, 64 trees
+  // per word. A clear bit means the tree's counter was 0 when a failing
+  // search cleared it, and every credit to that tree since has set it
+  // again, so searches skip clear bits. A set bit promises nothing. A
+  // raw store that makes a tree counter non-zero must set its bit too.
+  Atomic<uint64_t>* tree_summary() { return tree_summary_.get(); }
+  const Atomic<uint64_t>* tree_summary() const { return tree_summary_.get(); }
+  uint64_t summary_words() const { return (num_trees_ + 63) / 64; }
+  // Sets every tree's summary bit, so the next search visits every tree.
+  // Safe at any time, since a set bit promises nothing.
+  void MarkEveryTreeOccupied();
 
   // Size in bytes of the hypervisor-shared portion (bit field + indexes),
   // for the scan-cost analysis.
@@ -101,6 +112,9 @@ class SharedState {
   std::unique_ptr<Atomic<uint64_t>[]> reservations_;
   // Per-slot search hints (not part of the shared protocol state).
   std::unique_ptr<Atomic<uint64_t>[]> tree_hints_;
+  // Search acceleration, not part of SharedBytes(): the scan-cost
+  // analysis counts the paper's layout only.
+  std::unique_ptr<Atomic<uint64_t>[]> tree_summary_;
 };
 
 // A view over a SharedState. Guest and monitor each construct their own
@@ -152,9 +166,10 @@ class LLFree {
   // 7..8, the area's allocated flag for 9 — so a 64-frame order-0 batch
   // costs a handful of atomics instead of 64 full Get transactions.
   // Returns the number of runs claimed; fewer than `count` means the
-  // allocator ran dry (runs the loop could not claim are retried through
-  // single Gets, so the pressure fallback still runs and a batch is
-  // exactly equivalent to `count` single Gets).
+  // allocator ran dry. Runs the loop could not claim go to the pressure
+  // fallback directly when no tree could be reserved, and through single
+  // Gets otherwise, so a batch is exactly equivalent to `count` single
+  // Gets.
   unsigned GetBatch(unsigned core, unsigned order, unsigned count,
                     AllocType type, std::vector<FrameId>* out);
 
@@ -294,6 +309,24 @@ class LLFree {
   // Returns `need` frames: to the slot's reservation if it still points
   // at `tree`, otherwise to the tree's global counter.
   void GiveBack(unsigned slot, uint64_t tree, unsigned need);
+
+  // Adds `frames` to `tree`'s global counter (and drops its reserved flag
+  // when `unreserve`). Every credit to a tree counter goes through here:
+  // a credit from 0 sets the tree's summary bit if a failing search
+  // cleared it.
+  void CreditTree(uint64_t tree, uint32_t frames, bool unreserve = false);
+
+  // Calls `visit(i, t)` for each offset i in [from, n) whose tree
+  // t = (hint + i) mod n has its summary bit set, in order, until `visit`
+  // returns true. Returns that offset, or n. Each summary word is loaded
+  // once per scan.
+  template <typename Visit>
+  uint64_t ScanOccupied(uint64_t hint, uint64_t from, Visit&& visit) const;
+
+  // After a search failed outright: clears the summary bit of every tree
+  // whose counter reads 0, then re-loads those trees and sets the bit
+  // again for any that gained frames meanwhile.
+  void ForgetEmptyTrees();
 
   // Reserves a new tree for `slot` (preference order per §4.1/§4.2) and
   // moves its free counter into the local reservation, pre-charging

@@ -285,6 +285,56 @@ TEST_F(GuestVmTest, LLFreeGuestSharesStateWithMonitorView) {
   EXPECT_TRUE(monitor.ReadArea(FrameToHuge(*r - zone.start)).allocated);
 }
 
+// E1's prepare in miniature: huge frames fill the Normal zone, then
+// 4 KiB allocations still try Normal first (frame cache, batch, fallback
+// steal) and land in DMA32. A second VM whose summaries are reset before
+// every allocation must hand out exactly the same frames, and the full
+// Normal zone ends with every summary bit clear, so its failing searches
+// cost a few word loads instead of a walk of every tree.
+TEST(GuestVmSummaryTest, FullNormalZoneFallsToDma32LikeFullWalks) {
+  GuestConfig config;
+  config.memory_bytes = 2 * kGiB;  // Normal: 124 trees, two summary words
+  config.vcpus = 4;
+  config.dma32_bytes = 64 * kMiB;
+  config.allocator = AllocatorKind::kLLFree;
+  sim::Simulation sim_a;
+  sim::Simulation sim_b;
+  hv::HostMemory host_a(FramesForBytes(4 * kGiB));
+  hv::HostMemory host_b(FramesForBytes(4 * kGiB));
+  GuestVm a(&sim_a, &host_a, config);
+  GuestVm b(&sim_b, &host_b, config);
+  ASSERT_EQ(a.zones().size(), 2u);
+  ASSERT_EQ(a.zones()[1].kind, ZoneKind::kNormal);
+  const llfree::SharedState& normal = *a.zones()[1].llfree_state;
+  ASSERT_GT(normal.num_trees(), 64u);
+
+  const auto alloc_both = [&](unsigned order, AllocType type) {
+    for (Zone& zone : b.zones()) {
+      zone.llfree_state->MarkEveryTreeOccupied();
+    }
+    const Result<FrameId> ra = a.Alloc(order, type);
+    const Result<FrameId> rb = b.Alloc(order, type);
+    EXPECT_TRUE(ra.ok() && rb.ok());
+    EXPECT_EQ(*ra, *rb);
+    return *ra;
+  };
+  for (uint64_t i = 0; i < a.zones()[1].frames / kFramesPerHuge; ++i) {
+    const FrameId frame = alloc_both(kHugeOrder, AllocType::kHuge);
+    ASSERT_EQ(a.ZoneOf(frame).kind, ZoneKind::kNormal) << "huge " << i;
+  }
+  for (int i = 0; i < 3000; ++i) {
+    const FrameId frame = alloc_both(0, AllocType::kMovable);
+    ASSERT_EQ(a.ZoneOf(frame).kind, ZoneKind::kDma32) << "4 KiB " << i;
+  }
+  for (uint64_t w = 0; w < normal.summary_words(); ++w) {
+    EXPECT_EQ(normal.tree_summary()[w].load(std::memory_order_relaxed), 0u)
+        << "word " << w;
+  }
+  for (Zone& zone : a.zones()) {
+    EXPECT_TRUE(llfree::LLFree(zone.llfree_state.get()).Validate());
+  }
+}
+
 TEST_F(GuestVmTest, FreeWithWrongOrderAborts) {
   Init(SmallBuddy());
   const Result<FrameId> r = vm_->Alloc(3, AllocType::kMovable);

@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -232,6 +233,78 @@ TEST(LLFreeConcurrent, BatchesUnderContention) {
   }
   EXPECT_EQ(alloc.FreeFrames(), kFrames);
   EXPECT_TRUE(alloc.Validate());
+}
+
+TEST(LLFreeConcurrent, FillUntilFullThenFreeRepeatedly) {
+  // The tree-occupancy summary on real cores. Each of four threads fills
+  // the zone until an order-0 Get fails, frees everything it holds, and
+  // repeats, so failing searches clear summary bits while other threads
+  // free into the trees they are clearing. One-area trees give the zone
+  // 64 trees, one summary word all threads contend on. A credit lost
+  // behind a clear bit would leave Validate() (which checks that every
+  // tree with frames on its counter has its bit set) failing, and frames
+  // invisible to every later search.
+  Config config;  // per-type: the threads share the reservation slots
+  config.areas_per_tree = 1;
+  SharedState state(kFrames, config);
+  LLFree alloc(&state);
+
+  constexpr unsigned kThreads = 4;
+  constexpr int kRounds = 12;
+  std::vector<std::vector<std::pair<FrameId, unsigned>>> held(kThreads);
+  std::vector<std::thread> threads;
+  std::atomic<bool> failed{false};
+  std::atomic<uint64_t> refusals{0};
+
+  for (unsigned t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(t + 401);
+      for (int round = 0; round < kRounds && !failed; ++round) {
+        for (;;) {
+          const unsigned order = rng.Chance(0.05) ? kHugeOrder : 0;
+          const auto type = static_cast<AllocType>(rng.Below(3));
+          const Result<FrameId> r = alloc.Get(t, order, type);
+          if (r.ok()) {
+            held[t].emplace_back(*r, order);
+          } else if (order == 0) {
+            refusals.fetch_add(1, std::memory_order_relaxed);
+            break;
+          }
+        }
+        // Free everything: order-0 frames in batches, huge ones singly.
+        std::vector<FrameId> small;
+        for (const auto& [frame, order] : held[t]) {
+          if (order == 0) {
+            small.push_back(frame);
+          } else if (alloc.Put(frame, order).has_value()) {
+            failed = true;  // refused free => overlapping handout
+          }
+        }
+        for (size_t i = 0; i < small.size(); i += 64) {
+          const size_t n = std::min<size_t>(64, small.size() - i);
+          if (alloc.PutBatch(std::span<const FrameId>(small).subspan(i, n),
+                             0) != n) {
+            failed = true;
+          }
+        }
+        held[t].clear();
+      }
+    });
+  }
+  for (auto& thread : threads) {
+    thread.join();
+  }
+  ASSERT_FALSE(failed);
+  EXPECT_GE(refusals.load(std::memory_order_relaxed), kThreads * kRounds);
+  // Frame conservation: everything was freed, so every frame is free.
+  EXPECT_EQ(alloc.FreeFrames(), kFrames);
+  ExpectInvariantsHold(state, alloc);
+  // And every frame can be handed out again.
+  uint64_t got = 0;
+  while (alloc.Get(0, kHugeOrder, AllocType::kHuge).ok()) {
+    ++got;
+  }
+  EXPECT_EQ(got, kFrames / kFramesPerHuge);
 }
 
 TEST(LLFreeConcurrent, FrameCacheSlotsOnRealThreads) {

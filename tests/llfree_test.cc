@@ -1096,5 +1096,164 @@ TEST(LLFreeSearchTest, SingleWalkPicksLikeFivePasses) {
   EXPECT_GT(liars, 100);
 }
 
+// ---------------------------------------------------------------------
+// Differential test of the tree-occupancy summary
+// ---------------------------------------------------------------------
+
+bool SummaryBit(const SharedState& state, uint64_t tree) {
+  return (state.tree_summary()[tree / 64].load(std::memory_order_relaxed) >>
+          (tree % 64) & 1) != 0;
+}
+
+// Seeded op sequences on zones of 1..200 trees (so the summary spans up
+// to four words), run in lockstep on two allocators: one with the
+// summary as the searches leave it, one whose summary is reset to all
+// set before every op. Each zone is first filled with huge frames, so
+// failing searches (ReserveNewTree and GetFallback alike) are common;
+// then Gets, batches, Puts, hard reclaims, MarkReturned, drains,
+// compaction claims and raw tree-entry stores interleave. Every result
+// and every tree and reservation entry must match, and after every op
+// each tree with frames on its counter must have its bit set.
+TEST(LLFreeSearchTest, SummarySkipsPickLikeFullWalks) {
+  Rng rng(24);
+  uint64_t skipped = 0;  // trees whose bit was clear when an op began
+  uint64_t failed_gets = 0;
+  for (int iter = 0; iter < 120; ++iter) {
+    Config config;
+    if (rng.Chance(0.25)) {
+      config = PerCoreConfig(2);
+    }
+    config.areas_per_tree = rng.Chance(0.5) ? 1 : static_cast<unsigned>(
+                                                       rng.Range(2, 4));
+    const uint64_t trees = rng.Range(1, 200);
+    const uint64_t areas =
+        trees * config.areas_per_tree - rng.Below(config.areas_per_tree);
+    SharedState state_a(areas * kFramesPerHuge, config);
+    SharedState state_b(areas * kFramesPerHuge, config);
+    LLFree a(&state_a);
+    LLFree b(&state_b);
+    ASSERT_EQ(a.num_trees(), trees);
+
+    std::vector<std::pair<FrameId, unsigned>> held;
+    std::vector<HugeId> hard;
+    const auto get = [&](unsigned core, unsigned order, AllocType type) {
+      state_b.MarkEveryTreeOccupied();
+      const Result<FrameId> ra = a.Get(core, order, type);
+      const Result<FrameId> rb = b.Get(core, order, type);
+      EXPECT_EQ(ra.ok(), rb.ok());
+      if (ra.ok() && rb.ok()) {
+        EXPECT_EQ(*ra, *rb);
+        held.emplace_back(*ra, order);
+      } else if (!ra.ok() && !rb.ok()) {
+        EXPECT_EQ(ra.error(), rb.error());
+        ++failed_gets;
+      }
+      return ra.ok();
+    };
+    // Fill with huge frames until the zone refuses one.
+    while (get(0, kHugeOrder, AllocType::kHuge)) {
+    }
+    for (int step = 0; step < 200; ++step) {
+      SCOPED_TRACE(::testing::Message()
+                   << "iter " << iter << " trees " << trees << " step "
+                   << step);
+      for (uint64_t t = 0; t < trees; ++t) {
+        skipped += SummaryBit(state_a, t) ? 0 : 1;
+      }
+      state_b.MarkEveryTreeOccupied();
+      const unsigned core = static_cast<unsigned>(rng.Below(2));
+      const uint64_t op = rng.Below(100);
+      if (op < 35) {
+        const unsigned orders[] = {0, 0, 0, 3, kHugeOrder};
+        get(core, orders[rng.Below(std::size(orders))],
+            static_cast<AllocType>(rng.Below(kNumAllocTypes)));
+      } else if (op < 45) {
+        // A batch on one side, as many single Gets on the other.
+        const unsigned order = rng.Chance(0.8) ? 0 : 2;
+        const auto count = static_cast<unsigned>(rng.Range(1, 40));
+        const auto type = static_cast<AllocType>(rng.Below(kNumAllocTypes));
+        std::vector<FrameId> batch;
+        const unsigned got = a.GetBatch(core, order, count, type, &batch);
+        std::vector<FrameId> singles;
+        for (unsigned i = 0; i < count; ++i) {
+          const Result<FrameId> r = b.Get(core, order, type);
+          if (!r.ok()) {
+            break;
+          }
+          singles.push_back(*r);
+        }
+        EXPECT_EQ(got, batch.size());
+        EXPECT_EQ(batch, singles);
+        failed_gets += got < count ? 1 : 0;
+        for (const FrameId f : batch) {
+          held.emplace_back(f, order);
+        }
+      } else if (op < 72 && !held.empty()) {
+        const size_t i = rng.Below(held.size());
+        EXPECT_EQ(a.Put(held[i].first, held[i].second),
+                  b.Put(held[i].first, held[i].second));
+        held[i] = held.back();
+        held.pop_back();
+      } else if (op < 78) {
+        const HugeId start = rng.Below(areas);
+        const bool reserved = rng.Chance(0.5);
+        const std::optional<HugeId> ha = a.ReclaimHuge(start, true, reserved);
+        EXPECT_EQ(ha, b.ReclaimHuge(start, true, reserved));
+        if (ha.has_value()) {
+          hard.push_back(*ha);
+        }
+      } else if (op < 86 && !hard.empty()) {
+        const size_t i = rng.Below(hard.size());
+        EXPECT_TRUE(a.MarkReturned(hard[i]));
+        EXPECT_TRUE(b.MarkReturned(hard[i]));
+        hard[i] = hard.back();
+        hard.pop_back();
+      } else if (op < 90) {
+        a.DrainReservations();
+        b.DrainReservations();
+      } else if (op < 94) {
+        const HugeId area = rng.Below(areas);
+        std::vector<FrameId> fa;
+        std::vector<FrameId> fb;
+        EXPECT_EQ(a.ClaimFreeInArea(area, &fa), b.ClaimFreeInArea(area, &fb));
+        EXPECT_EQ(fa, fb);
+        for (const FrameId f : fa) {
+          held.emplace_back(f, 0);
+        }
+      } else {
+        // A raw store that hides some of an unreserved tree's frames
+        // and re-types it. A writer that leaves frames on the counter
+        // sets the tree's bit.
+        const uint64_t t = rng.Below(trees);
+        TreeEntry entry = a.ReadTree(t);
+        if (!entry.reserved) {
+          entry.free = static_cast<uint32_t>(rng.Range(0, entry.free));
+          entry.type = static_cast<AllocType>(rng.Below(kNumAllocTypes));
+          state_a.trees()[t].store(entry.Pack(), std::memory_order_relaxed);
+          state_b.trees()[t].store(entry.Pack(), std::memory_order_relaxed);
+          if (entry.free != 0) {
+            state_a.tree_summary()[t / 64].fetch_or(
+                1ull << (t % 64), std::memory_order_relaxed);
+          }
+        }
+      }
+      for (uint64_t t = 0; t < trees; ++t) {
+        const TreeEntry ta = a.ReadTree(t);
+        ASSERT_EQ(ta, b.ReadTree(t)) << "tree " << t;
+        ASSERT_TRUE(ta.free == 0 || SummaryBit(state_a, t))
+            << "tree " << t << " holds " << ta.free
+            << " frames behind a clear bit";
+      }
+      for (unsigned slot = 0; slot < config.NumSlots(); ++slot) {
+        ASSERT_EQ(a.ReadReservation(slot), b.ReadReservation(slot))
+            << "slot " << slot;
+      }
+    }
+  }
+  // The mix reaches full zones, and the summary then skips trees.
+  EXPECT_GT(failed_gets, 400u);
+  EXPECT_GT(skipped, 1000000u);
+}
+
 }  // namespace
 }  // namespace hyperalloc::llfree

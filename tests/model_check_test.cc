@@ -293,8 +293,10 @@ Scenario DeflateVsGuestAlloc() {
 
     exec.Spawn([c] {  // Monitor: deflate two huge frames.
       for (HugeId h = 1; h <= 2; ++h) {
-        Require(c->monitor.MarkReturned(h), "deflate return failed");
+        // R<-S before the return makes the frame allocatable: the
+        // guest's install may run as soon as the tree is credited.
         c->states.Set(h, ReclaimState::kSoft);
+        Require(c->monitor.MarkReturned(h), "deflate return failed");
       }
     });
     exec.Spawn([c] {  // Guest: grab huge frames as they appear.
@@ -1372,6 +1374,172 @@ TEST(ModelCheckMutant, ExhaustiveFindsTrustTheWalk) {
 }
 
 // --------------------------------------------------------------------
+// Scenario: a credit lands on an empty tree while a failing search
+// forgets it (the tree-occupancy summary, DESIGN.md §4.1). Two one-area
+// trees are full (two guest huge frames; in the MarkReturned variant the
+// second area is hard-reclaimed instead). The guest asks for a 4 KiB
+// frame: ReserveNewTree and GetFallback both fail, and each clears the
+// summary bits of the trees it found empty. Meanwhile the guest frees
+// its huge frame of tree 1 (or the monitor returns the hard-reclaimed
+// area). Whatever the interleaving, the quiescent state must show tree
+// 1's bit set (LLFree::Validate checks it), or the freed frames would
+// stay invisible to every later search. `window` counts the executions
+// that reached the race: a step with tree 1 credited behind a clear bit.
+// --------------------------------------------------------------------
+Scenario CreditWhileSearchForgets(bool monitor_return,
+                                  std::shared_ptr<uint64_t> window) {
+  return [monitor_return, window](Execution& exec) {
+    Config cfg;
+    cfg.mode = Config::ReservationMode::kPerType;
+    cfg.areas_per_tree = 1;
+    auto c = std::make_shared<Ctx>(2 * kFramesPerHuge, cfg);
+    const Result<FrameId> first =
+        c->guest.Get(0, kHugeOrder, AllocType::kHuge);
+    Require(first.ok(), "prefill get failed");
+    c->owner.AcquireHuge(FrameToHuge(*first));
+    // The area (and tree) the second thread credits.
+    const HugeId target = 1 - FrameToHuge(*first);
+    if (monitor_return) {
+      Require(c->monitor.TryHardReclaim(target), "setup hard reclaim failed");
+    } else {
+      const Result<FrameId> second =
+          c->guest.Get(0, kHugeOrder, AllocType::kHuge);
+      Require(second.ok() && FrameToHuge(*second) == target,
+              "prefill get failed");
+      c->owner.AcquireHuge(target);
+    }
+    c->guest.DrainReservations();
+    const uint64_t bit = uint64_t{1} << target;
+    const auto hidden = [c, bit, target] {
+      return (c->state.tree_summary()[0].load(std::memory_order_acquire) &
+              bit) == 0 &&
+             c->guest.ReadTree(target).free != 0;
+    };
+
+    exec.Spawn([c] {
+      std::vector<std::pair<FrameId, unsigned>> held;
+      GetAndHold(c, 0, 0, AllocType::kMovable, &held);
+    });
+    exec.Spawn([c, monitor_return, target] {
+      if (monitor_return) {
+        Require(c->monitor.MarkReturned(target), "return failed");
+      } else {
+        c->owner.ReleaseHuge(target);
+        Require(!c->guest.Put(HugeToFrame(target), kHugeOrder).has_value(),
+                "put of an owned huge frame failed");
+      }
+    });
+    exec.OnStep([c, window, hidden] {
+      CheckStepInvariants(c->state);
+      c->owner();
+      if (hidden()) {
+        ++*window;
+      }
+    });
+    exec.OnEnd([c, hidden] {
+      CheckQuiescent(c->guest);
+      Require(!hidden(), "summary hides a credited tree");
+    });
+  };
+}
+
+TEST(ModelCheckScenarios, PutWhileSearchForgets) {
+  auto window = std::make_shared<uint64_t>(0);
+  ExpectClean(ExploreRandom(CreditWhileSearchForgets(false, window),
+                            ScaledIters(1500)));
+  EXPECT_GT(*window, 0u) << "no execution reached the clear/credit race";
+}
+
+TEST(ModelCheckScenarios, MarkReturnedWhileSearchForgets) {
+  auto window = std::make_shared<uint64_t>(0);
+  ExpectClean(ExploreRandom(CreditWhileSearchForgets(true, window),
+                            ScaledIters(1500)));
+  EXPECT_GT(*window, 0u) << "no execution reached the clear/credit race";
+}
+
+// --------------------------------------------------------------------
+// The summary protocol on its own, with knobs for its two mutants. One
+// tree: its counter starts at 0 with the summary bit set. A failing
+// search (LLFree::ForgetEmptyTrees) finds the counter empty, clears the
+// bit, then re-checks the counter and sets the bit again if it gained
+// frames. A credit (LLFree::CreditTree) adds to the counter and, having
+// credited from 0, sets the bit if it reads clear. The clear and the
+// re-check against the credit and its summary load form a
+// store-buffering pattern: with all four seq_cst, whichever side runs
+// second sees the other, so a credited tree never ends behind a clear
+// bit. Mutants: the search without its re-check (caught by interleaving
+// alone), and the credit's summary load downgraded to acquire (caught
+// only by the memory-model layer's stale reads).
+// --------------------------------------------------------------------
+struct SummaryProtocolCtx {
+  Atomic<uint32_t> counter{0};
+  Atomic<uint64_t> summary{1};
+
+  void FailingSearch(bool recheck) {
+    if ((summary.load(std::memory_order_acquire) & 1) == 0 ||
+        counter.load(std::memory_order_acquire) != 0) {
+      return;
+    }
+    summary.fetch_and(~1ull, std::memory_order_seq_cst);
+    if (recheck && counter.load(std::memory_order_seq_cst) != 0) {
+      summary.fetch_or(1, std::memory_order_seq_cst);
+    }
+  }
+
+  void Credit(std::memory_order summary_load) {
+    if (counter.fetch_add(1, std::memory_order_seq_cst) != 0) {
+      return;
+    }
+    if ((summary.load(summary_load) & 1) == 0) {
+      summary.fetch_or(1, std::memory_order_seq_cst);
+    }
+  }
+};
+
+Scenario SummaryProtocol(bool recheck, std::memory_order summary_load) {
+  return [recheck, summary_load](Execution& exec) {
+    auto c = std::make_shared<SummaryProtocolCtx>();
+    exec.Spawn([c, recheck] { c->FailingSearch(recheck); });
+    exec.Spawn([c, summary_load] { c->Credit(summary_load); });
+    exec.OnEnd([c] {
+      Require((c->summary.load(std::memory_order_acquire) & 1) != 0,
+              "summary hides a credited tree: its bit is clear");
+    });
+  };
+}
+
+TEST(ModelCheckScenarios, SummaryClearVsCredit) {
+  ExpectClean(ExploreRandom(
+      SummaryProtocol(true, std::memory_order_seq_cst), ScaledIters(2000)));
+  Options opt;
+  opt.mode = Options::Mode::kExhaustive;
+  const RunResult r =
+      Explore(opt, SummaryProtocol(true, std::memory_order_seq_cst));
+  ExpectClean(r);
+  EXPECT_TRUE(r.complete) << "exhaustive exploration was time-boxed";
+}
+
+TEST(ModelCheckMutant, RandomWalkFindsSummaryWithoutRecheck) {
+  const RunResult r = ExploreRandom(
+      SummaryProtocol(false, std::memory_order_seq_cst), 2000);
+  ASSERT_TRUE(r.failed)
+      << "random exploration missed the no-recheck summary mutant";
+  EXPECT_NE(r.message.find("summary hides"), std::string::npos)
+      << r.message;
+}
+
+TEST(ModelCheckMutant, ExhaustiveFindsSummaryWithoutRecheck) {
+  Options opt;
+  opt.mode = Options::Mode::kExhaustive;
+  const RunResult r =
+      Explore(opt, SummaryProtocol(false, std::memory_order_seq_cst));
+  ASSERT_TRUE(r.failed)
+      << "exhaustive exploration missed the no-recheck summary mutant";
+  EXPECT_NE(r.message.find("summary hides"), std::string::npos)
+      << r.message;
+}
+
+// --------------------------------------------------------------------
 // Mutant detection: a deliberately broken load/check/store decrement
 // (the bug a relaxed CAS-free counter update would have). The harness
 // must find the lost-update interleaving in both modes.
@@ -1591,6 +1759,38 @@ TEST(ModelCheckMemoryModel, ExhaustiveFindsRelaxedReservationPublish) {
   ExpectRaceCaught(
       Explore(opt, ReservationPublish(std::memory_order_relaxed)),
       "relaxed reservation-publish mutant");
+}
+
+// The summary protocol's credit side with its summary load downgraded
+// from seq_cst to acquire. Every interleaving is fine under sequential
+// consistency; the bug needs the load to return the bit as it was
+// before the search's clear, a stale read no happens-before edge rules
+// out (the search writes nothing the credit reads). The failure is the
+// protocol's own invariant, not a data race.
+TEST(ModelCheckMemoryModel, RandomWalkFindsAcquireSummaryCreditLoad) {
+  if (!MmEnabled()) {
+    GTEST_SKIP() << "HYPERALLOC_MC_MM=0: happens-before layer disabled";
+  }
+  const RunResult r = ExploreRandom(
+      SummaryProtocol(true, std::memory_order_acquire), 2000);
+  ASSERT_TRUE(r.failed)
+      << "random exploration missed the acquire summary-load mutant";
+  EXPECT_NE(r.message.find("summary hides"), std::string::npos)
+      << r.message;
+}
+
+TEST(ModelCheckMemoryModel, ExhaustiveFindsAcquireSummaryCreditLoad) {
+  if (!MmEnabled()) {
+    GTEST_SKIP() << "HYPERALLOC_MC_MM=0: happens-before layer disabled";
+  }
+  Options opt;
+  opt.mode = Options::Mode::kExhaustive;
+  const RunResult r =
+      Explore(opt, SummaryProtocol(true, std::memory_order_acquire));
+  ASSERT_TRUE(r.failed)
+      << "exhaustive exploration missed the acquire summary-load mutant";
+  EXPECT_NE(r.message.find("summary hides"), std::string::npos)
+      << r.message;
 }
 
 // The span-ring drain path with its tail publication downgraded to
