@@ -8,7 +8,14 @@
 namespace hyperalloc::balloon {
 
 VirtioBalloon::VirtioBalloon(guest::GuestVm* vm, const BalloonConfig& config)
-    : vm_(vm), config_(config), sim_(vm->simulation()) {
+    : vm_(vm), config_(config), sim_(vm->simulation()),
+      recovery_(vm->simulation(),
+                {.fault = "balloon.fault",
+                 .retry = "balloon.fault_retry",
+                 .rollback = "balloon.fault_rollback",
+                 .timeout = "balloon.request_timeout",
+                 .backoff_ns = "balloon.fault_backoff_ns"},
+                &cpu_, &outcome_) {
   HA_CHECK(vm != nullptr);
   HA_CHECK(config.vq_capacity > 0);
   // virtio-balloon is not DMA-safe (§2): refuse passthrough configs.
@@ -59,93 +66,29 @@ uint64_t VirtioBalloon::limit_bytes() const {
   return vm_->config().memory_bytes - ballooned_bytes();
 }
 
-void VirtioBalloon::ChargeBackoff(unsigned retry) {
-  const uint64_t ns = config_.retry.BackoffNs(retry);
-  ++fault_retries_;
-  if (trace::Span* span = trace::Span::Current()) {
-    span->AddRetry();
-  }
-  if (busy_) {
-    ++outcome_.retries;
-    request_span_.AddRetry();
-  }
-  HA_COUNT("balloon.fault_retry");
-  cpu_.host_user_ns +=
-      hv::ChargeTraced(sim_, "balloon.fault_backoff_ns", ns);
-}
-
-void VirtioBalloon::NoteFault() {
-  ++faults_;
-  if (trace::Span* span = trace::Span::Current()) {
-    span->AddFault();
-  }
-  if (busy_) {
-    ++outcome_.faults;
-    request_span_.AddFault();
-  }
-  HA_COUNT("balloon.fault");
-}
-
-bool VirtioBalloon::RequestTimedOut() const {
-  return request_deadline_ != 0 && sim_->now() >= request_deadline_;
-}
-
 bool VirtioBalloon::TryHypercall() {
-  fault::Injector* injector = vm_->fault_injector();
-  const unsigned max_attempts = std::max(1u, config_.retry.max_attempts);
-  for (unsigned attempt = 0; attempt < max_attempts; ++attempt) {
-    if (attempt > 0) {
-      ChargeBackoff(attempt - 1);
-    }
-    if (const auto kind =
-            fault::Poll(injector, fault::Site::kBalloonHypercall)) {
-      NoteFault();
+  return recovery_.Retry([&] {
+    if (const auto kind = fault::Poll(vm_->fault_injector(),
+                                      fault::Site::kBalloonHypercall)) {
       HA_COUNT("fault.balloon_hypercall");
-      if (*kind == fault::Kind::kPermanent) {
-        return false;
-      }
-      continue;
+      return recovery_.Fault(*kind);
     }
     cpu_.host_user_ns += hv::ChargeTraced(sim_, "balloon.hypercall_ns",
                                           vm_->costs().hypercall_ns);
     HA_COUNT("balloon.hypercall");
-    return true;
-  }
-  return false;
+    return hv::Attempt::kOk;
+  });
 }
 
 void VirtioBalloon::Request(const hv::ResizeRequest& request) {
-  HA_CHECK(!busy_);
-  busy_ = true;
   const uint64_t total = vm_->config().memory_bytes;
   HA_CHECK(request.target_bytes <= total);
-  outcome_ = hv::ResizeOutcome{};
-  outcome_.target_bytes = request.target_bytes;
-  request_deadline_ =
-      request.deadline_ns > 0 ? sim_->now() + request.deadline_ns
-      : config_.retry.request_timeout_ns > 0
-          ? sim_->now() + config_.retry.request_timeout_ns
-          : 0;
   const uint64_t target_frames = (total - request.target_bytes) / kFrameSize;
   const bool inflate = target_frames > ballooned_frames_;
-  request_span_.Start(inflate ? "request.inflate" : "request.deflate");
-  request_span_.AddFrames(inflate ? target_frames - ballooned_frames_
-                                  : ballooned_frames_ - target_frames);
-  auto finish = [this, done = request.done, on_outcome = request.on_outcome,
-                 inflate, target = request.target_bytes] {
-    outcome_.achieved_bytes = limit_bytes();
-    outcome_.complete = inflate ? outcome_.achieved_bytes <= target
-                                : outcome_.achieved_bytes >= target;
-    request_span_.Finish();
-    busy_ = false;
-    request_deadline_ = 0;
-    if (on_outcome) {
-      on_outcome(outcome_);
-    }
-    if (done) {
-      done();
-    }
-  };
+  recovery_.Begin(request, inflate,
+                  inflate ? target_frames - ballooned_frames_
+                          : ballooned_frames_ - target_frames);
+  auto finish = [this] { recovery_.Finish(limit_bytes()); };
   if (inflate) {
     InflateSlice(target_frames, std::move(finish));
   } else {
@@ -155,11 +98,9 @@ void VirtioBalloon::Request(const hv::ResizeRequest& request) {
 
 void VirtioBalloon::InflateSlice(uint64_t target_frames,
                                  std::function<void()> done) {
-  trace::ScopedContext request_context(request_span_.context());
+  trace::ScopedContext request_context(recovery_.context());
   trace::Span slice(trace::Layer::kBackend, "balloon.inflate_slice");
-  if (RequestTimedOut()) {
-    outcome_.timed_out = true;
-    HA_COUNT("balloon.request_timeout");
+  if (recovery_.TimedOut()) {
     done();  // partial inflate: the balloon simply stays smaller
     return;
   }
@@ -244,8 +185,7 @@ void VirtioBalloon::InflateSlice(uint64_t target_frames,
       ballooned_frames_ -= 1ull << b.order;
     }
     vm_->FreeBatch(base_frames, 0, config_.driver_cpu);
-    ++outcome_.rollbacks;
-    HA_COUNT("balloon.fault_rollback");
+    recovery_.Rollback();
     vm_->sink().OnCpuSteal(config_.driver_cpu, t0, sim_->now(), 1.0);
     done();
     return;
@@ -294,22 +234,11 @@ void VirtioBalloon::HostDiscard(const std::vector<Ballooned>& batch) {
     ++madvise_calls_;
     HA_COUNT("balloon.madvise");
     if (mapped > 0) {
-      bool unmapped = false;
-      const unsigned max_attempts = std::max(1u, config_.retry.max_attempts);
-      for (unsigned attempt = 0; attempt < max_attempts; ++attempt) {
-        if (attempt > 0) {
-          ChargeBackoff(attempt - 1);
-        }
-        if (vm_->ept().Unmap(b.frame, frames) != hv::Ept::kFaultInjected) {
-          unmapped = true;
-          break;
-        }
-        NoteFault();
-        if (vm_->ept().last_injected_kind() == fault::Kind::kPermanent) {
-          break;
-        }
-      }
-      if (unmapped) {
+      if (recovery_.Retry([&] {
+            return vm_->ept().Unmap(b.frame, frames) != hv::Ept::kFaultInjected
+                       ? hv::Attempt::kOk
+                       : recovery_.Fault(vm_->ept().last_injected_kind());
+          })) {
         if (b.order == kHugeOrder) {
           sys_ns += vm_->costs().madvise_per_2m_ns +
                     vm_->costs().tlb_shootdown_ns;
@@ -336,15 +265,13 @@ void VirtioBalloon::HostDiscard(const std::vector<Ballooned>& batch) {
 
 void VirtioBalloon::DeflateSlice(uint64_t target_frames,
                                  std::function<void()> done) {
-  trace::ScopedContext request_context(request_span_.context());
+  trace::ScopedContext request_context(recovery_.context());
   // Device processing and guest frees alternate per element; rather than
   // a span per element, two slice-length spans take the charges of their
   // layer (ChargeSpan targets them explicitly).
   trace::Span slice(trace::Layer::kBackend, "balloon.deflate_slice");
   trace::Span guest(trace::Layer::kGuest, "balloon.guest_free");
-  if (RequestTimedOut()) {
-    outcome_.timed_out = true;
-    HA_COUNT("balloon.request_timeout");
+  if (recovery_.TimedOut()) {
     done();
     return;
   }
@@ -456,7 +383,7 @@ void VirtioBalloon::ReportCycle() {
       HA_CHECK(!err.has_value());
       cpu_.guest_ns += hv::Charge(sim_, vm_->costs().guest_free_4k_ns);
     }
-    HA_COUNT("balloon.fault_rollback");
+    recovery_.Rollback(/*of_request=*/false);
     vm_->sink().OnCpuSteal(config_.driver_cpu, t0, sim_->now(), 1.0);
     sim_->After(config_.reporting_delay, [this] { ReportCycle(); });
     return;

@@ -24,9 +24,9 @@
 #include <functional>
 #include <vector>
 
-#include "src/fault/fault.h"
 #include "src/guest/guest_vm.h"
 #include "src/hv/deflator.h"
+#include "src/hv/recovery.h"
 #include "src/sim/simulation.h"
 #include "src/trace/span.h"
 
@@ -46,10 +46,6 @@ struct BalloonConfig {
   // Deflate-on-OOM: when the guest is about to run out of memory, the
   // balloon releases this many bytes instead (0 disables the feature).
   uint64_t deflate_on_oom_bytes = 64 * kMiB;
-  // Fault recovery (DESIGN.md §4.9): bounded retry with virtual-time
-  // exponential backoff for the balloon hypercall and host madvise, plus
-  // the optional per-request deadline.
-  fault::RetryPolicy retry;
 };
 
 class VirtioBalloon : public hv::Deflator {
@@ -65,7 +61,7 @@ class VirtioBalloon : public hv::Deflator {
 
   void Request(const hv::ResizeRequest& request) override;
   uint64_t limit_bytes() const override;
-  bool busy() const override { return busy_; }
+  bool busy() const override { return recovery_.busy(); }
 
   void StartAuto() override;
   void StopAuto() override;
@@ -93,10 +89,6 @@ class VirtioBalloon : public hv::Deflator {
                             static_cast<double>(total);
   }
 
-  // Fault-recovery statistics (DESIGN.md §4.9).
-  uint64_t faults_seen() const { return faults_; }
-  uint64_t fault_retries() const { return fault_retries_; }
-
  private:
   struct Ballooned {
     FrameId frame;
@@ -115,9 +107,6 @@ class VirtioBalloon : public hv::Deflator {
   // exhausted or the fault is permanent — the caller rolls its batch
   // back.
   bool TryHypercall();
-  void ChargeBackoff(unsigned retry);
-  void NoteFault();
-  bool RequestTimedOut() const;
 
   guest::GuestVm* vm_;
   BalloonConfig config_;
@@ -125,20 +114,16 @@ class VirtioBalloon : public hv::Deflator {
 
   std::vector<Ballooned> pages_;  // current balloon contents
   uint64_t ballooned_frames_ = 0;
-  bool busy_ = false;
   bool auto_running_ = false;
 
   hv::CpuAccounting cpu_;
-  trace::RequestSpan request_span_;
+  hv::Recovery recovery_;
   uint64_t oom_deflations_ = 0;
   uint64_t hypercalls_ = 0;
   uint64_t madvise_calls_ = 0;
   uint64_t reported_bytes_ = 0;
   uint64_t hypercall_huge_pfns_ = 0;
   uint64_t hypercall_base_pfns_ = 0;
-  sim::Time request_deadline_ = 0;  // 0 = no deadline
-  uint64_t faults_ = 0;
-  uint64_t fault_retries_ = 0;
 };
 
 }  // namespace hyperalloc::balloon

@@ -10,7 +10,14 @@ namespace hyperalloc::core {
 HyperAllocMonitor::HyperAllocMonitor(guest::GuestVm* vm,
                                      const HyperAllocConfig& config)
     : vm_(vm), config_(config), sim_(vm->simulation()),
-      total_huge_(HugesForFrames(vm->total_frames())) {
+      total_huge_(HugesForFrames(vm->total_frames())),
+      recovery_(vm->simulation(),
+                {.fault = "monitor.fault",
+                 .retry = "monitor.fault_retry",
+                 .rollback = "monitor.fault_rollback",
+                 .timeout = "monitor.request_timeout",
+                 .backoff_ns = "monitor.fault_backoff_ns"},
+                &cpu_, &outcome_) {
   HA_CHECK(vm != nullptr);
   HA_CHECK(vm->config().allocator == guest::AllocatorKind::kLLFree);
 
@@ -97,38 +104,8 @@ HyperAllocMonitor::ZoneView* HyperAllocMonitor::FindView(
   __builtin_unreachable();
 }
 
-void HyperAllocMonitor::ChargeBackoff(unsigned retry) {
-  const uint64_t ns = config_.retry.BackoffNs(retry);
-  ++fault_retries_;
-  if (trace::Span* span = trace::Span::Current()) {
-    span->AddRetry();
-  }
-  if (busy_) {
-    ++outcome_.retries;
-    request_span_.AddRetry();
-  }
-  HA_COUNT("monitor.fault_retry");
-  cpu_.host_user_ns +=
-      hv::ChargeTraced(sim_, "monitor.fault_backoff_ns", ns);
-}
-
-void HyperAllocMonitor::NoteFault() {
-  ++faults_seen_;
-  if (trace::Span* span = trace::Span::Current()) {
-    span->AddFault();
-  }
-  if (busy_) {
-    ++outcome_.faults;
-    request_span_.AddFault();
-  }
-  HA_COUNT("monitor.fault");
-}
-
 void HyperAllocMonitor::RollbackFrame(ZoneView& view, HugeId local_huge) {
-  ++fault_rollbacks_;
-  if (busy_) {
-    ++outcome_.rollbacks;
-  }
+  recovery_.Rollback();
   const ReclaimState prior = view.states.Get(local_huge);
   if (prior == ReclaimState::kHard) {
     // Hard reclaim could not unmap: return the frame (A<-0, R<-S) as if
@@ -143,7 +120,6 @@ void HyperAllocMonitor::RollbackFrame(ZoneView& view, HugeId local_huge) {
     view.monitor_view->ClearEvicted(local_huge);
     view.states.Set(local_huge, ReclaimState::kInstalled);
   }
-  HA_COUNT("monitor.fault_rollback");
 }
 
 void HyperAllocMonitor::QuarantineFrame(ZoneView& view, HugeId local_huge) {
@@ -175,17 +151,10 @@ void HyperAllocMonitor::QuarantineVm() {
   }
   vm_quarantined_ = true;
   StopAuto();
-  if (busy_) {
-    outcome_.quarantined = true;
-  }
   HA_COUNT("monitor.quarantine_vm");
   if (fault::Injector* injector = vm_->fault_injector()) {
     injector->NotifyQuarantineVm();
   }
-}
-
-bool HyperAllocMonitor::RequestTimedOut() const {
-  return request_deadline_ != 0 && sim_->now() >= request_deadline_;
 }
 
 ReclaimState HyperAllocMonitor::StateOf(HugeId global_huge) const {
@@ -213,21 +182,12 @@ void HyperAllocMonitor::Install(ZoneView& view, HugeId local_huge) {
                                 : vm_->costs().install_hypercall_2m_ns;
   const FrameId global_first = view.zone->start + HugeToFrame(local_huge);
   fault::Injector* injector = vm_->fault_injector();
-  const unsigned max_attempts = std::max(1u, config_.retry.max_attempts);
 
-  bool ok = false;
-  for (unsigned attempt = 0; attempt < max_attempts && !ok; ++attempt) {
-    if (attempt > 0) {
-      ChargeBackoff(attempt - 1);
-    }
+  const bool ok = recovery_.Retry([&] {
     if (const auto kind =
             fault::Poll(injector, fault::Site::kInstallHypercall)) {
-      NoteFault();
       HA_COUNT("fault.install_hypercall");
-      if (*kind == fault::Kind::kPermanent) {
-        break;
-      }
-      continue;
+      return recovery_.Fault(*kind);
     }
     cpu_.host_user_ns +=
         hv::ChargeTraced(sim_, "monitor.install_entry_ns", entry_ns);
@@ -240,12 +200,11 @@ void HyperAllocMonitor::Install(ZoneView& view, HugeId local_huge) {
       populate.AddHugeFrames(kFramesPerHuge);
       const uint64_t ept_faults = vm_->ept().injected_faults();
       if (!vm_->PopulateFrames(global_first, kFramesPerHuge)) {
-        NoteFault();
-        if (vm_->ept().injected_faults() > ept_faults &&
-            vm_->ept().last_injected_kind() == fault::Kind::kPermanent) {
-          break;
-        }
-        continue;  // injected map failure or host exhaustion: retry
+        // An injected map fault or host exhaustion; only an injected
+        // fault can be permanent.
+        return recovery_.Fault(vm_->ept().injected_faults() > ept_faults
+                                   ? vm_->ept().last_injected_kind()
+                                   : fault::Kind::kTransient);
       }
       cpu_.host_sys_ns += hv::ChargeTraced(
           sim_, "monitor.install_ns",
@@ -257,17 +216,13 @@ void HyperAllocMonitor::Install(ZoneView& view, HugeId local_huge) {
       pin.AddHugeFrames(kFramesPerHuge);
       vm_->iommu()->Pin(FrameToHuge(global_first));
       if (!vm_->iommu()->IsPinned(FrameToHuge(global_first))) {
-        NoteFault();
-        if (vm_->iommu()->last_injected_kind() == fault::Kind::kPermanent) {
-          break;
-        }
-        continue;
+        return recovery_.Fault(vm_->iommu()->last_injected_kind());
       }
       cpu_.host_sys_ns += hv::ChargeTraced(sim_, "monitor.install_pin_ns",
                                            vm_->costs().iommu_map_2m_ns);
     }
-    ok = true;
-  }
+    return hv::Attempt::kOk;
+  });
   if (!ok) {
     // Retries exhausted (or a permanent fault): the guest allocation has
     // already claimed the frame, so hand it over anyway — it populates
@@ -299,7 +254,6 @@ uint64_t HyperAllocMonitor::UnmapBatch(
   const sim::Time t0 = sim_->now();
   uint64_t shootdown_allcpu_ns = 0;
   uint64_t completed = 0;
-  const unsigned max_attempts = std::max(1u, config_.retry.max_attempts);
 
   // Contiguous runs are unmapped with a single madvise syscall — the
   // aggregation that LLFree's compact allocation behaviour makes
@@ -332,24 +286,12 @@ uint64_t HyperAllocMonitor::UnmapBatch(
       // §4.14 reclaim-share split: read the 2M-entry bit before Unmap
       // invalidates it.
       const bool entry_2m = vm_->ept().HasHugeEntry(sorted[k]);
-      bool ok = false;
-      bool permanent = false;
-      for (unsigned attempt = 0; attempt < max_attempts; ++attempt) {
-        if (attempt > 0) {
-          ChargeBackoff(attempt - 1);
-        }
-        if (vm_->ept().Unmap(first, kFramesPerHuge) !=
-            hv::Ept::kFaultInjected) {
-          ok = true;
-          break;
-        }
-        NoteFault();
-        if (vm_->ept().last_injected_kind() == fault::Kind::kPermanent) {
-          permanent = true;
-          break;
-        }
-      }
-      if (ok) {
+      if (recovery_.Retry([&] {
+            return vm_->ept().Unmap(first, kFramesPerHuge) !=
+                           hv::Ept::kFaultInjected
+                       ? hv::Attempt::kOk
+                       : recovery_.Fault(vm_->ept().last_injected_kind());
+          })) {
         unmapped[k - i] = true;
         ++run_ok;
         ++mapped_huge;
@@ -363,9 +305,10 @@ uint64_t HyperAllocMonitor::UnmapBatch(
         shootdown_allcpu_ns += vm_->costs().shootdown_allcpu_2m_ns;
         continue;
       }
+      // The last injected kind tells a permanent fault from spent retries.
       HugeId local = 0;
       ZoneView* view = FindView(sorted[k], &local);
-      if (permanent) {
+      if (vm_->ept().last_injected_kind() == fault::Kind::kPermanent) {
         QuarantineFrame(*view, local);
       } else {
         RollbackFrame(*view, local);
@@ -393,23 +336,13 @@ uint64_t HyperAllocMonitor::UnmapBatch(
       // flush for it, not one flush per huge frame — the same batching
       // the madvise path above gets from contiguity.
       uint64_t unpinned = 0;
-      bool pin_ok = false;
-      for (unsigned attempt = 0; attempt < max_attempts; ++attempt) {
-        if (attempt > 0) {
-          ChargeBackoff(attempt - 1);
-        }
-        const uint64_t faults = vm_->iommu()->injected_faults();
-        unpinned = vm_->iommu()->UnpinRange(sorted[i], j - i);
-        if (vm_->iommu()->injected_faults() == faults) {
-          pin_ok = true;
-          break;
-        }
-        NoteFault();
-        if (vm_->iommu()->last_injected_kind() == fault::Kind::kPermanent) {
-          break;
-        }
-      }
-      if (pin_ok) {
+      if (recovery_.Retry([&] {
+            const uint64_t faults = vm_->iommu()->injected_faults();
+            unpinned = vm_->iommu()->UnpinRange(sorted[i], j - i);
+            return vm_->iommu()->injected_faults() == faults
+                       ? hv::Attempt::kOk
+                       : recovery_.Fault(vm_->iommu()->last_injected_kind());
+          })) {
         if (unpinned > 0) {
           trace::Span unpin(trace::Layer::kIommu, "iommu.unpin_range");
           unpin.AddFrames(unpinned * kFramesPerHuge);
@@ -444,25 +377,12 @@ uint64_t HyperAllocMonitor::UnmapBatch(
           ++completed;
           continue;
         }
-        bool pin_ok = false;
-        for (unsigned attempt = 0; attempt < max_attempts; ++attempt) {
-          if (attempt > 0) {
-            ChargeBackoff(attempt - 1);
-          }
-          const uint64_t faults = vm_->iommu()->injected_faults();
-          if (vm_->iommu()->UnpinRange(sorted[k], 1) == 1) {
-            pin_ok = true;
-            break;
-          }
-          if (vm_->iommu()->injected_faults() > faults) {
-            NoteFault();
-            if (vm_->iommu()->last_injected_kind() ==
-                fault::Kind::kPermanent) {
-              break;
-            }
-          }
-        }
-        if (pin_ok) {
+        // The frame is pinned, so only an injected fault fails the unpin.
+        if (recovery_.Retry([&] {
+              return vm_->iommu()->UnpinRange(sorted[k], 1) == 1
+                         ? hv::Attempt::kOk
+                         : recovery_.Fault(vm_->iommu()->last_injected_kind());
+            })) {
           trace::Span unpin(trace::Layer::kIommu, "iommu.unpin_range");
           unpin.AddFrames(kFramesPerHuge);
           unpin.AddHugeFrames(kFramesPerHuge);
@@ -492,45 +412,19 @@ uint64_t HyperAllocMonitor::UnmapBatch(
 }
 
 void HyperAllocMonitor::Request(const hv::ResizeRequest& request) {
-  HA_CHECK(!busy_);
-  busy_ = true;
   HA_CHECK(request.target_bytes <= vm_->config().memory_bytes);
-  outcome_ = hv::ResizeOutcome{};
-  outcome_.target_bytes = request.target_bytes;
   stalled_slices_ = 0;
-  request_deadline_ =
-      request.deadline_ns > 0 ? sim_->now() + request.deadline_ns
-      : config_.retry.request_timeout_ns > 0
-          ? sim_->now() + config_.retry.request_timeout_ns
-          : 0;
   const uint64_t target_hard =
       (vm_->config().memory_bytes - request.target_bytes) / kHugeSize;
   // Quarantined frames already count against the limit, so the request
   // only has to move the remainder.
   const uint64_t held = hard_reclaimed_huge_ + quarantined_huge_;
   const bool shrink = target_hard > held;
-  request_span_.Start(shrink ? "request.inflate" : "request.deflate");
-  request_span_.AddFrames(
+  recovery_.Begin(
+      request, shrink,
       (shrink ? target_hard - held : held - target_hard) * kFramesPerHuge);
-  auto finish = [this, done = request.done, on_outcome = request.on_outcome,
-                 shrink, target = request.target_bytes] {
-    outcome_.achieved_bytes = limit_bytes();
-    outcome_.quarantined = vm_quarantined_;
-    // A quarantined VM may still hit its numeric target (quarantined
-    // frames count against the limit) but the host memory behind them
-    // was never actually freed — that is degradation, not completion.
-    outcome_.complete = !outcome_.quarantined &&
-                        (shrink ? outcome_.achieved_bytes <= target
-                                : outcome_.achieved_bytes >= target);
-    request_span_.Finish();
-    busy_ = false;
-    request_deadline_ = 0;
-    if (on_outcome) {
-      on_outcome(outcome_);
-    }
-    if (done) {
-      done();
-    }
+  auto finish = [this] {
+    recovery_.Finish(limit_bytes(), vm_quarantined_);
   };
   if (vm_quarantined_) {
     finish();  // a poisoned VM refuses resizes: report and complete
@@ -547,16 +441,13 @@ void HyperAllocMonitor::ShrinkSlice(uint64_t target_huge, int escalation,
                                     std::function<void()> done) {
   // Re-enter the request's trace (slices run as separate event-loop
   // callbacks, so the thread context must be restored each time).
-  trace::ScopedContext request_context(request_span_.context());
+  trace::ScopedContext request_context(recovery_.context());
   trace::Span slice(trace::Layer::kMonitor, "monitor.shrink_slice");
   if (vm_quarantined_) {
     done();  // poisoned mid-request: stop with a partial reclaim
     return;
   }
-  if (RequestTimedOut()) {
-    ++fault_timeouts_;
-    outcome_.timed_out = true;
-    HA_COUNT("monitor.request_timeout");
+  if (recovery_.TimedOut()) {
     done();  // partial reclaim: every frame is in a legal state as-is
     return;
   }
@@ -633,7 +524,7 @@ void HyperAllocMonitor::ShrinkSlice(uint64_t target_huge, int escalation,
 
 void HyperAllocMonitor::GrowSlice(uint64_t target_huge,
                                   std::function<void()> done) {
-  trace::ScopedContext request_context(request_span_.context());
+  trace::ScopedContext request_context(recovery_.context());
   trace::Span slice(trace::Layer::kMonitor, "monitor.grow_slice");
   unsigned returned = 0;
   {

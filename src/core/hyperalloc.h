@@ -26,9 +26,9 @@
 #include <vector>
 
 #include "src/core/reclaim_states.h"
-#include "src/fault/fault.h"
 #include "src/guest/guest_vm.h"
 #include "src/hv/deflator.h"
+#include "src/hv/recovery.h"
 #include "src/sim/simulation.h"
 #include "src/trace/span.h"
 
@@ -49,10 +49,6 @@ struct HyperAllocConfig {
   // drops to a plain EPT fault) and unmapping manipulates the EPT
   // directly instead of going through madvise syscalls.
   bool in_kernel = false;
-  // Fault recovery (DESIGN.md §4.9): bounded retry with virtual-time
-  // exponential backoff for every fallible monitor operation, plus the
-  // optional per-request deadline.
-  fault::RetryPolicy retry;
   // The VM is poisoned (quarantined) once this many huge frames had to
   // be quarantined by unrecoverable faults.
   unsigned quarantine_frame_limit = 16;
@@ -76,7 +72,7 @@ class HyperAllocMonitor : public hv::Deflator {
 
   void Request(const hv::ResizeRequest& request) override;
   uint64_t limit_bytes() const override;
-  bool busy() const override { return busy_; }
+  bool busy() const override { return recovery_.busy(); }
 
   void StartAuto() override;
   void StopAuto() override;
@@ -111,10 +107,9 @@ class HyperAllocMonitor : public hv::Deflator {
   }
 
   // Fault-recovery statistics (DESIGN.md §4.9).
-  uint64_t faults_seen() const { return faults_seen_; }
-  uint64_t fault_retries() const { return fault_retries_; }
-  uint64_t fault_rollbacks() const { return fault_rollbacks_; }
-  uint64_t fault_timeouts() const { return fault_timeouts_; }
+  uint64_t faults_seen() const { return recovery_.faults(); }
+  uint64_t fault_retries() const { return recovery_.retries(); }
+  uint64_t fault_timeouts() const { return recovery_.timeouts(); }
   uint64_t quarantined_huge() const { return quarantined_huge_; }
   bool vm_quarantined() const { return vm_quarantined_; }
 
@@ -168,11 +163,6 @@ class HyperAllocMonitor : public hv::Deflator {
   // Maps a global huge id back to its zone view + local id; the one
   // zone-range lookup behind every per-frame query.
   ZoneView* FindView(HugeId global_huge, HugeId* local_huge) const;
-  // Charges the exponential backoff before retry number `retry` (0-based)
-  // and bumps the retry accounting (innermost span + request span).
-  void ChargeBackoff(unsigned retry);
-  // Records an observed injected fault (innermost span + request span).
-  void NoteFault();
   // Reverts a huge frame whose unmap failed transiently to its
   // pre-reclaim state (H -> S via return, S -> I via E-bit clear).
   void RollbackFrame(ZoneView& view, HugeId local_huge);
@@ -180,8 +170,6 @@ class HyperAllocMonitor : public hv::Deflator {
   // at config_.quarantine_frame_limit.
   void QuarantineFrame(ZoneView& view, HugeId local_huge);
   void QuarantineVm();
-  // True once the current request's deadline has passed.
-  bool RequestTimedOut() const;
 
   guest::GuestVm* vm_;
   HyperAllocConfig config_;
@@ -190,21 +178,15 @@ class HyperAllocMonitor : public hv::Deflator {
 
   uint64_t total_huge_;
   uint64_t hard_reclaimed_huge_ = 0;
-  bool busy_ = false;
   bool auto_running_ = false;
 
   // Fault recovery (DESIGN.md §4.9).
   uint64_t quarantined_huge_ = 0;
   bool vm_quarantined_ = false;
-  sim::Time request_deadline_ = 0;  // 0 = no deadline
-  unsigned stalled_slices_ = 0;     // consecutive zero-progress slices
-  uint64_t faults_seen_ = 0;
-  uint64_t fault_retries_ = 0;
-  uint64_t fault_rollbacks_ = 0;
-  uint64_t fault_timeouts_ = 0;
+  unsigned stalled_slices_ = 0;  // consecutive zero-progress slices
 
   hv::CpuAccounting cpu_;
-  trace::RequestSpan request_span_;
+  hv::Recovery recovery_;
   uint64_t installs_ = 0;
   uint64_t soft_reclaims_ = 0;
   uint64_t scan_cache_lines_ = 0;

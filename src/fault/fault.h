@@ -11,9 +11,10 @@
 // therefore reproduces the exact failure pattern (README "Fault
 // injection").
 //
-// The injector only *decides*; the recovery semantics (bounded retry with
-// virtual-time exponential backoff, per-request timeouts, rollback,
-// quarantine) live at the call sites (DESIGN.md §4.9).
+// The injector only *decides*. Bounded retry with virtual-time
+// exponential backoff and the per-request deadline live in hv::Recovery
+// (src/hv/recovery.h); rollback and quarantine live at the call sites
+// (DESIGN.md §4.9).
 #pragma once
 
 #include <array>
@@ -237,30 +238,5 @@ inline std::optional<Kind> Poll(Injector* injector, Site site) {
   }
   return injector->Poll(site);
 }
-
-// Bounded-retry policy with virtual-time exponential backoff and an
-// optional per-request deadline. The defaults match DESIGN.md §4.9.
-struct RetryPolicy {
-  // Total tries per operation, including the first (>= 1).
-  unsigned max_attempts = 4;
-  // Backoff before 0-based retry r: initial * multiplier^r, capped.
-  uint64_t backoff_initial_ns = 20'000;  // 20 us
-  double backoff_multiplier = 2.0;
-  uint64_t backoff_cap_ns = 1'000'000;  // 1 ms
-  // Per-resize-request deadline in virtual ns; 0 disables timeouts.
-  uint64_t request_timeout_ns = 0;
-
-  uint64_t BackoffNs(unsigned retry) const {
-    double ns = static_cast<double>(backoff_initial_ns);
-    for (unsigned i = 0; i < retry; ++i) {
-      ns *= backoff_multiplier;
-      if (ns >= static_cast<double>(backoff_cap_ns)) {
-        return backoff_cap_ns;
-      }
-    }
-    const uint64_t out = static_cast<uint64_t>(ns);
-    return out < backoff_cap_ns ? out : backoff_cap_ns;
-  }
-};
 
 }  // namespace hyperalloc::fault

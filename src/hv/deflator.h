@@ -67,10 +67,9 @@ struct ResizeRequest {
   uint64_t target_bytes = 0;
   // Per-request virtual-time budget, relative to submission. When it
   // expires the backend finishes partially (outcome.timed_out). 0 means
-  // "use the backend's RetryPolicy request_timeout_ns default" — the
-  // fleet policy layer attaches explicit deadlines here so one slow VM
-  // cannot stall a control epoch indefinitely. Backends without timeout
-  // machinery (the generic buddy monitor) ignore it.
+  // no deadline. The fleet policy layer attaches explicit deadlines here
+  // so one slow VM cannot stall a control epoch indefinitely. Backends
+  // without timeout machinery (the generic buddy monitor) ignore it.
   uint64_t deadline_ns = 0;
   // Fires in virtual time when the operation has gone as far as it can
   // (possibly partially — check limit_bytes()). May be empty.

@@ -9,7 +9,14 @@
 namespace hyperalloc::vmem {
 
 VirtioMem::VirtioMem(guest::GuestVm* vm, const VmemConfig& config)
-    : vm_(vm), config_(config), sim_(vm->simulation()) {
+    : vm_(vm), config_(config), sim_(vm->simulation()),
+      recovery_(vm->simulation(),
+                {.fault = "vmem.fault",
+                 .retry = "vmem.fault_retry",
+                 .rollback = "vmem.fault_rollback",
+                 .timeout = "vmem.request_timeout",
+                 .backoff_ns = "vmem.fault_backoff_ns"},
+                &cpu_, &outcome_) {
   HA_CHECK(vm != nullptr);
   guest::Zone& zone = movable_zone();
   HA_CHECK(zone.buddy != nullptr);
@@ -30,54 +37,15 @@ VirtioMem::VirtioMem(guest::GuestVm* vm, const VmemConfig& config)
   }
 }
 
-void VirtioMem::ChargeBackoff(unsigned retry) {
-  const uint64_t ns = config_.retry.BackoffNs(retry);
-  ++fault_retries_;
-  if (trace::Span* span = trace::Span::Current()) {
-    span->AddRetry();
-  }
-  if (busy_) {
-    ++outcome_.retries;
-    request_span_.AddRetry();
-  }
-  HA_COUNT("vmem.fault_retry");
-  cpu_.host_user_ns += hv::ChargeTraced(sim_, "vmem.fault_backoff_ns", ns);
-}
-
-void VirtioMem::NoteFault() {
-  ++faults_;
-  if (trace::Span* span = trace::Span::Current()) {
-    span->AddFault();
-  }
-  if (busy_) {
-    ++outcome_.faults;
-    request_span_.AddFault();
-  }
-  HA_COUNT("vmem.fault");
-}
-
-bool VirtioMem::RequestTimedOut() const {
-  return request_deadline_ != 0 && sim_->now() >= request_deadline_;
-}
-
 bool VirtioMem::PollSite(fault::Site site) {
-  fault::Injector* injector = vm_->fault_injector();
-  const unsigned max_attempts = std::max(1u, config_.retry.max_attempts);
-  for (unsigned attempt = 0; attempt < max_attempts; ++attempt) {
-    if (attempt > 0) {
-      ChargeBackoff(attempt - 1);
-    }
-    const auto kind = fault::Poll(injector, site);
+  return recovery_.Retry([&] {
+    const auto kind = fault::Poll(vm_->fault_injector(), site);
     if (!kind.has_value()) {
-      return true;
+      return hv::Attempt::kOk;
     }
-    NoteFault();
     HA_COUNT("fault.vmem_hypercall");
-    if (*kind == fault::Kind::kPermanent) {
-      return false;
-    }
-  }
-  return false;
+    return recovery_.Fault(*kind);
+  });
 }
 
 guest::Zone& VirtioMem::movable_zone() {
@@ -101,8 +69,6 @@ uint64_t VirtioMem::limit_bytes() const {
 }
 
 void VirtioMem::Request(const hv::ResizeRequest& request) {
-  HA_CHECK(!busy_);
-  busy_ = true;
   const uint64_t static_bytes =
       vm_->config().memory_bytes - num_blocks_ * kHugeSize;
   const uint64_t want_plugged_bytes =
@@ -113,33 +79,12 @@ void VirtioMem::Request(const hv::ResizeRequest& request) {
       std::min<uint64_t>(num_blocks_, want_plugged_bytes / kHugeSize);
   // Host-side naming: unplugging guest memory inflates the host's pool.
   const bool inflate = target_blocks < plugged_blocks_;
-  outcome_ = hv::ResizeOutcome{};
-  outcome_.target_bytes = request.target_bytes;
-  request_deadline_ =
-      request.deadline_ns > 0 ? sim_->now() + request.deadline_ns
-      : config_.retry.request_timeout_ns > 0
-          ? sim_->now() + config_.retry.request_timeout_ns
-          : 0;
-  request_span_.Start(inflate ? "request.inflate" : "request.deflate");
-  request_span_.AddFrames((inflate ? plugged_blocks_ - target_blocks
-                                   : target_blocks - plugged_blocks_) *
-                          kFramesPerHuge);
-  auto finish = [this, done = request.done, on_outcome = request.on_outcome,
-                 inflate, target = request.target_bytes] {
-    outcome_.achieved_bytes = limit_bytes();
-    outcome_.complete = inflate ? outcome_.achieved_bytes <= target
-                                : outcome_.achieved_bytes >= target;
-    request_span_.Finish();
-    busy_ = false;
-    request_deadline_ = 0;
-    if (on_outcome) {
-      on_outcome(outcome_);
-    }
-    if (done) {
-      done();
-    }
-  };
-  if (target_blocks < plugged_blocks_) {
+  recovery_.Begin(request, inflate,
+                  (inflate ? plugged_blocks_ - target_blocks
+                           : target_blocks - plugged_blocks_) *
+                      kFramesPerHuge);
+  auto finish = [this] { recovery_.Finish(limit_bytes()); };
+  if (inflate) {
     UnplugSlice(target_blocks, std::move(finish));
   } else {
     PlugSlice(target_blocks, std::move(finish));
@@ -192,10 +137,7 @@ bool VirtioMem::UnplugOneBlock() {
   // simply stays plugged) and stops the slice.
   if (!PollSite(fault::Site::kVmemUnplug)) {
     vm_->ReleaseIsolatedRange(global_first, kFramesPerHuge);
-    HA_COUNT("vmem.fault_rollback");
-    if (busy_) {
-      ++outcome_.rollbacks;
-    }
+    recovery_.Rollback();
     return false;
   }
   {
@@ -208,32 +150,17 @@ bool VirtioMem::UnplugOneBlock() {
     // whole block back intact (pinned, mapped, online) — the reverse
     // order would strand an unmapped-but-pinned block, which is exactly
     // the DMA-unsafe state the install protocol exists to prevent.
-    bool unpinned = false;
-    const unsigned max_attempts = std::max(1u, config_.retry.max_attempts);
-    for (unsigned attempt = 0; attempt < max_attempts; ++attempt) {
-      if (attempt > 0) {
-        ChargeBackoff(attempt - 1);
-      }
-      const uint64_t injected = vm_->iommu()->injected_faults();
-      if (vm_->iommu()->Unpin(FrameToHuge(global_first))) {
-        unpinned = true;
-        break;
-      }
-      if (vm_->iommu()->injected_faults() == injected) {
-        unpinned = true;  // was not pinned — nothing to undo
-        break;
-      }
-      NoteFault();
-      if (vm_->iommu()->last_injected_kind() == fault::Kind::kPermanent) {
-        break;
-      }
-    }
-    if (!unpinned) {
+    if (!recovery_.Retry([&] {
+          const uint64_t injected = vm_->iommu()->injected_faults();
+          // Unpin fails without an injected fault only when the block was
+          // not pinned: nothing to undo.
+          return vm_->iommu()->Unpin(FrameToHuge(global_first)) ||
+                         vm_->iommu()->injected_faults() == injected
+                     ? hv::Attempt::kOk
+                     : recovery_.Fault(vm_->iommu()->last_injected_kind());
+        })) {
       vm_->ReleaseIsolatedRange(global_first, kFramesPerHuge);
-      HA_COUNT("vmem.fault_rollback");
-      if (busy_) {
-        ++outcome_.rollbacks;
-      }
+      recovery_.Rollback();
       return false;
     }
     trace::Span unpin(trace::Layer::kIommu, "iommu.unpin_range");
@@ -248,23 +175,12 @@ bool VirtioMem::UnplugOneBlock() {
     const uint64_t ept_ns = vm_->costs().madvise_syscall_ns +
                             vm_->costs().tlb_shootdown_ns +
                             vm_->costs().madvise_per_2m_ns;
-    bool unmapped = false;
-    const unsigned max_attempts = std::max(1u, config_.retry.max_attempts);
-    for (unsigned attempt = 0; attempt < max_attempts; ++attempt) {
-      if (attempt > 0) {
-        ChargeBackoff(attempt - 1);
-      }
-      if (vm_->ept().Unmap(global_first, kFramesPerHuge) !=
-          hv::Ept::kFaultInjected) {
-        unmapped = true;
-        break;
-      }
-      NoteFault();
-      if (vm_->ept().last_injected_kind() == fault::Kind::kPermanent) {
-        break;
-      }
-    }
-    if (unmapped) {
+    if (recovery_.Retry([&] {
+          return vm_->ept().Unmap(global_first, kFramesPerHuge) !=
+                         hv::Ept::kFaultInjected
+                     ? hv::Attempt::kOk
+                     : recovery_.Fault(vm_->ept().last_injected_kind());
+        })) {
       const sim::Time t = sim_->now();
       vm_->sink().OnAllCpusSteal(
           t, t + ept_ns,
@@ -291,11 +207,9 @@ bool VirtioMem::UnplugOneBlock() {
 
 void VirtioMem::UnplugSlice(uint64_t target_blocks,
                             std::function<void()> done) {
-  trace::ScopedContext request_context(request_span_.context());
+  trace::ScopedContext request_context(recovery_.context());
   trace::Span slice(trace::Layer::kBackend, "vmem.unplug_slice");
-  if (RequestTimedOut()) {
-    outcome_.timed_out = true;
-    HA_COUNT("vmem.request_timeout");
+  if (recovery_.TimedOut()) {
     done();  // partial unplug: already-unplugged blocks stay unplugged
     return;
   }
@@ -342,27 +256,22 @@ bool VirtioMem::PlugOneBlock(uint64_t block) {
     // if populate or pin fails, the guest never sees the memory and the
     // plug aborts with no state to undo.
     const sim::Time t0 = sim_->now();
-    const unsigned max_attempts = std::max(1u, config_.retry.max_attempts);
     bool populated = false;
     {
       trace::Span populate(trace::Layer::kEpt, "ept.populate");
       populate.AddFrames(kFramesPerHuge);
       populate.AddHugeFrames(kFramesPerHuge);
-      for (unsigned attempt = 0; attempt < max_attempts; ++attempt) {
-        if (attempt > 0) {
-          ChargeBackoff(attempt - 1);
-        }
+      populated = recovery_.Retry([&] {
         const uint64_t injected = vm_->ept().injected_faults();
         if (vm_->PopulateFrames(global_first, kFramesPerHuge)) {
-          populated = true;
-          break;
+          return hv::Attempt::kOk;
         }
-        NoteFault();
-        if (vm_->ept().injected_faults() > injected &&
-            vm_->ept().last_injected_kind() == fault::Kind::kPermanent) {
-          break;
-        }
-      }
+        // An injected map fault or host exhaustion; only an injected
+        // fault can be permanent.
+        return recovery_.Fault(vm_->ept().injected_faults() > injected
+                                   ? vm_->ept().last_injected_kind()
+                                   : fault::Kind::kTransient);
+      });
       if (populated) {
         cpu_.host_sys_ns +=
             hv::Charge(sim_, kFramesPerHuge * vm_->costs().populate_4k_ns);
@@ -376,20 +285,12 @@ bool VirtioMem::PlugOneBlock(uint64_t block) {
       trace::Span pin(trace::Layer::kIommu, "iommu.pin");
       pin.AddFrames(kFramesPerHuge);
       pin.AddHugeFrames(kFramesPerHuge);
-      for (unsigned attempt = 0; attempt < max_attempts; ++attempt) {
-        if (attempt > 0) {
-          ChargeBackoff(attempt - 1);
-        }
+      pinned = recovery_.Retry([&] {
         vm_->iommu()->Pin(FrameToHuge(global_first));
-        if (vm_->iommu()->IsPinned(FrameToHuge(global_first))) {
-          pinned = true;
-          break;
-        }
-        NoteFault();
-        if (vm_->iommu()->last_injected_kind() == fault::Kind::kPermanent) {
-          break;
-        }
-      }
+        return vm_->iommu()->IsPinned(FrameToHuge(global_first))
+                   ? hv::Attempt::kOk
+                   : recovery_.Fault(vm_->iommu()->last_injected_kind());
+      });
       if (pinned) {
         cpu_.host_sys_ns += hv::Charge(sim_, vm_->costs().iommu_map_2m_ns);
       }
@@ -423,11 +324,9 @@ bool VirtioMem::PlugOneBlock(uint64_t block) {
 
 void VirtioMem::PlugSlice(uint64_t target_blocks,
                           std::function<void()> done) {
-  trace::ScopedContext request_context(request_span_.context());
+  trace::ScopedContext request_context(recovery_.context());
   trace::Span slice(trace::Layer::kBackend, "vmem.plug_slice");
-  if (RequestTimedOut()) {
-    outcome_.timed_out = true;
-    HA_COUNT("vmem.request_timeout");
+  if (recovery_.TimedOut()) {
     done();
     return;
   }
@@ -471,7 +370,7 @@ void VirtioMem::AutoTick() {
   if (!auto_running_) {
     return;
   }
-  if (!busy_) {
+  if (!recovery_.busy()) {
     const uint64_t free_bytes = vm_->FreeFrames() * kFrameSize;
     const uint64_t free_huge_bytes = vm_->FreeHugeFrames() * kHugeSize;
     if (free_bytes < config_.auto_low_bytes &&

@@ -25,6 +25,7 @@
 #include "src/fault/fault.h"
 #include "src/guest/guest_vm.h"
 #include "src/hv/deflator.h"
+#include "src/hv/recovery.h"
 #include "src/sim/simulation.h"
 #include "src/trace/span.h"
 
@@ -41,10 +42,6 @@ struct VmemConfig {
   uint64_t auto_low_bytes = 768 * kMiB;
   // ... unplug (1 GiB) when huge-page-backed free memory exceeds this.
   uint64_t auto_high_bytes = 1792 * kMiB;
-  // Fault recovery (DESIGN.md §4.9): bounded retry with virtual-time
-  // exponential backoff for the per-block hypercalls, IOMMU ops and
-  // unmaps, plus the optional per-request deadline.
-  fault::RetryPolicy retry;
 };
 
 class VirtioMem : public hv::Deflator {
@@ -62,7 +59,7 @@ class VirtioMem : public hv::Deflator {
 
   void Request(const hv::ResizeRequest& request) override;
   uint64_t limit_bytes() const override;
-  bool busy() const override { return busy_; }
+  bool busy() const override { return recovery_.busy(); }
 
   // The paper's simulated auto-resizer (not part of upstream virtio-mem).
   void StartAuto() override;
@@ -73,9 +70,6 @@ class VirtioMem : public hv::Deflator {
   uint64_t plugged_blocks() const { return plugged_blocks_; }
   uint64_t unpluggable_failures() const { return unpluggable_failures_; }
 
-  // Fault-recovery statistics (DESIGN.md §4.9).
-  uint64_t faults_seen() const { return faults_; }
-  uint64_t fault_retries() const { return fault_retries_; }
   // Blocks unplugged whose EPT unmap never succeeded: the guest gave the
   // block up, but its host backing stays allocated until it is replugged.
   uint64_t leaked_backing_blocks() const { return leaked_backing_blocks_; }
@@ -94,9 +88,6 @@ class VirtioMem : public hv::Deflator {
   // Polls a hypercall fault site with bounded retries; returns false on
   // retry exhaustion or a permanent fault.
   bool PollSite(fault::Site site);
-  void ChargeBackoff(unsigned retry);
-  void NoteFault();
-  bool RequestTimedOut() const;
 
   FrameId BlockFirstFrame(uint64_t block) const;
 
@@ -106,15 +97,11 @@ class VirtioMem : public hv::Deflator {
   uint64_t num_blocks_;
   std::vector<bool> plugged_;
   uint64_t plugged_blocks_ = 0;
-  bool busy_ = false;
   bool auto_running_ = false;
 
   hv::CpuAccounting cpu_;
-  trace::RequestSpan request_span_;
+  hv::Recovery recovery_;
   uint64_t unpluggable_failures_ = 0;
-  sim::Time request_deadline_ = 0;  // 0 = no deadline
-  uint64_t faults_ = 0;
-  uint64_t fault_retries_ = 0;
   uint64_t leaked_backing_blocks_ = 0;
 };
 

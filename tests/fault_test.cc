@@ -7,6 +7,7 @@
 #include "src/core/hyperalloc.h"
 #include "src/fault/fault.h"
 #include "src/guest/guest_vm.h"
+#include "src/hv/recovery.h"
 
 namespace hyperalloc::fault {
 namespace {
@@ -135,11 +136,11 @@ TEST(FaultInjector, DisabledInjectorNeverFires) {
 }
 
 TEST(RetryPolicy, BackoffGrowsExponentiallyAndCaps) {
-  RetryPolicy policy;  // 20 us initial, x2, 1 ms cap
-  EXPECT_EQ(policy.BackoffNs(0), 20'000u);
-  EXPECT_EQ(policy.BackoffNs(1), 40'000u);
-  EXPECT_EQ(policy.BackoffNs(2), 80'000u);
-  EXPECT_EQ(policy.BackoffNs(10), 1'000'000u);  // capped
+  // 20 us initial, x2, 1 ms cap.
+  EXPECT_EQ(hv::BackoffNs(0), 20'000u);
+  EXPECT_EQ(hv::BackoffNs(1), 40'000u);
+  EXPECT_EQ(hv::BackoffNs(2), 80'000u);
+  EXPECT_EQ(hv::BackoffNs(10), 1'000'000u);  // capped
 }
 
 // --- Recovery end to end against the HyperAlloc monitor ---------------
@@ -187,10 +188,11 @@ class FaultRecoveryTest : public ::testing::Test {
     vm_->PurgeAllocatorCaches();
   }
 
-  hv::ResizeOutcome SetLimit(uint64_t bytes) {
+  hv::ResizeOutcome SetLimit(uint64_t bytes, uint64_t deadline_ns = 0) {
     hv::ResizeOutcome outcome;
     bool done = false;
     monitor_->Request({.target_bytes = bytes,
+                       .deadline_ns = deadline_ns,
                        .done = [&] { done = true; },
                        .on_outcome =
                            [&](const hv::ResizeOutcome& o) { outcome = o; }});
@@ -220,7 +222,7 @@ TEST_F(FaultRecoveryTest, InstallRetriesTransientFaultThenSucceeds) {
   // virtual time.
   EXPECT_EQ(monitor_->faults_seen(), 1u);
   EXPECT_EQ(monitor_->fault_retries(), 1u);
-  EXPECT_GE(sim_->now() - before, RetryPolicy{}.BackoffNs(0));
+  EXPECT_GE(sim_->now() - before, hv::BackoffNs(0));
   // The second install consumes op index >= 1: no further faults.
   ASSERT_TRUE(vm_->Alloc(kHugeOrder, AllocType::kHuge).ok());
   EXPECT_EQ(monitor_->faults_seen(), 1u);
@@ -257,10 +259,9 @@ TEST_F(FaultRecoveryTest, RequestTimeoutYieldsPartialReclaim) {
 
   // ...then give an identical VM only half that budget: the request must
   // end partially, flagged timed_out, with every frame in a legal state.
-  config.retry.request_timeout_ns = clean_ns / 2;
   Init("", config);
   PopulateAndFree(64);
-  const hv::ResizeOutcome outcome = SetLimit(0);
+  const hv::ResizeOutcome outcome = SetLimit(0, /*deadline_ns=*/clean_ns / 2);
   EXPECT_TRUE(outcome.timed_out);
   EXPECT_FALSE(outcome.complete);
   EXPECT_EQ(monitor_->fault_timeouts(), 1u);
@@ -269,7 +270,6 @@ TEST_F(FaultRecoveryTest, RequestTimeoutYieldsPartialReclaim) {
   EXPECT_LT(monitor_->limit_bytes(), kVmBytes);
   EXPECT_GT(monitor_->limit_bytes(), 0u);
   // Degraded, not poisoned: the next (deadline-free) request finishes.
-  config.retry.request_timeout_ns = 0;
   Init("", config);
   PopulateAndFree(64);
   EXPECT_TRUE(SetLimit(0).complete);
