@@ -612,10 +612,11 @@ HugeFrameVariant RunHugeFrameVariant(bool smoke, bool compact) {
 
   const auto* monitor =
       static_cast<const core::HyperAllocMonitor*>(setup.deflator.get());
-  variant.reclaim_untouched = monitor->reclaim_untouched();
-  variant.reclaim_2m = monitor->reclaim_unmapped_2m();
-  variant.reclaim_4k = monitor->reclaim_unmapped_4k();
-  variant.share = monitor->HugeReclaimShare();
+  const hv::HugeReclaimStats reclaim = monitor->huge_reclaim();
+  variant.reclaim_untouched = reclaim.untouched;
+  variant.reclaim_2m = reclaim.via_2m;
+  variant.reclaim_4k = reclaim.via_4k;
+  variant.share = reclaim.Share();
   variant.reclaimed_mib =
       static_cast<double>(monitor->hard_reclaimed_bytes()) /
       static_cast<double>(kMiB);

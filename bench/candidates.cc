@@ -152,8 +152,8 @@ VmBundle MakeVmBundle(sim::Simulation* sim, hv::HostMemory* host,
           setup.vm.get(), options.hyperalloc);
       break;
     case Candidate::kHyperAllocGeneric:
-      setup.deflator = std::make_unique<core::GenericHyperAllocMonitor>(
-          setup.vm.get(), core::GenericHyperAllocConfig{});
+      setup.deflator =
+          std::make_unique<core::GenericHyperAllocMonitor>(setup.vm.get());
       break;
     default:
       break;

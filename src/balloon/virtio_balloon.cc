@@ -9,6 +9,8 @@ namespace hyperalloc::balloon {
 
 VirtioBalloon::VirtioBalloon(guest::GuestVm* vm, const BalloonConfig& config)
     : vm_(vm), config_(config), sim_(vm->simulation()),
+      auto_(vm->simulation(), config.reporting_delay,
+            [this] { return ReportCycle(); }),
       recovery_(vm->simulation(),
                 {.fault = "balloon.fault",
                  .retry = "balloon.fault_retry",
@@ -88,20 +90,18 @@ void VirtioBalloon::Request(const hv::ResizeRequest& request) {
   recovery_.Begin(request, inflate,
                   inflate ? target_frames - ballooned_frames_
                           : ballooned_frames_ - target_frames);
-  auto finish = [this] { recovery_.Finish(limit_bytes()); };
   if (inflate) {
-    InflateSlice(target_frames, std::move(finish));
+    InflateSlice(target_frames);
   } else {
-    DeflateSlice(target_frames, std::move(finish));
+    DeflateSlice(target_frames);
   }
 }
 
-void VirtioBalloon::InflateSlice(uint64_t target_frames,
-                                 std::function<void()> done) {
+void VirtioBalloon::InflateSlice(uint64_t target_frames) {
   trace::ScopedContext request_context(recovery_.context());
   trace::Span slice(trace::Layer::kBackend, "balloon.inflate_slice");
   if (recovery_.TimedOut()) {
-    done();  // partial inflate: the balloon simply stays smaller
+    Finish();  // partial inflate: the balloon simply stays smaller
     return;
   }
   const sim::Time t0 = sim_->now();
@@ -162,7 +162,7 @@ void VirtioBalloon::InflateSlice(uint64_t target_frames,
   cpu_.guest_ns += sim_->now() - guest_start;
 
   if (batch.empty()) {
-    done();
+    Finish();
     return;
   }
 
@@ -187,7 +187,7 @@ void VirtioBalloon::InflateSlice(uint64_t target_frames,
     vm_->FreeBatch(base_frames, 0, config_.driver_cpu);
     recovery_.Rollback();
     vm_->sink().OnCpuSteal(config_.driver_cpu, t0, sim_->now(), 1.0);
-    done();
+    Finish();
     return;
   }
   // The batch reached the host: account its virtqueue entries by
@@ -207,12 +207,10 @@ void VirtioBalloon::InflateSlice(uint64_t target_frames,
 
   const bool more = ballooned_frames_ < target_frames;
   if (!more) {
-    done();
+    Finish();
     return;
   }
-  sim_->After(0, [this, target_frames, done = std::move(done)]() mutable {
-    InflateSlice(target_frames, std::move(done));
-  });
+  sim_->After(0, [this, target_frames] { InflateSlice(target_frames); });
 }
 
 void VirtioBalloon::HostDiscard(const std::vector<Ballooned>& batch) {
@@ -263,8 +261,7 @@ void VirtioBalloon::HostDiscard(const std::vector<Ballooned>& batch) {
   }
 }
 
-void VirtioBalloon::DeflateSlice(uint64_t target_frames,
-                                 std::function<void()> done) {
+void VirtioBalloon::DeflateSlice(uint64_t target_frames) {
   trace::ScopedContext request_context(recovery_.context());
   // Device processing and guest frees alternate per element; rather than
   // a span per element, two slice-length spans take the charges of their
@@ -272,7 +269,7 @@ void VirtioBalloon::DeflateSlice(uint64_t target_frames,
   trace::Span slice(trace::Layer::kBackend, "balloon.deflate_slice");
   trace::Span guest(trace::Layer::kGuest, "balloon.guest_free");
   if (recovery_.TimedOut()) {
-    done();
+    Finish();
     return;
   }
   const sim::Time t0 = sim_->now();
@@ -313,28 +310,13 @@ void VirtioBalloon::DeflateSlice(uint64_t target_frames,
   vm_->sink().OnCpuSteal(config_.driver_cpu, t0, sim_->now(), 1.0);
 
   if (ballooned_frames_ <= target_frames || pages_.empty()) {
-    done();
+    Finish();
     return;
   }
-  sim_->After(0, [this, target_frames, done = std::move(done)]() mutable {
-    DeflateSlice(target_frames, std::move(done));
-  });
+  sim_->After(0, [this, target_frames] { DeflateSlice(target_frames); });
 }
 
-void VirtioBalloon::StartAuto() {
-  if (auto_running_) {
-    return;
-  }
-  auto_running_ = true;
-  sim_->After(config_.reporting_delay, [this] { ReportCycle(); });
-}
-
-void VirtioBalloon::StopAuto() { auto_running_ = false; }
-
-void VirtioBalloon::ReportCycle() {
-  if (!auto_running_) {
-    return;
-  }
+sim::Time VirtioBalloon::ReportCycle() {
   [[maybe_unused]] trace::ScopedRoot report_root;
   trace::Span span(trace::Layer::kBackend, "balloon.report_cycle");
   const sim::Time t0 = sim_->now();
@@ -369,8 +351,7 @@ void VirtioBalloon::ReportCycle() {
 
   if (batch.empty()) {
     // Lists exhausted of unreported blocks: wait for the next cycle.
-    sim_->After(config_.reporting_delay, [this] { ReportCycle(); });
-    return;
+    return config_.reporting_delay;
   }
 
   if (!TryHypercall()) {
@@ -385,8 +366,7 @@ void VirtioBalloon::ReportCycle() {
     }
     recovery_.Rollback(/*of_request=*/false);
     vm_->sink().OnCpuSteal(config_.driver_cpu, t0, sim_->now(), 1.0);
-    sim_->After(config_.reporting_delay, [this] { ReportCycle(); });
-    return;
+    return config_.reporting_delay;
   }
   ++hypercalls_;
   if (order == kHugeOrder) {
@@ -410,7 +390,7 @@ void VirtioBalloon::ReportCycle() {
 
   // Keep draining until no unreported blocks remain, yielding between
   // batches; then sleep for the configured delay.
-  sim_->After(0, [this] { ReportCycle(); });
+  return 0;
 }
 
 }  // namespace hyperalloc::balloon

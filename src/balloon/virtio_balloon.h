@@ -21,10 +21,10 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "src/guest/guest_vm.h"
+#include "src/hv/auto_timer.h"
 #include "src/hv/deflator.h"
 #include "src/hv/recovery.h"
 #include "src/sim/simulation.h"
@@ -63,8 +63,8 @@ class VirtioBalloon : public hv::Deflator {
   uint64_t limit_bytes() const override;
   bool busy() const override { return recovery_.busy(); }
 
-  void StartAuto() override;
-  void StopAuto() override;
+  void StartAuto() override { auto_.Start(); }
+  void StopAuto() override { auto_.Stop(); }
 
   const hv::CpuAccounting& cpu() const override { return cpu_; }
 
@@ -95,9 +95,11 @@ class VirtioBalloon : public hv::Deflator {
     unsigned order;
   };
 
-  void InflateSlice(uint64_t target_frames, std::function<void()> done);
-  void DeflateSlice(uint64_t target_frames, std::function<void()> done);
-  void ReportCycle();
+  void InflateSlice(uint64_t target_frames);
+  void DeflateSlice(uint64_t target_frames);
+  void Finish() { recovery_.Finish(limit_bytes()); }
+  // One free-page reporting cycle; returns the delay to the next one.
+  sim::Time ReportCycle();
 
   // Host-side processing of one batch of reclaimed blocks.
   void HostDiscard(const std::vector<Ballooned>& batch);
@@ -111,10 +113,10 @@ class VirtioBalloon : public hv::Deflator {
   guest::GuestVm* vm_;
   BalloonConfig config_;
   sim::Simulation* sim_;
+  hv::AutoTimer auto_;  // free-page reporting
 
   std::vector<Ballooned> pages_;  // current balloon contents
   uint64_t ballooned_frames_ = 0;
-  bool auto_running_ = false;
 
   hv::CpuAccounting cpu_;
   hv::Recovery recovery_;

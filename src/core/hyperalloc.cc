@@ -1,24 +1,14 @@
 #include "src/core/hyperalloc.h"
 
-#include <algorithm>
-
 #include "src/base/check.h"
+#include "src/trace/span.h"
 #include "src/trace/trace.h"
 
 namespace hyperalloc::core {
 
 HyperAllocMonitor::HyperAllocMonitor(guest::GuestVm* vm,
                                      const HyperAllocConfig& config)
-    : vm_(vm), config_(config), sim_(vm->simulation()),
-      total_huge_(HugesForFrames(vm->total_frames())),
-      recovery_(vm->simulation(),
-                {.fault = "monitor.fault",
-                 .retry = "monitor.fault_retry",
-                 .rollback = "monitor.fault_rollback",
-                 .timeout = "monitor.request_timeout",
-                 .backoff_ns = "monitor.fault_backoff_ns"},
-                &cpu_, &outcome_) {
-  HA_CHECK(vm != nullptr);
+    : MonitorHost(vm, config.in_kernel), config_(config) {
   HA_CHECK(vm->config().allocator == guest::AllocatorKind::kLLFree);
 
   for (guest::Zone& zone : vm_->zones()) {
@@ -163,67 +153,8 @@ ReclaimState HyperAllocMonitor::StateOf(HugeId global_huge) const {
 }
 
 void HyperAllocMonitor::Install(ZoneView& view, HugeId local_huge) {
-  // Blocking install hypercall (§3.2 "Return and Install"): the guest's
-  // allocation waits until the memory is populated, mapped, and — with a
-  // passthrough device — pinned. Only then may it be handed out (DMA
-  // safety).
   HA_DCHECK(view.states.Get(local_huge) == ReclaimState::kSoft);
-  const sim::Time t0 = sim_->now();
-  // Installs are their own causal roots: they are triggered by guest
-  // allocations, not by a resize request.
-  [[maybe_unused]] trace::ScopedRoot root;
-  trace::Span span(trace::Layer::kMonitor, "monitor.install");
-  span.AddFrames(kFramesPerHuge);
-  span.AddHugeFrames(kFramesPerHuge);
-  // In-kernel integration (§5.3 ablation): no KVM->QEMU context switch —
-  // the install costs no more than the EPT fault it replaces.
-  const uint64_t entry_ns = config_.in_kernel
-                                ? vm_->costs().ept_fault_2m_ns
-                                : vm_->costs().install_hypercall_2m_ns;
-  const FrameId global_first = view.zone->start + HugeToFrame(local_huge);
-  fault::Injector* injector = vm_->fault_injector();
-
-  const bool ok = recovery_.Retry([&] {
-    if (const auto kind =
-            fault::Poll(injector, fault::Site::kInstallHypercall)) {
-      HA_COUNT("fault.install_hypercall");
-      return recovery_.Fault(*kind);
-    }
-    cpu_.host_user_ns +=
-        hv::ChargeTraced(sim_, "monitor.install_entry_ns", entry_ns);
-    if (!config_.in_kernel) {
-      HA_COUNT("monitor.hypercall");
-    }
-    {
-      trace::Span populate(trace::Layer::kEpt, "ept.populate");
-      populate.AddFrames(kFramesPerHuge);
-      populate.AddHugeFrames(kFramesPerHuge);
-      const uint64_t ept_faults = vm_->ept().injected_faults();
-      if (!vm_->PopulateFrames(global_first, kFramesPerHuge)) {
-        // An injected map fault or host exhaustion; only an injected
-        // fault can be permanent.
-        return recovery_.Fault(vm_->ept().injected_faults() > ept_faults
-                                   ? vm_->ept().last_injected_kind()
-                                   : fault::Kind::kTransient);
-      }
-      cpu_.host_sys_ns += hv::ChargeTraced(
-          sim_, "monitor.install_ns",
-          kFramesPerHuge * vm_->costs().populate_4k_ns);
-    }
-    if (vm_->config().vfio) {
-      trace::Span pin(trace::Layer::kIommu, "iommu.pin");
-      pin.AddFrames(kFramesPerHuge);
-      pin.AddHugeFrames(kFramesPerHuge);
-      vm_->iommu()->Pin(FrameToHuge(global_first));
-      if (!vm_->iommu()->IsPinned(FrameToHuge(global_first))) {
-        return recovery_.Fault(vm_->iommu()->last_injected_kind());
-      }
-      cpu_.host_sys_ns += hv::ChargeTraced(sim_, "monitor.install_pin_ns",
-                                           vm_->costs().iommu_map_2m_ns);
-    }
-    return hv::Attempt::kOk;
-  });
-  if (!ok) {
+  if (!InstallHuge(FrameToHuge(view.zone->start) + local_huge)) {
     // Retries exhausted (or a permanent fault): the guest allocation has
     // already claimed the frame, so hand it over anyway — it populates
     // lazily on first touch — and poison the VM, because the install's
@@ -231,184 +162,20 @@ void HyperAllocMonitor::Install(ZoneView& view, HugeId local_huge) {
     // returns") no longer holds.
     QuarantineVm();
   }
-  HA_COUNT("monitor.install");
-  if (sim_->now() > t0) {
-    vm_->sink().OnBandwidth(t0, sim_->now(),
-                            static_cast<double>(kHugeSize) /
-                                static_cast<double>(sim_->now() - t0));
-  }
-
   view.states.Set(local_huge, ReclaimState::kInstalled);
   view.monitor_view->ClearEvicted(local_huge);
-  ++installs_;
 }
 
-uint64_t HyperAllocMonitor::UnmapBatch(
-    const std::vector<HugeId>& global_huge) {
-  if (global_huge.empty()) {
-    return 0;
-  }
-  std::vector<HugeId> sorted = global_huge;
-  std::sort(sorted.begin(), sorted.end());
-
-  const sim::Time t0 = sim_->now();
-  uint64_t shootdown_allcpu_ns = 0;
-  uint64_t completed = 0;
-
-  // Contiguous runs are unmapped with a single madvise syscall — the
-  // aggregation that LLFree's compact allocation behaviour makes
-  // effective (§4.2 "KVM/QEMU Integration"). Each run's madvise/TLB cost
-  // is charged inside an EPT-layer span and each run's coalesced unpin
-  // inside an IOMMU-layer span, so request traces attribute the flush
-  // work to the layer that incurs it (total charge is unchanged).
-  size_t i = 0;
-  while (i < sorted.size()) {
-    size_t j = i + 1;
-    while (j < sorted.size() && sorted[j] == sorted[j - 1] + 1) {
-      ++j;
-    }
-    uint64_t mapped_huge = 0;
-    uint64_t mapped_huge_2m = 0;  // of those, unmapped via a 2M EPT entry
-    uint64_t run_sys_ns = 0;
-    // Frames whose unmap completed (or that had nothing mapped) move on
-    // to the unpin phase; failed frames are rolled back or quarantined
-    // and must keep their pin (a rolled-back frame stays mapped).
-    std::vector<bool> unmapped(j - i, false);
-    uint64_t run_ok = 0;
-    for (size_t k = i; k < j; ++k) {
-      const FrameId first = HugeToFrame(sorted[k]);
-      if (vm_->ept().CountMapped(first, kFramesPerHuge) == 0) {
-        unmapped[k - i] = true;  // §5.3 "reclaim untouched" fast path
-        ++run_ok;
-        ++reclaim_untouched_;
-        continue;
-      }
-      // §4.14 reclaim-share split: read the 2M-entry bit before Unmap
-      // invalidates it.
-      const bool entry_2m = vm_->ept().HasHugeEntry(sorted[k]);
-      if (recovery_.Retry([&] {
-            return vm_->ept().Unmap(first, kFramesPerHuge) !=
-                           hv::Ept::kFaultInjected
-                       ? hv::Attempt::kOk
-                       : recovery_.Fault(vm_->ept().last_injected_kind());
-          })) {
-        unmapped[k - i] = true;
-        ++run_ok;
-        ++mapped_huge;
-        if (entry_2m) {
-          ++mapped_huge_2m;
-          ++reclaim_unmapped_2m_;
-        } else {
-          ++reclaim_unmapped_4k_;
-        }
-        run_sys_ns += vm_->costs().madvise_per_2m_ns;
-        shootdown_allcpu_ns += vm_->costs().shootdown_allcpu_2m_ns;
-        continue;
-      }
-      // The last injected kind tells a permanent fault from spent retries.
-      HugeId local = 0;
-      ZoneView* view = FindView(sorted[k], &local);
-      if (vm_->ept().last_injected_kind() == fault::Kind::kPermanent) {
-        QuarantineFrame(*view, local);
-      } else {
-        RollbackFrame(*view, local);
-      }
-    }
-    if (mapped_huge > 0) {
-      // In-kernel: direct EPT zap, no madvise syscall per run.
-      run_sys_ns += (config_.in_kernel ? 0
-                                       : vm_->costs().madvise_syscall_ns) +
-                    vm_->costs().tlb_shootdown_ns;
-      if (!config_.in_kernel) {
-        HA_COUNT("monitor.madvise");
-      }
-      trace::Span unmap(trace::Layer::kEpt, "ept.unmap_run");
-      unmap.AddFrames(mapped_huge * kFramesPerHuge);
-      unmap.AddHugeFrames(mapped_huge_2m * kFramesPerHuge);
-      cpu_.host_sys_ns +=
-          hv::ChargeTraced(sim_, "monitor.unmap_ns", run_sys_ns);
-    }
-    if (!vm_->config().vfio) {
-      completed += run_ok;
-    } else if (run_ok == j - i) {
-      // Clean run (the only path with injection off): coalesced IOTLB
-      // invalidation — unpin the whole contiguous run and pay ONE ranged
-      // flush for it, not one flush per huge frame — the same batching
-      // the madvise path above gets from contiguity.
-      uint64_t unpinned = 0;
-      if (recovery_.Retry([&] {
-            const uint64_t faults = vm_->iommu()->injected_faults();
-            unpinned = vm_->iommu()->UnpinRange(sorted[i], j - i);
-            return vm_->iommu()->injected_faults() == faults
-                       ? hv::Attempt::kOk
-                       : recovery_.Fault(vm_->iommu()->last_injected_kind());
-          })) {
-        if (unpinned > 0) {
-          trace::Span unpin(trace::Layer::kIommu, "iommu.unpin_range");
-          unpin.AddFrames(unpinned * kFramesPerHuge);
-          unpin.AddHugeFrames(unpinned * kFramesPerHuge);
-          cpu_.host_sys_ns += hv::ChargeTraced(
-              sim_, "monitor.unmap_iommu_ns",
-              unpinned * vm_->costs().iommu_unmap_2m_ns +
-                  vm_->costs().iotlb_flush_ns);
-        }
-        completed += run_ok;
-      } else {
-        // Unpin retries exhausted: the run is already unmapped but may
-        // still be pinned — poison every still-pinned frame.
-        for (size_t k = i; k < j; ++k) {
-          if (!vm_->iommu()->IsPinned(sorted[k])) {
-            ++completed;
-            continue;
-          }
-          HugeId local = 0;
-          ZoneView* view = FindView(sorted[k], &local);
-          QuarantineFrame(*view, local);
-        }
-      }
+uint64_t HyperAllocMonitor::Unmap(const std::vector<HugeId>& global_huge) {
+  return UnmapBatch(global_huge, [this](HugeId huge, bool permanent) {
+    HugeId local = 0;
+    ZoneView* view = FindView(huge, &local);
+    if (permanent) {
+      QuarantineFrame(*view, local);
     } else {
-      // Degraded run: unpin only the frames that actually unmapped, one
-      // flush each (rolled-back frames stay mapped and keep their pin).
-      for (size_t k = i; k < j; ++k) {
-        if (!unmapped[k - i]) {
-          continue;
-        }
-        if (!vm_->iommu()->IsPinned(sorted[k])) {
-          ++completed;
-          continue;
-        }
-        // The frame is pinned, so only an injected fault fails the unpin.
-        if (recovery_.Retry([&] {
-              return vm_->iommu()->UnpinRange(sorted[k], 1) == 1
-                         ? hv::Attempt::kOk
-                         : recovery_.Fault(vm_->iommu()->last_injected_kind());
-            })) {
-          trace::Span unpin(trace::Layer::kIommu, "iommu.unpin_range");
-          unpin.AddFrames(kFramesPerHuge);
-          unpin.AddHugeFrames(kFramesPerHuge);
-          cpu_.host_sys_ns += hv::ChargeTraced(
-              sim_, "monitor.unmap_iommu_ns",
-              vm_->costs().iommu_unmap_2m_ns + vm_->costs().iotlb_flush_ns);
-          ++completed;
-        } else {
-          HugeId local = 0;
-          ZoneView* view = FindView(sorted[k], &local);
-          QuarantineFrame(*view, local);
-        }
-      }
+      RollbackFrame(*view, local);
     }
-    i = j;
-  }
-
-  HA_HIST("monitor.unmap_batch_huge", sorted.size());
-  const sim::Time t1 = sim_->now();
-  if (shootdown_allcpu_ns > 0 && t1 > t0) {
-    vm_->sink().OnAllCpusSteal(
-        t0, t1,
-        static_cast<double>(shootdown_allcpu_ns) /
-            static_cast<double>(t1 - t0));
-  }
-  return completed;
+  });
 }
 
 void HyperAllocMonitor::Request(const hv::ResizeRequest& request) {
@@ -423,36 +190,29 @@ void HyperAllocMonitor::Request(const hv::ResizeRequest& request) {
   recovery_.Begin(
       request, shrink,
       (shrink ? target_hard - held : held - target_hard) * kFramesPerHuge);
-  auto finish = [this] {
-    recovery_.Finish(limit_bytes(), vm_quarantined_);
-  };
   if (vm_quarantined_) {
-    finish();  // a poisoned VM refuses resizes: report and complete
+    Finish();  // a poisoned VM refuses resizes: report and complete
     return;
   }
   if (shrink) {
-    ShrinkSlice(target_hard, /*escalation=*/0, std::move(finish));
+    ShrinkSlice(target_hard, /*escalation=*/0);
   } else {
-    GrowSlice(target_hard, std::move(finish));
+    GrowSlice(target_hard);
   }
 }
 
-void HyperAllocMonitor::ShrinkSlice(uint64_t target_huge, int escalation,
-                                    std::function<void()> done) {
+void HyperAllocMonitor::ShrinkSlice(uint64_t target_huge, int escalation) {
   // Re-enter the request's trace (slices run as separate event-loop
   // callbacks, so the thread context must be restored each time).
   trace::ScopedContext request_context(recovery_.context());
   trace::Span slice(trace::Layer::kMonitor, "monitor.shrink_slice");
-  if (vm_quarantined_) {
-    done();  // poisoned mid-request: stop with a partial reclaim
-    return;
-  }
-  if (recovery_.TimedOut()) {
-    done();  // partial reclaim: every frame is in a legal state as-is
+  // Poisoned mid-request or past the deadline: stop with a partial
+  // reclaim (every frame is in a legal state as-is).
+  if (vm_quarantined_ || recovery_.TimedOut()) {
+    Finish();
     return;
   }
   std::vector<HugeId> batch;
-  const std::vector<ZoneView*> order = ReclaimOrder();
 
   // Linear scan with a persistent per-zone hint, Normal zones before
   // DMA32 (§4.2). The hint makes repeated shrink/grow cycles naturally
@@ -460,7 +220,7 @@ void HyperAllocMonitor::ShrinkSlice(uint64_t target_huge, int escalation,
   // "reclaim untouched" fast path of §5.3, which needs no unmapping.
   {
     trace::Span reclaim(trace::Layer::kLLFree, "llfree.reclaim_huge");
-    for (ZoneView* view : order) {
+    for (ZoneView* view : ReclaimOrder()) {
       while (hard_reclaimed_huge_ + quarantined_huge_ < target_huge &&
              batch.size() < config_.hugepages_per_slice) {
         const std::optional<HugeId> huge = view->monitor_view->ReclaimHuge(
@@ -481,14 +241,12 @@ void HyperAllocMonitor::ShrinkSlice(uint64_t target_huge, int escalation,
     reclaim.AddHugeFrames(batch.size() * kFramesPerHuge);
   }
   const uint64_t quarantined_before = quarantined_huge_;
-  const uint64_t completed = UnmapBatch(batch);
+  const uint64_t completed = Unmap(batch);
 
-  if (hard_reclaimed_huge_ + quarantined_huge_ >= target_huge) {
-    done();
-    return;
-  }
-  if (vm_quarantined_) {
-    done();  // quarantine tripped mid-batch: stop with a partial reclaim
+  // Done, or quarantine tripped mid-batch (stop with a partial reclaim).
+  if (hard_reclaimed_huge_ + quarantined_huge_ >= target_huge ||
+      vm_quarantined_) {
+    Finish();
     return;
   }
   if (batch.empty()) {
@@ -501,7 +259,7 @@ void HyperAllocMonitor::ShrinkSlice(uint64_t target_huge, int escalation,
     } else if (vm_->cache_bytes() > 0) {
       vm_->CacheDrop(64 * kMiB);
     } else {
-      done();  // nothing left to reclaim at huge granularity
+      Finish();  // nothing left to reclaim at huge granularity
       return;
     }
   } else if (completed == 0 && quarantined_huge_ == quarantined_before) {
@@ -510,20 +268,18 @@ void HyperAllocMonitor::ShrinkSlice(uint64_t target_huge, int escalation,
     // high to ever finish — give up with a partial reclaim instead of
     // spinning (the hint would re-find the same frames forever).
     if (++stalled_slices_ >= 3) {
-      done();
+      Finish();
       return;
     }
   } else {
     stalled_slices_ = 0;
   }
-  sim_->After(0, [this, target_huge, escalation,
-                  done = std::move(done)]() mutable {
-    ShrinkSlice(target_huge, escalation, std::move(done));
+  sim_->After(0, [this, target_huge, escalation] {
+    ShrinkSlice(target_huge, escalation);
   });
 }
 
-void HyperAllocMonitor::GrowSlice(uint64_t target_huge,
-                                  std::function<void()> done) {
+void HyperAllocMonitor::GrowSlice(uint64_t target_huge) {
   trace::ScopedContext request_context(recovery_.context());
   trace::Span slice(trace::Layer::kMonitor, "monitor.grow_slice");
   unsigned returned = 0;
@@ -557,12 +313,10 @@ void HyperAllocMonitor::GrowSlice(uint64_t target_huge,
   // quarantined frames remain above the target).
   if (hard_reclaimed_huge_ + quarantined_huge_ <= target_huge ||
       returned == 0) {
-    done();
+    Finish();
     return;
   }
-  sim_->After(0, [this, target_huge, done = std::move(done)]() mutable {
-    GrowSlice(target_huge, std::move(done));
-  });
+  sim_->After(0, [this, target_huge] { GrowSlice(target_huge); });
 }
 
 bool HyperAllocMonitor::IsHot(HugeId global_huge) const {
@@ -613,29 +367,11 @@ uint64_t HyperAllocMonitor::AutoReclaimPass() {
   }
   // Rolled-back frames do not count: only frames that actually unmapped
   // (or were already unmapped) are net soft reclaims.
-  const uint64_t completed = UnmapBatch(batch);
+  const uint64_t completed = Unmap(batch);
   pass.AddFrames(batch.size() * kFramesPerHuge);
   pass.AddHugeFrames(batch.size() * kFramesPerHuge);
   soft_reclaims_ += completed;
   return completed;
-}
-
-void HyperAllocMonitor::StartAuto() {
-  if (auto_running_) {
-    return;
-  }
-  auto_running_ = true;
-  sim_->After(config_.auto_period, [this] { AutoTick(); });
-}
-
-void HyperAllocMonitor::StopAuto() { auto_running_ = false; }
-
-void HyperAllocMonitor::AutoTick() {
-  if (!auto_running_) {
-    return;
-  }
-  AutoReclaimPass();
-  sim_->After(config_.auto_period, [this] { AutoTick(); });
 }
 
 }  // namespace hyperalloc::core

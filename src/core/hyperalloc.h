@@ -22,39 +22,35 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <memory>
 #include <vector>
 
+#include "src/core/monitor_host.h"
 #include "src/core/reclaim_states.h"
 #include "src/guest/guest_vm.h"
-#include "src/hv/deflator.h"
-#include "src/hv/recovery.h"
-#include "src/sim/simulation.h"
-#include "src/trace/span.h"
 
 namespace hyperalloc::core {
 
 struct HyperAllocConfig {
-  // Auto-reclamation scan period (paper: every 5 seconds).
-  sim::Time auto_period = 5 * sim::kSec;
   // Huge frames processed per event-loop slice.
-  unsigned hugepages_per_slice = 512;
+  unsigned hugepages_per_slice = kHugepagesPerSlice;
   // §6 "Beyond Memory Reclamation": start with a hard limit below the
   // guest-physical memory size ("starting with a large guest-physical
   // memory but low hard limit"), so the VM can later grow beyond its
   // boot-time allotment. 0 = full memory.
   uint64_t initial_limit_bytes = 0;
-  // §5.3 ablation: integrate the monitor into KVM instead of QEMU. The
-  // install hypercall loses its extra kernel->user context switch (cost
-  // drops to a plain EPT fault) and unmapping manipulates the EPT
-  // directly instead of going through madvise syscalls.
+  // §5.3 ablation: integrate the monitor into KVM instead of QEMU (see
+  // MonitorHost).
   bool in_kernel = false;
   // The VM is poisoned (quarantined) once this many huge frames had to
   // be quarantined by unrecoverable faults.
   unsigned quarantine_frame_limit = 16;
 };
 
-class HyperAllocMonitor : public hv::Deflator {
+// The LLFree side of the monitor; the host side (install, unmap, request
+// lifecycle, auto timer) is the MonitorHost it shares with the generic
+// monitor.
+class HyperAllocMonitor : public MonitorHost {
  public:
   // The guest must use the LLFree allocator. The monitor maps each zone's
   // allocator state (paper §4.2 "Locating the Allocator State"), installs
@@ -72,38 +68,10 @@ class HyperAllocMonitor : public hv::Deflator {
 
   void Request(const hv::ResizeRequest& request) override;
   uint64_t limit_bytes() const override;
-  bool busy() const override { return recovery_.busy(); }
-
-  void StartAuto() override;
-  void StopAuto() override;
-
-  const hv::CpuAccounting& cpu() const override { return cpu_; }
 
   // Introspection / statistics.
   uint64_t hard_reclaimed_bytes() const {
     return hard_reclaimed_huge_ * kHugeSize;
-  }
-  uint64_t installs() const { return installs_; }
-  uint64_t soft_reclaims() const { return soft_reclaims_; }
-
-  // Huge-frame reclaim share (DESIGN.md §4.14): of the huge frames this
-  // monitor reclaimed and handed to UnmapBatch, how many avoided per-4K
-  // EPT work — untouched (nothing mapped, the §5.3 fast path) or
-  // invalidated via a single 2 MiB EPT entry — vs. the ones that needed
-  // 512 separate 4K invalidations (a demoted or piecewise-faulted frame).
-  uint64_t reclaim_untouched() const { return reclaim_untouched_; }
-  uint64_t reclaim_unmapped_2m() const { return reclaim_unmapped_2m_; }
-  uint64_t reclaim_unmapped_4k() const { return reclaim_unmapped_4k_; }
-  // (untouched + 2m) / total, 1.0 when nothing was reclaimed yet.
-  double HugeReclaimShare() const { return huge_reclaim().Share(); }
-
-  // Fleet-visible form of the same split (hv::Deflator hook), so the
-  // fleet engine can aggregate the share across VMs without knowing the
-  // backend type.
-  hv::HugeReclaimStats huge_reclaim() const override {
-    return {.untouched = reclaim_untouched_,
-            .via_2m = reclaim_unmapped_2m_,
-            .via_4k = reclaim_unmapped_4k_};
   }
 
   // Fault-recovery statistics (DESIGN.md §4.9).
@@ -123,9 +91,7 @@ class HyperAllocMonitor : public hv::Deflator {
   uint64_t scan_cache_lines_total() const { return scan_cache_lines_; }
   ReclaimState StateOf(HugeId global_huge) const;
 
-  // One full auto-reclamation pass, callable directly (tests, benches).
-  // Returns the number of huge frames soft-reclaimed.
-  uint64_t AutoReclaimPass();
+  uint64_t AutoReclaimPass() override;
 
  private:
   struct ZoneView {
@@ -145,24 +111,18 @@ class HyperAllocMonitor : public hv::Deflator {
 
   // One shrink slice; escalation: 0 = free memory only, 1 = purge
   // allocator caches + raid reserved trees, 2 = evict page cache.
-  void ShrinkSlice(uint64_t target_huge, int escalation,
-                   std::function<void()> done);
-  void GrowSlice(uint64_t target_huge, std::function<void()> done);
-
-  // Unmaps a batch of (globally addressed) reclaimed huge frames,
-  // batching contiguous runs into single madvise calls. Under fault
-  // injection an unmap or unpin may fail: transient failures retry with
-  // backoff, then roll the frame back to its pre-reclaim state; permanent
-  // failures (or unpin-retry exhaustion after the frame was unmapped)
-  // quarantine the frame. Returns the number of frames that completed.
-  uint64_t UnmapBatch(const std::vector<HugeId>& global_huge);
-
-  void AutoTick();
+  void ShrinkSlice(uint64_t target_huge, int escalation);
+  void GrowSlice(uint64_t target_huge);
+  // Ends the request in flight where it stands.
+  void Finish() { recovery_.Finish(limit_bytes(), vm_quarantined_); }
 
   // --- Fault recovery (DESIGN.md §4.9) -------------------------------
   // Maps a global huge id back to its zone view + local id; the one
   // zone-range lookup behind every per-frame query.
   ZoneView* FindView(HugeId global_huge, HugeId* local_huge) const;
+  // UnmapBatch with this monitor's failure rule: quarantine the frame on
+  // a permanent failure, else roll it back.
+  uint64_t Unmap(const std::vector<HugeId>& global_huge);
   // Reverts a huge frame whose unmap failed transiently to its
   // pre-reclaim state (H -> S via return, S -> I via E-bit clear).
   void RollbackFrame(ZoneView& view, HugeId local_huge);
@@ -171,30 +131,17 @@ class HyperAllocMonitor : public hv::Deflator {
   void QuarantineFrame(ZoneView& view, HugeId local_huge);
   void QuarantineVm();
 
-  guest::GuestVm* vm_;
   HyperAllocConfig config_;
-  sim::Simulation* sim_;
   std::vector<std::unique_ptr<ZoneView>> zones_;
 
-  uint64_t total_huge_;
   uint64_t hard_reclaimed_huge_ = 0;
-  bool auto_running_ = false;
 
   // Fault recovery (DESIGN.md §4.9).
   uint64_t quarantined_huge_ = 0;
   bool vm_quarantined_ = false;
   unsigned stalled_slices_ = 0;  // consecutive zero-progress slices
 
-  hv::CpuAccounting cpu_;
-  hv::Recovery recovery_;
-  uint64_t installs_ = 0;
-  uint64_t soft_reclaims_ = 0;
   uint64_t scan_cache_lines_ = 0;
-
-  // Huge-frame reclaim share split (DESIGN.md §4.14).
-  uint64_t reclaim_untouched_ = 0;
-  uint64_t reclaim_unmapped_2m_ = 0;
-  uint64_t reclaim_unmapped_4k_ = 0;
 };
 
 }  // namespace hyperalloc::core

@@ -1,17 +1,23 @@
 #include "src/core/hyperalloc_generic.h"
 
-#include <algorithm>
-
 #include "src/base/check.h"
+#include "src/hv/cost_model.h"
+#include "src/trace/span.h"
 
 namespace hyperalloc::core {
+namespace {
 
-GenericHyperAllocMonitor::GenericHyperAllocMonitor(
-    guest::GuestVm* vm, const GenericHyperAllocConfig& config)
-    : vm_(vm), config_(config), sim_(vm->simulation()),
+// No injector is armed on this monitor: an unmap cannot fail.
+constexpr auto kUnmapFailed = [](HugeId, bool) {
+  HA_CHECK(false && "generic monitor: unmap failed");
+};
+
+}  // namespace
+
+GenericHyperAllocMonitor::GenericHyperAllocMonitor(guest::GuestVm* vm)
+    : MonitorHost(vm, /*in_kernel=*/false),
       aux_(HugesForFrames(vm->total_frames())),
       states_(HugesForFrames(vm->total_frames())) {
-  HA_CHECK(vm != nullptr);
   HA_CHECK(vm->config().allocator == guest::AllocatorKind::kBuddy);
   // Boot: nothing is populated, so every frame is soft-reclaimed.
   for (HugeId h = 0; h < aux_.size(); ++h) {
@@ -36,82 +42,16 @@ void GenericHyperAllocMonitor::Install(HugeId huge) {
     aux_.ClearEvicted(huge);  // stale hint (already installed)
     return;
   }
-  const sim::Time t0 = sim_->now();
-  sim_->AdvanceClock(vm_->costs().install_hypercall_2m_ns);
-  cpu_.host_user_ns += vm_->costs().install_hypercall_2m_ns;
-  HA_CHECK(vm_->PopulateFrames(HugeToFrame(huge), kFramesPerHuge));
-  uint64_t sys_ns = kFramesPerHuge * vm_->costs().populate_4k_ns;
-  if (vm_->config().vfio) {
-    vm_->iommu()->Pin(huge);
-    sys_ns += vm_->costs().iommu_map_2m_ns;
-  }
-  sim_->AdvanceClock(sys_ns);
-  cpu_.host_sys_ns += sys_ns;
-  vm_->sink().OnBandwidth(t0, sim_->now(),
-                          static_cast<double>(kHugeSize) /
-                              static_cast<double>(sim_->now() - t0));
+  HA_CHECK(InstallHuge(huge));
   states_.Set(huge, ReclaimState::kInstalled);
   aux_.ClearEvicted(huge);
-  ++installs_;
-}
-
-void GenericHyperAllocMonitor::UnmapBatch(
-    const std::vector<HugeId>& huge_frames) {
-  if (huge_frames.empty()) {
-    return;
-  }
-  std::vector<HugeId> sorted = huge_frames;
-  std::sort(sorted.begin(), sorted.end());
-  const sim::Time t0 = sim_->now();
-  uint64_t sys_ns = 0;
-  uint64_t shootdown_ns = 0;
-  size_t i = 0;
-  while (i < sorted.size()) {
-    size_t j = i + 1;
-    while (j < sorted.size() && sorted[j] == sorted[j - 1] + 1) {
-      ++j;
-    }
-    uint64_t mapped = 0;
-    for (size_t k = i; k < j; ++k) {
-      if (vm_->ept().CountMapped(HugeToFrame(sorted[k]), kFramesPerHuge) >
-          0) {
-        ++mapped;
-        sys_ns += vm_->costs().madvise_per_2m_ns;
-        shootdown_ns += vm_->costs().shootdown_allcpu_2m_ns;
-        vm_->ept().Unmap(HugeToFrame(sorted[k]), kFramesPerHuge);
-      }
-    }
-    if (mapped > 0) {
-      sys_ns +=
-          vm_->costs().madvise_syscall_ns + vm_->costs().tlb_shootdown_ns;
-    }
-    if (vm_->config().vfio) {
-      // One ranged IOTLB invalidation per contiguous run (see
-      // HyperAllocMonitor::UnmapBatch).
-      const uint64_t unpinned =
-          vm_->iommu()->UnpinRange(sorted[i], j - i);
-      if (unpinned > 0) {
-        sys_ns += unpinned * vm_->costs().iommu_unmap_2m_ns +
-                  vm_->costs().iotlb_flush_ns;
-      }
-    }
-    i = j;
-  }
-  sim_->AdvanceClock(sys_ns);
-  cpu_.host_sys_ns += sys_ns;
-  const sim::Time t1 = sim_->now();
-  if (shootdown_ns > 0 && t1 > t0) {
-    vm_->sink().OnAllCpusSteal(t0, t1,
-                               static_cast<double>(shootdown_ns) /
-                                   static_cast<double>(t1 - t0));
-  }
 }
 
 uint64_t GenericHyperAllocMonitor::AutoReclaimPass() {
   // Scan R plus the auxiliary A bits: 2 + 2 bits per huge frame.
   const uint64_t lines = (states_.ByteSize() + aux_.ByteSize() + 63) / 64;
-  sim_->AdvanceClock(lines * vm_->costs().scan_cache_line_ns);
-  cpu_.host_user_ns += lines * vm_->costs().scan_cache_line_ns;
+  cpu_.host_user_ns +=
+      hv::Charge(sim_, lines * vm_->costs().scan_cache_line_ns);
 
   std::vector<HugeId> batch;
   for (HugeId h = 0; h < aux_.size(); ++h) {
@@ -123,37 +63,37 @@ uint64_t GenericHyperAllocMonitor::AutoReclaimPass() {
     if (!aux_.TryReclaim(h, /*hard=*/false)) {
       continue;
     }
-    sim_->AdvanceClock(vm_->costs().ha_reclaim_state_2m_ns);
-    cpu_.host_user_ns += vm_->costs().ha_reclaim_state_2m_ns;
+    cpu_.host_user_ns += hv::Charge(sim_, vm_->costs().ha_reclaim_state_2m_ns);
     states_.Set(h, ReclaimState::kSoft);
     batch.push_back(h);
   }
-  UnmapBatch(batch);
-  soft_reclaims_ += batch.size();
-  return batch.size();
+  const uint64_t completed = UnmapBatch(batch, kUnmapFailed);
+  soft_reclaims_ += completed;
+  return completed;
 }
 
 void GenericHyperAllocMonitor::Request(const hv::ResizeRequest& request) {
-  HA_CHECK(!busy_);
-  busy_ = true;
   HA_CHECK(request.target_bytes <= vm_->config().memory_bytes);
   const uint64_t target_hard =
       (vm_->config().memory_bytes - request.target_bytes) / kHugeSize;
-  auto finish = [this, done = request.done] {
-    busy_ = false;
-    if (done) {
-      done();
-    }
-  };
-  if (target_hard > hard_held_.size()) {
-    ShrinkSlice(target_hard, std::move(finish));
+  const uint64_t held = hard_held_.size();
+  const bool shrink = target_hard > held;
+  recovery_.Begin(
+      request, shrink,
+      (shrink ? target_hard - held : held - target_hard) * kFramesPerHuge);
+  if (shrink) {
+    ShrinkSlice(target_hard);
   } else {
-    GrowSlice(target_hard, std::move(finish));
+    GrowSlice(target_hard);
   }
 }
 
-void GenericHyperAllocMonitor::ShrinkSlice(uint64_t target_huge,
-                                           std::function<void()> done) {
+void GenericHyperAllocMonitor::ShrinkSlice(uint64_t target_huge) {
+  trace::ScopedContext request_context(recovery_.context());
+  if (recovery_.TimedOut()) {
+    Finish();  // partial reclaim: every frame is in a legal state as-is
+    return;
+  }
   // Guest-mediated hard reclamation (the generalization's weak spot):
   // the monitor cannot mark frames allocated in the private buddy state,
   // so it allocates them *through* the guest, balloon-style, then unmaps
@@ -161,79 +101,55 @@ void GenericHyperAllocMonitor::ShrinkSlice(uint64_t target_huge,
   std::vector<HugeId> batch;
   suppress_install_ = true;
   while (hard_held_.size() < target_huge &&
-         batch.size() < config_.hugepages_per_slice) {
+         batch.size() < kHugepagesPerSlice) {
     const Result<FrameId> r = vm_->Alloc(kHugeOrder, AllocType::kMovable,
                                          0, /*allow_oom_notify=*/false);
     if (!r.ok()) {
       break;  // nothing left to take at huge granularity
     }
-    sim_->AdvanceClock(vm_->costs().guest_alloc_2m_ns +
-                       vm_->costs().virtqueue_element_ns);
-    cpu_.guest_ns +=
-        vm_->costs().guest_alloc_2m_ns + vm_->costs().virtqueue_element_ns;
-    hard_held_.push_back({*r});
+    cpu_.guest_ns += hv::Charge(sim_, vm_->costs().guest_alloc_2m_ns +
+                                          vm_->costs().virtqueue_element_ns);
+    hard_held_.push_back(*r);
     batch.push_back(FrameToHuge(*r));
     states_.Set(FrameToHuge(*r), ReclaimState::kHard);
     aux_.SetEvicted(FrameToHuge(*r));  // E mirrors !M (Fig. 2)
   }
   suppress_install_ = false;
   if (!batch.empty()) {
-    sim_->AdvanceClock(vm_->costs().hypercall_ns);
-    cpu_.host_user_ns += vm_->costs().hypercall_ns;
-    UnmapBatch(batch);
+    cpu_.host_user_ns += hv::Charge(sim_, vm_->costs().hypercall_ns);
+    UnmapBatch(batch, kUnmapFailed);
   }
   if (hard_held_.size() >= target_huge || batch.empty()) {
-    done();
+    Finish();
     return;
   }
-  sim_->After(0, [this, target_huge, done = std::move(done)]() mutable {
-    ShrinkSlice(target_huge, std::move(done));
-  });
+  sim_->After(0, [this, target_huge] { ShrinkSlice(target_huge); });
 }
 
-void GenericHyperAllocMonitor::GrowSlice(uint64_t target_huge,
-                                         std::function<void()> done) {
+void GenericHyperAllocMonitor::GrowSlice(uint64_t target_huge) {
+  trace::ScopedContext request_context(recovery_.context());
+  if (recovery_.TimedOut()) {
+    Finish();
+    return;
+  }
   unsigned returned = 0;
-  while (hard_held_.size() > target_huge &&
-         returned < config_.hugepages_per_slice) {
-    const HardHeld held = hard_held_.back();
+  while (hard_held_.size() > target_huge && returned < kHugepagesPerSlice) {
+    const FrameId frame = hard_held_.back();
     hard_held_.pop_back();
-    const HugeId huge = FrameToHuge(held.frame);
+    const HugeId huge = FrameToHuge(frame);
     // Returning keeps the frame evicted: the guest's next use installs.
     states_.Set(huge, ReclaimState::kSoft);
     aux_.SetEvicted(huge);
-    sim_->AdvanceClock(vm_->costs().ha_return_state_2m_ns +
-                       vm_->costs().guest_free_2m_ns);
-    cpu_.host_user_ns += vm_->costs().ha_return_state_2m_ns;
-    cpu_.guest_ns += vm_->costs().guest_free_2m_ns;
-    vm_->Free(held.frame, kHugeOrder, 0);
+    cpu_.host_user_ns += hv::Charge(sim_, vm_->costs().ha_return_state_2m_ns);
+    cpu_.guest_ns += hv::Charge(sim_, vm_->costs().guest_free_2m_ns);
+    vm_->Free(frame, kHugeOrder, 0);
     ++returned;
   }
   if (hard_held_.size() <= target_huge || returned == 0) {
-    done();
+    Finish();
     return;
   }
-  sim_->After(0, [this, target_huge, done = std::move(done)]() mutable {
-    GrowSlice(target_huge, std::move(done));
-  });
-}
-
-void GenericHyperAllocMonitor::StartAuto() {
-  if (auto_running_) {
-    return;
-  }
-  auto_running_ = true;
-  sim_->After(config_.auto_period, [this] { AutoTick(); });
-}
-
-void GenericHyperAllocMonitor::StopAuto() { auto_running_ = false; }
-
-void GenericHyperAllocMonitor::AutoTick() {
-  if (!auto_running_) {
-    return;
-  }
-  AutoReclaimPass();
-  sim_->After(config_.auto_period, [this] { AutoTick(); });
+  sim_->After(0, [this, target_huge] { GrowSlice(target_huge); });
 }
 
 }  // namespace hyperalloc::core

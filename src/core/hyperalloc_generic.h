@@ -3,6 +3,12 @@
 // allocator stays private; guest and host exchange the per-huge-frame
 // (A, E) state through an auxiliary memory-mapped array (hv::AuxState).
 //
+// The monitor is an adapter from that aux state to the host half it
+// shares with HyperAllocMonitor (MonitorHost): install, batched unmap,
+// the request lifecycle and the auto-reclamation timer are the same
+// code. What the adapter adds is how free huge frames are found and
+// claimed.
+//
 // What generalizes: DMA-safe *automatic* (soft) reclamation. The monitor
 // scans (R, A) — same 18-cache-lines-per-GiB footprint — and claims free
 // huge frames with one CAS that atomically checks A and sets E, so a
@@ -16,31 +22,26 @@
 // slower, but still DMA-safe and batched. This asymmetry is the measured
 // cost of not co-designing the allocator (see bench_inflate's
 // "HyperAlloc-generic" rows and the ablation discussion).
+//
+// The monitor has no fault recovery of its own: a failed install or
+// unmap is a checked failure.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
+#include "src/core/monitor_host.h"
 #include "src/core/reclaim_states.h"
 #include "src/guest/guest_vm.h"
 #include "src/hv/aux_state.h"
-#include "src/hv/deflator.h"
-#include "src/sim/simulation.h"
 
 namespace hyperalloc::core {
 
-struct GenericHyperAllocConfig {
-  sim::Time auto_period = 5 * sim::kSec;
-  unsigned hugepages_per_slice = 512;
-};
-
-class GenericHyperAllocMonitor : public hv::Deflator {
+class GenericHyperAllocMonitor : public MonitorHost {
  public:
   // The guest must use the buddy allocator; the monitor attaches the
   // auxiliary (A, E) bridge and starts with all memory soft-reclaimed.
-  GenericHyperAllocMonitor(guest::GuestVm* vm,
-                           const GenericHyperAllocConfig& config);
+  explicit GenericHyperAllocMonitor(guest::GuestVm* vm);
 
   hv::DeflatorCaps caps() const override {
     return {.name = "HyperAlloc-generic",
@@ -51,46 +52,21 @@ class GenericHyperAllocMonitor : public hv::Deflator {
 
   void Request(const hv::ResizeRequest& request) override;
   uint64_t limit_bytes() const override;
-  bool busy() const override { return busy_; }
 
-  void StartAuto() override;
-  void StopAuto() override;
-
-  const hv::CpuAccounting& cpu() const override { return cpu_; }
-
-  uint64_t installs() const { return installs_; }
-  uint64_t soft_reclaims() const { return soft_reclaims_; }
   hv::AuxState& aux() { return aux_; }
-  ReclaimState StateOf(HugeId huge) const { return states_.Get(huge); }
 
-  // One full soft-reclamation scan; returns reclaimed huge frames.
-  uint64_t AutoReclaimPass();
+  uint64_t AutoReclaimPass() override;
 
  private:
-  struct HardHeld {
-    FrameId frame;  // guest allocation backing the hard reclaim
-  };
-
   void Install(HugeId huge);
-  void ShrinkSlice(uint64_t target_huge, std::function<void()> done);
-  void GrowSlice(uint64_t target_huge, std::function<void()> done);
-  void UnmapBatch(const std::vector<HugeId>& huge_frames);
+  void ShrinkSlice(uint64_t target_huge);
+  void GrowSlice(uint64_t target_huge);
+  void Finish() { recovery_.Finish(limit_bytes()); }
 
-  void AutoTick();
-
-  guest::GuestVm* vm_;
-  GenericHyperAllocConfig config_;
-  sim::Simulation* sim_;
   hv::AuxState aux_;
   ReclaimStateArray states_;
-  std::vector<HardHeld> hard_held_;
-  bool suppress_install_ = false;  // shrink path: frames leave the guest
-  bool busy_ = false;
-  bool auto_running_ = false;
-
-  hv::CpuAccounting cpu_;
-  uint64_t installs_ = 0;
-  uint64_t soft_reclaims_ = 0;
+  std::vector<FrameId> hard_held_;  // guest allocations backing hard reclaim
+  bool suppress_install_ = false;   // shrink path: frames leave the guest
 };
 
 }  // namespace hyperalloc::core

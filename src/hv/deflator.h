@@ -68,8 +68,7 @@ struct ResizeRequest {
   // Per-request virtual-time budget, relative to submission. When it
   // expires the backend finishes partially (outcome.timed_out). 0 means
   // no deadline. The fleet policy layer attaches explicit deadlines here
-  // so one slow VM cannot stall a control epoch indefinitely. Backends
-  // without timeout machinery (the generic buddy monitor) ignore it.
+  // so one slow VM cannot stall a control epoch indefinitely.
   uint64_t deadline_ns = 0;
   // Fires in virtual time when the operation has gone as far as it can
   // (possibly partially — check limit_bytes()). May be empty.

@@ -10,6 +10,8 @@ namespace hyperalloc::vmem {
 
 VirtioMem::VirtioMem(guest::GuestVm* vm, const VmemConfig& config)
     : vm_(vm), config_(config), sim_(vm->simulation()),
+      auto_(vm->simulation(), config.auto_period,
+            [this] { return AutoTick(); }),
       recovery_(vm->simulation(),
                 {.fault = "vmem.fault",
                  .retry = "vmem.fault_retry",
@@ -83,11 +85,10 @@ void VirtioMem::Request(const hv::ResizeRequest& request) {
                   (inflate ? plugged_blocks_ - target_blocks
                            : target_blocks - plugged_blocks_) *
                       kFramesPerHuge);
-  auto finish = [this] { recovery_.Finish(limit_bytes()); };
   if (inflate) {
-    UnplugSlice(target_blocks, std::move(finish));
+    UnplugSlice(target_blocks);
   } else {
-    PlugSlice(target_blocks, std::move(finish));
+    PlugSlice(target_blocks);
   }
 }
 
@@ -205,12 +206,11 @@ bool VirtioMem::UnplugOneBlock() {
   return true;
 }
 
-void VirtioMem::UnplugSlice(uint64_t target_blocks,
-                            std::function<void()> done) {
+void VirtioMem::UnplugSlice(uint64_t target_blocks) {
   trace::ScopedContext request_context(recovery_.context());
   trace::Span slice(trace::Layer::kBackend, "vmem.unplug_slice");
   if (recovery_.TimedOut()) {
-    done();  // partial unplug: already-unplugged blocks stay unplugged
+    Finish();  // partial unplug: already-unplugged blocks stay unplugged
     return;
   }
   const sim::Time t0 = sim_->now();
@@ -221,18 +221,16 @@ void VirtioMem::UnplugSlice(uint64_t target_blocks,
       // Cannot evacuate further blocks right now: stop (partial success,
       // like the real driver's "requested size not reached").
       vm_->sink().OnCpuSteal(config_.driver_cpu, t0, sim_->now(), 1.0);
-      done();
+      Finish();
       return;
     }
   }
   vm_->sink().OnCpuSteal(config_.driver_cpu, t0, sim_->now(), 1.0);
   if (plugged_blocks_ <= target_blocks) {
-    done();
+    Finish();
     return;
   }
-  sim_->After(0, [this, target_blocks, done = std::move(done)]() mutable {
-    UnplugSlice(target_blocks, std::move(done));
-  });
+  sim_->After(0, [this, target_blocks] { UnplugSlice(target_blocks); });
 }
 
 bool VirtioMem::PlugOneBlock(uint64_t block) {
@@ -322,12 +320,11 @@ bool VirtioMem::PlugOneBlock(uint64_t block) {
   return true;
 }
 
-void VirtioMem::PlugSlice(uint64_t target_blocks,
-                          std::function<void()> done) {
+void VirtioMem::PlugSlice(uint64_t target_blocks) {
   trace::ScopedContext request_context(recovery_.context());
   trace::Span slice(trace::Layer::kBackend, "vmem.plug_slice");
   if (recovery_.TimedOut()) {
-    done();
+    Finish();
     return;
   }
   const sim::Time t0 = sim_->now();
@@ -340,7 +337,7 @@ void VirtioMem::PlugSlice(uint64_t target_blocks,
         // Unrecoverable fault: stop with a partial plug (the real
         // driver's "requested size not reached").
         vm_->sink().OnCpuSteal(config_.driver_cpu, t0, sim_->now(), 1.0);
-        done();
+        Finish();
         return;
       }
       ++plugged_now;
@@ -348,28 +345,13 @@ void VirtioMem::PlugSlice(uint64_t target_blocks,
   }
   vm_->sink().OnCpuSteal(config_.driver_cpu, t0, sim_->now(), 1.0);
   if (plugged_blocks_ >= target_blocks || plugged_now == 0) {
-    done();
+    Finish();
     return;
   }
-  sim_->After(0, [this, target_blocks, done = std::move(done)]() mutable {
-    PlugSlice(target_blocks, std::move(done));
-  });
+  sim_->After(0, [this, target_blocks] { PlugSlice(target_blocks); });
 }
 
-void VirtioMem::StartAuto() {
-  if (auto_running_) {
-    return;
-  }
-  auto_running_ = true;
-  sim_->After(config_.auto_period, [this] { AutoTick(); });
-}
-
-void VirtioMem::StopAuto() { auto_running_ = false; }
-
-void VirtioMem::AutoTick() {
-  if (!auto_running_) {
-    return;
-  }
+sim::Time VirtioMem::AutoTick() {
   if (!recovery_.busy()) {
     const uint64_t free_bytes = vm_->FreeFrames() * kFrameSize;
     const uint64_t free_huge_bytes = vm_->FreeHugeFrames() * kHugeSize;
@@ -385,7 +367,7 @@ void VirtioMem::AutoTick() {
                .done = {}});
     }
   }
-  sim_->After(config_.auto_period, [this] { AutoTick(); });
+  return config_.auto_period;
 }
 
 }  // namespace hyperalloc::vmem

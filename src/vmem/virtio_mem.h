@@ -19,11 +19,11 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "src/fault/fault.h"
 #include "src/guest/guest_vm.h"
+#include "src/hv/auto_timer.h"
 #include "src/hv/deflator.h"
 #include "src/hv/recovery.h"
 #include "src/sim/simulation.h"
@@ -62,8 +62,8 @@ class VirtioMem : public hv::Deflator {
   bool busy() const override { return recovery_.busy(); }
 
   // The paper's simulated auto-resizer (not part of upstream virtio-mem).
-  void StartAuto() override;
-  void StopAuto() override;
+  void StartAuto() override { auto_.Start(); }
+  void StopAuto() override { auto_.Stop(); }
 
   const hv::CpuAccounting& cpu() const override { return cpu_; }
 
@@ -77,13 +77,15 @@ class VirtioMem : public hv::Deflator {
  private:
   guest::Zone& movable_zone();
 
-  void PlugSlice(uint64_t target_blocks, std::function<void()> done);
-  void UnplugSlice(uint64_t target_blocks, std::function<void()> done);
+  void PlugSlice(uint64_t target_blocks);
+  void UnplugSlice(uint64_t target_blocks);
+  void Finish() { recovery_.Finish(limit_bytes()); }
   bool UnplugOneBlock();
   // Returns false when the plug aborted on an unrecoverable fault — the
   // block stays unplugged and the slice finishes partial.
   bool PlugOneBlock(uint64_t block);
-  void AutoTick();
+  // One auto-resizer step; returns the delay to the next one.
+  sim::Time AutoTick();
 
   // Polls a hypercall fault site with bounded retries; returns false on
   // retry exhaustion or a permanent fault.
@@ -94,10 +96,10 @@ class VirtioMem : public hv::Deflator {
   guest::GuestVm* vm_;
   VmemConfig config_;
   sim::Simulation* sim_;
+  hv::AutoTimer auto_;
   uint64_t num_blocks_;
   std::vector<bool> plugged_;
   uint64_t plugged_blocks_ = 0;
-  bool auto_running_ = false;
 
   hv::CpuAccounting cpu_;
   hv::Recovery recovery_;
