@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/core/hyperalloc.h"
@@ -61,8 +62,12 @@ VmFactory TestVmFactory(uint64_t vm_bytes, fault::Plan plan = {},
 // Determinism: byte-identical per-VM outcomes across worker threads.
 // ---------------------------------------------------------------------
 
-FleetResult RunDeterminismFleet(unsigned threads, uint64_t vms,
-                                bool huge = false) {
+using PolicyMaker = std::unique_ptr<ResizePolicy> (*)(const PolicyConfig&);
+
+// 64 MiB VMs at ~1.6x overcommit for 2 minutes; `spike` lands at 1 min.
+FleetResult RunFleet(unsigned threads, uint64_t vms, bool huge,
+                     PolicyMaker make_policy, ArrivalKind arrival,
+                     PressureSpike spike) {
   const uint64_t vm_bytes = 64 * kMiB;
   PolicyConfig pc;
 
@@ -76,10 +81,10 @@ FleetResult RunDeterminismFleet(unsigned threads, uint64_t vms,
   config.epoch = 5 * sim::kSec;
   config.record_series = false;
   config.initial_limit_bytes = pc.min_limit_bytes + pc.headroom_bytes;
-  config.spike = {sim::kMin, std::min<uint64_t>(vms / 8, 32), 16 * kMiB};
+  config.spike = spike;
 
   ArrivalConfig ac;
-  ac.kind = ArrivalKind::kBursty;
+  ac.kind = arrival;
   ac.horizon = config.horizon;
   ac.peak_bytes = 48 * kMiB;
   auto arrivals = std::make_shared<std::unique_ptr<ArrivalProcess>>(
@@ -97,8 +102,15 @@ FleetResult RunDeterminismFleet(unsigned threads, uint64_t vms,
         }
         return std::make_unique<DemandAgent>(dc);
       },
-      MakeProportionalShare(pc));
+      make_policy(pc));
   return engine.Run();
+}
+
+FleetResult RunDeterminismFleet(unsigned threads, uint64_t vms,
+                                bool huge = false) {
+  return RunFleet(threads, vms, huge, MakeProportionalShare,
+                  ArrivalKind::kBursty,
+                  {sim::kMin, std::min<uint64_t>(vms / 8, 32), 16 * kMiB});
 }
 
 TEST(FleetDeterminism, ByteIdenticalAcross1And4And16Threads) {
@@ -121,6 +133,57 @@ TEST(FleetDeterminism, ByteIdenticalAcross1And4And16Threads) {
     }
     EXPECT_EQ(one.slo.resizes, many.slo.resizes);
     EXPECT_EQ(one.final_limit_bytes, many.final_limit_bytes);
+  }
+}
+
+// Every policy under every random arrival shape, pinned at one thread.
+// The policies' hysteresis, deadline, reserve, PID gains and market
+// prices and the arrivals' quantum, gaps, holds, period and Pareto
+// shape are constants with no knob: a change to any of them moves a
+// digest here. Half the fleet spikes by 32 MiB, so the pool runs short
+// and the three policies part ways under every arrival shape. With
+// telemetry compiled in, its stream is pinned too.
+TEST(FleetDeterminism, PolicyByArrivalDigestsArePinned) {
+  struct Case {
+    const char* policy;
+    PolicyMaker make_policy;
+    ArrivalKind arrival;
+    uint64_t fleet_digest;
+    uint64_t telemetry_digest;
+  };
+  const Case kCases[] = {
+      {"proportional-share", MakeProportionalShare, ArrivalKind::kBursty,
+       0x8d0e4f1d743b89deull, 0xeaa8b2709801f4caull},
+      {"proportional-share", MakeProportionalShare, ArrivalKind::kDiurnal,
+       0x44fbc10a290b4c2full, 0x8bf432032cbd419aull},
+      {"proportional-share", MakeProportionalShare,
+       ArrivalKind::kHeavyTailed, 0xcb87f1dab93e48acull, 0x56014c5340dad334ull},
+      {"pressure-pid", MakePressurePid, ArrivalKind::kBursty,
+       0xb9ca629dd7c00b4ull, 0xf0c45286005c6a4ull},
+      {"pressure-pid", MakePressurePid, ArrivalKind::kDiurnal,
+       0xd7a4518e8ff3caeaull, 0x8d2869400a1f652bull},
+      {"pressure-pid", MakePressurePid, ArrivalKind::kHeavyTailed,
+       0x357f7d9b258cdd38ull, 0x16defaa1f3cc188dull},
+      {"market", MakeMarketPolicy, ArrivalKind::kBursty,
+       0x64bd5059c857fb89ull, 0xb140ec935bb4f86dull},
+      {"market", MakeMarketPolicy, ArrivalKind::kDiurnal,
+       0x945e6d793ab140c6ull, 0xed521d3dd749b0ull},
+      {"market", MakeMarketPolicy, ArrivalKind::kHeavyTailed,
+       0x8e6999f5f99d1beaull, 0xf7cb3d46b81c69dcull},
+  };
+  for (const Case& c : kCases) {
+    const FleetResult result =
+        RunFleet(1, 64, /*huge=*/false, c.make_policy, c.arrival,
+                 {sim::kMin, 32, 32 * kMiB});
+    const std::string name = std::string(c.policy) + " / arrival " +
+                             std::to_string(static_cast<int>(c.arrival));
+    EXPECT_GT(result.slo.resizes, 0u) << name;
+    EXPECT_EQ(result.fleet_digest, c.fleet_digest)
+        << name << std::hex << ": 0x" << result.fleet_digest;
+#if HYPERALLOC_TRACE
+    EXPECT_EQ(result.telemetry.telemetry_digest, c.telemetry_digest)
+        << name << std::hex << ": 0x" << result.telemetry.telemetry_digest;
+#endif
   }
 }
 
