@@ -282,6 +282,11 @@ void HyperAllocMonitor::ShrinkSlice(uint64_t target_huge, int escalation) {
 void HyperAllocMonitor::GrowSlice(uint64_t target_huge) {
   trace::ScopedContext request_context(recovery_.context());
   trace::Span slice(trace::Layer::kMonitor, "monitor.grow_slice");
+  // Past the deadline: stop with a partial return.
+  if (recovery_.TimedOut()) {
+    Finish();
+    return;
+  }
   unsigned returned = 0;
   {
     trace::Span mark(trace::Layer::kLLFree, "llfree.mark_returned");

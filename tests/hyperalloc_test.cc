@@ -3,6 +3,8 @@
 // the protocol of paper §3.2/§3.3 end to end against a simulated guest.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/core/hyperalloc.h"
 #include "src/guest/guest_vm.h"
 
@@ -13,18 +15,19 @@ constexpr uint64_t kVmBytes = 256 * kMiB;
 
 class HyperAllocTest : public ::testing::Test {
  protected:
-  void Init(bool vfio = false) {
+  void Init(bool vfio = false, uint64_t vm_bytes = kVmBytes,
+            const HyperAllocConfig& monitor = {}) {
     sim_ = std::make_unique<sim::Simulation>();
-    host_ = std::make_unique<hv::HostMemory>(FramesForBytes(kGiB));
+    host_ = std::make_unique<hv::HostMemory>(
+        FramesForBytes(std::max<uint64_t>(kGiB, vm_bytes)));
     guest::GuestConfig config;
-    config.memory_bytes = kVmBytes;
+    config.memory_bytes = vm_bytes;
     config.vcpus = 4;
     config.dma32_bytes = 64 * kMiB;
     config.allocator = guest::AllocatorKind::kLLFree;
     config.vfio = vfio;
     vm_ = std::make_unique<guest::GuestVm>(sim_.get(), host_.get(), config);
-    monitor_ = std::make_unique<HyperAllocMonitor>(vm_.get(),
-                                                   HyperAllocConfig{});
+    monitor_ = std::make_unique<HyperAllocMonitor>(vm_.get(), monitor);
   }
 
   // Synchronously runs a limit change to completion.
@@ -137,6 +140,28 @@ TEST_F(HyperAllocTest, GrowReturnsMemoryLazily) {
   }
   EXPECT_EQ(allocated, kVmBytes);
   EXPECT_EQ(vm_->rss_bytes(), kVmBytes);
+}
+
+TEST_F(HyperAllocTest, DeadlineFinishesAMultiSliceGrowPartially) {
+  // Returning 768 huge frames takes twelve 64-frame slices; the second
+  // one starts after the 1 ns deadline.
+  HyperAllocConfig config;
+  config.hugepages_per_slice = 64;
+  Init(/*vfio=*/false, 2 * kGiB, config);
+  SetLimit(512 * kMiB);
+  bool done = false;
+  monitor_->Request({.target_bytes = 2 * kGiB,
+                     .deadline_ns = 1,
+                     .done = [&] { done = true; }});
+  while (!done) {
+    ASSERT_TRUE(sim_->Step());
+  }
+  const hv::ResizeOutcome& o = monitor_->last_outcome();
+  EXPECT_TRUE(o.timed_out);
+  EXPECT_FALSE(o.complete);
+  EXPECT_EQ(o.achieved_bytes, 512 * kMiB + 64 * kHugeSize);
+  EXPECT_EQ(monitor_->limit_bytes(), o.achieved_bytes);
+  EXPECT_FALSE(monitor_->busy());
 }
 
 TEST_F(HyperAllocTest, ReclaimUntouchedSkipsUnmap) {
