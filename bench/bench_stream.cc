@@ -42,8 +42,9 @@ double RunOne(Candidate candidate, unsigned threads, bool write_csv) {
   const double per_thread_bw =
       workloads::StreamAggregateBandwidth(threads) /
       static_cast<double>(threads);
-  const double iter_s = static_cast<double>(config.bytes_per_iteration) /
-                        per_thread_bw / 1e9;
+  const double iter_s =
+      static_cast<double>(workloads::kStreamBytesPerIteration) /
+      per_thread_bw / 1e9;
   config.iterations = static_cast<unsigned>(135.0 / iter_s);
 
   workloads::StreamWorkload stream(setup.sim.get(), config);

@@ -24,6 +24,14 @@
 #      HA_LINT_GATE6_MUTANT=1 to also scan the committed mutant
 #      (tests/lint/gate6_protocol_mutant.cc) and watch the gate fail —
 #      proof the pairing check is live.
+#   7. no config field without a writer — every field of every
+#      `struct *Config` / `*Options` in src/**/*.h outside src/check/ must
+#      be assigned (`.field =`, designated or `.field.member =` included)
+#      in src bench perfbench tools examples tests, outside its header: a
+#      field nothing sets is a named constexpr. Matching is by name, so a
+#      collision only makes the gate more permissive. Set
+#      HA_LINT_GATE7_MUTANT=1 to also scan the committed mutant
+#      (tests/lint/gate7_unset_field_mutant.h) and watch the gate fail.
 # Gates 2 and 6 run as one pass over one table of atomic call sites.
 set -e
 cd "$(dirname "$0")/.."
@@ -303,6 +311,49 @@ for number, where in sorted(subsections.items()):
 if failures:
     print("docs drifted from the sources:")
     print("\n".join(failures))
+    sys.exit(1)
+EOF
+
+echo "-- gate 7: every config/options field has a writer"
+python3 - <<'EOF' || status=1
+import os
+import re
+import sys
+from pathlib import Path
+
+struct_re = re.compile(r"\bstruct\s+(\w*(?:Config|Options))\s*\{")
+# One data member per line: type, name, optional `= ...` / `{...}`.
+field_re = re.compile(r"\s*(?!(?:static|using|enum|friend|struct|class)\b)"
+                      r"[\w:<>, ]+?[\s*&](\w+)\s*(?:=.*|\{.*\})?;\s*$")
+
+headers = [path for path in sorted(Path("src").rglob("*.h"))
+           if Path("src/check") not in path.parents]
+if os.environ.get("HA_LINT_GATE7_MUTANT") == "1":
+    headers.append(Path("tests/lint/gate7_unset_field_mutant.h"))
+sources = {path: path.read_text()
+           for root in ("src", "bench", "perfbench", "tools", "examples",
+                        "tests")
+           for path in Path(root).rglob("*")
+           if path.suffix in (".h", ".cc", ".cpp")}
+
+unset = []
+for header in headers:
+    text = re.sub(r"//[^\n]*|/\*.*?\*/", "", header.read_text(), flags=re.S)
+    for m in struct_re.finditer(text):
+        depth = 1  # only lines at the struct's own brace depth declare
+        for line in text[m.end():].splitlines()[1:]:
+            if depth == 1 and (field := field_re.match(line)):
+                writer = re.compile(r"(?:\.|->)\s*%s(?:\s*\.\s*\w+)*\s*=(?!=)"
+                                    % field.group(1))
+                if not any(writer.search(source) for path, source
+                           in sources.items() if path != header):
+                    unset.append(f"{header}: {m.group(1)}::{field.group(1)}")
+            depth += line.count("{") - line.count("}")
+            if depth == 0:
+                break
+if unset:
+    print("config fields nothing assigns (make each a named constexpr):")
+    print("\n".join(unset))
     sys.exit(1)
 EOF
 

@@ -6,6 +6,14 @@
 #include "src/trace/trace.h"
 
 namespace hyperalloc::balloon {
+namespace {
+
+// vCPU the balloon kthread runs on.
+constexpr unsigned kDriverCpu = 0;
+// Virtqueue batch size (PFNs per hypercall).
+constexpr unsigned kVqCapacity = 256;
+
+}  // namespace
 
 VirtioBalloon::VirtioBalloon(guest::GuestVm* vm, const BalloonConfig& config)
     : vm_(vm), config_(config), sim_(vm->simulation()),
@@ -19,7 +27,6 @@ VirtioBalloon::VirtioBalloon(guest::GuestVm* vm, const BalloonConfig& config)
                  .backoff_ns = "balloon.fault_backoff_ns"},
                 &cpu_, &outcome_) {
   HA_CHECK(vm != nullptr);
-  HA_CHECK(config.vq_capacity > 0);
   // virtio-balloon is not DMA-safe (§2): refuse passthrough configs.
   HA_CHECK(!vm->config().vfio);
   if (config.deflate_on_oom_bytes > 0) {
@@ -49,12 +56,12 @@ VirtioBalloon::VirtioBalloon(guest::GuestVm* vm, const BalloonConfig& config)
         if (b.order == 0) {
           base_frames.push_back(b.frame);
         } else {
-          vm_->Free(b.frame, b.order, config_.driver_cpu);
+          vm_->Free(b.frame, b.order, kDriverCpu);
         }
         ballooned_frames_ -= 1ull << b.order;
         HA_COUNT_N("balloon.deflate_frames", 1ull << b.order);
       }
-      vm_->FreeBatch(base_frames, 0, config_.driver_cpu);
+      vm_->FreeBatch(base_frames, 0, kDriverCpu);
       return true;
     });
   }
@@ -112,12 +119,12 @@ void VirtioBalloon::InflateSlice(uint64_t target_frames) {
   // batch per slice).
   {
     trace::Span guest(trace::Layer::kGuest, "balloon.guest_alloc");
-    while (batch.size() < config_.vq_capacity &&
+    while (batch.size() < kVqCapacity &&
            ballooned_frames_ < target_frames) {
       if (config_.huge &&
           target_frames - ballooned_frames_ >= kFramesPerHuge) {
         const Result<FrameId> r = vm_->Alloc(kHugeOrder, AllocType::kMovable,
-                                             config_.driver_cpu,
+                                             kDriverCpu,
                                              /*allow_oom_notify=*/false);
         if (r.ok()) {
           hv::Charge(sim_, vm_->costs().guest_alloc_2m_ns);
@@ -137,12 +144,12 @@ void VirtioBalloon::InflateSlice(uint64_t target_frames) {
       // claims instead of per-frame Get transactions. Costs charge at
       // batch granularity (n per-frame costs, identical virtual time).
       const uint64_t want =
-          std::min<uint64_t>(config_.vq_capacity - batch.size(),
+          std::min<uint64_t>(kVqCapacity - batch.size(),
                              target_frames - ballooned_frames_);
       std::vector<FrameId> frames;
       const unsigned got = vm_->AllocBatch(
           0, static_cast<unsigned>(want), AllocType::kMovable,
-          config_.driver_cpu, &frames, /*allow_oom_notify=*/false);
+          kDriverCpu, &frames, /*allow_oom_notify=*/false);
       if (got == 0) {
         break;  // guest out of reclaimable memory; stop inflating
       }
@@ -180,30 +187,21 @@ void VirtioBalloon::InflateSlice(uint64_t target_frames) {
       if (b.order == 0) {
         base_frames.push_back(b.frame);
       } else {
-        vm_->Free(b.frame, b.order, config_.driver_cpu);
+        vm_->Free(b.frame, b.order, kDriverCpu);
       }
       ballooned_frames_ -= 1ull << b.order;
     }
-    vm_->FreeBatch(base_frames, 0, config_.driver_cpu);
+    vm_->FreeBatch(base_frames, 0, kDriverCpu);
     recovery_.Rollback();
-    vm_->sink().OnCpuSteal(config_.driver_cpu, t0, sim_->now(), 1.0);
+    vm_->sink().OnCpuSteal(kDriverCpu, t0, sim_->now(), 1.0);
     Finish();
     return;
-  }
-  // The batch reached the host: account its virtqueue entries by
-  // granularity (a rolled-back batch never counts).
-  for (const Ballooned& b : batch) {
-    if (b.order == kHugeOrder) {
-      ++hypercall_huge_pfns_;
-    } else {
-      ++hypercall_base_pfns_;
-    }
   }
   HostDiscard(batch);
   pages_.insert(pages_.end(), batch.begin(), batch.end());
 
   // The balloon kthread monopolized its vCPU for the whole slice.
-  vm_->sink().OnCpuSteal(config_.driver_cpu, t0, sim_->now(), 1.0);
+  vm_->sink().OnCpuSteal(kDriverCpu, t0, sim_->now(), 1.0);
 
   const bool more = ballooned_frames_ < target_frames;
   if (!more) {
@@ -278,7 +276,7 @@ void VirtioBalloon::DeflateSlice(uint64_t target_frames) {
   // per bit-field word); charges and events stay per element, so the
   // virtual-time totals and span attribution are unchanged.
   std::vector<FrameId> base_frames;
-  while (elems < config_.vq_capacity && ballooned_frames_ > target_frames &&
+  while (elems < kVqCapacity && ballooned_frames_ > target_frames &&
          !pages_.empty()) {
     const Ballooned b = pages_.back();
     pages_.pop_back();
@@ -296,7 +294,7 @@ void VirtioBalloon::DeflateSlice(uint64_t target_frames) {
     if (b.order == 0) {
       base_frames.push_back(b.frame);
     } else {
-      vm_->Free(b.frame, b.order, config_.driver_cpu);
+      vm_->Free(b.frame, b.order, kDriverCpu);
     }
     ballooned_frames_ -= 1ull << b.order;
     guest.AddFrames(1ull << b.order);
@@ -306,8 +304,8 @@ void VirtioBalloon::DeflateSlice(uint64_t target_frames) {
     HA_COUNT_N("balloon.deflate_frames", 1ull << b.order);
     ++elems;
   }
-  vm_->FreeBatch(base_frames, 0, config_.driver_cpu);
-  vm_->sink().OnCpuSteal(config_.driver_cpu, t0, sim_->now(), 1.0);
+  vm_->FreeBatch(base_frames, 0, kDriverCpu);
+  vm_->sink().OnCpuSteal(kDriverCpu, t0, sim_->now(), 1.0);
 
   if (ballooned_frames_ <= target_frames || pages_.empty()) {
     Finish();
@@ -359,21 +357,16 @@ sim::Time VirtioBalloon::ReportCycle() {
     // the next cycle naturally retries them.
     for (size_t i = 0; i < batch.size(); ++i) {
       guest::Zone& zone = *zone_of[i];
-      const auto err = zone.buddy->Free(config_.driver_cpu,
+      const auto err = zone.buddy->Free(kDriverCpu,
                                         batch[i].frame - zone.start, order);
       HA_CHECK(!err.has_value());
       cpu_.guest_ns += hv::Charge(sim_, vm_->costs().guest_free_4k_ns);
     }
     recovery_.Rollback(/*of_request=*/false);
-    vm_->sink().OnCpuSteal(config_.driver_cpu, t0, sim_->now(), 1.0);
+    vm_->sink().OnCpuSteal(kDriverCpu, t0, sim_->now(), 1.0);
     return config_.reporting_delay;
   }
   ++hypercalls_;
-  if (order == kHugeOrder) {
-    hypercall_huge_pfns_ += batch.size();
-  } else {
-    hypercall_base_pfns_ += batch.size();
-  }
   HostDiscard(batch);
 
   // Hand the blocks back to the allocator, remembering they are reported.
@@ -381,12 +374,12 @@ sim::Time VirtioBalloon::ReportCycle() {
     guest::Zone& zone = *zone_of[i];
     const FrameId local = batch[i].frame - zone.start;
     zone.buddy->MarkReported(local, order);
-    const auto err = zone.buddy->Free(config_.driver_cpu, local, order);
+    const auto err = zone.buddy->Free(kDriverCpu, local, order);
     HA_CHECK(!err.has_value());
     cpu_.guest_ns += hv::Charge(sim_, vm_->costs().guest_free_4k_ns);
     reported_bytes_ += block_frames * kFrameSize;
   }
-  vm_->sink().OnCpuSteal(config_.driver_cpu, t0, sim_->now(), 1.0);
+  vm_->sink().OnCpuSteal(kDriverCpu, t0, sim_->now(), 1.0);
 
   // Keep draining until no unreported blocks remain, yielding between
   // batches; then sleep for the configured delay.

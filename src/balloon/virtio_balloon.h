@@ -39,10 +39,6 @@ struct BalloonConfig {
   unsigned reporting_order = 0;
   sim::Time reporting_delay = 2 * sim::kSec;
   unsigned reporting_capacity = 32;
-  // vCPU the balloon kthread runs on.
-  unsigned driver_cpu = 0;
-  // Virtqueue batch size (PFNs per hypercall).
-  unsigned vq_capacity = 256;
   // Deflate-on-OOM: when the guest is about to run out of memory, the
   // balloon releases this many bytes instead (0 disables the feature).
   uint64_t deflate_on_oom_bytes = 64 * kMiB;
@@ -73,21 +69,6 @@ class VirtioBalloon : public hv::Deflator {
   uint64_t total_hypercalls() const { return hypercalls_; }
   uint64_t total_madvise_calls() const { return madvise_calls_; }
   uint64_t reported_bytes_total() const { return reported_bytes_; }
-
-  // Huge-PFN batch accounting (DESIGN.md §4.14): virtqueue entries
-  // enqueued across inflate and reporting hypercalls, split by
-  // granularity. A huge entry is ONE PFN covering 512 base frames, so
-  // the share of *memory* that moved at 2 MiB granularity is
-  // huge * 512 / (huge * 512 + base).
-  uint64_t hypercall_huge_pfns() const { return hypercall_huge_pfns_; }
-  uint64_t hypercall_base_pfns() const { return hypercall_base_pfns_; }
-  double HugePfnShare() const {
-    const uint64_t huge = hypercall_huge_pfns_ * kFramesPerHuge;
-    const uint64_t total = huge + hypercall_base_pfns_;
-    return total == 0 ? 0.0
-                      : static_cast<double>(huge) /
-                            static_cast<double>(total);
-  }
 
  private:
   struct Ballooned {
@@ -124,8 +105,6 @@ class VirtioBalloon : public hv::Deflator {
   uint64_t hypercalls_ = 0;
   uint64_t madvise_calls_ = 0;
   uint64_t reported_bytes_ = 0;
-  uint64_t hypercall_huge_pfns_ = 0;
-  uint64_t hypercall_base_pfns_ = 0;
 };
 
 }  // namespace hyperalloc::balloon

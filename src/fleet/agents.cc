@@ -6,11 +6,17 @@
 #include "src/base/check.h"
 
 namespace hyperalloc::fleet {
+namespace {
 
-DemandAgent::DemandAgent(const DemandAgentConfig& config) : config_(config) {
-  HA_CHECK(config_.chunk_bytes > 0);
-  HA_CHECK(config_.adjust_period > 0);
-}
+// Keep this far below the hard limit (room the guest kernel needs).
+constexpr uint64_t kMarginBytes = 2 * kMiB;
+constexpr uint64_t kChunkBytes = 2 * kMiB;
+// Reconciliation period: how often held memory chases demand/limit.
+constexpr sim::Time kAdjustPeriod = sim::kSec;
+
+}  // namespace
+
+DemandAgent::DemandAgent(const DemandAgentConfig& config) : config_(config) {}
 
 DemandAgent::~DemandAgent() = default;
 
@@ -33,10 +39,9 @@ void DemandAgent::Start(VmContext* context) {
   }
   adjust_tick_ = [this] {
     Adjust();
-    const sim::Time next =
-        context_->sim->now() + config_.adjust_period;
+    const sim::Time next = context_->sim->now() + kAdjustPeriod;
     if (context_->horizon == 0 || next <= context_->horizon) {
-      context_->sim->After(config_.adjust_period, adjust_tick_);
+      context_->sim->After(kAdjustPeriod, adjust_tick_);
     }
   };
   context->sim->At(context->sim->now(), adjust_tick_);
@@ -61,23 +66,22 @@ void DemandAgent::Adjust() {
   const uint64_t limit = context_->deflator != nullptr
                              ? context_->deflator->limit_bytes()
                              : context_->vm->config().memory_bytes;
-  const uint64_t cap =
-      limit > config_.margin_bytes ? limit - config_.margin_bytes : 0;
+  const uint64_t cap = limit > kMarginBytes ? limit - kMarginBytes : 0;
   const uint64_t target = std::min(demand_bytes(), cap);
-  while (held_bytes_ + config_.chunk_bytes <= target) {
+  while (held_bytes_ + kChunkBytes <= target) {
     const uint64_t region = pool_->AllocRegion(
-        config_.chunk_bytes, config_.thp_fraction, /*core=*/0);
+        kChunkBytes, config_.thp_fraction, /*core=*/0);
     // The admission ledger keeps sum(limits) under pool capacity and we
     // stay under our limit, so allocation cannot fail (the determinism
     // contract rides on this).
     HA_CHECK(region != 0);
     regions_.push_back(region);
-    held_bytes_ += config_.chunk_bytes;
+    held_bytes_ += kChunkBytes;
   }
   while (held_bytes_ > target && !regions_.empty()) {
     pool_->FreeRegion(regions_.back(), /*core=*/0);
     regions_.pop_back();
-    held_bytes_ -= config_.chunk_bytes;
+    held_bytes_ -= kChunkBytes;
   }
 }
 

@@ -28,12 +28,7 @@ namespace hyperalloc::fleet {
 struct DemandAgentConfig {
   // Demand levels over time (from an ArrivalProcess::Generate call).
   std::vector<Arrival> trace;
-  // Keep this far below the hard limit (room the guest kernel needs).
-  uint64_t margin_bytes = 2 * kMiB;
-  uint64_t chunk_bytes = 2 * kMiB;
   double thp_fraction = 0.6;
-  // Reconciliation period: how often held memory chases demand/limit.
-  sim::Time adjust_period = sim::kSec;
 };
 
 class DemandAgent : public VmAgent {
@@ -45,8 +40,6 @@ class DemandAgent : public VmAgent {
   bool finished() const override;
   uint64_t demand_bytes() const override;
   void OnPressureSpike(uint64_t bytes) override;
-
-  uint64_t held_bytes() const { return held_bytes_; }
 
  private:
   void Adjust();

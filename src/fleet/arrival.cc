@@ -9,6 +9,15 @@
 namespace hyperalloc::fleet {
 namespace {
 
+// kBursty / kHeavyTailed: mean exponential inter-burst gap and mean
+// hold time at the burst level before decaying to the floor.
+constexpr sim::Time kMeanGap = 45 * sim::kSec;
+constexpr sim::Time kMeanHold = 20 * sim::kSec;
+// kDiurnal.
+constexpr sim::Time kDiurnalPeriod = 2 * sim::kMin;
+// kHeavyTailed: Pareto shape (smaller = heavier tail).
+constexpr double kParetoAlpha = 1.3;
+
 // Per-VM stream seed: SplitMix64-style mix so adjacent VM indices get
 // decorrelated streams from one fleet seed.
 uint64_t MixSeed(uint64_t seed, uint64_t vm_index) {
@@ -35,9 +44,8 @@ class TraceBuilder {
     if (at >= config_.horizon) {
       return;
     }
-    const uint64_t quantum = std::max<uint64_t>(config_.quantum_bytes, 1);
     bytes = std::clamp(bytes, config_.floor_bytes, config_.peak_bytes);
-    bytes = bytes / quantum * quantum;
+    bytes = bytes / kArrivalQuantumBytes * kArrivalQuantumBytes;
     bytes = std::max(bytes, config_.floor_bytes);
     if (!trace_.empty() && trace_.back().at == at) {
       trace_.back().bytes = bytes;  // later decision at the same instant wins
@@ -71,8 +79,8 @@ class StepResizeProcess : public ArrivalProcess {
     // The two-point §5.4 schedule is exact by construction — no
     // quantum rounding, no horizon clipping (kGrowAt may exceed short
     // fleet horizons and still must fire for the single-VM benches).
-    return {{config_.shrink_at, config_.floor_bytes},
-            {config_.grow_at, config_.peak_bytes}};
+    return {{kShrinkAt, config_.floor_bytes},
+            {kGrowAt, config_.peak_bytes}};
   }
 
  private:
@@ -88,16 +96,16 @@ class BurstyProcess : public ArrivalProcess {
     Rng rng(MixSeed(config_.seed, vm_index));
     TraceBuilder trace(config_);
     trace.Add(0, config_.floor_bytes);
-    sim::Time t = Exponential(&rng, config_.mean_gap);
+    sim::Time t = Exponential(&rng, kMeanGap);
     while (t < config_.horizon) {
       const uint64_t level =
           config_.floor_bytes +
           rng.Range(1, std::max<uint64_t>(
                            config_.peak_bytes - config_.floor_bytes, 1));
       trace.Add(t, level);
-      t += std::max<sim::Time>(Exponential(&rng, config_.mean_hold), 1);
+      t += std::max<sim::Time>(Exponential(&rng, kMeanHold), 1);
       trace.Add(t, config_.floor_bytes);
-      t += std::max<sim::Time>(Exponential(&rng, config_.mean_gap), 1);
+      t += std::max<sim::Time>(Exponential(&rng, kMeanGap), 1);
     }
     return trace.Take();
   }
@@ -114,12 +122,13 @@ class DiurnalProcess : public ArrivalProcess {
   std::vector<Arrival> Generate(uint64_t vm_index) const override {
     Rng rng(MixSeed(config_.seed, vm_index));
     TraceBuilder trace(config_);
-    const sim::Time period = std::max<sim::Time>(config_.period, 2);
-    const sim::Time phase = rng.Below(period);
+    const sim::Time phase = rng.Below(kDiurnalPeriod);
     const sim::Time on = static_cast<sim::Time>(
-        std::clamp(config_.duty, 0.05, 0.95) * static_cast<double>(period));
+        std::clamp(config_.duty, 0.05, 0.95) *
+        static_cast<double>(kDiurnalPeriod));
     trace.Add(0, config_.floor_bytes);
-    for (sim::Time rise = phase; rise < config_.horizon; rise += period) {
+    for (sim::Time rise = phase; rise < config_.horizon;
+         rise += kDiurnalPeriod) {
       trace.Add(rise, config_.peak_bytes);
       trace.Add(rise + on, config_.floor_bytes);
     }
@@ -140,13 +149,12 @@ class HeavyTailedProcess : public ArrivalProcess {
     Rng rng(MixSeed(config_.seed, vm_index));
     TraceBuilder trace(config_);
     trace.Add(0, config_.floor_bytes);
-    const double alpha = std::max(config_.pareto_alpha, 1.01);
-    sim::Time t = Exponential(&rng, config_.mean_gap);
+    sim::Time t = Exponential(&rng, kMeanGap);
     while (t < config_.horizon) {
       // Pareto(alpha) burst magnitude in [1, inf), mapped onto the
       // (floor, peak] band: x=1 is a minimal burst, the tail saturates.
       const double x =
-          std::pow(1.0 - rng.NextDouble(), -1.0 / alpha);
+          std::pow(1.0 - rng.NextDouble(), -1.0 / kParetoAlpha);
       const double fraction = std::min((x - 1.0) / 4.0 + 0.1, 1.0);
       const uint64_t level =
           config_.floor_bytes +
@@ -156,10 +164,10 @@ class HeavyTailedProcess : public ArrivalProcess {
       trace.Add(t, level);
       // Big bursts also hold longer (size-duration correlation).
       const sim::Time hold = static_cast<sim::Time>(
-          static_cast<double>(config_.mean_hold) * (0.5 + fraction));
+          static_cast<double>(kMeanHold) * (0.5 + fraction));
       t += std::max<sim::Time>(hold, 1);
       trace.Add(t, config_.floor_bytes);
-      t += std::max<sim::Time>(Exponential(&rng, config_.mean_gap), 1);
+      t += std::max<sim::Time>(Exponential(&rng, kMeanGap), 1);
     }
     return trace.Take();
   }

@@ -31,6 +31,8 @@ namespace hyperalloc::fleet {
 inline constexpr sim::Time kShrinkAt = 20 * sim::kSec;
 inline constexpr sim::Time kGrowAt = 90 * sim::kSec;
 inline constexpr uint64_t kResizeTarget = 2 * kGiB;
+// Random traces are rounded to this demand quantum.
+inline constexpr uint64_t kArrivalQuantumBytes = 2 * kMiB;
 
 // One demand-change event: at virtual time `at` (relative to the
 // schedule's start) the VM's demand — or limit target — becomes `bytes`.
@@ -40,13 +42,13 @@ struct Arrival {
 };
 
 enum class ArrivalKind {
-  // Two events: floor_bytes at shrink_at, peak_bytes at grow_at.
+  // Two events: floor_bytes at kShrinkAt, peak_bytes at kGrowAt.
   kStepResize,
   // Poisson bursts: exponential inter-burst gaps, uniform burst sizes
   // in (floor, peak], exponential hold times, decay back to the floor.
   kBursty,
   // Square-ish day/night wave with a per-VM phase offset: peak for
-  // `duty` of each period, floor otherwise.
+  // `duty` of each 2-minute period, floor otherwise.
   kDiurnal,
   // Bursty arrivals with Pareto-distributed burst sizes: most bursts
   // are small, a heavy tail pins the VM near its peak.
@@ -58,22 +60,11 @@ struct ArrivalConfig {
   sim::Time horizon = 5 * sim::kMin;
   uint64_t seed = 1;
   // Demand bounds; traces are clamped to [floor_bytes, peak_bytes] and
-  // rounded to `quantum_bytes`.
+  // rounded to kArrivalQuantumBytes.
   uint64_t floor_bytes = 16 * kMiB;
   uint64_t peak_bytes = 48 * kMiB;
-  uint64_t quantum_bytes = 2 * kMiB;
-  // kStepResize event times.
-  sim::Time shrink_at = kShrinkAt;
-  sim::Time grow_at = kGrowAt;
-  // kBursty / kHeavyTailed: mean exponential inter-burst gap and mean
-  // hold time at the burst level before decaying to the floor.
-  sim::Time mean_gap = 45 * sim::kSec;
-  sim::Time mean_hold = 20 * sim::kSec;
-  // kDiurnal.
-  sim::Time period = 2 * sim::kMin;
+  // kDiurnal: the share of each period spent at the peak.
   double duty = 0.5;
-  // kHeavyTailed: Pareto shape (smaller = heavier tail).
-  double pareto_alpha = 1.3;
 };
 
 class ArrivalProcess {

@@ -317,7 +317,7 @@ void FleetEngine::ControlStep(sim::Time barrier) {
   const uint64_t capacity = host_->total_frames() * kFrameSize;
   const uint64_t usable = static_cast<uint64_t>(
       static_cast<double>(capacity) *
-      (1.0 - std::clamp(config_.admission_reserve, 0.0, 0.5)));
+      (1.0 - kAdmissionReserve));
   PoolSignal pool;
   pool.capacity_bytes = capacity;
   pool.used_bytes = host_->used_bytes();

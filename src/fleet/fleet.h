@@ -115,6 +115,9 @@ struct PressureSpike {
   uint64_t bytes = 0;
 };
 
+// Fraction of pool capacity the admission ledger withholds.
+inline constexpr double kAdmissionReserve = 0.05;
+
 struct FleetConfig {
   uint64_t vms = 8;
   // Worker threads driving the VM simulations (>= 1; capped at vms).
@@ -136,8 +139,6 @@ struct FleetConfig {
   // construction so the committed ledger starts feasible (0 = leave
   // limits at vm_bytes; the ledger then only activates once feasible).
   uint64_t initial_limit_bytes = 0;
-  // Fraction of pool capacity the admission ledger withholds.
-  double admission_reserve = 0.05;
   // Arm the host pool's kHostReserve site with VM 0's injector.
   bool arm_host_faults = false;
   PressureSpike spike;

@@ -3,10 +3,19 @@
 #include <algorithm>
 #include <cmath>
 
-#include "src/base/check.h"
+#include "src/hv/market.h"
 
 namespace hyperalloc::fleet {
 namespace {
+
+// Pressure-PID gains: error = setpoint - pressure drives a per-epoch
+// grow budget of |u| * capacity bytes (shrinks are always allowed).
+constexpr double kSetpoint = 0.85;
+constexpr double kP = 0.8;
+constexpr double kI = 0.2;
+constexpr double kD = 0.1;
+// Market adapter: per-VM budget (credits/s).
+constexpr double kBudgetPerS = 1.0;
 
 // What the VM would like its limit to be, before any global scaling.
 uint64_t WantBytes(const PolicyConfig& config, const VmSignal& vm) {
@@ -20,11 +29,10 @@ uint64_t FloorBytes(const PolicyConfig& config, const VmSignal& vm) {
   return std::min(config.min_limit_bytes, vm.memory_bytes);
 }
 
-bool WorthMoving(const PolicyConfig& config, const VmSignal& vm,
-                 uint64_t target) {
+bool WorthMoving(const VmSignal& vm, uint64_t target) {
   const uint64_t delta = target > vm.limit_bytes ? target - vm.limit_bytes
                                                  : vm.limit_bytes - target;
-  return delta >= config.hysteresis_bytes;
+  return delta >= kHysteresisBytes;
 }
 
 class ProportionalShare : public ResizePolicy {
@@ -36,7 +44,7 @@ class ProportionalShare : public ResizePolicy {
               std::vector<ResizeAction>* actions) override {
     const uint64_t usable = static_cast<uint64_t>(
         static_cast<double>(pool.capacity_bytes) *
-        (1.0 - std::clamp(config_.share_reserve, 0.0, 0.5)));
+        (1.0 - kShareReserve));
     uint64_t sum_want = 0;
     uint64_t sum_floor = 0;
     for (const VmSignal& vm : vms) {
@@ -65,8 +73,8 @@ class ProportionalShare : public ResizePolicy {
                              static_cast<double>(surplus) *
                              std::min(scale, 1.0));
       }
-      if (WorthMoving(config_, vm, target)) {
-        (*actions)[i] = {target, config_.deadline};
+      if (WorthMoving(vm, target)) {
+        (*actions)[i] = {target, kResizeDeadline};
       }
     }
   }
@@ -84,12 +92,11 @@ class PressurePid : public ResizePolicy {
               std::vector<ResizeAction>* actions) override {
     // error > 0: pool below the setpoint, growth welcome; error < 0:
     // overshoot, clamp growth and let shrinks drain pressure.
-    const double error = config_.setpoint - pool.pressure;
+    const double error = kSetpoint - pool.pressure;
     integral_ = std::clamp(integral_ + error, -4.0, 4.0);  // anti-windup
     const double derivative = error - last_error_;
     last_error_ = error;
-    const double u = config_.kp * error + config_.ki * integral_ +
-                     config_.kd * derivative;
+    const double u = kP * error + kI * integral_ + kD * derivative;
 
     // The controller output is a per-epoch grow budget in bytes; a
     // non-positive u freezes growth entirely.
@@ -109,8 +116,8 @@ class PressurePid : public ResizePolicy {
       }
       const uint64_t want = WantBytes(config_, vm);
       if (want <= vm.limit_bytes) {
-        if (WorthMoving(config_, vm, want)) {
-          (*actions)[i] = {want, config_.deadline};
+        if (WorthMoving(vm, want)) {
+          (*actions)[i] = {want, kResizeDeadline};
         }
         continue;
       }
@@ -118,8 +125,8 @@ class PressurePid : public ResizePolicy {
       const uint64_t granted = std::min(grow, grow_budget);
       grow_budget -= granted;
       const uint64_t target = vm.limit_bytes + granted;
-      if (WorthMoving(config_, vm, target)) {
-        (*actions)[i] = {target, config_.deadline};
+      if (WorthMoving(vm, target)) {
+        (*actions)[i] = {target, kResizeDeadline};
       }
     }
   }
@@ -132,13 +139,12 @@ class PressurePid : public ResizePolicy {
 
 class MarketPolicy : public ResizePolicy {
  public:
-  explicit MarketPolicy(const PolicyConfig& config) : config_(config) {
-    // The market defaults (512 MiB floor/headroom) are sized for the
-    // paper's 16 GiB VMs; the fleet floor/headroom are authoritative
-    // here so small VMs are not pinned at their static size.
-    config_.market.min_limit_bytes = config.min_limit_bytes;
-    config_.market.headroom_bytes = config.headroom_bytes;
-  }
+  // The market defaults (512 MiB floor/headroom) are sized for the
+  // paper's 16 GiB VMs; the fleet floor/headroom are authoritative here
+  // so small VMs are not pinned at their static size.
+  explicit MarketPolicy(const PolicyConfig& config)
+      : market_{.headroom_bytes = config.headroom_bytes,
+                .min_limit_bytes = config.min_limit_bytes} {}
   const char* name() const override { return "market"; }
 
   void Decide(const PoolSignal& pool, const std::vector<VmSignal>& vms,
@@ -148,7 +154,7 @@ class MarketPolicy : public ResizePolicy {
             ? static_cast<double>(pool.used_bytes) /
                   static_cast<double>(pool.capacity_bytes)
             : 0.0;
-    const double price = hv::MarketPrice(config_.market, utilization);
+    const double price = hv::MarketPrice(market_, utilization);
     for (size_t i = 0; i < vms.size(); ++i) {
       const VmSignal& vm = vms[i];
       if (vm.busy) {
@@ -157,17 +163,16 @@ class MarketPolicy : public ResizePolicy {
       // "Used" from the fleet's vantage point is the working set the VM
       // would actually touch at its demand level.
       const uint64_t used = std::max(vm.wss_bytes, vm.demand_bytes);
-      const uint64_t target =
-          hv::MarketTargetLimit(config_.market, price, used,
-                                config_.budget_per_s, vm.memory_bytes);
-      if (WorthMoving(config_, vm, target)) {
-        (*actions)[i] = {target, config_.deadline};
+      const uint64_t target = hv::MarketTargetLimit(
+          market_, price, used, kBudgetPerS, vm.memory_bytes);
+      if (WorthMoving(vm, target)) {
+        (*actions)[i] = {target, kResizeDeadline};
       }
     }
   }
 
  private:
-  PolicyConfig config_;
+  hv::MarketConfig market_;
 };
 
 }  // namespace
@@ -182,7 +187,6 @@ std::unique_ptr<ResizePolicy> MakePressurePid(const PolicyConfig& config) {
 }
 
 std::unique_ptr<ResizePolicy> MakeMarketPolicy(const PolicyConfig& config) {
-  HA_CHECK(config.budget_per_s > 0.0);
   return std::make_unique<MarketPolicy>(config);
 }
 

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "src/base/types.h"
-#include "src/hv/market.h"
 #include "src/sim/simulation.h"
 
 namespace hyperalloc::fleet {
@@ -64,24 +63,16 @@ struct PolicyConfig {
   uint64_t min_limit_bytes = 16 * kMiB;
   // Growth room granted above the working set / demand.
   uint64_t headroom_bytes = 4 * kMiB;
-  // Ignore limit deltas smaller than this (anti-oscillation — the
-  // Moniruzzaman ballooning pathology).
-  uint64_t hysteresis_bytes = 4 * kMiB;
-  // Deadline stamped on every issued request.
-  sim::Time deadline = 2 * sim::kSec;
-  // Proportional-share: fraction of capacity withheld from the share
-  // computation (kept as slack; admission control enforces it too).
-  double share_reserve = 0.05;
-  // Pressure-PID gains: error = setpoint - pressure drives a per-epoch
-  // grow budget of |u| * capacity bytes (shrinks are always allowed).
-  double setpoint = 0.85;
-  double kp = 0.8;
-  double ki = 0.2;
-  double kd = 0.1;
-  // Market adapter: pricing config + per-VM budget (credits/s).
-  hv::MarketConfig market;
-  double budget_per_s = 1.0;
 };
+
+// Ignore limit deltas smaller than this (anti-oscillation — the
+// Moniruzzaman ballooning pathology).
+inline constexpr uint64_t kHysteresisBytes = 4 * kMiB;
+// Deadline stamped on every issued request.
+inline constexpr sim::Time kResizeDeadline = 2 * sim::kSec;
+// Proportional-share: fraction of capacity withheld from the share
+// computation (kept as slack; admission control enforces it too).
+inline constexpr double kShareReserve = 0.05;
 
 class ResizePolicy {
  public:

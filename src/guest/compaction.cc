@@ -6,6 +6,14 @@
 #include "src/base/check.h"
 
 namespace hyperalloc::guest {
+namespace {
+
+// Background daemon scan period.
+constexpr sim::Time kCompactionPeriod = 2 * sim::kSec;
+// vCPU the migrations are charged to.
+constexpr unsigned kCompactionCore = 0;
+
+}  // namespace
 
 Compactor::Compactor(GuestVm* vm, const CompactionConfig& config)
     : vm_(vm), config_(config), sim_(vm->simulation()) {
@@ -38,11 +46,10 @@ bool Compactor::TryCompactBlock(Zone& zone, HugeId local_block) {
   }
   uint64_t moved = 0;
   const bool ok =
-      vm_->MigrateRange(global_first, kFramesPerHuge, config_.core, &moved);
+      vm_->MigrateRange(global_first, kFramesPerHuge, kCompactionCore, &moved);
   frames_migrated_ += moved;
   if (!ok) {
     vm_->ReleaseIsolatedRange(global_first, kFramesPerHuge);
-    ++failed_blocks_;
     return false;
   }
   // The whole block is evacuated: release it as one free huge block. For
@@ -78,9 +85,7 @@ uint64_t Compactor::CompactPass(uint64_t max_blocks) {
       // compacting around them would double-free on the next drain —
       // returning them up front lets ClaimFreeInArea isolate them
       // properly (and often re-forms huge frames by itself).
-      if (zone.llfree_cache != nullptr) {
-        zone.llfree_cache->Drain();
-      }
+      zone.llfree_cache->Drain();
       const uint64_t areas = zone.llfree->num_areas();
       for (HugeId a = 0; a < areas && freed < max_blocks; ++a) {
         const llfree::AreaEntry entry = zone.llfree->ReadArea(a);
@@ -109,7 +114,7 @@ void Compactor::StartBackground() {
   }
   running_ = true;
   backoff_ = 1;
-  sim_->After(config_.period, [this] { Tick(); });
+  sim_->After(kCompactionPeriod, [this] { Tick(); });
 }
 
 void Compactor::Stop() { running_ = false; }
@@ -135,7 +140,7 @@ void Compactor::Tick() {
   } else {
     backoff_ = 1;
   }
-  sim_->After(config_.period * backoff_, [this] { Tick(); });
+  sim_->After(kCompactionPeriod * backoff_, [this] { Tick(); });
 }
 
 }  // namespace hyperalloc::guest

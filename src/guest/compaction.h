@@ -32,21 +32,19 @@ struct CompactionConfig {
   // Only pageblocks with at most this many used frames are evacuation
   // candidates (cheap wins first, as kcompactd does).
   uint64_t max_used_frames = 128;
-  // Background daemon: scan period and the free-huge-frame watermark
-  // below which it compacts.
-  sim::Time period = 2 * sim::kSec;
+  // Background daemon: the free-huge-frame watermark below which it
+  // compacts.
   uint64_t min_free_huge = 64;
   // Fragmentation-score trigger (§4.14): also compact when
   // GuestVm::FragmentationScore() exceeds this, even above the
   // watermark. Values > 1.0 disable the score trigger.
   double frag_threshold = 0.5;
   // Zero-progress backoff (§4.14): a triggered pass that frees nothing
-  // doubles the wakeup period, up to period * max_backoff; any progress
-  // resets it. Keeps a hopelessly pinned guest from burning CPU.
+  // doubles the 2 s wakeup period, up to max_backoff times it; any
+  // progress resets it. Keeps a hopelessly pinned guest from burning CPU.
   uint64_t max_backoff = 8;
   // Blocks compacted per daemon wakeup.
   uint64_t blocks_per_wakeup = 16;
-  unsigned core = 0;
 };
 
 class Compactor {
@@ -64,7 +62,6 @@ class Compactor {
   void Stop();
 
   uint64_t blocks_compacted() const { return blocks_compacted_; }
-  uint64_t failed_blocks() const { return failed_blocks_; }
   // Base frames migrated out of evacuated blocks (the §4.14 "compaction
   // migrations" bench metric).
   uint64_t frames_migrated() const { return frames_migrated_; }
@@ -82,7 +79,6 @@ class Compactor {
   sim::Simulation* sim_;
   bool running_ = false;
   uint64_t blocks_compacted_ = 0;
-  uint64_t failed_blocks_ = 0;
   uint64_t frames_migrated_ = 0;
   uint64_t triggered_passes_ = 0;
   uint64_t backoff_ = 1;

@@ -12,6 +12,10 @@ namespace {
 
 // How much page cache the kernel evicts per direct-reclaim round.
 constexpr uint64_t kReclaimBatchFrames = 4096;  // 16 MiB
+// Per-vCPU frame-cache capacity for LLFree zones (DESIGN.md §4.10);
+// order-0 movable allocations are served from the cache, refilling and
+// draining in GetBatch/PutBatch batches.
+constexpr unsigned kLLFreeCacheFrames = 64;
 
 }  // namespace
 
@@ -55,18 +59,14 @@ GuestVm::GuestVm(sim::Simulation* sim, hv::HostMemory* host,
       bc.cores = config.vcpus;
       zone.buddy = std::make_unique<buddy::Buddy>(frames, bc);
     } else {
-      llfree::Config lc = config.llfree_config;
-      lc.cores = config.vcpus;
-      zone.llfree_state = std::make_unique<llfree::SharedState>(frames, lc);
+      zone.llfree_state =
+          std::make_unique<llfree::SharedState>(frames, llfree::Config{});
       zone.llfree = std::make_unique<llfree::LLFree>(zone.llfree_state.get());
-      if (config.llfree_cache_frames > 0) {
-        llfree::FrameCache::CacheConfig cc;
-        cc.slots = config.vcpus;
-        cc.capacity = config.llfree_cache_frames;
-        cc.refill = std::max(1u, config.llfree_cache_frames / 2);
-        zone.llfree_cache =
-            std::make_unique<llfree::FrameCache>(zone.llfree.get(), cc);
-      }
+      zone.llfree_cache = std::make_unique<llfree::FrameCache>(
+          zone.llfree.get(),
+          llfree::FrameCache::CacheConfig{.slots = config.vcpus,
+                                          .capacity = kLLFreeCacheFrames,
+                                          .refill = kLLFreeCacheFrames / 2});
     }
     zones_.push_back(std::move(zone));
   };
@@ -98,10 +98,7 @@ Result<FrameId> GuestVm::ZoneAlloc(Zone& zone, unsigned order,
     }
     return r;
   }
-  const Result<FrameId> r =
-      zone.llfree_cache != nullptr
-          ? zone.llfree_cache->Get(core, order, type)
-          : zone.llfree->Get(core, order, type);
+  const Result<FrameId> r = zone.llfree_cache->Get(core, order, type);
   if (r.ok()) {
     return zone.start + *r;
   }
@@ -118,9 +115,7 @@ void GuestVm::ZoneFree(Zone& zone, FrameId frame, unsigned order,
   }
   // The recorded type keeps non-movable frees out of the per-vCPU cache
   // so they return through LLFree's type-aware slot selection.
-  const auto err = zone.llfree_cache != nullptr
-                       ? zone.llfree_cache->Put(core, local, order, type)
-                       : zone.llfree->Put(local, order);
+  const auto err = zone.llfree_cache->Put(core, local, order, type);
   HA_CHECK(!err.has_value());
 }
 
@@ -609,9 +604,7 @@ void GuestVm::PurgeAllocatorCaches() {
     if (zone.buddy != nullptr) {
       zone.buddy->DrainPcp();
     } else {
-      if (zone.llfree_cache != nullptr) {
-        zone.llfree_cache->Drain();
-      }
+      zone.llfree_cache->Drain();
       zone.llfree->DrainReservations();
     }
   }

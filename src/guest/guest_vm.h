@@ -57,7 +57,6 @@ struct GuestConfig {
   uint64_t memory_bytes = 20 * kGiB;
   unsigned vcpus = 12;
   AllocatorKind allocator = AllocatorKind::kBuddy;
-  llfree::Config llfree_config;
   buddy::Buddy::Config buddy_config;
   // Zone layout. DMA32 covers the first `dma32_bytes`; a Movable zone of
   // `movable_bytes` (for virtio-mem's hotpluggable memory) covers the top
@@ -66,10 +65,6 @@ struct GuestConfig {
   uint64_t movable_bytes = 0;
   // Attach a VFIO passthrough device (IOMMU must be kept in sync).
   bool vfio = false;
-  // Per-vCPU frame-cache capacity for LLFree zones (DESIGN.md §4.10);
-  // order-0 movable allocations are served from the cache, refilling and
-  // draining in GetBatch/PutBatch batches. 0 disables the cache.
-  unsigned llfree_cache_frames = 64;
 };
 
 struct Zone {
@@ -79,7 +74,7 @@ struct Zone {
   std::unique_ptr<buddy::Buddy> buddy;
   std::unique_ptr<llfree::SharedState> llfree_state;
   std::unique_ptr<llfree::LLFree> llfree;
-  // Per-vCPU order-0 cache over `llfree` (null when disabled).
+  // Per-vCPU order-0 cache over `llfree` (null in buddy zones).
   std::unique_ptr<llfree::FrameCache> llfree_cache;
 
   FrameId end() const { return start + frames; }

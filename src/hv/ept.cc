@@ -70,7 +70,6 @@ uint64_t Ept::Map(FrameId first, uint64_t count) {
     }
     if (CountMapped(hf, kFramesPerHuge) == 0) {
       huge_entry_[huge / 64] |= 1ull << (huge % 64);
-      ++maps_2m_;
       ++mapped_2m_;
       HA_COUNT("ept.map_2m");
     }
@@ -79,7 +78,6 @@ uint64_t Ept::Map(FrameId first, uint64_t count) {
     bitmap_[frame / 64] |= 1ull << (frame % 64);
   }
   mapped_ += missing;
-  ++total_map_ops_;
   HA_COUNT("ept.map_ops");
   HA_COUNT_N("ept.map_frames", missing);
   return missing;
@@ -114,13 +112,10 @@ uint64_t Ept::Unmap(FrameId first, uint64_t count) {
   // What the flush actually invalidated: one 2M entry per wholly-covered
   // huge mapping, 4K entries for everything else that was present
   // (including the demoted remainder of partially-covered 2M entries).
-  unmaps_2m_ += huge.whole_2m;
   demotions_2m_ += huge.demoted;
   entries_invalidated_2m_ += huge.whole_2m;
   HA_DCHECK(present >= huge.whole_2m * kFramesPerHuge);
   entries_invalidated_4k_ += present - huge.whole_2m * kFramesPerHuge;
-  huge_unmaps_total_ += huge.whole_full;
-  huge_unmaps_2m_ += huge.whole_2m;
   HA_COUNT("ept.unmap_ops");
   HA_COUNT_N("ept.unmap_frames", present);
   HA_COUNT("ept.tlb_range_flush");
@@ -134,16 +129,9 @@ Ept::HugeUnmapAccounting Ept::TallyHugeUnmap(FrameId first, uint64_t count) {
     const FrameId hf = HugeToFrame(huge);
     const bool whole = hf >= first && hf + kFramesPerHuge <= first + count;
     const bool entry = (huge_entry_[huge / 64] >> (huge % 64)) & 1;
-    if (whole) {
-      // Invariant: a live 2M entry implies all 512 subframes mapped (any
-      // partial unmap demotes it first), so `entry` ⟹ fully present.
-      if (entry || CountMapped(hf, kFramesPerHuge) == kFramesPerHuge) {
-        ++out.whole_full;
-      }
-      if (entry) {
-        ++out.whole_2m;
-        HA_COUNT("ept.unmap_2m");
-      }
+    if (whole && entry) {
+      ++out.whole_2m;
+      HA_COUNT("ept.unmap_2m");
     } else if (entry) {
       // Partial coverage splits the 2M entry into 4K entries before the
       // covered part is invalidated (huge→base demotion, §4.14).

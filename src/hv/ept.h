@@ -52,8 +52,7 @@ class Ept {
   // anything (used to price unmap operations that skip absent pages).
   uint64_t CountMapped(FrameId first, uint64_t count) const;
 
-  // Lifetime fault/operation statistics.
-  uint64_t total_mapped_ops() const { return total_map_ops_; }
+  // Lifetime operation statistics.
   uint64_t total_unmapped_ops() const { return total_unmap_ops_; }
 
   // TLB shootdown accounting, coalesced: each Unmap call that removes at
@@ -74,26 +73,16 @@ class Ept {
   //    huge-PFN deflate path). Piecewise 4 KiB fills never promote —
   //    matching hardware, where the page tables already hold 4K entries.
   //  * An Unmap whose range wholly covers a 2 M-entry frame invalidates
-  //    that single entry (`unmaps_2m`); partial coverage first demotes
-  //    the entry to 512 separate 4K entries (`demotions_2m`) and then
-  //    invalidates only the unmapped part.
+  //    that single entry (counter `ept.unmap_2m`); partial coverage
+  //    first demotes the entry to 512 separate 4K entries
+  //    (`demotions_2m`) and then invalidates only the unmapped part.
   //
   // entries_invalidated_2m/4k count what the coalesced flushes actually
   // invalidate at each granularity; comparing their sum against
   // tlb_flushed_frames() (the all-4K cost) is the flush-savings metric.
-  uint64_t maps_2m() const { return maps_2m_; }
-  uint64_t unmaps_2m() const { return unmaps_2m_; }
   uint64_t demotions_2m() const { return demotions_2m_; }
-  // Live 2 MiB entries right now.
-  uint64_t mapped_2m() const { return mapped_2m_; }
   uint64_t entries_invalidated_2m() const { return entries_invalidated_2m_; }
   uint64_t entries_invalidated_4k() const { return entries_invalidated_4k_; }
-  // Huge-frame reclaim share: of the fully-backed huge frames handed back
-  // wholesale (an Unmap covering all of a huge frame with every subframe
-  // present), how many went through a single 2 MiB entry rather than 512
-  // 4 KiB ones. share = huge_unmaps_2m / huge_unmaps_total.
-  uint64_t huge_unmaps_total() const { return huge_unmaps_total_; }
-  uint64_t huge_unmaps_2m() const { return huge_unmaps_2m_; }
   bool HasHugeEntry(HugeId huge) const;
 
   static constexpr uint64_t kNoHostMemory = ~0ull;
@@ -103,9 +92,8 @@ class Ept {
   // 2M-entry transitions for one Unmap call, tallied before the bitmap
   // is touched (the bits encode the pre-call state).
   struct HugeUnmapAccounting {
-    uint64_t whole_2m = 0;    // intact 2M entries the range wholly covers
-    uint64_t demoted = 0;     // 2M entries the range only partly covers
-    uint64_t whole_full = 0;  // fully-present huge frames wholly covered
+    uint64_t whole_2m = 0;  // intact 2M entries the range wholly covers
+    uint64_t demoted = 0;   // 2M entries the range only partly covers
   };
   HugeUnmapAccounting TallyHugeUnmap(FrameId first, uint64_t count);
 
@@ -114,18 +102,13 @@ class Ept {
   std::vector<uint64_t> bitmap_;  // bit set = mapped
   std::vector<uint64_t> huge_entry_;  // bit set = live 2 MiB entry
   uint64_t mapped_ = 0;
-  uint64_t total_map_ops_ = 0;
   uint64_t total_unmap_ops_ = 0;
   uint64_t tlb_range_flushes_ = 0;
   uint64_t tlb_flushed_frames_ = 0;
-  uint64_t maps_2m_ = 0;
-  uint64_t unmaps_2m_ = 0;
   uint64_t demotions_2m_ = 0;
-  uint64_t mapped_2m_ = 0;
+  uint64_t mapped_2m_ = 0;  // live 2 MiB entries
   uint64_t entries_invalidated_2m_ = 0;
   uint64_t entries_invalidated_4k_ = 0;
-  uint64_t huge_unmaps_total_ = 0;
-  uint64_t huge_unmaps_2m_ = 0;
   fault::Injector* fault_ = nullptr;
   fault::Kind last_injected_kind_ = fault::Kind::kTransient;
   uint64_t injected_faults_ = 0;

@@ -117,16 +117,6 @@ class Iommu {
   // flushing would have issued (the coalescing win is the ratio).
   uint64_t iotlb_flushes() const { return iotlb_flushes_; }
   uint64_t iotlb_flushed_huge() const { return iotlb_flushed_huge_; }
-  // Flush savings for the huge-frame fast path (DESIGN.md §4.14): ranged
-  // invalidations actually issued per huge frame that a per-frame unpin
-  // design would have flushed individually. 1.0 = no batching happened.
-  double IotlbFlushSavings() const {
-    return iotlb_flushed_huge_ == 0
-               ? 1.0
-               : static_cast<double>(iotlb_flushes_) /
-                     static_cast<double>(iotlb_flushed_huge_);
-  }
-  uint64_t pinned_bytes() const { return pinned_count_ * kHugeSize; }
 
  private:
   bool InjectFault(fault::Site site) {

@@ -6,13 +6,20 @@
 #include "src/base/check.h"
 
 namespace hyperalloc::hv {
+namespace {
+
+constexpr sim::Time kPeriod = 10 * sim::kSec;
+// Credits per GiB-second when the host is empty.
+constexpr double kBasePrice = 1.0;
+constexpr double kMaxPrice = 64.0;
+
+}  // namespace
 
 double MarketPrice(const MarketConfig& config, double utilization) {
   utilization = std::clamp(utilization, 0.0, 0.99);
   const double price =
-      config.base_price /
-      std::pow(1.0 - utilization, config.scarcity_exponent);
-  return std::min(price, config.max_price);
+      kBasePrice / std::pow(1.0 - utilization, config.scarcity_exponent);
+  return std::min(price, kMaxPrice);
 }
 
 uint64_t MarketTargetLimit(const MarketConfig& config, double price,
@@ -30,10 +37,8 @@ uint64_t MarketTargetLimit(const MarketConfig& config, double price,
 
 MemoryMarket::MemoryMarket(sim::Simulation* sim, HostMemory* host,
                            const MarketConfig& config)
-    : sim_(sim), host_(host), config_(config),
-      price_(config.base_price) {
+    : sim_(sim), host_(host), config_(config), price_(kBasePrice) {
   HA_CHECK(sim != nullptr && host != nullptr);
-  HA_CHECK(config.base_price > 0.0);
 }
 
 size_t MemoryMarket::Register(guest::GuestVm* vm, Deflator* deflator,
@@ -97,7 +102,7 @@ void MemoryMarket::Start() {
 }
 
 void MemoryMarket::ScheduleNext() {
-  sim_->After(config_.period, [this] {
+  sim_->After(kPeriod, [this] {
     if (running_) {
       Tick();
       ScheduleNext();

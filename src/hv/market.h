@@ -8,7 +8,7 @@
 // from §1).
 //
 // Policy per tick:
-//   price        = base_price / (1 - utilization)^scarcity  (clamped)
+//   price        = 1 / (1 - utilization)^scarcity  (clamped to 64)
 //   demand_i     = guest used memory + working headroom
 //   affordable_i = budget_i / price
 //   limit_i      = clamp(min(demand_i, affordable_i))
@@ -28,10 +28,6 @@
 namespace hyperalloc::hv {
 
 struct MarketConfig {
-  sim::Time period = 10 * sim::kSec;
-  // Credits per GiB-second when the host is empty.
-  double base_price = 1.0;
-  double max_price = 64.0;
   double scarcity_exponent = 2.0;
   // Headroom a tenant keeps above its current usage (growth room).
   uint64_t headroom_bytes = 512 * kMiB;
@@ -43,7 +39,7 @@ struct MarketConfig {
 // owning a MemoryMarket instance or its tick scheduling.
 //
 // Spot price at the given pool utilization in [0, 1]:
-//   base_price / (1 - utilization)^scarcity, clamped to max_price.
+//   1 / (1 - utilization)^scarcity credits per GiB-second, clamped to 64.
 double MarketPrice(const MarketConfig& config, double utilization);
 
 // The limit one tenant can justify at `price`: min(demand, affordable)

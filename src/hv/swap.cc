@@ -5,6 +5,15 @@
 #include "src/base/check.h"
 
 namespace hyperalloc::hv {
+namespace {
+
+// NVMe-class backing device.
+constexpr uint64_t kSwapOut4kNs = 8000;
+constexpr uint64_t kSwapIn4kNs = 15000;
+// Frames swapped out per pressure event (batched writeback).
+constexpr uint64_t kBatchFrames = 4096;  // 16 MiB
+
+}  // namespace
 
 SwapManager::SwapManager(sim::Simulation* sim, HostMemory* host,
                          const SwapConfig& config)
@@ -29,7 +38,7 @@ void SwapManager::Register(guest::GuestVm* vm,
 }
 
 bool SwapManager::MakeRoom(VmState* requester, uint64_t frames) {
-  const uint64_t want = std::max(frames, config_.batch_frames);
+  const uint64_t want = std::max(frames, kBatchFrames);
   uint64_t freed = 0;
   // Victim order: round-robin over the *other* VMs first; the faulting
   // VM itself only as a last resort (otherwise a touching loop would
@@ -71,7 +80,7 @@ bool SwapManager::MakeRoom(VmState* requester, uint64_t frames) {
         ++swap_used_;
         ++swapped_out_;
         ++freed;
-        batch_ns += config_.swap_out_4k_ns;
+        batch_ns += kSwapOut4kNs;
       }
       if (!victim.is_hot) {
         break;  // no oracle: one pass is exhaustive
@@ -95,7 +104,7 @@ uint64_t SwapManager::OnFault(VmState* state, FrameId first,
       HA_DCHECK(swap_used_ > 0);
       --swap_used_;
       ++swapped_in_;
-      surcharge += config_.swap_in_4k_ns;
+      surcharge += kSwapIn4kNs;
     }
   }
   return surcharge;

@@ -22,11 +22,6 @@
 namespace hyperalloc::hv {
 
 struct SwapConfig {
-  // NVMe-class backing device.
-  uint64_t swap_out_4k_ns = 8000;
-  uint64_t swap_in_4k_ns = 15000;
-  // Frames swapped out per pressure event (batched writeback).
-  uint64_t batch_frames = 4096;  // 16 MiB
   uint64_t capacity_bytes = 64ull * kGiB;
 };
 

@@ -331,8 +331,7 @@ void Pipeline::OnEpoch(sim::Time at, uint64_t committed_bytes,
                              g.quarantined_frames > 0 || g.faults > 0 ||
                              g.retries > 0 || g.rollbacks > 0;
     if (interesting) {
-      if (options_.flight_vm_detail_cap != 0 &&
-          frame.vm_detail.size() >= options_.flight_vm_detail_cap) {
+      if (frame.vm_detail.size() >= kFlightVmDetailCap) {
         ++frame.vm_detail_omitted;
       } else {
         frame.vm_detail.push_back(g);
@@ -345,7 +344,7 @@ void Pipeline::OnEpoch(sim::Time at, uint64_t committed_bytes,
   // pressure error is binary (over the ceiling or not).
   uint64_t late = 0;
   for (const double ms : completed_ms) {
-    late += ms > options_.slo_resize_ms ? 1 : 0;
+    late += ms > kSloResizeMs ? 1 : 0;
   }
   const double latency_error =
       completed_ms.empty() ? 0.0
@@ -355,13 +354,13 @@ void Pipeline::OnEpoch(sim::Time at, uint64_t committed_bytes,
   latency_burn_.Push(latency_error, options_.burn_slow_epochs);
   pressure_burn_.Push(pressure_error, options_.burn_slow_epochs);
   e.latency_burn_fast =
-      latency_burn_.Rate(options_.burn_fast_epochs, options_.error_budget);
+      latency_burn_.Rate(options_.burn_fast_epochs, kErrorBudget);
   e.latency_burn_slow =
-      latency_burn_.Rate(options_.burn_slow_epochs, options_.error_budget);
+      latency_burn_.Rate(options_.burn_slow_epochs, kErrorBudget);
   e.pressure_burn_fast =
-      pressure_burn_.Rate(options_.burn_fast_epochs, options_.error_budget);
+      pressure_burn_.Rate(options_.burn_fast_epochs, kErrorBudget);
   e.pressure_burn_slow =
-      pressure_burn_.Rate(options_.burn_slow_epochs, options_.error_budget);
+      pressure_burn_.Rate(options_.burn_slow_epochs, kErrorBudget);
 
   bool alert_edge = false;
   const struct {
@@ -376,8 +375,8 @@ void Pipeline::OnEpoch(sim::Time at, uint64_t committed_bytes,
        e.pressure_burn_slow},
   };
   for (const auto& m : monitors) {
-    const bool fire = m.fast >= options_.burn_fast_threshold &&
-                      m.slow >= options_.burn_slow_threshold;
+    const bool fire =
+        m.fast >= kBurnFastThreshold && m.slow >= kBurnSlowThreshold;
     if (fire && !m.burn->firing) {
       AlertEvent alert;
       alert.at = at;
@@ -473,7 +472,7 @@ const Pipeline::FlightFrame& Pipeline::RingFrame(uint64_t k) const {
 std::string Pipeline::BuildFlightJson(const FlightDump& dump) const {
   std::string out;
   out.reserve(4096 +
-              ring_filled_ * (options_.flight_vm_detail_cap * 224 + 768));
+              ring_filled_ * (kFlightVmDetailCap * 224 + 768));
   Append(&out, "{\n  \"schema\": \"hyperalloc-flight-v2\",\n");
   Append(&out,
          "  \"trigger\": {\"kind\": \"%s\", \"epoch\": %" PRIu64

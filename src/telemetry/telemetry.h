@@ -42,21 +42,29 @@
 
 namespace hyperalloc::telemetry {
 
+// Burn-rate monitor. Budget is the error budget of the availability
+// target (0.01 = "99% of epochs within SLO").
+inline constexpr double kSloResizeMs = 400.0;  // per-resize latency target
+inline constexpr double kErrorBudget = 0.01;
+inline constexpr double kBurnFastThreshold = 8.0;
+inline constexpr double kBurnSlowThreshold = 2.0;
+// Flight recorder: per ring epoch, at most this many per-VM detail rows
+// are retained (the "interesting" VMs: busy, quarantined, or with
+// nonzero fault/retry/rollback totals, in VM-index order). Rows past the
+// cap are counted in the dump's per-epoch "vms_detail_omitted" — never
+// silently dropped.
+inline constexpr uint64_t kFlightVmDetailCap = 64;
+
 struct TelemetryOptions {
   bool enabled = true;
   // Emit alert/flight markers as zero-length kTelemetry spans when the
   // global span tracer is enabled.
   bool emit_spans = true;
 
-  // Burn-rate monitor. Budget is the error budget of the availability
-  // target (0.01 = "99% of epochs within SLO"); windows are in epochs.
-  double slo_resize_ms = 400.0;  // per-resize completion latency target
-  double slo_pressure = 0.97;    // committed/capacity ceiling
-  double error_budget = 0.01;
+  // Burn-rate monitor; windows are in epochs.
+  double slo_pressure = 0.97;  // committed/capacity ceiling
   unsigned burn_fast_epochs = 3;
   unsigned burn_slow_epochs = 12;
-  double burn_fast_threshold = 8.0;
-  double burn_slow_threshold = 2.0;
 
   // Flight recorder.
   unsigned flight_depth = 16;        // epochs retained in the ring
@@ -65,12 +73,6 @@ struct TelemetryOptions {
   // Admission-rejection spike trigger: rejections in ONE epoch at or
   // above this freeze the recorder. 0 disables the trigger.
   uint64_t reject_spike_threshold = 16;
-  // Per ring epoch, at most this many per-VM detail rows are retained
-  // (the "interesting" VMs: busy, quarantined, or with nonzero
-  // fault/retry/rollback totals, in VM-index order). Rows past the cap
-  // are counted in the dump's per-epoch "vms_detail_omitted" — never
-  // silently dropped. 0 means unbounded.
-  uint64_t flight_vm_detail_cap = 64;
 };
 
 // One VM's gauge set at an epoch barrier, read by the engine with the
@@ -217,7 +219,7 @@ class Pipeline {
     EpochSummary fleet;
     // Per-VM rows for the "interesting" VMs only (busy, quarantined, or
     // with nonzero fault/retry/rollback totals), in VM-index order,
-    // capped at flight_vm_detail_cap. Copying and later serializing all
+    // capped at kFlightVmDetailCap. Copying and later serializing all
     // N VMs for every ring epoch is what made dumps cost tens of
     // milliseconds at 1024 VMs.
     std::vector<VmGauges> vm_detail;

@@ -7,10 +7,17 @@
 #include "src/trace/span.h"
 
 namespace hyperalloc::vmem {
+namespace {
+
+constexpr unsigned kDriverCpu = 0;
+// Blocks processed per event-loop slice.
+constexpr unsigned kBlocksPerSlice = 16;
+
+}  // namespace
 
 VirtioMem::VirtioMem(guest::GuestVm* vm, const VmemConfig& config)
     : vm_(vm), config_(config), sim_(vm->simulation()),
-      auto_(vm->simulation(), config.auto_period,
+      auto_(vm->simulation(), kAutoPeriod,
             [this] { return AutoTick(); }),
       recovery_(vm->simulation(),
                 {.fault = "vmem.fault",
@@ -115,8 +122,7 @@ bool VirtioMem::UnplugOneBlock() {
     trace::Span offline(trace::Layer::kGuest, "vmem.offline_block");
     vm_->PurgeAllocatorCaches();  // PCP pages cannot be isolated
     zone.buddy->ClaimFreeInRange(local_first, kFramesPerHuge);
-    if (!vm_->MigrateRange(global_first, kFramesPerHuge,
-                           config_.driver_cpu)) {
+    if (!vm_->MigrateRange(global_first, kFramesPerHuge, kDriverCpu)) {
       // Migration failed (no free destination or pinned kernel memory):
       // the block stays online; release everything we isolated.
       vm_->ReleaseIsolatedRange(global_first, kFramesPerHuge);
@@ -215,17 +221,17 @@ void VirtioMem::UnplugSlice(uint64_t target_blocks) {
   }
   const sim::Time t0 = sim_->now();
   for (unsigned i = 0;
-       i < config_.blocks_per_slice && plugged_blocks_ > target_blocks;
+       i < kBlocksPerSlice && plugged_blocks_ > target_blocks;
        ++i) {
     if (!UnplugOneBlock()) {
       // Cannot evacuate further blocks right now: stop (partial success,
       // like the real driver's "requested size not reached").
-      vm_->sink().OnCpuSteal(config_.driver_cpu, t0, sim_->now(), 1.0);
+      vm_->sink().OnCpuSteal(kDriverCpu, t0, sim_->now(), 1.0);
       Finish();
       return;
     }
   }
-  vm_->sink().OnCpuSteal(config_.driver_cpu, t0, sim_->now(), 1.0);
+  vm_->sink().OnCpuSteal(kDriverCpu, t0, sim_->now(), 1.0);
   if (plugged_blocks_ <= target_blocks) {
     Finish();
     return;
@@ -330,20 +336,20 @@ void VirtioMem::PlugSlice(uint64_t target_blocks) {
   const sim::Time t0 = sim_->now();
   unsigned plugged_now = 0;
   for (uint64_t b = 0; b < num_blocks_ && plugged_blocks_ < target_blocks &&
-                       plugged_now < config_.blocks_per_slice;
+                       plugged_now < kBlocksPerSlice;
        ++b) {
     if (!plugged_[b]) {
       if (!PlugOneBlock(b)) {
         // Unrecoverable fault: stop with a partial plug (the real
         // driver's "requested size not reached").
-        vm_->sink().OnCpuSteal(config_.driver_cpu, t0, sim_->now(), 1.0);
+        vm_->sink().OnCpuSteal(kDriverCpu, t0, sim_->now(), 1.0);
         Finish();
         return;
       }
       ++plugged_now;
     }
   }
-  vm_->sink().OnCpuSteal(config_.driver_cpu, t0, sim_->now(), 1.0);
+  vm_->sink().OnCpuSteal(kDriverCpu, t0, sim_->now(), 1.0);
   if (plugged_blocks_ >= target_blocks || plugged_now == 0) {
     Finish();
     return;
@@ -367,7 +373,7 @@ sim::Time VirtioMem::AutoTick() {
                .done = {}});
     }
   }
-  return config_.auto_period;
+  return kAutoPeriod;
 }
 
 }  // namespace hyperalloc::vmem

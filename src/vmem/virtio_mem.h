@@ -31,12 +31,11 @@
 
 namespace hyperalloc::vmem {
 
+// Simulated auto mode (hand-tuned like the paper's, §5.5): its period.
+inline constexpr sim::Time kAutoPeriod = 1 * sim::kSec;
+
 struct VmemConfig {
-  unsigned driver_cpu = 0;
-  // Blocks processed per event-loop slice.
-  unsigned blocks_per_slice = 16;
-  // Simulated auto mode (hand-tuned like the paper's, §5.5).
-  sim::Time auto_period = 1 * sim::kSec;
+  // Simulated auto mode: resize step and thresholds.
   uint64_t auto_granularity = 1 * kGiB;
   // Plug when total free memory falls below this ...
   uint64_t auto_low_bytes = 768 * kMiB;

@@ -5,6 +5,15 @@
 #include "src/base/check.h"
 
 namespace hyperalloc::workloads {
+namespace {
+
+constexpr sim::Time kRampupStepTime = 2 * sim::kSec;
+// Share of the working set recycled per churn interval.
+constexpr double kChurnFraction = 0.05;
+// Share of the young slab objects that survive each render tick.
+constexpr double kSlabSurvival = 0.20;
+
+}  // namespace
 
 BlenderWorkload::BlenderWorkload(guest::GuestVm* vm, MemoryPool* pool,
                                  const BlenderConfig& config)
@@ -29,7 +38,7 @@ void BlenderWorkload::RampStep(unsigned step,
   if (step < config_.rampup_steps) {
     regions_.push_back(pool_->AllocRegion(churn_chunk_,
                                           config_.thp_fraction, 0));
-    sim_->After(config_.rampup_step_time,
+    sim_->After(kRampupStepTime,
                 [this, step, on_done = std::move(on_done)]() mutable {
                   RampStep(step + 1, std::move(on_done));
                 });
@@ -55,7 +64,7 @@ void BlenderWorkload::RenderTick(sim::Time end,
   // allocator's free lists under full memory pressure.
   const uint64_t recycle = std::max<uint64_t>(
       1, static_cast<uint64_t>(static_cast<double>(regions_.size()) *
-                               config_.churn_fraction));
+                               kChurnFraction));
   for (uint64_t i = 0; i < recycle && !regions_.empty(); ++i) {
     const size_t idx = rng_.Below(regions_.size());
     pool_->FreeRegion(regions_[idx], 0);
@@ -78,7 +87,7 @@ void BlenderWorkload::RenderTick(sim::Time end,
   // Most young slab objects die in random order; survivors stay forever.
   uint64_t dying = static_cast<uint64_t>(
       static_cast<double>(slab_young_.size()) *
-      (1.0 - config_.slab_survival));
+      (1.0 - kSlabSurvival));
   while (dying-- > 0 && !slab_young_.empty()) {
     const size_t idx = rng_.Below(slab_young_.size());
     vm_->Free(slab_young_[idx], 0, 0);

@@ -23,19 +23,16 @@ struct BlenderConfig {
   uint64_t scene_bytes = 1200 * kMiB;  // read into the page cache
   uint64_t working_set = 8 * kGiB;     // render buffers
   unsigned rampup_steps = 20;          // working set built up gradually
-  sim::Time rampup_step_time = 2 * sim::kSec;
   sim::Time render_time = 4 * sim::kMin;
   double thp_fraction = 0.25;
-  // Tile-buffer churn during the render: every interval, this fraction
-  // of the working set is freed and re-allocated.
+  // Tile-buffer churn during the render: every interval, 5% of the
+  // working set is freed and re-allocated.
   sim::Time churn_interval = 2 * sim::kSec;
-  double churn_fraction = 0.05;
   // Kernel slab behaviour: single-frame unmovable allocations made
-  // continuously during the render, of which most are freed again in
+  // continuously during the render, of which 80% are freed again in
   // random order shortly after. The survivors are what fragments the
   // address space (partially used slab pages pinning their huge frames).
   uint64_t slab_alloc_per_tick = 16 * kMiB;
-  double slab_survival = 0.20;
   uint64_t seed = 7;
 };
 

@@ -1,10 +1,21 @@
 #include "src/workloads/compile.h"
 
-#include <algorithm>
-
 #include "src/base/check.h"
 
 namespace hyperalloc::workloads {
+namespace {
+
+// Link-job durations.
+constexpr sim::Time kLinkTimeMin = 10 * sim::kSec;
+constexpr sim::Time kLinkTimeMax = 30 * sim::kSec;
+// Working-set growth increments per job.
+constexpr unsigned kWsSteps = 4;
+// A slab region outlives this many later jobs before shrinkers free it;
+// every kSlabLeakEvery-th region stays resident until the VM dies.
+constexpr unsigned kSlabLifetimeJobs = 72;
+constexpr unsigned kSlabLeakEvery = 16;
+
+}  // namespace
 
 CompileWorkload::CompileWorkload(guest::GuestVm* vm, MemoryPool* pool,
                                  sim::VcpuSet* vcpus,
@@ -16,7 +27,7 @@ CompileWorkload::CompileWorkload(guest::GuestVm* vm, MemoryPool* pool,
   // first (they run last).
   for (unsigned i = 0; i < config.link_jobs; ++i) {
     Job job;
-    job.duration = rng_.Range(config.link_time_min, config.link_time_max);
+    job.duration = rng_.Range(kLinkTimeMin, kLinkTimeMax);
     job.working_set = rng_.Range(config.link_ws_min, config.link_ws_max);
     job.is_link = true;
     queue_.push_back(job);
@@ -44,7 +55,6 @@ void CompileWorkload::WorkerNext(unsigned worker) {
   if (queue_.empty()) {
     if (active_workers_ == 0 && !done_) {
       done_ = true;
-      finish_time_ = sim_->now();
       if (on_done_) {
         on_done_();
       }
@@ -69,8 +79,7 @@ void CompileWorkload::WorkerNext(unsigned worker) {
     const uint64_t slab = pool_->AllocRegion(
         config_.slab_per_job, 0.0, worker, AllocType::kUnmovable);
     ++slab_counter_;
-    if (config_.slab_leak_every != 0 &&
-        slab_counter_ % config_.slab_leak_every == 0) {
+    if (slab_counter_ % kSlabLeakEvery == 0) {
       // Long-lived kernel objects: never tracked for retirement.
     } else {
       slab_regions_.push_back(slab);
@@ -79,9 +88,8 @@ void CompileWorkload::WorkerNext(unsigned worker) {
   }
   // The working set ramps up over the job's runtime (JobStep), so the 12
   // workers' allocations interleave in physical memory.
-  const unsigned steps = std::max(1u, config_.ws_steps);
   const uint64_t region = pool_->AllocRegion(
-      job.working_set / steps, config_.thp_fraction, worker);
+      job.working_set / kWsSteps, config_.thp_fraction, worker);
 
   // The job's CPU time stretches with whatever reclamation steals from
   // this worker's vCPU.
@@ -91,7 +99,7 @@ void CompileWorkload::WorkerNext(unsigned worker) {
           ? vcpus_->cpu(worker % vcpus_->size())
                 .ConsumeFrom(start, static_cast<double>(job.duration))
           : start + job.duration;
-  const sim::Time step_time = (end - start) / steps;
+  const sim::Time step_time = (end - start) / kWsSteps;
   sim_->After(step_time, [this, worker, region, job, step_time] {
     JobStep(worker, region, job, 1, step_time);
   });
@@ -99,12 +107,11 @@ void CompileWorkload::WorkerNext(unsigned worker) {
 
 void CompileWorkload::JobStep(unsigned worker, uint64_t region, Job job,
                               unsigned step, sim::Time step_time) {
-  const unsigned steps = std::max(1u, config_.ws_steps);
-  if (step >= steps) {
+  if (step >= kWsSteps) {
     FinishJob(worker, region, job.is_link);
     return;
   }
-  pool_->GrowRegion(region, job.working_set / steps, config_.thp_fraction,
+  pool_->GrowRegion(region, job.working_set / kWsSteps, config_.thp_fraction,
                     worker);
   sim_->After(step_time, [this, worker, region, job, step, step_time] {
     JobStep(worker, region, job, step + 1, step_time);
@@ -128,7 +135,7 @@ void CompileWorkload::FinishJob(unsigned worker, uint64_t region,
 }
 
 void CompileWorkload::RetireSlabs() {
-  while (slab_regions_.size() > config_.slab_lifetime_jobs) {
+  while (slab_regions_.size() > kSlabLifetimeJobs) {
     pool_->FreeRegion(slab_regions_.front(), 0);
     slab_regions_.pop_front();
   }

@@ -32,9 +32,7 @@ struct CompileConfig {
   sim::Time unit_time_max = 10 * sim::kSec;
   uint64_t unit_ws_min = 80 * kMiB;
   uint64_t unit_ws_max = 400 * kMiB;
-  // Link-job parameters.
-  sim::Time link_time_min = 10 * sim::kSec;
-  sim::Time link_time_max = 30 * sim::kSec;
+  // Link-job working sets.
   uint64_t link_ws_min = 1 * kGiB;
   uint64_t link_ws_max = 2560ull * kMiB;
   // Page-cache growth per compile unit (sources read + artifact written).
@@ -46,12 +44,6 @@ struct CompileConfig {
   // what fragments the buddy allocator's huge blocks over time (§4.2);
   // LLFree's per-type trees segregate them instead.
   uint64_t slab_per_job = 8 * kMiB;
-  // Working-set growth increments per job.
-  unsigned ws_steps = 4;
-  // A slab region outlives this many later jobs before shrinkers free it;
-  // every `slab_leak_every`-th region stays resident until the VM dies.
-  unsigned slab_lifetime_jobs = 72;
-  unsigned slab_leak_every = 16;
 };
 
 class CompileWorkload {
@@ -61,7 +53,6 @@ class CompileWorkload {
 
   void Start(std::function<void()> on_done);
   bool done() const { return done_; }
-  sim::Time finish_time() const { return finish_time_; }
 
   // Removes the build artifacts from the page cache (`make clean`).
   void MakeClean();
@@ -100,7 +91,6 @@ class CompileWorkload {
   unsigned jobs_completed_ = 0;
   uint64_t artifact_bytes_ = 0;
   bool done_ = false;
-  sim::Time finish_time_ = 0;
   std::function<void()> on_done_;
 };
 

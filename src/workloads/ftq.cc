@@ -22,15 +22,15 @@ void FtqWorkload::Tick(unsigned sample) {
     return;
   }
   const sim::Time start = sim_->now();
-  const sim::Time end = start + config_.quantum;
+  const sim::Time end = start + kFtqQuantum;
   sim_->At(end, [this, sample, start, end] {
     // Aggregate work over all threads: each thread's count scales with
     // its vCPU availability during the quantum.
     double work = 0.0;
     for (unsigned t = 0; t < config_.threads; ++t) {
       const double avail = vcpus_.cpu(t % vcpus_.size()).Integrate(start, end) /
-                           static_cast<double>(config_.quantum);
-      work += config_.work_per_quantum * avail;
+                           static_cast<double>(kFtqQuantum);
+      work += kFtqWorkPerQuantum * avail;
     }
     samples_.Sample(end, work);
     for (unsigned t = 0; t < vcpus_.size(); ++t) {

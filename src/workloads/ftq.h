@@ -14,14 +14,15 @@
 
 namespace hyperalloc::workloads {
 
+// 2^28 cycles at 2.1 GHz.
+inline constexpr sim::Time kFtqQuantum = 127'800'000;
+// Work units one fully available thread completes per quantum.
+inline constexpr double kFtqWorkPerQuantum = 2.55e6;
+
 struct FtqConfig {
   unsigned threads = 12;
   unsigned vcpus = 12;
-  // 2^28 cycles at 2.1 GHz.
-  sim::Time quantum = 127'800'000;
   unsigned samples = 1096;
-  // Work units one fully available thread completes per quantum.
-  double work_per_quantum = 2.55e6;
 };
 
 class FtqWorkload {

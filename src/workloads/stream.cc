@@ -75,12 +75,12 @@ void StreamWorkload::RunIteration(unsigned thread, unsigned iteration) {
   const double base_bw = bandwidth_[thread]->base_capacity();
   const sim::Time tick = std::max<sim::Time>(
       static_cast<sim::Time>(static_cast<double>(
-          config_.bytes_per_iteration) / base_bw) /
+          kStreamBytesPerIteration) / base_bw) /
           32,
       sim::kMs);
   sim_->After(tick, [this, thread, iteration, start, tick] {
     IterationTick(thread, iteration, start, tick,
-                  static_cast<double>(config_.bytes_per_iteration));
+                  static_cast<double>(kStreamBytesPerIteration));
   });
 }
 
@@ -99,7 +99,7 @@ void StreamWorkload::IterationTick(unsigned thread, unsigned iteration,
   remaining -= bw_avg * cpu_avail * static_cast<double>(tick);
   if (remaining <= 0.0) {
     const sim::Time duration = std::max<sim::Time>(t1 - start, 1);
-    samples_.Sample(t1, static_cast<double>(config_.bytes_per_iteration) /
+    samples_.Sample(t1, static_cast<double>(kStreamBytesPerIteration) /
                             static_cast<double>(duration));
     bandwidth_[thread]->TrimBefore(t1 > sim::kSec ? t1 - sim::kSec : 0);
     vcpus_.cpu(thread % vcpus_.size())

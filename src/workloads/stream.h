@@ -22,11 +22,12 @@ namespace hyperalloc::workloads {
 // (baseline row of Table 2, in bytes/ns = GB/s).
 double StreamAggregateBandwidth(unsigned threads);
 
+// Bytes moved per iteration (1 GiB copied = 2 GiB of traffic).
+inline constexpr uint64_t kStreamBytesPerIteration = 2 * (1ull << 30);
+
 struct StreamConfig {
   unsigned threads = 12;
   unsigned vcpus = 12;
-  // Bytes moved per iteration (1 GiB copied = 2 GiB of traffic).
-  uint64_t bytes_per_iteration = 2 * (1ull << 30);
   unsigned iterations = 60;
 };
 

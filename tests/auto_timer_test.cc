@@ -94,7 +94,7 @@ struct Rig {
       case Backend::kVmem:
         deflator =
             std::make_unique<vmem::VirtioMem>(vm.get(), vmem::VmemConfig{});
-        period = vmem::VmemConfig{}.auto_period;
+        period = vmem::kAutoPeriod;
         break;
     }
   }

@@ -137,12 +137,11 @@ TEST(FleetDeterminism, ByteIdenticalAcross1And4And16Threads) {
 }
 
 // Every policy under every random arrival shape, pinned at one thread.
-// The policies' hysteresis, deadline, reserve, PID gains and market
-// prices and the arrivals' quantum, gaps, holds, period and Pareto
-// shape are constants with no knob: a change to any of them moves a
-// digest here. Half the fleet spikes by 32 MiB, so the pool runs short
-// and the three policies part ways under every arrival shape. With
-// telemetry compiled in, its stream is pinned too.
+// The policies' gains, prices, reserve and hysteresis and the arrival
+// shapes are constants with no knob; these digests pin what they do.
+// Half the fleet spikes by 32 MiB, so the pool runs short and the three
+// policies part ways under every arrival shape. With telemetry compiled
+// in, its stream is pinned too.
 TEST(FleetDeterminism, PolicyByArrivalDigestsArePinned) {
   struct Case {
     const char* policy;
@@ -369,7 +368,7 @@ TEST(ProportionalSharePolicy, UncontendedGetsWantPlusHeadroom) {
   const auto actions = Decide(policy.get(), pool, vms);
   for (const ResizeAction& action : actions) {
     EXPECT_EQ(action.target_bytes, 40 * kMiB + pc.headroom_bytes);
-    EXPECT_EQ(action.deadline, pc.deadline);
+    EXPECT_EQ(action.deadline, kResizeDeadline);
   }
 }
 
@@ -383,7 +382,7 @@ TEST(ProportionalSharePolicy, OvercommitScalesBackProportionally) {
                                             60 * kMiB));
   const auto actions = Decide(policy.get(), pool, vms);
   const uint64_t usable = static_cast<uint64_t>(
-      static_cast<double>(pool.capacity_bytes) * (1.0 - pc.share_reserve));
+      static_cast<double>(pool.capacity_bytes) * (1.0 - kShareReserve));
   uint64_t sum = 0;
   for (const ResizeAction& action : actions) {
     EXPECT_GE(action.target_bytes, pc.min_limit_bytes);
@@ -510,7 +509,7 @@ TEST(FleetAdmission, RejectsGrowsNearExhaustionAndKeepsLedgerFeasible) {
   // back from the engine's pool.
   const uint64_t capacity = engine.host()->total_frames() * kFrameSize;
   const uint64_t usable = static_cast<uint64_t>(
-      static_cast<double>(capacity) * (1.0 - config.admission_reserve));
+      static_cast<double>(capacity) * (1.0 - kAdmissionReserve));
   uint64_t committed = 0;
   for (const uint64_t limit : result.final_limit_bytes) {
     committed += limit;
@@ -574,7 +573,7 @@ PermanentFaultRun RunPermanentFaultFleet(unsigned threads) {
   run.result = engine.Run();
   run.usable_frames = static_cast<uint64_t>(
       static_cast<double>(engine.host()->total_frames()) *
-      (1.0 - config.admission_reserve));
+      (1.0 - kAdmissionReserve));
   for (uint64_t i = 0; i < kVms; ++i) {
     run.quarantined_frames += engine.injector(i)->quarantined_frames();
   }
@@ -628,7 +627,7 @@ TEST(ArrivalProcessTest, DeterministicPerVmAndBounded) {
         EXPECT_LT(trace[i].at, ac.horizon);
         EXPECT_GE(trace[i].bytes, ac.floor_bytes);
         EXPECT_LE(trace[i].bytes, ac.peak_bytes);
-        EXPECT_EQ(trace[i].bytes % ac.quantum_bytes, 0u);
+        EXPECT_EQ(trace[i].bytes % kArrivalQuantumBytes, 0u);
         if (i > 0) {
           EXPECT_GE(trace[i].at, trace[i - 1].at);
         }

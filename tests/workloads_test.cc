@@ -173,7 +173,7 @@ TEST(FtqModel, WorkTracksCpuAvailability) {
   config.samples = 20;
   FtqWorkload ftq(&sim, config);
   // Steal half of cpu 0 for a window covering samples ~5-10.
-  ftq.vcpus().StealCpu(0, 5 * config.quantum, 10 * config.quantum, 0.5);
+  ftq.vcpus().StealCpu(0, 5 * kFtqQuantum, 10 * kFtqQuantum, 0.5);
   bool done = false;
   ftq.Start([&] { done = true; });
   while (!done) {
@@ -181,9 +181,9 @@ TEST(FtqModel, WorkTracksCpuAvailability) {
   }
   const auto& points = ftq.samples().points();
   ASSERT_EQ(points.size(), 20u);
-  EXPECT_NEAR(points[1].value, 2 * config.work_per_quantum, 1e3);
-  EXPECT_NEAR(points[7].value, 1.5 * config.work_per_quantum, 1e3);
-  EXPECT_NEAR(points[15].value, 2 * config.work_per_quantum, 1e3);
+  EXPECT_NEAR(points[1].value, 2 * kFtqWorkPerQuantum, 1e3);
+  EXPECT_NEAR(points[7].value, 1.5 * kFtqWorkPerQuantum, 1e3);
+  EXPECT_NEAR(points[15].value, 2 * kFtqWorkPerQuantum, 1e3);
 }
 
 TEST_F(WorkloadsTest, CompileRunsToCompletion) {
