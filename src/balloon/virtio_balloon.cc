@@ -25,7 +25,7 @@ VirtioBalloon::VirtioBalloon(guest::GuestVm* vm, const BalloonConfig& config)
                  .rollback = "balloon.fault_rollback",
                  .timeout = "balloon.request_timeout",
                  .backoff_ns = "balloon.fault_backoff_ns"},
-                &cpu_, &outcome_) {
+                this, &cpu_) {
   HA_CHECK(vm != nullptr);
   // virtio-balloon is not DMA-safe (§2): refuse passthrough configs.
   HA_CHECK(!vm->config().vfio);
@@ -93,24 +93,19 @@ void VirtioBalloon::Request(const hv::ResizeRequest& request) {
   const uint64_t total = vm_->config().memory_bytes;
   HA_CHECK(request.target_bytes <= total);
   const uint64_t target_frames = (total - request.target_bytes) / kFrameSize;
-  const bool inflate = target_frames > ballooned_frames_;
-  recovery_.Begin(request, inflate,
-                  inflate ? target_frames - ballooned_frames_
-                          : ballooned_frames_ - target_frames);
-  if (inflate) {
-    InflateSlice(target_frames);
+  if (target_frames > ballooned_frames_) {
+    recovery_.Run(
+        request, /*inflate=*/true, target_frames - ballooned_frames_,
+        [this, target_frames] { return InflateSlice(target_frames); });
   } else {
-    DeflateSlice(target_frames);
+    recovery_.Run(
+        request, /*inflate=*/false, ballooned_frames_ - target_frames,
+        [this, target_frames] { return DeflateSlice(target_frames); });
   }
 }
 
-void VirtioBalloon::InflateSlice(uint64_t target_frames) {
-  trace::ScopedContext request_context(recovery_.context());
+hv::Slice VirtioBalloon::InflateSlice(uint64_t target_frames) {
   trace::Span slice(trace::Layer::kBackend, "balloon.inflate_slice");
-  if (recovery_.TimedOut()) {
-    Finish();  // partial inflate: the balloon simply stays smaller
-    return;
-  }
   const sim::Time t0 = sim_->now();
   std::vector<Ballooned> batch;
   const sim::Time guest_start = sim_->now();
@@ -169,8 +164,7 @@ void VirtioBalloon::InflateSlice(uint64_t target_frames) {
   cpu_.guest_ns += sim_->now() - guest_start;
 
   if (batch.empty()) {
-    Finish();
-    return;
+    return hv::Slice::kDone;
   }
 
   // One hypercall delivers the batch; QEMU discards each entry.
@@ -194,8 +188,7 @@ void VirtioBalloon::InflateSlice(uint64_t target_frames) {
     vm_->FreeBatch(base_frames, 0, kDriverCpu);
     recovery_.Rollback();
     vm_->sink().OnCpuSteal(kDriverCpu, t0, sim_->now(), 1.0);
-    Finish();
-    return;
+    return hv::Slice::kDone;
   }
   HostDiscard(batch);
   pages_.insert(pages_.end(), batch.begin(), batch.end());
@@ -203,12 +196,8 @@ void VirtioBalloon::InflateSlice(uint64_t target_frames) {
   // The balloon kthread monopolized its vCPU for the whole slice.
   vm_->sink().OnCpuSteal(kDriverCpu, t0, sim_->now(), 1.0);
 
-  const bool more = ballooned_frames_ < target_frames;
-  if (!more) {
-    Finish();
-    return;
-  }
-  sim_->After(0, [this, target_frames] { InflateSlice(target_frames); });
+  return ballooned_frames_ < target_frames ? hv::Slice::kMore
+                                           : hv::Slice::kDone;
 }
 
 void VirtioBalloon::HostDiscard(const std::vector<Ballooned>& batch) {
@@ -259,17 +248,12 @@ void VirtioBalloon::HostDiscard(const std::vector<Ballooned>& batch) {
   }
 }
 
-void VirtioBalloon::DeflateSlice(uint64_t target_frames) {
-  trace::ScopedContext request_context(recovery_.context());
+hv::Slice VirtioBalloon::DeflateSlice(uint64_t target_frames) {
   // Device processing and guest frees alternate per element; rather than
   // a span per element, two slice-length spans take the charges of their
   // layer (ChargeSpan targets them explicitly).
   trace::Span slice(trace::Layer::kBackend, "balloon.deflate_slice");
   trace::Span guest(trace::Layer::kGuest, "balloon.guest_free");
-  if (recovery_.TimedOut()) {
-    Finish();
-    return;
-  }
   const sim::Time t0 = sim_->now();
   unsigned elems = 0;
   // Order-0 frees accumulate into one end-of-slice FreeBatch (one CAS
@@ -307,11 +291,9 @@ void VirtioBalloon::DeflateSlice(uint64_t target_frames) {
   vm_->FreeBatch(base_frames, 0, kDriverCpu);
   vm_->sink().OnCpuSteal(kDriverCpu, t0, sim_->now(), 1.0);
 
-  if (ballooned_frames_ <= target_frames || pages_.empty()) {
-    Finish();
-    return;
-  }
-  sim_->After(0, [this, target_frames] { DeflateSlice(target_frames); });
+  return ballooned_frames_ <= target_frames || pages_.empty()
+             ? hv::Slice::kDone
+             : hv::Slice::kMore;
 }
 
 sim::Time VirtioBalloon::ReportCycle() {
@@ -362,7 +344,7 @@ sim::Time VirtioBalloon::ReportCycle() {
       HA_CHECK(!err.has_value());
       cpu_.guest_ns += hv::Charge(sim_, vm_->costs().guest_free_4k_ns);
     }
-    recovery_.Rollback(/*of_request=*/false);
+    recovery_.Rollback();
     vm_->sink().OnCpuSteal(kDriverCpu, t0, sim_->now(), 1.0);
     return config_.reporting_delay;
   }

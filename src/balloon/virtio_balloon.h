@@ -76,9 +76,8 @@ class VirtioBalloon : public hv::Deflator {
     unsigned order;
   };
 
-  void InflateSlice(uint64_t target_frames);
-  void DeflateSlice(uint64_t target_frames);
-  void Finish() { recovery_.Finish(limit_bytes()); }
+  hv::Slice InflateSlice(uint64_t target_frames);
+  hv::Slice DeflateSlice(uint64_t target_frames);
   // One free-page reporting cycle; returns the delay to the next one.
   sim::Time ReportCycle();
 

@@ -128,7 +128,9 @@ void HyperAllocMonitor::QuarantineFrame(ZoneView& view, HugeId local_huge) {
   ++quarantined_huge_;
   HA_COUNT("monitor.quarantine_frame");
   if (fault::Injector* injector = vm_->fault_injector()) {
-    injector->NotifyQuarantineFrame();
+    injector->NotifyQuarantineFrame(
+        vm_->ept().CountMapped(view.zone->start + HugeToFrame(local_huge),
+                               kFramesPerHuge) > 0);
   }
   if (quarantined_huge_ >= config_.quarantine_frame_limit) {
     QuarantineVm();
@@ -136,10 +138,10 @@ void HyperAllocMonitor::QuarantineFrame(ZoneView& view, HugeId local_huge) {
 }
 
 void HyperAllocMonitor::QuarantineVm() {
-  if (vm_quarantined_) {
+  if (recovery_.quarantined()) {
     return;
   }
-  vm_quarantined_ = true;
+  recovery_.Quarantine();
   StopAuto();
   HA_COUNT("monitor.quarantine_vm");
   if (fault::Injector* injector = vm_->fault_injector()) {
@@ -180,38 +182,29 @@ uint64_t HyperAllocMonitor::Unmap(const std::vector<HugeId>& global_huge) {
 
 void HyperAllocMonitor::Request(const hv::ResizeRequest& request) {
   HA_CHECK(request.target_bytes <= vm_->config().memory_bytes);
-  stalled_slices_ = 0;
   const uint64_t target_hard =
       (vm_->config().memory_bytes - request.target_bytes) / kHugeSize;
   // Quarantined frames already count against the limit, so the request
-  // only has to move the remainder.
+  // only has to move the remainder. A poisoned VM refuses resizes: the
+  // request finishes before its first slice.
   const uint64_t held = hard_reclaimed_huge_ + quarantined_huge_;
-  const bool shrink = target_hard > held;
-  recovery_.Begin(
-      request, shrink,
-      (shrink ? target_hard - held : held - target_hard) * kFramesPerHuge);
-  if (vm_quarantined_) {
-    Finish();  // a poisoned VM refuses resizes: report and complete
-    return;
-  }
-  if (shrink) {
-    ShrinkSlice(target_hard, /*escalation=*/0);
+  if (target_hard > held) {
+    recovery_.Run(request, /*inflate=*/true,
+                  (target_hard - held) * kFramesPerHuge,
+                  [this, target_hard, escalation = 0, stalled = 0u]() mutable {
+                    return ShrinkSlice(target_hard, escalation, stalled);
+                  });
   } else {
-    GrowSlice(target_hard);
+    recovery_.Run(request, /*inflate=*/false,
+                  (held - target_hard) * kFramesPerHuge,
+                  [this, target_hard] { return GrowSlice(target_hard); });
   }
 }
 
-void HyperAllocMonitor::ShrinkSlice(uint64_t target_huge, int escalation) {
-  // Re-enter the request's trace (slices run as separate event-loop
-  // callbacks, so the thread context must be restored each time).
-  trace::ScopedContext request_context(recovery_.context());
+hv::Slice HyperAllocMonitor::ShrinkSlice(uint64_t target_huge,
+                                         int& escalation,
+                                         unsigned& stalled_slices) {
   trace::Span slice(trace::Layer::kMonitor, "monitor.shrink_slice");
-  // Poisoned mid-request or past the deadline: stop with a partial
-  // reclaim (every frame is in a legal state as-is).
-  if (vm_quarantined_ || recovery_.TimedOut()) {
-    Finish();
-    return;
-  }
   std::vector<HugeId> batch;
 
   // Linear scan with a persistent per-zone hint, Normal zones before
@@ -245,9 +238,8 @@ void HyperAllocMonitor::ShrinkSlice(uint64_t target_huge, int escalation) {
 
   // Done, or quarantine tripped mid-batch (stop with a partial reclaim).
   if (hard_reclaimed_huge_ + quarantined_huge_ >= target_huge ||
-      vm_quarantined_) {
-    Finish();
-    return;
+      recovery_.quarantined()) {
+    return hv::Slice::kDone;
   }
   if (batch.empty()) {
     // No fully free huge frame found: escalate the memory pressure
@@ -259,34 +251,25 @@ void HyperAllocMonitor::ShrinkSlice(uint64_t target_huge, int escalation) {
     } else if (vm_->cache_bytes() > 0) {
       vm_->CacheDrop(64 * kMiB);
     } else {
-      Finish();  // nothing left to reclaim at huge granularity
-      return;
+      // Nothing left to reclaim at huge granularity.
+      return hv::Slice::kDone;
     }
   } else if (completed == 0 && quarantined_huge_ == quarantined_before) {
     // Every reclaimed frame was rolled back by transient faults: no net
     // progress. A few stalled slices in a row mean the fault rate is too
     // high to ever finish — give up with a partial reclaim instead of
     // spinning (the hint would re-find the same frames forever).
-    if (++stalled_slices_ >= 3) {
-      Finish();
-      return;
+    if (++stalled_slices >= 3) {
+      return hv::Slice::kDone;
     }
   } else {
-    stalled_slices_ = 0;
+    stalled_slices = 0;
   }
-  sim_->After(0, [this, target_huge, escalation] {
-    ShrinkSlice(target_huge, escalation);
-  });
+  return hv::Slice::kMore;
 }
 
-void HyperAllocMonitor::GrowSlice(uint64_t target_huge) {
-  trace::ScopedContext request_context(recovery_.context());
+hv::Slice HyperAllocMonitor::GrowSlice(uint64_t target_huge) {
   trace::Span slice(trace::Layer::kMonitor, "monitor.grow_slice");
-  // Past the deadline: stop with a partial return.
-  if (recovery_.TimedOut()) {
-    Finish();
-    return;
-  }
   unsigned returned = 0;
   {
     trace::Span mark(trace::Layer::kLLFree, "llfree.mark_returned");
@@ -316,12 +299,10 @@ void HyperAllocMonitor::GrowSlice(uint64_t target_huge) {
   // Quarantined frames cannot be returned: a grow request against a VM
   // with quarantined memory finishes partial (returned == 0 once only
   // quarantined frames remain above the target).
-  if (hard_reclaimed_huge_ + quarantined_huge_ <= target_huge ||
-      returned == 0) {
-    Finish();
-    return;
-  }
-  sim_->After(0, [this, target_huge] { GrowSlice(target_huge); });
+  return hard_reclaimed_huge_ + quarantined_huge_ <= target_huge ||
+                 returned == 0
+             ? hv::Slice::kDone
+             : hv::Slice::kMore;
 }
 
 bool HyperAllocMonitor::IsHot(HugeId global_huge) const {
@@ -330,7 +311,7 @@ bool HyperAllocMonitor::IsHot(HugeId global_huge) const {
 }
 
 uint64_t HyperAllocMonitor::AutoReclaimPass() {
-  if (vm_quarantined_) {
+  if (recovery_.quarantined()) {
     return 0;  // a poisoned VM stops background reclamation
   }
   // Auto-reclamation is its own causal root (a periodic scan, not part

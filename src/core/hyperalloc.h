@@ -79,7 +79,7 @@ class HyperAllocMonitor : public MonitorHost {
   uint64_t fault_retries() const { return recovery_.retries(); }
   uint64_t fault_timeouts() const { return recovery_.timeouts(); }
   uint64_t quarantined_huge() const { return quarantined_huge_; }
-  bool vm_quarantined() const { return vm_quarantined_; }
+  bool vm_quarantined() const { return recovery_.quarantined(); }
 
   // §6 swap-strategy hook: the shared tree index carries each tree's
   // allocation type, so the host can prefer (e.g.) swapping movable user
@@ -109,12 +109,13 @@ class HyperAllocMonitor : public MonitorHost {
 
   void Install(ZoneView& view, HugeId local_huge);
 
-  // One shrink slice; escalation: 0 = free memory only, 1 = purge
-  // allocator caches + raid reserved trees, 2 = evict page cache.
-  void ShrinkSlice(uint64_t target_huge, int escalation);
-  void GrowSlice(uint64_t target_huge);
-  // Ends the request in flight where it stands.
-  void Finish() { recovery_.Finish(limit_bytes(), vm_quarantined_); }
+  // One shrink slice. Carried over to the next: `escalation` (0 = free
+  // memory only, 1 = purge allocator caches + raid reserved trees, 2 =
+  // evict page cache) and `stalled_slices`, the consecutive slices that
+  // made no progress.
+  hv::Slice ShrinkSlice(uint64_t target_huge, int& escalation,
+                        unsigned& stalled_slices);
+  hv::Slice GrowSlice(uint64_t target_huge);
 
   // --- Fault recovery (DESIGN.md §4.9) -------------------------------
   // Maps a global huge id back to its zone view + local id; the one
@@ -138,8 +139,6 @@ class HyperAllocMonitor : public MonitorHost {
 
   // Fault recovery (DESIGN.md §4.9).
   uint64_t quarantined_huge_ = 0;
-  bool vm_quarantined_ = false;
-  unsigned stalled_slices_ = 0;  // consecutive zero-progress slices
 
   uint64_t scan_cache_lines_ = 0;
 };

@@ -2,7 +2,6 @@
 
 #include "src/base/check.h"
 #include "src/hv/cost_model.h"
-#include "src/trace/span.h"
 
 namespace hyperalloc::core {
 namespace {
@@ -77,23 +76,18 @@ void GenericHyperAllocMonitor::Request(const hv::ResizeRequest& request) {
   const uint64_t target_hard =
       (vm_->config().memory_bytes - request.target_bytes) / kHugeSize;
   const uint64_t held = hard_held_.size();
-  const bool shrink = target_hard > held;
-  recovery_.Begin(
-      request, shrink,
-      (shrink ? target_hard - held : held - target_hard) * kFramesPerHuge);
-  if (shrink) {
-    ShrinkSlice(target_hard);
+  if (target_hard > held) {
+    recovery_.Run(request, /*inflate=*/true,
+                  (target_hard - held) * kFramesPerHuge,
+                  [this, target_hard] { return ShrinkSlice(target_hard); });
   } else {
-    GrowSlice(target_hard);
+    recovery_.Run(request, /*inflate=*/false,
+                  (held - target_hard) * kFramesPerHuge,
+                  [this, target_hard] { return GrowSlice(target_hard); });
   }
 }
 
-void GenericHyperAllocMonitor::ShrinkSlice(uint64_t target_huge) {
-  trace::ScopedContext request_context(recovery_.context());
-  if (recovery_.TimedOut()) {
-    Finish();  // partial reclaim: every frame is in a legal state as-is
-    return;
-  }
+hv::Slice GenericHyperAllocMonitor::ShrinkSlice(uint64_t target_huge) {
   // Guest-mediated hard reclamation (the generalization's weak spot):
   // the monitor cannot mark frames allocated in the private buddy state,
   // so it allocates them *through* the guest, balloon-style, then unmaps
@@ -119,19 +113,12 @@ void GenericHyperAllocMonitor::ShrinkSlice(uint64_t target_huge) {
     cpu_.host_user_ns += hv::Charge(sim_, vm_->costs().hypercall_ns);
     UnmapBatch(batch, kUnmapFailed);
   }
-  if (hard_held_.size() >= target_huge || batch.empty()) {
-    Finish();
-    return;
-  }
-  sim_->After(0, [this, target_huge] { ShrinkSlice(target_huge); });
+  return hard_held_.size() >= target_huge || batch.empty()
+             ? hv::Slice::kDone
+             : hv::Slice::kMore;
 }
 
-void GenericHyperAllocMonitor::GrowSlice(uint64_t target_huge) {
-  trace::ScopedContext request_context(recovery_.context());
-  if (recovery_.TimedOut()) {
-    Finish();
-    return;
-  }
+hv::Slice GenericHyperAllocMonitor::GrowSlice(uint64_t target_huge) {
   unsigned returned = 0;
   while (hard_held_.size() > target_huge && returned < kHugepagesPerSlice) {
     const FrameId frame = hard_held_.back();
@@ -145,11 +132,9 @@ void GenericHyperAllocMonitor::GrowSlice(uint64_t target_huge) {
     vm_->Free(frame, kHugeOrder, 0);
     ++returned;
   }
-  if (hard_held_.size() <= target_huge || returned == 0) {
-    Finish();
-    return;
-  }
-  sim_->After(0, [this, target_huge] { GrowSlice(target_huge); });
+  return hard_held_.size() <= target_huge || returned == 0
+             ? hv::Slice::kDone
+             : hv::Slice::kMore;
 }
 
 }  // namespace hyperalloc::core

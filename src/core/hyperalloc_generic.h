@@ -59,9 +59,8 @@ class GenericHyperAllocMonitor : public MonitorHost {
 
  private:
   void Install(HugeId huge);
-  void ShrinkSlice(uint64_t target_huge);
-  void GrowSlice(uint64_t target_huge);
-  void Finish() { recovery_.Finish(limit_bytes()); }
+  hv::Slice ShrinkSlice(uint64_t target_huge);
+  hv::Slice GrowSlice(uint64_t target_huge);
 
   hv::AuxState aux_;
   ReclaimStateArray states_;

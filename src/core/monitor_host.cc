@@ -1,6 +1,7 @@
 #include "src/core/monitor_host.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "src/base/check.h"
 #include "src/trace/span.h"
@@ -17,7 +18,7 @@ MonitorHost::MonitorHost(guest::GuestVm* vm, bool in_kernel)
                  .rollback = "monitor.fault_rollback",
                  .timeout = "monitor.request_timeout",
                  .backoff_ns = "monitor.fault_backoff_ns"},
-                &cpu_, &outcome_),
+                this, &cpu_),
       in_kernel_(in_kernel),
       auto_(vm->simulation(), kAutoPeriod, [this] {
         AutoReclaimPass();
@@ -107,10 +108,10 @@ uint64_t MonitorHost::UnmapBatch(const std::vector<HugeId>& global_huge,
 
   // Contiguous runs are unmapped with a single madvise syscall — the
   // aggregation that LLFree's compact allocation behaviour makes
-  // effective (§4.2 "KVM/QEMU Integration"). Each run's madvise/TLB cost
-  // is charged inside an EPT-layer span and each run's coalesced unpin
-  // inside an IOMMU-layer span, so request traces attribute the flush
-  // work to the layer that incurs it (total charge is unchanged).
+  // effective (§4.2 "KVM/QEMU Integration"). Each run's unmap and its
+  // madvise/TLB cost sit inside an EPT-layer span and each run's
+  // coalesced unpin inside an IOMMU-layer span, so request traces
+  // attribute the flush work to the layer that incurs it.
   size_t i = 0;
   while (i < sorted.size()) {
     size_t j = i + 1;
@@ -125,6 +126,9 @@ uint64_t MonitorHost::UnmapBatch(const std::vector<HugeId>& global_huge,
     // and must keep their pin (a rolled-back frame stays mapped).
     std::vector<bool> unmapped(j - i, false);
     uint64_t run_ok = 0;
+    // Opened at the run's first mapped frame: an untouched run has no
+    // EPT work and no span.
+    std::optional<trace::Span> unmap;
     for (size_t k = i; k < j; ++k) {
       const FrameId first = HugeToFrame(sorted[k]);
       if (vm_->ept().CountMapped(first, kFramesPerHuge) == 0) {
@@ -132,6 +136,9 @@ uint64_t MonitorHost::UnmapBatch(const std::vector<HugeId>& global_huge,
         ++run_ok;
         ++reclaim_.untouched;
         continue;
+      }
+      if (!unmap.has_value()) {
+        unmap.emplace(trace::Layer::kEpt, "ept.unmap_run");
       }
       // §4.14 reclaim-share split: read the 2M-entry bit before Unmap
       // invalidates it.
@@ -166,12 +173,12 @@ uint64_t MonitorHost::UnmapBatch(const std::vector<HugeId>& global_huge,
       if (!in_kernel_) {
         HA_COUNT("monitor.madvise");
       }
-      trace::Span unmap(trace::Layer::kEpt, "ept.unmap_run");
-      unmap.AddFrames(mapped_huge * kFramesPerHuge);
-      unmap.AddHugeFrames(mapped_huge_2m * kFramesPerHuge);
+      unmap->AddFrames(mapped_huge * kFramesPerHuge);
+      unmap->AddHugeFrames(mapped_huge_2m * kFramesPerHuge);
       cpu_.host_sys_ns +=
           hv::ChargeTraced(sim_, "monitor.unmap_ns", run_sys_ns);
     }
+    unmap.reset();
     if (!vm_->config().vfio) {
       completed += run_ok;
     } else if (run_ok == j - i) {

@@ -170,14 +170,22 @@ class Injector {
   // internals. Notifications happen on the VM's own simulation thread and
   // the reads on the worker that just ran it to the barrier, so the
   // counts are determinism-safe.
-  void NotifyQuarantineFrame() {
+  // `mapped`: the frame still holds host memory (it was quarantined
+  // before its unmap succeeded).
+  void NotifyQuarantineFrame(bool mapped) {
     quarantined_frames_.fetch_add(1, std::memory_order_relaxed);
+    if (mapped) {
+      quarantined_mapped_frames_.fetch_add(1, std::memory_order_relaxed);
+    }
   }
   void NotifyQuarantineVm() {
     quarantined_vm_.store(true, std::memory_order_relaxed);
   }
   uint64_t quarantined_frames() const {
     return quarantined_frames_.load(std::memory_order_relaxed);
+  }
+  uint64_t quarantined_mapped_frames() const {
+    return quarantined_mapped_frames_.load(std::memory_order_relaxed);
   }
   bool quarantined_vm() const {
     return quarantined_vm_.load(std::memory_order_relaxed);
@@ -227,6 +235,7 @@ class Injector {
   Plan plan_;
   std::array<State, kNumSites> state_;
   std::atomic<uint64_t> quarantined_frames_{0};
+  std::atomic<uint64_t> quarantined_mapped_frames_{0};
   std::atomic<bool> quarantined_vm_{false};
 };
 

@@ -289,13 +289,12 @@ void FleetEngine::ReadVm(VmState& s, sim::Time barrier) {
   sig.wss_bytes = s.wss_bytes;
   // A quarantined frame counts against the limit, but one quarantined
   // after a permanent unmap fault stays mapped and keeps its host
-  // memory. Count every quarantined frame as committed: the ones
-  // quarantined after a failed unpin are already unmapped, so this
-  // over-counts, which only makes admission stricter.
+  // memory: it is committed too. One quarantined after a failed unpin
+  // is already unmapped and is not.
   committed_[i] =
       std::max(sig.limit_bytes, sig.busy ? s.inflight_target : 0) +
       (s.parts.fault != nullptr
-           ? s.parts.fault->quarantined_frames() * kHugeSize
+           ? s.parts.fault->quarantined_mapped_frames() * kHugeSize
            : 0);
   if (gauges_ != nullptr) {
     s.FillGauges(sig, rss, &gauges_[i], &completed_ms_[i]);
@@ -410,19 +409,12 @@ void FleetEngine::ControlStep(sim::Time barrier) {
       ResizeRecord& r = state->records[slot];
       const hv::ResizeOutcome& o = state->parts.deflator->last_outcome();
       r.completed = state->sim.now();
-      // A backend without outcome machinery (the generic monitor) leaves
-      // last_outcome() stale; fall back to the observable limit.
-      if (o.target_bytes == r.target_bytes) {
-        r.achieved_bytes = o.achieved_bytes;
-        r.complete = o.complete;
-        r.timed_out = o.timed_out;
-        r.faults = o.faults;
-        r.retries = o.retries;
-        r.rollbacks = o.rollbacks;
-      } else {
-        r.achieved_bytes = state->parts.deflator->limit_bytes();
-        r.complete = r.achieved_bytes == r.target_bytes;
-      }
+      r.achieved_bytes = o.achieved_bytes;
+      r.complete = o.complete;
+      r.timed_out = o.timed_out;
+      r.faults = o.faults;
+      r.retries = o.retries;
+      r.rollbacks = o.rollbacks;
       state->inflight_target = 0;
       state->digest.Mix(r.issued);
       state->digest.Mix(r.completed);

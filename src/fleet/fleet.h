@@ -158,7 +158,7 @@ struct ResizeRecord {
   bool complete = false;
   bool timed_out = false;
   // Fault-recovery accounting for this request (from the backend's
-  // ResizeOutcome; zero for backends without outcome machinery).
+  // ResizeOutcome).
   uint64_t faults = 0;
   uint64_t retries = 0;
   uint64_t rollbacks = 0;

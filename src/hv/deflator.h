@@ -120,11 +120,12 @@ class Deflator {
   virtual const CpuAccounting& cpu() const = 0;
 
   // The outcome of the most recently finished request (all-zero before
-  // the first request completes). Backends fill `outcome_` as they
-  // finish; the base class only stores it.
+  // the first request completes). hv::Recovery fills `outcome_` as a
+  // backend's request finishes; the base class only stores it.
   const ResizeOutcome& last_outcome() const { return outcome_; }
 
  protected:
+  friend class Recovery;
   ResizeOutcome outcome_;
 };
 

@@ -8,10 +8,10 @@
 namespace hyperalloc::hv {
 
 Recovery::Recovery(sim::Simulation* sim, const RecoveryNames& names,
-                   CpuAccounting* cpu, ResizeOutcome* outcome)
+                   Deflator* owner, CpuAccounting* cpu)
     : sim_(sim),
+      owner_(owner),
       cpu_(cpu),
-      outcome_(outcome),
       fault_count_{names.fault},
       retry_count_{names.retry},
       rollback_count_{names.rollback},
@@ -23,8 +23,7 @@ void Recovery::Begin(const ResizeRequest& request, bool inflate,
   HA_CHECK(!busy_);
   busy_ = true;
   inflate_ = inflate;
-  *outcome_ = ResizeOutcome{};
-  outcome_->target_bytes = request.target_bytes;
+  outcome() = ResizeOutcome{.target_bytes = request.target_bytes};
   deadline_ = request.deadline_ns > 0 ? sim_->now() + request.deadline_ns : 0;
   done_ = request.done;
   on_outcome_ = request.on_outcome;
@@ -37,17 +36,17 @@ bool Recovery::TimedOut() {
     return false;
   }
   ++timeouts_;
-  outcome_->timed_out = true;
+  outcome().timed_out = true;
   timeout_count_.Add();
   return true;
 }
 
-void Recovery::Finish(uint64_t achieved_bytes, bool quarantined) {
-  const uint64_t target = outcome_->target_bytes;
-  outcome_->achieved_bytes = achieved_bytes;
-  outcome_->quarantined = quarantined;
-  outcome_->complete = !quarantined && (inflate_ ? achieved_bytes <= target
-                                                 : achieved_bytes >= target);
+void Recovery::Finish() {
+  ResizeOutcome& o = outcome();
+  o.achieved_bytes = owner_->limit_bytes();
+  o.quarantined = quarantined_;
+  o.complete = !quarantined_ && (inflate_ ? o.achieved_bytes <= o.target_bytes
+                                          : o.achieved_bytes >= o.target_bytes);
   span_.Finish();
   busy_ = false;
   deadline_ = 0;
@@ -55,7 +54,7 @@ void Recovery::Finish(uint64_t achieved_bytes, bool quarantined) {
   const auto on_outcome = std::move(on_outcome_);
   const auto done = std::move(done_);
   if (on_outcome) {
-    on_outcome(*outcome_);
+    on_outcome(o);
   }
   if (done) {
     done();
@@ -67,8 +66,8 @@ Attempt Recovery::Fault(fault::Kind kind) {
   if (trace::Span* span = trace::Span::Current()) {
     span->AddFault();
   }
-  if (busy_) {
-    ++outcome_->faults;
+  if (in_slice_) {
+    ++outcome().faults;
     span_.AddFault();
   }
   fault_count_.Add();
@@ -76,9 +75,9 @@ Attempt Recovery::Fault(fault::Kind kind) {
                                          : Attempt::kTransient;
 }
 
-void Recovery::Rollback(bool of_request) {
-  if (busy_ && of_request) {
-    ++outcome_->rollbacks;
+void Recovery::Rollback() {
+  if (in_slice_) {
+    ++outcome().rollbacks;
   }
   rollback_count_.Add();
 }
@@ -88,8 +87,8 @@ void Recovery::Backoff(unsigned retry) {
   if (trace::Span* span = trace::Span::Current()) {
     span->AddRetry();
   }
-  if (busy_) {
-    ++outcome_->retries;
+  if (in_slice_) {
+    ++outcome().retries;
     span_.AddRetry();
   }
   retry_count_.Add();

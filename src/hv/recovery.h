@@ -1,20 +1,32 @@
-// Fault recovery for every de/inflation backend (DESIGN.md §4.9).
+// The request lifecycle and fault recovery of every de/inflation backend
+// (DESIGN.md §4.9).
 //
-// HyperAlloc, virtio-balloon and virtio-mem cross the same host
-// boundaries (hypercalls, EPT unmap, IOMMU pin/unpin), and they recover
-// from a failed boundary by the same rules: a bounded number of attempts,
-// a virtual-time exponential backoff before each retry, and a
-// per-request deadline after which the request finishes partially. This
-// type holds those rules and everything they account: the lifetime
+// HyperAlloc, virtio-balloon and virtio-mem move a VM's limit the same
+// way: a request runs in slices that interleave with the workload, as a
+// driver kthread would. The first slice runs inside Request; each later
+// one is a zero-delay event; before each, the request's trace context is
+// re-entered and its deadline checked. Recovery::Run owns all of that
+// and ends the request where it stands (the partial-reclaim contract); a
+// backend supplies only a step that does one slice of work.
+//
+// The backends also cross the same host boundaries (hypercalls, EPT
+// unmap, IOMMU pin/unpin) and recover from a failed one by the same
+// rules: a bounded number of attempts, a virtual-time exponential backoff
+// before each retry, and quarantine once a failure is unrecoverable.
+// This type holds those rules and everything they account: the lifetime
 // counts, the backend's `<backend>.fault*` counters and backoff
 // histogram, the innermost and request spans, and the request's
-// hv::ResizeOutcome. A backend keeps only what is specific to a boundary:
-// how one attempt is made, and what a failed operation leaves to undo.
+// hv::ResizeOutcome. A request is billed only the faults, retries and
+// rollbacks of its own slices; background work (auto-reclaim passes,
+// free-page reports, guest-triggered installs) is billed to no request.
+// A backend keeps only what is specific to a boundary: how one attempt is
+// made, and what a failed operation leaves to undo.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <utility>
 
 #include "src/fault/fault.h"
 #include "src/hv/deflator.h"
@@ -42,6 +54,10 @@ constexpr uint64_t BackoffNs(unsigned retry) {
 // What one attempt at a fallible boundary came to.
 enum class Attempt : uint8_t { kOk, kTransient, kPermanent };
 
+// What one slice of a request came to: more slices to run, or the
+// request has gone as far as it can.
+enum class Slice : uint8_t { kMore, kDone };
+
 // The counters and the histogram one backend's recovery counts under.
 struct RecoveryNames {
   const char* fault;       // "<backend>.fault"
@@ -53,32 +69,39 @@ struct RecoveryNames {
 
 class Recovery {
  public:
-  // Backoff is charged to `cpu`'s host user time; `outcome` is the
-  // backend's hv::Deflator::outcome_.
-  Recovery(sim::Simulation* sim, const RecoveryNames& names,
-           CpuAccounting* cpu, ResizeOutcome* outcome);
+  // `owner` is the backend: a request ends at its limit_bytes() and
+  // leaves its outcome in owner->last_outcome(). Backoff is charged to
+  // `cpu`'s host user time.
+  Recovery(sim::Simulation* sim, const RecoveryNames& names, Deflator* owner,
+           CpuAccounting* cpu);
   // Points into its owner: never copied.
   Recovery(const Recovery&) = delete;
   Recovery& operator=(const Recovery&) = delete;
 
   // --- The request -----------------------------------------------------
-  // Starts a request: resets the outcome, arms the deadline
-  // (request.deadline_ns after now; 0 = none), keeps the request's
-  // callbacks and opens its request span.
-  void Begin(const ResizeRequest& request, bool inflate, uint64_t frames);
+  // Runs `request`, which moves `frames` base frames (`inflate`: toward
+  // the host), to its end. `step` is a copyable callable returning Slice
+  // that does one slice of work. The first slice runs before Run
+  // returns, each later one in its own zero-delay event. A slice does
+  // not run once the owner is quarantined or the request's deadline
+  // (request.deadline_ns after now; 0 = none) has passed: the request
+  // then finishes where it stands (partial reclaim). Finishing fills the
+  // outcome, closes the request span, then fires `on_outcome` and
+  // `done`, in the request's trace context.
+  template <class Step>
+  void Run(const ResizeRequest& request, bool inflate, uint64_t frames,
+           Step step) {
+    Begin(request, inflate, frames);
+    RunSlice(step);
+  }
   bool busy() const { return busy_; }
-  // The trace context every slice of the request re-enters.
-  trace::SpanContext context() const { return span_.context(); }
-  // Checked at the top of each request slice. Once the deadline has
-  // passed, counts the timeout, flags the outcome and returns true; the
-  // slice then finishes the request where it stands (partial reclaim).
-  bool TimedOut();
-  // Ends the request at `achieved_bytes`: fills the outcome, closes the
-  // request span, then fires `on_outcome` and `done`. A quarantined VM
-  // may reach its numeric target, but the host memory behind the
-  // quarantined frames was never freed: that is degradation, not
-  // completion.
-  void Finish(uint64_t achieved_bytes, bool quarantined = false);
+
+  // Poisons the owner for good: every request from now on finishes at
+  // its next slice boundary, flagged quarantined. A quarantined VM may
+  // reach its numeric target, but the host memory behind the quarantined
+  // frames was never freed: that is degradation, not completion.
+  void Quarantine() { quarantined_ = true; }
+  bool quarantined() const { return quarantined_; }
 
   // --- One operation ---------------------------------------------------
   // Runs `attempt` (a callable returning Attempt) until it succeeds, fails
@@ -98,13 +121,12 @@ class Recovery {
       Backoff(attempt_index);
     }
   }
-  // Records an observed fault (innermost span, request span, counts) and
-  // returns what it means for the attempt.
+  // Records an observed fault (innermost span, counts; inside a request
+  // slice also the request span and outcome) and returns what it means
+  // for the attempt.
   Attempt Fault(fault::Kind kind = fault::Kind::kTransient);
   // Records one rollback: work undone after its operation failed.
-  // `of_request` = false keeps it out of the request's outcome (work the
-  // request did not ask for, such as a free-page report).
-  void Rollback(bool of_request = true);
+  void Rollback();
 
   // Lifetime counts.
   uint64_t faults() const { return faults_; }
@@ -120,11 +142,35 @@ class Recovery {
     void Add();
   };
 
+  void Begin(const ResizeRequest& request, bool inflate, uint64_t frames);
+  // Runs one slice of the request in its trace context, then re-arms or
+  // finishes it.
+  template <class Step>
+  void RunSlice(Step& step) {
+    trace::ScopedContext request_context(span_.context());
+    if (!quarantined_ && !TimedOut()) {
+      in_slice_ = true;
+      const Slice slice = step();
+      in_slice_ = false;
+      if (slice == Slice::kMore) {
+        sim_->After(0, [this, step = std::move(step)]() mutable {
+          RunSlice(step);
+        });
+        return;
+      }
+    }
+    Finish();
+  }
+  // Once the deadline has passed, counts the timeout, flags the outcome
+  // and returns true.
+  bool TimedOut();
+  void Finish();
   void Backoff(unsigned retry);
+  ResizeOutcome& outcome() { return owner_->outcome_; }
 
   sim::Simulation* sim_;
+  Deflator* owner_;
   CpuAccounting* cpu_;
-  ResizeOutcome* outcome_;
   LazyCounter fault_count_;
   LazyCounter retry_count_;
   LazyCounter rollback_count_;
@@ -132,7 +178,9 @@ class Recovery {
   const char* backoff_name_;
 
   bool busy_ = false;
+  bool in_slice_ = false;  // a request slice is running
   bool inflate_ = false;
+  bool quarantined_ = false;
   sim::Time deadline_ = 0;  // 0 = no deadline
   std::function<void()> done_;
   std::function<void(const ResizeOutcome&)> on_outcome_;

@@ -25,7 +25,7 @@ VirtioMem::VirtioMem(guest::GuestVm* vm, const VmemConfig& config)
                  .rollback = "vmem.fault_rollback",
                  .timeout = "vmem.request_timeout",
                  .backoff_ns = "vmem.fault_backoff_ns"},
-                &cpu_, &outcome_) {
+                this, &cpu_) {
   HA_CHECK(vm != nullptr);
   guest::Zone& zone = movable_zone();
   HA_CHECK(zone.buddy != nullptr);
@@ -87,15 +87,16 @@ void VirtioMem::Request(const hv::ResizeRequest& request) {
   const uint64_t target_blocks =
       std::min<uint64_t>(num_blocks_, want_plugged_bytes / kHugeSize);
   // Host-side naming: unplugging guest memory inflates the host's pool.
-  const bool inflate = target_blocks < plugged_blocks_;
-  recovery_.Begin(request, inflate,
-                  (inflate ? plugged_blocks_ - target_blocks
-                           : target_blocks - plugged_blocks_) *
-                      kFramesPerHuge);
-  if (inflate) {
-    UnplugSlice(target_blocks);
+  if (target_blocks < plugged_blocks_) {
+    recovery_.Run(
+        request, /*inflate=*/true,
+        (plugged_blocks_ - target_blocks) * kFramesPerHuge,
+        [this, target_blocks] { return UnplugSlice(target_blocks); });
   } else {
-    PlugSlice(target_blocks);
+    recovery_.Run(
+        request, /*inflate=*/false,
+        (target_blocks - plugged_blocks_) * kFramesPerHuge,
+        [this, target_blocks] { return PlugSlice(target_blocks); });
   }
 }
 
@@ -179,6 +180,7 @@ bool VirtioMem::UnplugOneBlock() {
   const uint64_t mapped = vm_->ept().CountMapped(global_first,
                                                  kFramesPerHuge);
   if (mapped > 0) {
+    trace::Span unmap(trace::Layer::kEpt, "ept.unmap_run");
     const uint64_t ept_ns = vm_->costs().madvise_syscall_ns +
                             vm_->costs().tlb_shootdown_ns +
                             vm_->costs().madvise_per_2m_ns;
@@ -193,7 +195,6 @@ bool VirtioMem::UnplugOneBlock() {
           t, t + ept_ns,
           static_cast<double>(vm_->costs().shootdown_allcpu_2m_ns) /
               static_cast<double>(ept_ns));
-      trace::Span unmap(trace::Layer::kEpt, "ept.unmap_run");
       unmap.AddFrames(kFramesPerHuge);
       unmap.AddHugeFrames(kFramesPerHuge);
       cpu_.host_sys_ns += hv::Charge(sim_, ept_ns);
@@ -212,13 +213,8 @@ bool VirtioMem::UnplugOneBlock() {
   return true;
 }
 
-void VirtioMem::UnplugSlice(uint64_t target_blocks) {
-  trace::ScopedContext request_context(recovery_.context());
+hv::Slice VirtioMem::UnplugSlice(uint64_t target_blocks) {
   trace::Span slice(trace::Layer::kBackend, "vmem.unplug_slice");
-  if (recovery_.TimedOut()) {
-    Finish();  // partial unplug: already-unplugged blocks stay unplugged
-    return;
-  }
   const sim::Time t0 = sim_->now();
   for (unsigned i = 0;
        i < kBlocksPerSlice && plugged_blocks_ > target_blocks;
@@ -227,16 +223,12 @@ void VirtioMem::UnplugSlice(uint64_t target_blocks) {
       // Cannot evacuate further blocks right now: stop (partial success,
       // like the real driver's "requested size not reached").
       vm_->sink().OnCpuSteal(kDriverCpu, t0, sim_->now(), 1.0);
-      Finish();
-      return;
+      return hv::Slice::kDone;
     }
   }
   vm_->sink().OnCpuSteal(kDriverCpu, t0, sim_->now(), 1.0);
-  if (plugged_blocks_ <= target_blocks) {
-    Finish();
-    return;
-  }
-  sim_->After(0, [this, target_blocks] { UnplugSlice(target_blocks); });
+  return plugged_blocks_ <= target_blocks ? hv::Slice::kDone
+                                          : hv::Slice::kMore;
 }
 
 bool VirtioMem::PlugOneBlock(uint64_t block) {
@@ -326,13 +318,8 @@ bool VirtioMem::PlugOneBlock(uint64_t block) {
   return true;
 }
 
-void VirtioMem::PlugSlice(uint64_t target_blocks) {
-  trace::ScopedContext request_context(recovery_.context());
+hv::Slice VirtioMem::PlugSlice(uint64_t target_blocks) {
   trace::Span slice(trace::Layer::kBackend, "vmem.plug_slice");
-  if (recovery_.TimedOut()) {
-    Finish();
-    return;
-  }
   const sim::Time t0 = sim_->now();
   unsigned plugged_now = 0;
   for (uint64_t b = 0; b < num_blocks_ && plugged_blocks_ < target_blocks &&
@@ -343,18 +330,15 @@ void VirtioMem::PlugSlice(uint64_t target_blocks) {
         // Unrecoverable fault: stop with a partial plug (the real
         // driver's "requested size not reached").
         vm_->sink().OnCpuSteal(kDriverCpu, t0, sim_->now(), 1.0);
-        Finish();
-        return;
+        return hv::Slice::kDone;
       }
       ++plugged_now;
     }
   }
   vm_->sink().OnCpuSteal(kDriverCpu, t0, sim_->now(), 1.0);
-  if (plugged_blocks_ >= target_blocks || plugged_now == 0) {
-    Finish();
-    return;
-  }
-  sim_->After(0, [this, target_blocks] { PlugSlice(target_blocks); });
+  return plugged_blocks_ >= target_blocks || plugged_now == 0
+             ? hv::Slice::kDone
+             : hv::Slice::kMore;
 }
 
 sim::Time VirtioMem::AutoTick() {

@@ -76,9 +76,8 @@ class VirtioMem : public hv::Deflator {
  private:
   guest::Zone& movable_zone();
 
-  void PlugSlice(uint64_t target_blocks);
-  void UnplugSlice(uint64_t target_blocks);
-  void Finish() { recovery_.Finish(limit_bytes()); }
+  hv::Slice PlugSlice(uint64_t target_blocks);
+  hv::Slice UnplugSlice(uint64_t target_blocks);
   bool UnplugOneBlock();
   // Returns false when the plug aborted on an unrecoverable fault — the
   // block stays unplugged and the slice finishes partial.

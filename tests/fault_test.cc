@@ -300,6 +300,27 @@ TEST_F(FaultRecoveryTest, PermanentFaultsQuarantineFramesThenVm) {
   EXPECT_EQ(monitor_->limit_bytes(), limit);
 }
 
+// The fleet's admission ledger counts a quarantined frame as committed
+// only while it still holds host memory. A permanent unpin fault strikes
+// a run that is already unmapped, so its frames are quarantined without
+// host memory behind them; a permanent unmap fault leaves its frame
+// mapped.
+TEST_F(FaultRecoveryTest, QuarantineLedgerCountsOnlyMappedFrames) {
+  Init("iommu_unpin:1!", {}, /*seed=*/42, /*vfio=*/true);
+  PopulateAndFree(64);
+  EXPECT_TRUE(SetLimit(kVmBytes / 2).quarantined);
+  EXPECT_GT(injector_->quarantined_frames(), 0u);
+  EXPECT_EQ(injector_->quarantined_frames(), monitor_->quarantined_huge());
+  EXPECT_EQ(injector_->quarantined_mapped_frames(), 0u);
+
+  Init("ept_unmap:1!");
+  PopulateAndFree(64);
+  EXPECT_TRUE(SetLimit(kVmBytes / 2).quarantined);
+  EXPECT_GT(injector_->quarantined_frames(), 0u);
+  EXPECT_EQ(injector_->quarantined_mapped_frames(),
+            injector_->quarantined_frames());
+}
+
 TEST_F(FaultRecoveryTest, InjectionDisabledIsByteIdenticalToNoInjector) {
   // A VM with a null injector and one with an armed-but-empty plan must
   // produce identical virtual timelines (the injection-off determinism
