@@ -2,12 +2,13 @@
 // data-structure operations that underlie the paper's §5.3 rates: base and
 // huge allocation, free, the bilateral hard-reclaim/return transitions,
 // and the install-path CAS, plus the per-core FrameCache over the batch
-// API and the host frame pool under contention. These run on
-// real hardware (no virtual time).
+// API, the host frame pool under contention, and the EPT's per-huge-frame
+// map/unmap bookkeeping. These run on real hardware (no virtual time).
 #include <benchmark/benchmark.h>
 
 #include <vector>
 
+#include "src/hv/ept.h"
 #include "src/hv/host_memory.h"
 #include "src/llfree/frame_cache.h"
 #include "src/llfree/llfree.h"
@@ -188,6 +189,27 @@ void BM_HostPoolReserveRelease(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_HostPoolReserveRelease)->ThreadRange(1, 4)->UseRealTime();
+
+// Maps one 2 MiB frame of a 1 GiB EPT (a 2M-entry promotion) and unmaps
+// it again (one 2M invalidation), walking the huge frames in order. One
+// iteration is one map plus one unmap: the EPT's host cost on every
+// reclaim, install and THP fault.
+void BM_EptMapUnmapHuge(benchmark::State& state) {
+  constexpr uint64_t kEptFrames = FramesForBytes(kGiB);
+  hv::HostMemory host(kEptFrames);
+  hv::Ept ept(kEptFrames, &host);
+  const uint64_t huges = HugesForFrames(ept.frames());
+  HugeId huge = 0;
+  for (auto _ : state) {
+    const FrameId first = HugeToFrame(huge);
+    benchmark::DoNotOptimize(ept.Map(first, kFramesPerHuge));
+    benchmark::DoNotOptimize(ept.Unmap(first, kFramesPerHuge));
+    benchmark::ClobberMemory();
+    huge = huge + 1 == huges ? 0 : huge + 1;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EptMapUnmapHuge);
 
 }  // namespace
 }  // namespace hyperalloc::llfree

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "src/base/bitmap.h"
 #include "src/base/check.h"
 
 namespace hyperalloc::buddy {
@@ -428,10 +429,7 @@ std::optional<FrameId> Buddy::PopUnreported(unsigned order) {
 }
 
 void Buddy::MarkReported(FrameId frame, unsigned order) {
-  const uint64_t size = 1ull << order;
-  for (FrameId f = frame; f < frame + size; ++f) {
-    reported_[f / 64] |= 1ull << (f % 64);
-  }
+  SetBits(reported_, frame, 1ull << order);
 }
 
 bool Buddy::IsReported(FrameId frame) const {
@@ -439,10 +437,7 @@ bool Buddy::IsReported(FrameId frame) const {
 }
 
 void Buddy::ClearReported(FrameId frame, unsigned order) {
-  const uint64_t size = 1ull << order;
-  for (FrameId f = frame; f < frame + size; ++f) {
-    reported_[f / 64] &= ~(1ull << (f % 64));
-  }
+  ClearBits(reported_, frame, 1ull << order);
 }
 
 // ----------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 #include "src/base/check.h"
 #include "src/hv/cost_model.h"
+#include "src/trace/span.h"
 
 namespace hyperalloc::core {
 namespace {
@@ -88,6 +89,7 @@ void GenericHyperAllocMonitor::Request(const hv::ResizeRequest& request) {
 }
 
 hv::Slice GenericHyperAllocMonitor::ShrinkSlice(uint64_t target_huge) {
+  trace::Span slice(trace::Layer::kMonitor, "monitor.shrink_slice");
   // Guest-mediated hard reclamation (the generalization's weak spot):
   // the monitor cannot mark frames allocated in the private buddy state,
   // so it allocates them *through* the guest, balloon-style, then unmaps
@@ -119,6 +121,7 @@ hv::Slice GenericHyperAllocMonitor::ShrinkSlice(uint64_t target_huge) {
 }
 
 hv::Slice GenericHyperAllocMonitor::GrowSlice(uint64_t target_huge) {
+  trace::Span slice(trace::Layer::kMonitor, "monitor.grow_slice");
   unsigned returned = 0;
   while (hard_held_.size() > target_huge && returned < kHugepagesPerSlice) {
     const FrameId frame = hard_held_.back();

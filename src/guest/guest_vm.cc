@@ -362,10 +362,7 @@ void GuestVm::Free(FrameId frame, unsigned order, unsigned core) {
 
 bool GuestVm::PopulateFrames(FrameId first, uint64_t count) {
   for (int attempt = 0; attempt < 3; ++attempt) {
-    const uint64_t missing = count - ept_.CountMapped(first, count);
-    if (missing == 0) {
-      return true;
-    }
+    // Map returns 0 when nothing in the range is missing.
     const uint64_t mapped = ept_.Map(first, count);
     if (mapped == hv::Ept::kFaultInjected) {
       // Injected map fault: pressure handling cannot help; the caller's
@@ -375,7 +372,8 @@ bool GuestVm::PopulateFrames(FrameId first, uint64_t count) {
     if (mapped != hv::Ept::kNoHostMemory) {
       return true;
     }
-    if (!host_pressure_ || !host_pressure_(missing)) {
+    if (!host_pressure_ ||
+        !host_pressure_(count - ept_.CountMapped(first, count))) {
       break;
     }
   }

@@ -1,7 +1,6 @@
 #include "src/hv/ept.h"
 
-#include <bit>
-
+#include "src/base/bitmap.h"
 #include "src/base/check.h"
 #include "src/trace/trace.h"
 
@@ -25,28 +24,12 @@ bool Ept::IsMapped(FrameId frame) const {
 
 uint64_t Ept::CountMapped(FrameId first, uint64_t count) const {
   HA_CHECK(first + count <= frames_);
-  uint64_t mapped = 0;
-  // Word-wise popcount over the aligned middle; bit loop at the edges.
-  FrameId frame = first;
-  const FrameId end = first + count;
-  while (frame < end && frame % 64 != 0) {
-    mapped += (bitmap_[frame / 64] >> (frame % 64)) & 1;
-    ++frame;
-  }
-  while (frame + 64 <= end) {
-    mapped += static_cast<uint64_t>(std::popcount(bitmap_[frame / 64]));
-    frame += 64;
-  }
-  while (frame < end) {
-    mapped += (bitmap_[frame / 64] >> (frame % 64)) & 1;
-    ++frame;
-  }
-  return mapped;
+  return CountBits(bitmap_, first, count);
 }
 
 uint64_t Ept::Map(FrameId first, uint64_t count) {
   HA_CHECK(first + count <= frames_);
-  const uint64_t missing = count - CountMapped(first, count);
+  const uint64_t missing = count - CountBits(bitmap_, first, count);
   if (missing == 0) {
     return 0;
   }
@@ -62,21 +45,19 @@ uint64_t Ept::Map(FrameId first, uint64_t count) {
   // 2M-entry promotion: a huge frame the range wholly covers and that had
   // nothing mapped before this call is installed as one 2 MiB entry
   // (pre-call state, so the tally runs before the bitmap is touched).
-  for (HugeId huge = FrameToHuge(first);
-       huge <= FrameToHuge(first + count - 1); ++huge) {
-    const FrameId hf = HugeToFrame(huge);
-    if (hf < first || hf + kFramesPerHuge > first + count) {
-      continue;  // partial coverage: stays (or fills in as) 4K entries
-    }
-    if (CountMapped(hf, kFramesPerHuge) == 0) {
+  // Partly covered huge frames stay (or fill in as) 4K entries. When the
+  // whole range was unmapped, so is every huge frame inside it.
+  const HugeId end_huge = FrameToHuge(first + count);
+  for (HugeId huge = FrameToHuge(AlignUp(first, kFramesPerHuge));
+       huge < end_huge; ++huge) {
+    if (missing == count || CountBits(bitmap_, HugeToFrame(huge),
+                                      kFramesPerHuge) == 0) {
       huge_entry_[huge / 64] |= 1ull << (huge % 64);
       ++mapped_2m_;
       HA_COUNT("ept.map_2m");
     }
   }
-  for (FrameId frame = first; frame < first + count; ++frame) {
-    bitmap_[frame / 64] |= 1ull << (frame % 64);
-  }
+  SetBits(bitmap_, first, count);
   mapped_ += missing;
   HA_COUNT("ept.map_ops");
   HA_COUNT_N("ept.map_frames", missing);
@@ -85,7 +66,7 @@ uint64_t Ept::Map(FrameId first, uint64_t count) {
 
 uint64_t Ept::Unmap(FrameId first, uint64_t count) {
   HA_CHECK(first + count <= frames_);
-  const uint64_t present = CountMapped(first, count);
+  const uint64_t present = CountBits(bitmap_, first, count);
   if (present == 0) {
     return 0;
   }
@@ -96,9 +77,7 @@ uint64_t Ept::Unmap(FrameId first, uint64_t count) {
     return kFaultInjected;
   }
   const HugeUnmapAccounting huge = TallyHugeUnmap(first, count);
-  for (FrameId frame = first; frame < first + count; ++frame) {
-    bitmap_[frame / 64] &= ~(1ull << (frame % 64));
-  }
+  ClearBits(bitmap_, first, count);
   HA_DCHECK(mapped_ >= present);  // underflow = bitmap/counter divergence
   mapped_ -= present;
   if (host_ != nullptr) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/base/bitmap.h"
 #include "src/base/check.h"
 
 namespace hyperalloc::hv {
@@ -95,19 +96,11 @@ bool SwapManager::MakeRoom(VmState* requester, uint64_t frames) {
 
 uint64_t SwapManager::OnFault(VmState* state, FrameId first,
                               uint64_t count) {
-  uint64_t surcharge = 0;
-  for (FrameId f = first; f < first + count; ++f) {
-    uint64_t& word = state->swapped[f / 64];
-    const uint64_t bit = 1ull << (f % 64);
-    if (word & bit) {
-      word &= ~bit;
-      HA_DCHECK(swap_used_ > 0);
-      --swap_used_;
-      ++swapped_in_;
-      surcharge += kSwapIn4kNs;
-    }
-  }
-  return surcharge;
+  const uint64_t swapped_in = ClearBits(state->swapped, first, count);
+  HA_DCHECK(swap_used_ >= swapped_in);
+  swap_used_ -= swapped_in;
+  swapped_in_ += swapped_in;
+  return swapped_in * kSwapIn4kNs;
 }
 
 }  // namespace hyperalloc::hv

@@ -1,8 +1,10 @@
-// Unit tests for src/base: types, rng, stats, units, result.
+// Unit tests for src/base: types, bitmap, rng, stats, units, result.
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
+#include "src/base/bitmap.h"
 #include "src/base/result.h"
 #include "src/base/rng.h"
 #include "src/base/stats.h"
@@ -46,6 +48,47 @@ TEST(Types, Alignment) {
   EXPECT_EQ(AlignUp(1023, 512), 1024u);
   EXPECT_EQ(AlignUp(1024, 512), 1024u);
   EXPECT_EQ(AlignDown(0, 8), 0u);
+}
+
+TEST(Bitmap, RangeEdges) {
+  struct Case {
+    uint64_t first, count;
+  };
+  // Empty (also at the end of the bitmap), one bit, a whole word, bit 63
+  // to bit 0 of the next word, and a range spanning partial edge words
+  // around whole middle words.
+  const Case cases[] = {{0, 0},  {192, 0}, {0, 1},  {63, 1},  {64, 1},
+                        {0, 64}, {64, 64}, {63, 2}, {1, 190}, {0, 192}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(testing::Message() << c.first << "+" << c.count);
+    std::vector<uint64_t> words(3, 0);
+    SetBits(words, c.first, c.count);
+    EXPECT_EQ(CountBits(words, 0, 192), c.count);
+    EXPECT_EQ(CountBits(words, c.first, c.count), c.count);
+    for (uint64_t bit = 0; bit < 192; ++bit) {
+      const bool in = bit >= c.first && bit < c.first + c.count;
+      EXPECT_EQ((words[bit / 64] >> (bit % 64)) & 1, in ? 1u : 0u) << bit;
+    }
+    // Clearing the range from a full bitmap leaves exactly its complement
+    // and reports the range's size.
+    std::vector<uint64_t> full(3, ~0ull);
+    EXPECT_EQ(ClearBits(full, c.first, c.count), c.count);
+    EXPECT_EQ(CountBits(full, 0, 192), 192 - c.count);
+    EXPECT_EQ(CountBits(full, c.first, c.count), 0u);
+    // Clearing what is already clear reports nothing.
+    EXPECT_EQ(ClearBits(full, c.first, c.count), 0u);
+  }
+}
+
+TEST(Bitmap, CountAndClearSeeOnlySetBits) {
+  std::vector<uint64_t> words(2, 0);
+  SetBits(words, 60, 8);  // bits 60..67 across the word edge
+  EXPECT_EQ(CountBits(words, 0, 62), 2u);
+  EXPECT_EQ(CountBits(words, 63, 2), 2u);
+  EXPECT_EQ(ClearBits(words, 50, 12), 2u);  // bits 60 and 61
+  EXPECT_EQ(CountBits(words, 0, 128), 6u);
+  EXPECT_EQ(ClearBits(words, 0, 128), 6u);
+  EXPECT_EQ(words[0] | words[1], 0u);
 }
 
 TEST(Rng, Deterministic) {

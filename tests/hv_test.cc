@@ -2,6 +2,9 @@
 // the reclamation-state array.
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "src/base/rng.h"
 #include "src/core/reclaim_states.h"
 #include "src/hv/cost_model.h"
 #include "src/hv/ept.h"
@@ -84,6 +87,133 @@ TEST(Ept, UnmapAbsentIsFree) {
   hv::Ept ept(1024, nullptr);
   EXPECT_EQ(ept.Unmap(0, 512), 0u);
   EXPECT_EQ(ept.total_unmapped_ops(), 0u);
+}
+
+// Per-frame reference for hv::Ept's documented semantics: one bool per
+// 4 KiB frame and per 2 MiB entry, updated one frame at a time.
+class ReferenceEpt {
+ public:
+  ReferenceEpt(uint64_t frames, uint64_t host_frames)
+      : host_free_(host_frames),
+        mapped_(frames, false),
+        huge_entry_(HugesForFrames(frames), false) {}
+
+  uint64_t Map(FrameId first, uint64_t count) {
+    const uint64_t missing = count - CountMapped(first, count);
+    if (missing == 0) {
+      return 0;
+    }
+    if (missing > host_free_) {
+      return hv::Ept::kNoHostMemory;
+    }
+    host_free_ -= missing;
+    for (HugeId huge = 0; huge < huge_entry_.size(); ++huge) {
+      const FrameId hf = HugeToFrame(huge);
+      if (hf >= first && hf + kFramesPerHuge <= first + count &&
+          CountMapped(hf, kFramesPerHuge) == 0) {
+        huge_entry_[huge] = true;
+      }
+    }
+    for (FrameId f = first; f < first + count; ++f) {
+      mapped_[f] = true;
+    }
+    mapped_frames += missing;
+    return missing;
+  }
+
+  uint64_t Unmap(FrameId first, uint64_t count) {
+    const uint64_t present = CountMapped(first, count);
+    if (present == 0) {
+      return 0;
+    }
+    uint64_t whole_2m = 0;
+    for (HugeId huge = 0; huge < huge_entry_.size(); ++huge) {
+      const FrameId hf = HugeToFrame(huge);
+      if (!huge_entry_[huge] || hf + kFramesPerHuge <= first ||
+          hf >= first + count) {
+        continue;  // no entry, or the range misses this huge frame
+      }
+      if (hf >= first && hf + kFramesPerHuge <= first + count) {
+        ++whole_2m;
+      } else {
+        ++demotions_2m;
+      }
+      huge_entry_[huge] = false;
+    }
+    for (FrameId f = first; f < first + count; ++f) {
+      mapped_[f] = false;
+    }
+    mapped_frames -= present;
+    host_free_ += present;
+    entries_invalidated_2m += whole_2m;
+    entries_invalidated_4k += present - whole_2m * kFramesPerHuge;
+    return present;
+  }
+
+  bool IsMapped(FrameId frame) const { return mapped_[frame]; }
+  bool HasHugeEntry(HugeId huge) const { return huge_entry_[huge]; }
+
+  uint64_t mapped_frames = 0;
+  uint64_t demotions_2m = 0;
+  uint64_t entries_invalidated_2m = 0;
+  uint64_t entries_invalidated_4k = 0;
+
+ private:
+  uint64_t CountMapped(FrameId first, uint64_t count) const {
+    uint64_t n = 0;
+    for (FrameId f = first; f < first + count; ++f) {
+      n += mapped_[f] ? 1 : 0;
+    }
+    return n;
+  }
+
+  uint64_t host_free_;
+  std::vector<bool> mapped_;
+  std::vector<bool> huge_entry_;
+};
+
+TEST(Ept, MatchesPerFrameReference) {
+  // Five huge frames plus a partial sixth; the host holds only 3/4 of
+  // them so some maps hit exhaustion.
+  constexpr uint64_t kFrames = 5 * kFramesPerHuge + 100;
+  constexpr uint64_t kHostFrames = kFrames * 3 / 4;
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    Rng rng(seed);
+    hv::HostMemory host(kHostFrames);
+    hv::Ept ept(kFrames, &host);
+    ReferenceEpt ref(kFrames, kHostFrames);
+    for (int op = 0; op < 300; ++op) {
+      // Huge-aligned ops make whole 2M entries to demote or invalidate.
+      const uint64_t count = rng.Chance(0.3)
+                                 ? kFramesPerHuge * rng.Range(1, 3)
+                                 : rng.Range(0, 2000);
+      uint64_t first = rng.Below(kFrames - count + 1);
+      if (count % kFramesPerHuge == 0 && rng.Chance(0.5)) {
+        first = AlignDown(first, kFramesPerHuge);
+      }
+      const bool map = rng.Chance(0.5);
+      SCOPED_TRACE(testing::Message()
+                   << "op " << op << (map ? " Map(" : " Unmap(") << first
+                   << ", " << count << ")");
+      if (map) {
+        ASSERT_EQ(ept.Map(first, count), ref.Map(first, count));
+      } else {
+        ASSERT_EQ(ept.Unmap(first, count), ref.Unmap(first, count));
+      }
+      ASSERT_EQ(ept.mapped_frames(), ref.mapped_frames);
+      ASSERT_EQ(host.used_frames(), ref.mapped_frames);
+      ASSERT_EQ(ept.demotions_2m(), ref.demotions_2m);
+      ASSERT_EQ(ept.entries_invalidated_2m(), ref.entries_invalidated_2m);
+      ASSERT_EQ(ept.entries_invalidated_4k(), ref.entries_invalidated_4k);
+      for (FrameId f = 0; f < kFrames; ++f) {
+        ASSERT_EQ(ept.IsMapped(f), ref.IsMapped(f)) << "frame " << f;
+      }
+      for (HugeId h = 0; h < HugesForFrames(kFrames); ++h) {
+        ASSERT_EQ(ept.HasHugeEntry(h), ref.HasHugeEntry(h)) << "huge " << h;
+      }
+    }
+  }
 }
 
 TEST(Iommu, PinUnpinAndDma) {

@@ -515,12 +515,11 @@ const LifecycleCase kLifecycleCases[] = {
      {2, 175872u, 175872u, 2147483648u, true, false},
      {2, 1533856u, 1533856u, 1073741824u, false, true},
      {2, 117248u, 117248u, 1610612736u, false, true}},
-    // Generic: its guest-mediated allocations and frees charge outside
-    // every span.
-    {{2, 4735200u, 4001600u, 536870912u, true, false},
-     {2, 636672u, 0u, 2147483648u, true, false},
-     {2, 488400u, 0u, 1073741824u, false, true},
-     {2, 424448u, 0u, 1610612736u, false, true}},
+    // Generic
+    {{2, 4735200u, 4735200u, 536870912u, true, false},
+     {2, 636672u, 636672u, 2147483648u, true, false},
+     {2, 488400u, 488400u, 1073741824u, false, true},
+     {2, 424448u, 424448u, 1610612736u, false, true}},
     // Balloon
     {{1536, 1249566720u, 1249566720u, 536870912u, true, false},
      {1536, 550502400u, 550502400u, 2147483648u, true, false},
