@@ -172,7 +172,6 @@ int Main() {
     hc.in_kernel = in_kernel;
     core::HyperAllocMonitor monitor(&vm, hc);
     workloads::MemoryPool pool(&vm);
-    pool.DisableMigrationTracking();
 
     auto set_limit = [&](uint64_t bytes) {
       bool done = false;

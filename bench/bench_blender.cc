@@ -35,7 +35,6 @@ BlenderResult Run(Candidate candidate) {
   options.memory_bytes = 10 * kGiB;
   Setup setup = MakeSetup(candidate, options);
   workloads::MemoryPool pool(setup.vm.get());
-  pool.DisableMigrationTracking();
   setup.deflator->StartAuto();
 
   BlenderResult result{};

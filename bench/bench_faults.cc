@@ -15,11 +15,13 @@
 //                     src/fault/fault.h), alongside the rate-0 baseline
 //   --smoke           small VM for CI (seconds, not minutes)
 //   --out=PATH        JSON output (default BENCH_FAULTS.json), schema
-//                     hyperalloc-bench-faults-v1, checked by
-//                     scripts/check_bench_json.py
+//                     hyperalloc-bench-faults-v1
+//
+// Exits 1, naming each failed check, unless every candidate's rate-0
+// run sees no fault, injects none, completes and reclaims; exits 2 on a
+// bad flag.
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -45,6 +47,7 @@ constexpr fault::Site kSweepSites[] = {
 };
 
 constexpr double kRates[] = {0.0, 0.001, 0.01, 0.05};
+static_assert(kRates[0] == 0.0, "the first sweep point is the rate-0 anchor");
 
 fault::Plan SweepPlan(uint64_t seed, double rate) {
   fault::Plan plan;
@@ -195,6 +198,14 @@ void AppendPoint(std::string* json, const SweepPoint& point, bool last) {
   *json += last ? "}\n" : "},\n";
 }
 
+int Usage() {
+  std::fprintf(stderr,
+               "usage: bench_faults [--fault-seed=N] [--fault-plan=SPEC] "
+               "[--smoke] [--out=PATH] "
+               "[--trace-out=PATH | --trace-out PATH]\n");
+  return 2;
+}
+
 int Main(int argc, char** argv) {
   uint64_t seed = 42;
   bool smoke = false;
@@ -202,13 +213,19 @@ int Main(int argc, char** argv) {
   std::string plan_spec;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--fault-seed=", 13) == 0) {
-      seed = std::strtoull(argv[i] + 13, nullptr, 0);
+      if (!ParseUint64(argv[i] + 13, 0, &seed)) {
+        return Usage();
+      }
     } else if (std::strncmp(argv[i], "--fault-plan=", 13) == 0) {
       plan_spec = argv[i] + 13;
     } else if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
     } else if (std::strncmp(argv[i], "--out=", 6) == 0) {
       out = argv[i] + 6;
+    } else if (std::strcmp(argv[i], "--trace-out") == 0 && i + 1 < argc) {
+      ++i;  // the path; TraceOutput reads both forms
+    } else if (std::strncmp(argv[i], "--trace-out=", 12) != 0) {
+      return Usage();
     }
   }
 
@@ -232,6 +249,7 @@ int Main(int argc, char** argv) {
   std::printf("%-22s %8s %14s %10s %8s %8s %6s\n", "candidate", "rate",
               "reclaim GiB/s", "achieved%", "faults", "retries", "state");
 
+  Gate gate;
   std::string json = "{\n";
   json += "  \"schema\": \"hyperalloc-bench-faults-v1\",\n";
   json += "  \"pr\": \"5\",\n";
@@ -246,6 +264,14 @@ int Main(int argc, char** argv) {
       points.push_back(
           RunOne(candidate, SweepPlan(seed, rate), rate, smoke));
     }
+    const SweepPoint& clean = points.front();
+    const std::string name = Name(candidate);
+    gate.Check(clean.faults == 0 && clean.injected_total == 0,
+               name + " rate-0 run observed faults");
+    gate.Check(clean.complete,
+               name + " rate-0 run did not complete its reclaim");
+    gate.Check(clean.reclaim_gibps > 0.0,
+               name + " rate-0 run reclaimed nothing");
     if (!plan_spec.empty()) {
       points.push_back(RunOne(candidate, custom, -1.0, smoke));
     }
@@ -290,7 +316,7 @@ int Main(int argc, char** argv) {
   std::fwrite(json.data(), 1, json.size(), file);
   std::fclose(file);
   std::fprintf(stderr, "wrote %s\n", out.c_str());
-  return 0;
+  return gate.Finish();
 }
 
 }  // namespace

@@ -6,12 +6,13 @@
 // compares the stock policies on the same traffic.
 //
 // Emits the `hyperalloc-bench-fleet-v1` JSON document with --out=FILE
-// (the same object bench_runner embeds under benches.fleet).
+// (the same object bench_runner embeds under benches.fleet). Exits 1,
+// naming each failed check, when the run fails CheckFleet; exits 2 on a
+// bad flag or fewer than 2 VMs.
 #include <sys/stat.h>
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
@@ -31,11 +32,11 @@ FleetScenarioOptions BaseOptions(uint64_t vms, unsigned threads) {
 
 int Usage() {
   std::fprintf(stderr,
-               "usage: bench_fleet [--vms=N] [--threads=N (>= 1)] "
+               "usage: bench_fleet [--vms=N (>= 2)] [--threads=N (>= 1)] "
                "[--policy=NAME] [--arrival=bursty|diurnal|heavy-tailed] "
                "[--out=PATH] [--fault-plan=SPEC] [--fault-seed=N] "
                "[--telemetry-out=PREFIX] [--no-telemetry] [--smoke] "
-               "[--huge] [--trace-out=PATH]\n");
+               "[--huge] [--trace-out=PATH | --trace-out PATH]\n");
   return 2;
 }
 
@@ -53,7 +54,9 @@ int Main(int argc, char** argv) {
   bool huge = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--vms=", 6) == 0) {
-      vms = static_cast<uint64_t>(std::atoll(argv[i] + 6));
+      if (!ParseUint64(argv[i] + 6, 10, &vms) || vms < 2) {
+        return Usage();
+      }
     } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
       if (!ParseThreads(argv[i] + 10, &threads)) {
         return Usage();
@@ -67,7 +70,9 @@ int Main(int argc, char** argv) {
     } else if (std::strncmp(argv[i], "--fault-plan=", 13) == 0) {
       fault_plan_spec = argv[i] + 13;
     } else if (std::strncmp(argv[i], "--fault-seed=", 13) == 0) {
-      fault_seed = static_cast<uint64_t>(std::atoll(argv[i] + 13));
+      if (!ParseUint64(argv[i] + 13, 10, &fault_seed)) {
+        return Usage();
+      }
     } else if (std::strncmp(argv[i], "--telemetry-out=", 16) == 0) {
       telemetry_out = argv[i] + 16;
     } else if (std::strcmp(argv[i], "--no-telemetry") == 0) {
@@ -76,6 +81,10 @@ int Main(int argc, char** argv) {
       smoke = true;
     } else if (std::strcmp(argv[i], "--huge") == 0) {
       huge = true;
+    } else if (std::strcmp(argv[i], "--trace-out") == 0 && i + 1 < argc) {
+      ++i;  // the path; TraceOutput reads both forms
+    } else if (std::strncmp(argv[i], "--trace-out=", 12) != 0) {
+      return Usage();
     }
   }
   if (smoke) {
@@ -190,7 +199,9 @@ int Main(int argc, char** argv) {
                 static_cast<unsigned long long>(
                     result.telemetry.flight_dumps));
   }
-  return deterministic ? 0 : 1;
+  Gate gate;
+  CheckFleet(options, result, deterministic, &gate);
+  return gate.Finish();
 }
 
 }  // namespace

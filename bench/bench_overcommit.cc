@@ -46,7 +46,6 @@ class Tenant {
       parts_.deflator->StartAuto();
     }
     pool_ = std::make_unique<workloads::MemoryPool>(parts_.vm.get());
-    pool_->DisableMigrationTracking();
     workloads::BlenderConfig job;
     job.working_set = 12 * kGiB;
     job.scene_bytes = kGiB;

@@ -50,11 +50,6 @@ inline CompileRunResult RunCompile(Candidate candidate,
   guest::GuestVm& vm = *setup.vm;
 
   workloads::MemoryPool pool(&vm);
-  const bool can_migrate = candidate == Candidate::kVmem ||
-                           candidate == Candidate::kVmemVfio;
-  if (!can_migrate) {
-    pool.DisableMigrationTracking();
-  }
 
   sim::VcpuSet vcpus(vm.config().vcpus);
   workloads::InterferenceHub hub(&vcpus, {});

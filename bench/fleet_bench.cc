@@ -1,9 +1,12 @@
 #include "bench/fleet_bench.h"
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <charconv>
 #include <cinttypes>
 #include <cstdio>
+#include <cstdlib>
 
 #include "src/base/check.h"
 
@@ -24,10 +27,36 @@ std::string Num(uint64_t v) {
 
 }  // namespace
 
+void Gate::Check(bool ok, std::string_view name) {
+  if (!ok) {
+    failed_ += failed_.empty() ? "" : "; ";
+    failed_ += name;
+  }
+}
+
+int Gate::Finish() const {
+  if (failed_.empty()) {
+    return 0;
+  }
+  std::fprintf(stderr, "FAILED: %s\n", failed_.c_str());
+  return 1;
+}
+
 bool ParseThreads(std::string_view value, unsigned* threads) {
   const char* end = value.data() + value.size();
   const auto [parsed, error] = std::from_chars(value.data(), end, *threads);
   return error == std::errc() && parsed == end && *threads >= 1;
+}
+
+bool ParseUint64(const char* text, int base, uint64_t* value) {
+  // strtoull skips spaces and takes a sign; a flag's number has neither.
+  if (!std::isdigit(static_cast<unsigned char>(text[0]))) {
+    return false;
+  }
+  char* end = nullptr;
+  errno = 0;
+  *value = std::strtoull(text, &end, base);
+  return *end == '\0' && errno == 0;
 }
 
 fleet::FleetResult RunCompileFleet(const CompileFleetOptions& options) {
@@ -181,8 +210,8 @@ std::string FleetJson(const FleetScenarioOptions& options,
   json += in + "\"arrival\": \"" + ArrivalKindName(options.arrival.kind) +
           "\",\n";
   json += in + "\"candidate\": \"" + Name(options.candidate) + "\",\n";
-  // Validators relax reclaim-SLO expectations for fault-injected runs
-  // (a quarantined VM legitimately never satisfies the spike).
+  // Readers relax the spike SLO for fault-injected runs, as CheckFleet
+  // does (a quarantined VM legitimately never satisfies the spike).
   json += in + "\"fault_plan\": \"" +
           (options.fault_plan.enabled() ? options.fault_plan.ToString()
                                         : std::string()) +
@@ -249,6 +278,26 @@ std::string FleetJson(const FleetScenarioOptions& options,
   }
   json += "\n" + out + "}";
   return json;
+}
+
+void CheckFleet(const FleetScenarioOptions& options,
+                const fleet::FleetResult& result, bool deterministic,
+                Gate* gate) {
+  gate->Check(deterministic, "fleet non-deterministic");
+  gate->Check(result.slo.resizes > 0, "fleet policy issued no resizes");
+  gate->Check(result.admission.granted > 0,
+              "fleet admission granted nothing");
+  const bool spiked = options.spike.vms > 0 && result.slo.spike_applied;
+  gate->Check(!spiked || options.fault_plan.enabled() ||
+                  result.slo.spike_satisfied,
+              "fleet pressure spike never satisfied");
+  gate->Check(!spiked || result.slo.time_to_reclaim_ms >= 0.0,
+              "fleet time-to-reclaim negative");
+  const telemetry::TelemetryResult& tel = result.telemetry;
+  gate->Check(!tel.enabled || tel.epochs > 0,
+              "telemetry enabled but sampled no epochs");
+  gate->Check(tel.enabled || tel.telemetry_digest == 0,
+              "telemetry disabled but digest nonzero");
 }
 
 }  // namespace hyperalloc::bench

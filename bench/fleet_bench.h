@@ -1,7 +1,7 @@
 // Thin bench-side clients of the fleet engine (src/fleet/): the Fig. 11
 // compile fleet (the old multi-VM harness scenario) and the policy-driven
 // 1000-VM scenarios, plus the shared `hyperalloc-bench-fleet-v1` JSON
-// emitter used standalone by bench_fleet and embedded by bench_runner.
+// emitter and fleet checks used by bench_fleet and bench_runner.
 #ifndef HYPERALLOC_BENCH_FLEET_BENCH_H_
 #define HYPERALLOC_BENCH_FLEET_BENCH_H_
 
@@ -40,9 +40,24 @@ struct CompileFleetOptions {
   workloads::CompileConfig compile;
 };
 
+// A bench binary's verdict on its own output. Finish() prints one
+// `FAILED:` line naming each failed check and returns the exit code.
+class Gate {
+ public:
+  void Check(bool ok, std::string_view name);
+  int Finish() const;
+
+ private:
+  std::string failed_;
+};
+
 // Parses a --threads=N value: a whole number of fleet worker threads,
 // at least 1.
 bool ParseThreads(std::string_view value, unsigned* threads);
+
+// Parses a flag's unsigned number, which must fill all of `text`
+// (`base` as for strtoull: 10, or 0 to also accept 0x hex).
+bool ParseUint64(const char* text, int base, uint64_t* value);
 
 // Runs the compile fleet in run-to-completion mode (no policy; resizes
 // come from per-VM auto-reclaim). Per-VM RSS series and digests are
@@ -106,6 +121,14 @@ fleet::FleetResult RunFleetScenario(const FleetScenarioOptions& options);
 std::string FleetJson(const FleetScenarioOptions& options,
                       const fleet::FleetResult& result, bool deterministic,
                       int indent, bool wall_ms);
+
+// The checks every policy fleet run must pass: `deterministic`, resizes
+// issued and granted, the spike reclaimed (unless a fault plan may have
+// quarantined the spiked VMs), telemetry epochs when on, a zero digest
+// when off.
+void CheckFleet(const FleetScenarioOptions& options,
+                const fleet::FleetResult& result, bool deterministic,
+                Gate* gate);
 
 }  // namespace hyperalloc::bench
 

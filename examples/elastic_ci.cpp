@@ -35,7 +35,6 @@ double RunFarm(bool auto_reclaim) {
   }
 
   workloads::MemoryPool pool(&vm);
-  pool.DisableMigrationTracking();
 
   metrics::TimeSeries rss;
   bool sampling = true;

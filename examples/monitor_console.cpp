@@ -29,7 +29,6 @@ int main() {
   core::HyperAllocMonitor monitor(&vm, {});
   hv::Console console(&vm, &monitor);
   workloads::MemoryPool pool(&vm);
-  pool.DisableMigrationTracking();
 
   std::printf("HyperAlloc monitor console — 4 GiB VM. Type 'help'.\n");
   std::string line;

@@ -46,7 +46,6 @@ void RunScenario(bool reclaim) {
       tenant->vm->Touch(0, tenant->vm->total_frames());
     }
     tenant->pool = std::make_unique<workloads::MemoryPool>(tenant->vm.get());
-    tenant->pool->DisableMigrationTracking();
     workloads::BlenderConfig job;
     job.working_set = 4 * kGiB;
     job.scene_bytes = 512 * kMiB;

@@ -24,7 +24,6 @@ void DemandAgent::Start(VmContext* context) {
   HA_CHECK(context_ == nullptr);
   context_ = context;
   pool_ = std::make_unique<workloads::MemoryPool>(context->vm);
-  pool_->DisableMigrationTracking();
   // Demand transitions apply immediately; the periodic tick reconciles
   // held memory against demand *and* limit (the limit moves between
   // arrivals as the policy layer works). Arrival times are relative to
@@ -100,7 +99,6 @@ void CompileAgent::Start(VmContext* context) {
   // baselines) — the event schedule, and with it the RSS series, is
   // byte-identical.
   pool_ = std::make_unique<workloads::MemoryPool>(context->vm);
-  pool_->DisableMigrationTracking();
   vcpus_ = std::make_unique<sim::VcpuSet>(12);
   hub_ = std::make_unique<workloads::InterferenceHub>(
       vcpus_.get(), std::vector<sim::CapacityTimeline*>{});

@@ -51,7 +51,7 @@ void MemoryPool::GrowRegionTyped(uint64_t region, uint64_t bytes,
       vm_->Touch(*r, 1ull << order);
       const size_t idx = allocs.size();
       allocs.push_back({*r, order});
-      if (track_index_) {
+      if (indexed_) {
         index_[*r] = {region, idx};
       }
       total_frames_ += 1ull << order;
@@ -69,7 +69,7 @@ void MemoryPool::FreeRegion(uint64_t region, unsigned core) {
   }
   for (const Allocation& alloc : it->second) {
     vm_->Free(alloc.frame, alloc.order, core);
-    if (track_index_) {
+    if (indexed_) {
       index_.erase(alloc.frame);
     }
     total_frames_ -= 1ull << alloc.order;
@@ -102,7 +102,14 @@ uint64_t MemoryPool::RegionBytes(uint64_t region) const {
 
 void MemoryPool::OnFrameMigrated(FrameId old_head, FrameId new_head,
                                  unsigned order) {
-  HA_CHECK(track_index_);  // migration requires the frame index
+  if (!indexed_) {
+    indexed_ = true;
+    for (const auto& [region, allocs] : regions_) {
+      for (size_t idx = 0; idx < allocs.size(); ++idx) {
+        index_[allocs[idx].frame] = {region, idx};
+      }
+    }
+  }
   const auto it = index_.find(old_head);
   if (it == index_.end()) {
     return;  // not ours (page cache or another owner)

@@ -1,9 +1,10 @@
 // Region-based memory management for workloads.
 //
 // Workload phases allocate "regions" (an application's working set) from
-// the guest allocator, touch them, and free them later. The pool keeps a
-// frame index so that virtio-mem's page migration can relocate frames
-// without the workload losing track of them.
+// the guest allocator, touch them, and free them later. Once the guest
+// migrates a frame (virtio-mem unplug, compaction), the pool keeps a
+// frame index so that later migrations can relocate frames without the
+// workload losing track of them.
 #pragma once
 
 #include <cstdint>
@@ -19,11 +20,6 @@ class MemoryPool : public guest::MigrationListener {
  public:
   explicit MemoryPool(guest::GuestVm* vm);
   ~MemoryPool() override = default;
-
-  // Disables the frame index (a per-allocation hash-map entry). Only
-  // valid when the guest cannot migrate frames (i.e. no virtio-mem):
-  // saves noticeable time in the large footprint experiments.
-  void DisableMigrationTracking() { track_index_ = false; }
 
   // Allocates roughly `bytes` (rounded up to whole allocations), touching
   // everything. `thp_fraction` of the bytes use huge (order-9)
@@ -57,11 +53,13 @@ class MemoryPool : public guest::MigrationListener {
                        unsigned core, AllocType type);
 
   guest::GuestVm* vm_;
-  bool track_index_ = true;
   uint64_t next_region_ = 1;
   uint64_t total_frames_ = 0;
   std::unordered_map<uint64_t, std::vector<Allocation>> regions_;
-  // frame -> (region id, index into its allocation vector)
+  // frame -> (region id, index into its allocation vector). Built from
+  // regions_ at the first migration and kept from then on, so a pool
+  // whose guest never migrates a frame never hashes one.
+  bool indexed_ = false;
   std::unordered_map<FrameId, std::pair<uint64_t, size_t>> index_;
 };
 

@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
-"""Inversion checks for the two bench gate scripts.
+"""Inversion checks for the bench gate script.
 
     bench_gate_scripts_test.py REPO_ROOT
 
-Runs scripts/check_bench_json.py and scripts/perf_gate.py on the
-committed BENCH_BASELINE.json and on mutated copies of it. The baseline
-must pass both; every mutant must make the named script fail. A mutant
-that passes means that gate has gone blind. Exits 1 naming every such
-mutant.
+Runs scripts/perf_gate.py on the committed BENCH_BASELINE.json and on
+mutated copies of it. The baseline must pass; every mutant must make
+perf_gate fail. A mutant that passes means the gate has gone blind.
+Exits 1 naming every such mutant. (bench_runner judges the semantics of
+its own document and exits 1 on a failed check; this test covers the
+exact comparison against the baseline.)
 
 perf_gate's telemetry ceiling bounds a host-dependent ratio, and the
 baseline records whatever the recording host measured. The
@@ -36,22 +37,20 @@ def load_script(name):
     return module
 
 
-CHECK = load_script("check_bench_json")
 GATE = load_script("perf_gate")
 TMP = tempfile.TemporaryDirectory(prefix="bench_gate_scripts_test.")
 
 
-def passes(script, doc):
-    """True when `script` accepts `doc` (perf_gate: against BASELINE)."""
+def passes(doc):
+    """True when perf_gate accepts `doc` against BASELINE."""
     path = os.path.join(TMP.name, "current.json")
     with open(path, "w", encoding="utf-8") as f:
         json.dump(doc, f)
-    args = [path] if script is CHECK else [BASELINE, path]
-    sys.argv = [script.__file__] + args
+    sys.argv = [GATE.__file__, BASELINE, path]
     out = io.StringIO()
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
-            script.main()
+            GATE.main()
     except SystemExit as e:
         return e.code in (0, None)
     return True
@@ -90,50 +89,45 @@ def main():
             failures.append(what)
 
     expect(not baseline["smoke"], "the baseline is a full (non-smoke) run")
-    expect(passes(CHECK, baseline), "check_bench_json accepts the baseline")
     overhead = GATE.TELEMETRY
     ceiling = GATE.CEILINGS[overhead]
-    expect(passes(GATE, baseline) ==
+    expect(passes(baseline) ==
            (parent_of(baseline, overhead)[overhead[-1]] <= ceiling),
            "perf_gate judges the baseline against itself by its ceiling")
     reference = mutant(baseline, overhead, ceiling - 0.1)
-    expect(passes(GATE, reference), "perf_gate accepts the reference copy")
+    expect(passes(reference), "perf_gate accepts the reference copy")
 
-    # Every value is required: deleted, each must fail a script. Every
-    # deterministic value is gated exactly: nudged by 0.001, each must
-    # fail perf_gate.
+    # Every value is required: deleted, each must fail perf_gate, the
+    # host-dependent ones too. Every deterministic value is gated
+    # exactly: nudged by 0.001, each must fail perf_gate.
     for path in leaves(reference):
         name = ".".join(path)
         value = parent_of(reference, path)[path[-1]]
-        deleted = mutant(reference, path, delete=True)
-        expect(not (passes(CHECK, deleted) and passes(GATE, deleted)),
-               f"a script fails with {name} deleted")
+        expect(not passes(mutant(reference, path, delete=True)),
+               f"perf_gate fails with {name} deleted")
         if (path not in GATE.HOST and isinstance(value, (int, float)) and
                 not isinstance(value, bool)):
-            expect(not passes(GATE, mutant(reference, path, value + 0.001)),
+            expect(not passes(mutant(reference, path, value + 0.001)),
                    f"perf_gate fails with {name} changed by 0.001")
 
     speedup = GATE.SPEEDUP
-    expect(not passes(GATE, mutant(reference, speedup, 1.9)),
+    expect(not passes(mutant(reference, speedup, 1.9)),
            "perf_gate fails a 1.9 batch speedup")
-    expect(not passes(GATE, mutant(reference, overhead, 5.1)),
+    expect(not passes(mutant(reference, overhead, 5.1)),
            "perf_gate fails a 5.1% telemetry overhead on a full run")
-    expect(not passes(GATE, mutant(reference, ("smoke",), True)),
+    expect(not passes(mutant(reference, ("smoke",), True)),
            "perf_gate fails a smoke run against the full baseline")
-    v6 = mutant(reference, ("schema",), "hyperalloc-bench-v6")
-    expect(not passes(CHECK, v6), "check_bench_json rejects bench-v6")
-    expect(not passes(GATE, v6), "perf_gate rejects bench-v6")
+    expect(not passes(mutant(reference, ("schema",), "hyperalloc-bench-v6")),
+           "perf_gate rejects bench-v6")
 
-    # The span cross-checks the runner also enforces.
+    # The span checks bench_runner also enforces.
     span = ("benches", "fleet_span_check")
     resizes = reference["benches"]["fleet_span_check"]["resizes"]
-    expect(not passes(CHECK, mutant(reference, span + ("spans",),
-                                    resizes + 1)),
-           "check_bench_json fails a span count that misses a resize")
-    expect(not passes(CHECK, mutant(reference,
-                                    ("benches", "multivm", "spans_dropped"),
-                                    1)),
-           "check_bench_json fails dropped multivm spans")
+    expect(not passes(mutant(reference, span + ("spans",), resizes + 1)),
+           "perf_gate fails a span count that misses a resize")
+    expect(not passes(mutant(reference,
+                             ("benches", "multivm", "spans_dropped"), 1)),
+           "perf_gate fails dropped multivm spans")
 
     for failure in failures:
         print(f"bench_gate_scripts_test: FAIL: {failure}", file=sys.stderr)

@@ -37,7 +37,6 @@ RunResult RunOnce(uint64_t seed, unsigned slice) {
   monitor.StartAuto();
 
   workloads::MemoryPool pool(&vm);
-  pool.DisableMigrationTracking();
   workloads::CompileConfig cc;
   cc.workers = 4;
   cc.compile_units = 40;

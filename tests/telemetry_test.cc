@@ -135,7 +135,7 @@ TEST(Flight, QuarantineFreezesRingWithHistory) {
   // counting it).
   EXPECT_EQ(dump.ring_epochs, 8u);
   // hyperalloc-flight-v2 document shape (full schema validation is
-  // scripts/check_bench_json.py's job; these are the load-bearing
+  // scripts/check_flight_json.py's job; these are the load-bearing
   // landmarks).
   EXPECT_NE(dump.json.find("\"schema\": \"hyperalloc-flight-v2\""),
             std::string::npos);

@@ -2,6 +2,8 @@
 // blender, SPEC preparation, and the interference hub.
 #include <gtest/gtest.h>
 
+#include "src/guest/compaction.h"
+#include "src/llfree/llfree.h"
 #include "src/workloads/blender.h"
 #include "src/workloads/compile.h"
 #include "src/workloads/ftq.h"
@@ -15,13 +17,15 @@ namespace {
 
 class WorkloadsTest : public ::testing::Test {
  protected:
-  void Init(uint64_t memory = kGiB) {
+  void Init(uint64_t memory = kGiB,
+            guest::AllocatorKind allocator = guest::AllocatorKind::kBuddy) {
     sim_ = std::make_unique<sim::Simulation>();
     host_ = std::make_unique<hv::HostMemory>(FramesForBytes(8 * kGiB));
     guest::GuestConfig config;
     config.memory_bytes = memory;
     config.vcpus = 4;
     config.dma32_bytes = 0;
+    config.allocator = allocator;
     vm_ = std::make_unique<guest::GuestVm>(sim_.get(), host_.get(), config);
     pool_ = std::make_unique<MemoryPool>(vm_.get());
   }
@@ -99,6 +103,57 @@ TEST_F(WorkloadsTest, PoolFreeAll) {
   pool_->FreeAll(0);
   EXPECT_EQ(pool_->NumRegions(), 0u);
   EXPECT_EQ(vm_->FreeFrames(), vm_->total_frames());
+}
+
+// The pool builds its frame index at the first migration and keeps it
+// from then on: regions allocated and grown after that migration must
+// follow a second compaction pass too, and everything frees back.
+TEST_F(WorkloadsTest, PoolIndexFollowsMigrationsAfterTheFirst) {
+  Init(256 * kMiB, guest::AllocatorKind::kLLFree);
+  const uint64_t region_bytes = 64 * kFrameSize;
+  // Two-pass churn: 64-frame regions over a quarter of memory, then
+  // seven of every eight freed, leaves one straggler per area.
+  auto churn = [&] {
+    std::vector<uint64_t> ids;
+    for (uint64_t i = 0; i < 256 * kMiB / 4 / region_bytes; ++i) {
+      ids.push_back(pool_->AllocRegion(region_bytes, 0.0, 0));
+      ASSERT_NE(ids.back(), 0u);
+    }
+    for (size_t i = 0; i < ids.size(); ++i) {
+      if (i % 8 != 0) {
+        pool_->FreeRegion(ids[i], 0);
+      }
+    }
+    vm_->PurgeAllocatorCaches();
+  };
+  auto compact = [&] {
+    guest::Compactor compactor(vm_.get(), {});
+    compactor.CompactPass(~0ull);
+    return compactor.frames_migrated();
+  };
+  auto valid = [&] {
+    for (guest::Zone& zone : vm_->zones()) {
+      if (zone.llfree != nullptr && !zone.llfree->Validate()) {
+        return false;
+      }
+    }
+    return true;
+  };
+
+  const uint64_t first = pool_->AllocRegion(region_bytes, 0.0, 0);
+  churn();
+  EXPECT_GT(compact(), 0u);
+  pool_->GrowRegion(first, region_bytes, 0.0, 0);
+  churn();
+  EXPECT_GT(compact(), 0u);
+  EXPECT_EQ(pool_->RegionBytes(first), 2 * region_bytes);
+  EXPECT_TRUE(valid());
+
+  pool_->FreeAll(0);
+  vm_->PurgeAllocatorCaches();
+  EXPECT_EQ(pool_->TotalBytes(), 0u);
+  EXPECT_EQ(vm_->FreeFrames(), vm_->total_frames());
+  EXPECT_TRUE(valid());
 }
 
 TEST_F(WorkloadsTest, SpecPrepRandomizesAndTouches) {
