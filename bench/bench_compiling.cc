@@ -9,12 +9,14 @@
 //                                  (default reporting config) + HyperAlloc
 #include <sys/stat.h>
 
+#include <cinttypes>
 #include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "bench/compile_harness.h"
+#include "bench/fleet_bench.h"
 #include "bench/trace_io.h"
 #include "src/base/stats.h"
 
@@ -79,9 +81,9 @@ CompileRunOptions MakeOptions(const Config& config, uint64_t seed) {
   return options;
 }
 
-int RunTable(int runs, bool extra) {
+int RunTable(uint64_t runs, bool extra) {
   std::printf("Fig. 7: clang compilation with automatic reclamation "
-              "(16 GiB VM, %d run%s per candidate)\n\n",
+              "(16 GiB VM, %" PRIu64 " run%s per candidate)\n\n",
               runs, runs == 1 ? "" : "s");
   std::printf("%-42s %12s %9s %8s %8s %8s\n", "candidate",
               "footprint", "runtime", "guest", "user", "system");
@@ -94,7 +96,7 @@ int RunTable(int runs, bool extra) {
     hv::CpuAccounting cpu;
     sim::Time fault_ns = 0;
     uint64_t oom = 0;
-    for (int run = 0; run < runs; ++run) {
+    for (uint64_t run = 0; run < runs; ++run) {
       const CompileRunResult result =
           RunCompile(config.candidate, MakeOptions(config, 1 + run));
       footprint.push_back(result.footprint_gib_min);
@@ -152,17 +154,30 @@ int RunDetail() {
   return 0;
 }
 
+int Usage() {
+  std::fprintf(stderr,
+               "usage: bench_compiling [--runs=N (>= 1)] [--extra] "
+               "[--detail] [--trace-out=PATH | --trace-out PATH]\n");
+  return 2;
+}
+
 int Main(int argc, char** argv) {
-  int runs = 2;
+  uint64_t runs = 2;
   bool extra = false;
   bool detail = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--runs=", 7) == 0) {
-      runs = std::atoi(argv[i] + 7);
+      if (!ParseUint64(argv[i] + 7, 10, &runs) || runs < 1) {
+        return Usage();
+      }
     } else if (std::strcmp(argv[i], "--extra") == 0) {
       extra = true;
     } else if (std::strcmp(argv[i], "--detail") == 0) {
       detail = true;
+    } else if (std::strcmp(argv[i], "--trace-out") == 0 && i + 1 < argc) {
+      ++i;  // the path; TraceOutput reads both forms
+    } else if (std::strncmp(argv[i], "--trace-out=", 12) != 0) {
+      return Usage();
     }
   }
   if (detail) {

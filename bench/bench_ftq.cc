@@ -71,11 +71,22 @@ double RunOne(Candidate candidate, unsigned threads, bool write_csv) {
   return Percentile(values, 0.01);
 }
 
+int Usage() {
+  std::fprintf(stderr,
+               "usage: bench_ftq [--no-csv] "
+               "[--trace-out=PATH | --trace-out PATH]\n");
+  return 2;
+}
+
 int Main(int argc, char** argv) {
   bool write_csv = true;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--no-csv") == 0) {
       write_csv = false;
+    } else if (std::strcmp(argv[i], "--trace-out") == 0 && i + 1 < argc) {
+      ++i;  // the path; TraceOutput reads both forms
+    } else if (std::strncmp(argv[i], "--trace-out=", 12) != 0) {
+      return Usage();
     }
   }
   if (write_csv) {

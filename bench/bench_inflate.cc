@@ -10,12 +10,14 @@
 //
 // Rates are GiB/s of limit change in virtual time; error is the 95 %
 // confidence interval over the repetitions.
+#include <cinttypes>
 #include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "bench/candidates.h"
+#include "bench/fleet_bench.h"
 #include "bench/trace_io.h"
 #include "src/base/stats.h"
 #include "src/base/units.h"
@@ -96,14 +98,27 @@ void PrintRow(const char* name, const std::vector<double>& rates) {
   std::printf("  %-22s %9.2f GiB/s  (+/- %.2f)\n", name, s.mean, s.ci95);
 }
 
+int Usage() {
+  std::fprintf(stderr,
+               "usage: bench_inflate [--reps=N (>= 1)] [--matrix] "
+               "[--trace-out=PATH | --trace-out PATH]\n");
+  return 2;
+}
+
 int Main(int argc, char** argv) {
-  int reps = 5;
+  uint64_t reps = 5;
   bool matrix_only = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--reps=", 7) == 0) {
-      reps = std::atoi(argv[i] + 7);
+      if (!ParseUint64(argv[i] + 7, 10, &reps) || reps < 1) {
+        return Usage();
+      }
     } else if (std::strcmp(argv[i], "--matrix") == 0) {
       matrix_only = true;
+    } else if (std::strcmp(argv[i], "--trace-out") == 0 && i + 1 < argc) {
+      ++i;  // the path; TraceOutput reads both forms
+    } else if (std::strncmp(argv[i], "--trace-out=", 12) != 0) {
+      return Usage();
     }
   }
 
@@ -113,12 +128,12 @@ int Main(int argc, char** argv) {
   }
 
   std::printf("Fig. 4: speed of reclaiming/returning memory "
-              "(20 GiB <-> 2 GiB, %d repetitions)\n\n", reps);
+              "(20 GiB <-> 2 GiB, %" PRIu64 " repetitions)\n\n", reps);
 
   std::vector<std::pair<Candidate, Rates>> results;
   for (const Candidate candidate : DeflationCandidates(true)) {
     Rates rates;
-    for (int rep = 0; rep < reps; ++rep) {
+    for (uint64_t rep = 0; rep < reps; ++rep) {
       RunOnce(candidate, &rates);
     }
     results.emplace_back(candidate, std::move(rates));

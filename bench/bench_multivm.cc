@@ -15,8 +15,8 @@
 // the same proportions.
 #include <sys/stat.h>
 
+#include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
@@ -38,27 +38,34 @@ workloads::CompileConfig BuildConfig() {
 }
 
 int Usage() {
-  std::fprintf(stderr, "usage: bench_multivm [--vms=N] [--threads=N (>= 1)] "
-                       "[--trace-out=PATH]\n");
+  std::fprintf(stderr,
+               "usage: bench_multivm [--vms=N (>= 1)] [--threads=N (>= 1)] "
+               "[--trace-out=PATH | --trace-out PATH]\n");
   return 2;
 }
 
 int Main(int argc, char** argv) {
-  int vms = 3;
+  uint64_t vms = 3;
   unsigned threads = 1;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--vms=", 6) == 0) {
-      vms = std::atoi(argv[i] + 6);
+      if (!ParseUint64(argv[i] + 6, 10, &vms) || vms < 1) {
+        return Usage();
+      }
     } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
       if (!ParseThreads(argv[i] + 10, &threads)) {
         return Usage();
       }
+    } else if (std::strcmp(argv[i], "--trace-out") == 0 && i + 1 < argc) {
+      ++i;  // the path; TraceOutput reads both forms
+    } else if (std::strncmp(argv[i], "--trace-out=", 12) != 0) {
+      return Usage();
     }
   }
 
   ::mkdir("bench_out", 0755);
-  std::printf("Fig. 11: %d 16 GiB VMs compiling clang 3x each "
-              "(%d GiB provisioned, %u host thread%s)\n\n",
+  std::printf("Fig. 11: %" PRIu64 " 16 GiB VMs compiling clang 3x each "
+              "(%" PRIu64 " GiB provisioned, %u host thread%s)\n\n",
               vms, vms * 16, threads, threads == 1 ? "" : "s");
 
   struct Row {

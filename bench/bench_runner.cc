@@ -254,9 +254,8 @@ AttributionBench BenchAttribution() {
 // ----------------------------------------------------------------------
 
 std::vector<std::vector<trace::SpanRecord>> CanonicalPerVmStreams(
-    std::vector<trace::SpanRecord> spans, int vms) {
-  std::vector<std::vector<trace::SpanRecord>> streams(
-      static_cast<size_t>(vms));
+    std::vector<trace::SpanRecord> spans, uint64_t vms) {
+  std::vector<std::vector<trace::SpanRecord>> streams(vms);
   // seq is assigned by one global counter at emission; each VM's spans
   // are emitted in program order on whichever thread runs it, so sorting
   // a VM's spans by seq restores that VM's deterministic program order.
@@ -265,7 +264,7 @@ std::vector<std::vector<trace::SpanRecord>> CanonicalPerVmStreams(
               return a.seq < b.seq;
             });
   for (const trace::SpanRecord& span : spans) {
-    if (span.vm < static_cast<uint32_t>(vms)) {
+    if (span.vm < vms) {
       streams[span.vm].push_back(span);
     }
   }
@@ -320,7 +319,7 @@ CompileFleetOptions MultiVmBenchConfig(bool smoke, unsigned threads) {
 }
 
 struct MultiVmBench {
-  int vms = 0;
+  uint64_t vms = 0;
   unsigned threads = 0;
   bool deterministic = false;
   double footprint_gib_min = 0.0;
@@ -374,9 +373,8 @@ MultiVmBench BenchMultiVm(bool smoke, unsigned threads) {
   const auto a = CanonicalPerVmStreams(single_spans, config.vms);
   const auto b = CanonicalPerVmStreams(parallel_spans, config.vms);
   result.spans_deterministic = result.spans_dropped == 0;
-  for (int i = 0; result.spans_deterministic && i < config.vms; ++i) {
-    result.spans_deterministic =
-        SpanStreamsEqual(a[static_cast<size_t>(i)], b[static_cast<size_t>(i)]);
+  for (uint64_t i = 0; result.spans_deterministic && i < config.vms; ++i) {
+    result.spans_deterministic = SpanStreamsEqual(a[i], b[i]);
   }
 #endif
   return result;
@@ -597,8 +595,7 @@ HugeFrameVariant RunHugeFrameVariant(bool smoke, bool compact) {
   variant.frag_before = setup.vm->FragmentationScore();
 
   if (compact) {
-    guest::CompactionConfig config;
-    guest::Compactor compactor(setup.vm.get(), config);
+    guest::Compactor compactor(setup.vm.get());
     compactor.CompactPass(~0ull);
     variant.compaction_blocks = compactor.blocks_compacted();
     variant.compaction_migrations = compactor.frames_migrated();
@@ -820,7 +817,7 @@ int Main(int argc, char** argv) {
   }
   json += "    },\n";
   json += "    \"multivm\": {\n";
-  json += "      \"vms\": " + Num(static_cast<uint64_t>(multivm.vms)) + ",\n";
+  json += "      \"vms\": " + Num(multivm.vms) + ",\n";
   json += "      \"threads\": " + Num(uint64_t{multivm.threads}) + ",\n";
   json += "      \"deterministic\": " + Bool(multivm.deterministic) + ",\n";
   json += "      \"spans_checked\": " + Bool(multivm.spans_checked) + ",\n";

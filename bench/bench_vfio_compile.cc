@@ -3,27 +3,43 @@
 // passthrough device whose IOMMU mappings must stay in sync.
 #include <sys/stat.h>
 
+#include <cinttypes>
 #include <cstdio>
 #include <cstring>
 #include <string>
 
 #include "bench/compile_harness.h"
+#include "bench/fleet_bench.h"
 #include "bench/trace_io.h"
 
 namespace hyperalloc::bench {
 namespace {
 
+int Usage() {
+  std::fprintf(stderr,
+               "usage: bench_vfio_compile [--runs=N (>= 1)] "
+               "[--trace-out=PATH | --trace-out PATH]\n");
+  return 2;
+}
+
 int Main(int argc, char** argv) {
-  int runs = 2;
+  uint64_t runs = 2;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--runs=", 7) == 0) {
-      runs = std::atoi(argv[i] + 7);
+      if (!ParseUint64(argv[i] + 7, 10, &runs) || runs < 1) {
+        return Usage();
+      }
+    } else if (std::strcmp(argv[i], "--trace-out") == 0 && i + 1 < argc) {
+      ++i;  // the path; TraceOutput reads both forms
+    } else if (std::strncmp(argv[i], "--trace-out=", 12) != 0) {
+      return Usage();
     }
   }
   ::mkdir("bench_out", 0755);
 
   std::printf("Fig. 9: clang compilation with VFIO-based DMA safety "
-              "(16 GiB VM, %d run%s)\n\n", runs, runs == 1 ? "" : "s");
+              "(16 GiB VM, %" PRIu64 " run%s)\n\n", runs,
+              runs == 1 ? "" : "s");
   std::printf("%-20s %12s %9s %10s %10s\n", "candidate", "footprint",
               "runtime", "iommu-maps", "iotlb-flsh");
   std::printf("%-20s %12s %9s %10s %10s\n", "", "[GiB*min]", "[min]", "",
@@ -40,7 +56,7 @@ int Main(int argc, char** argv) {
     double runtime = 0.0;
     uint64_t iommu_maps = 0;
     uint64_t iotlb = 0;
-    for (int run = 0; run < runs; ++run) {
+    for (uint64_t run = 0; run < runs; ++run) {
       CompileRunOptions options;
       options.memory_bytes = 16 * kGiB;
       options.compile.seed = 1 + run;
@@ -52,8 +68,8 @@ int Main(int argc, char** argv) {
       const CompileRunResult result = RunCompile(candidate, options);
       footprint += result.footprint_gib_min / runs;
       runtime += result.runtime_min / runs;
-      iommu_maps += result.iommu_maps / static_cast<uint64_t>(runs);
-      iotlb += result.iotlb_flushes / static_cast<uint64_t>(runs);
+      iommu_maps += result.iommu_maps / runs;
+      iotlb += result.iotlb_flushes / runs;
     }
     footprint_of[idx++] = footprint;
     std::printf("%-20s %12.1f %9.2f %10llu %10llu\n", Name(candidate),

@@ -143,8 +143,7 @@ VmBundle MakeVmBundle(sim::Simulation* sim, hv::HostMemory* host,
     }
     case Candidate::kVmem:
     case Candidate::kVmemVfio:
-      setup.deflator =
-          std::make_unique<vmem::VirtioMem>(setup.vm.get(), options.vmem);
+      setup.deflator = std::make_unique<vmem::VirtioMem>(setup.vm.get());
       break;
     case Candidate::kHyperAlloc:
     case Candidate::kHyperAllocVfio:

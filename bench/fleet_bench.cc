@@ -62,7 +62,7 @@ bool ParseUint64(const char* text, int base, uint64_t* value) {
 fleet::FleetResult RunCompileFleet(const CompileFleetOptions& options) {
   HA_CHECK(options.vms > 0);
   fleet::FleetConfig config;
-  config.vms = static_cast<uint64_t>(options.vms);
+  config.vms = options.vms;
   config.threads = options.threads;
   config.vm_bytes = options.vm_bytes;
   config.host_slack_bytes = options.host_slack_bytes;

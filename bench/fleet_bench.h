@@ -22,7 +22,7 @@ namespace hyperalloc::bench {
 // clang `builds_per_vm` times with long gaps, optionally staggered.
 // Same knobs (and defaults) as the retired bench-private harness.
 struct CompileFleetOptions {
-  int vms = 3;
+  uint64_t vms = 3;
   // Host threads driving the per-VM simulations (>= 1).
   unsigned threads = 1;
   Candidate candidate = Candidate::kHyperAlloc;
@@ -100,7 +100,7 @@ struct FleetScenarioOptions {
   // Per-VM fault plan (VM i gets seed fault_plan.seed + i, like
   // bench_faults); default: no faults.
   fault::Plan fault_plan;
-  // Barrier-sampled telemetry pipeline knobs (src/telemetry/).
+  // Barrier-sampled telemetry pipeline (src/telemetry/): on or off.
   telemetry::TelemetryOptions telemetry;
 };
 

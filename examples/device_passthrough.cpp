@@ -96,7 +96,7 @@ void VirtioMemCase() {
   hv::HostMemory host(FramesForBytes(8 * kGiB));
   guest::GuestVm vm(&sim, &host,
                     VfioGuest(guest::AllocatorKind::kBuddy, kGiB));
-  vmem::VirtioMem vmem_dev(&vm, {});
+  vmem::VirtioMem vmem_dev(&vm);
   std::printf("boot RSS (everything pre-populated + pinned): %s\n",
               FormatBytes(vm.rss_bytes()).c_str());
   const Result<FrameId> buffer = vm.Alloc(kHugeOrder, AllocType::kHuge);

@@ -12,6 +12,9 @@ namespace {
 constexpr unsigned kDriverCpu = 0;
 // Virtqueue batch size (PFNs per hypercall).
 constexpr unsigned kVqCapacity = 256;
+// Deflate-on-OOM: when the guest is about to run out of memory, the
+// balloon releases this many bytes instead.
+constexpr uint64_t kDeflateOnOomBytes = 64 * kMiB;
 
 }  // namespace
 
@@ -29,42 +32,39 @@ VirtioBalloon::VirtioBalloon(guest::GuestVm* vm, const BalloonConfig& config)
   HA_CHECK(vm != nullptr);
   // virtio-balloon is not DMA-safe (§2): refuse passthrough configs.
   HA_CHECK(!vm->config().vfio);
-  if (config.deflate_on_oom_bytes > 0) {
-    vm->SetOomNotifier([this] {
-      if (pages_.empty()) {
-        return false;
+  vm->SetOomNotifier([this] {
+    if (pages_.empty()) {
+      return false;
+    }
+    // Synchronous emergency deflation of a chunk of the balloon.
+    const uint64_t target_frames =
+        ballooned_frames_ -
+        std::min<uint64_t>(ballooned_frames_, kDeflateOnOomBytes / kFrameSize);
+    ++oom_deflations_;
+    HA_COUNT("balloon.oom_deflate");
+    trace::Span span(trace::Layer::kBackend, "balloon.oom_deflate");
+    std::vector<FrameId> base_frames;
+    while (ballooned_frames_ > target_frames && !pages_.empty()) {
+      const Ballooned b = pages_.back();
+      pages_.pop_back();
+      span.AddFrames(1ull << b.order);
+      if (b.order == kHugeOrder) {
+        span.AddHugeFrames(kFramesPerHuge);
       }
-      // Synchronous emergency deflation of a chunk of the balloon.
-      const uint64_t target_frames =
-          ballooned_frames_ -
-          std::min<uint64_t>(ballooned_frames_,
-                             config_.deflate_on_oom_bytes / kFrameSize);
-      ++oom_deflations_;
-      HA_COUNT("balloon.oom_deflate");
-      trace::Span span(trace::Layer::kBackend, "balloon.oom_deflate");
-      std::vector<FrameId> base_frames;
-      while (ballooned_frames_ > target_frames && !pages_.empty()) {
-        const Ballooned b = pages_.back();
-        pages_.pop_back();
-        span.AddFrames(1ull << b.order);
-        if (b.order == kHugeOrder) {
-          span.AddHugeFrames(kFramesPerHuge);
-        }
-        hv::Charge(sim_, b.order == kHugeOrder
-                             ? vm_->costs().balloon_deflate_2m_ns
-                             : vm_->costs().balloon_deflate_4k_ns);
-        if (b.order == 0) {
-          base_frames.push_back(b.frame);
-        } else {
-          vm_->Free(b.frame, b.order, kDriverCpu);
-        }
-        ballooned_frames_ -= 1ull << b.order;
-        HA_COUNT_N("balloon.deflate_frames", 1ull << b.order);
+      hv::Charge(sim_, b.order == kHugeOrder
+                           ? vm_->costs().balloon_deflate_2m_ns
+                           : vm_->costs().balloon_deflate_4k_ns);
+      if (b.order == 0) {
+        base_frames.push_back(b.frame);
+      } else {
+        vm_->Free(b.frame, b.order, kDriverCpu);
       }
-      vm_->FreeBatch(base_frames, 0, kDriverCpu);
-      return true;
-    });
-  }
+      ballooned_frames_ -= 1ull << b.order;
+      HA_COUNT_N("balloon.deflate_frames", 1ull << b.order);
+    }
+    vm_->FreeBatch(base_frames, 0, kDriverCpu);
+    return true;
+  });
 }
 
 uint64_t VirtioBalloon::ballooned_bytes() const {

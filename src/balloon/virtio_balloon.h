@@ -39,9 +39,6 @@ struct BalloonConfig {
   unsigned reporting_order = 0;
   sim::Time reporting_delay = 2 * sim::kSec;
   unsigned reporting_capacity = 32;
-  // Deflate-on-OOM: when the guest is about to run out of memory, the
-  // balloon releases this many bytes instead (0 disables the feature).
-  uint64_t deflate_on_oom_bytes = 64 * kMiB;
 };
 
 class VirtioBalloon : public hv::Deflator {

@@ -1,6 +1,5 @@
 #include "src/guest/compaction.h"
 
-#include <algorithm>
 #include <vector>
 
 #include "src/base/check.h"
@@ -8,15 +7,12 @@
 namespace hyperalloc::guest {
 namespace {
 
-// Background daemon scan period.
-constexpr sim::Time kCompactionPeriod = 2 * sim::kSec;
 // vCPU the migrations are charged to.
 constexpr unsigned kCompactionCore = 0;
 
 }  // namespace
 
-Compactor::Compactor(GuestVm* vm, const CompactionConfig& config)
-    : vm_(vm), config_(config), sim_(vm->simulation()) {
+Compactor::Compactor(GuestVm* vm) : vm_(vm) {
   HA_CHECK(vm != nullptr);
 }
 
@@ -72,7 +68,7 @@ uint64_t Compactor::CompactPass(uint64_t max_blocks) {
       const uint64_t blocks = zone.frames / kFramesPerHuge;
       for (HugeId b = 0; b < blocks && freed < max_blocks; ++b) {
         const uint64_t used = zone.buddy->UsedFramesInBlock(b);
-        if (used == 0 || used > config_.max_used_frames) {
+        if (used == 0 || used > kMaxUsedFrames) {
           continue;
         }
         if (TryCompactBlock(zone, b)) {
@@ -93,7 +89,7 @@ uint64_t Compactor::CompactPass(uint64_t max_blocks) {
           continue;  // huge-allocated or host-unbacked: nothing to form
         }
         const uint64_t used = kFramesPerHuge - entry.free;
-        if (used == 0 || used > config_.max_used_frames) {
+        if (used == 0 || used > kMaxUsedFrames) {
           continue;  // already whole, or too expensive to evacuate
         }
         if (TryCompactBlock(zone, a)) {
@@ -106,41 +102,6 @@ uint64_t Compactor::CompactPass(uint64_t max_blocks) {
     }
   }
   return freed;
-}
-
-void Compactor::StartBackground() {
-  if (running_) {
-    return;
-  }
-  running_ = true;
-  backoff_ = 1;
-  sim_->After(kCompactionPeriod, [this] { Tick(); });
-}
-
-void Compactor::Stop() { running_ = false; }
-
-void Compactor::Tick() {
-  if (!running_) {
-    return;
-  }
-  const bool below_watermark =
-      vm_->FreeHugeFrames() < config_.min_free_huge;
-  const bool fragmented =
-      vm_->FragmentationScore() > config_.frag_threshold;
-  if (below_watermark || fragmented) {
-    ++triggered_passes_;
-    const uint64_t freed = CompactPass(config_.blocks_per_wakeup);
-    if (freed > 0) {
-      backoff_ = 1;
-    } else if (backoff_ < config_.max_backoff) {
-      // No progress: every candidate is pinned or too full. Back off so
-      // a hopeless configuration does not burn CPU every period.
-      backoff_ = std::min<uint64_t>(backoff_ * 2, config_.max_backoff);
-    }
-  } else {
-    backoff_ = 1;
-  }
-  sim_->After(kCompactionPeriod * backoff_, [this] { Tick(); });
 }
 
 }  // namespace hyperalloc::guest

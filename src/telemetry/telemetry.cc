@@ -55,8 +55,8 @@ void Append(std::string* out, const char* format, ...) {
 
 }  // namespace
 
-std::string FleetPerfettoJson(const std::vector<EpochSummary>& epochs,
-                              const std::vector<AlertEvent>& alerts) {
+std::string FleetPerfettoJson(std::span<const EpochSummary> epochs,
+                              std::span<const AlertEvent> alerts) {
   std::string out;
   out.reserve(1024 + epochs.size() * 1024);
   Append(&out, "{\"traceEvents\":[\n");
@@ -141,38 +141,34 @@ bool Allowlisted(const std::string& name) {
 
 }  // namespace
 
-void Pipeline::Burn::Push(double error, unsigned slow_epochs) {
-  if (window.size() < slow_epochs) {
-    window.resize(slow_epochs, 0.0);
-  }
+void Pipeline::Burn::Push(double error) {
   window[next] = error;
-  next = (next + 1) % window.size();
-  filled = std::min<uint64_t>(filled + 1, window.size());
+  next = (next + 1) % kBurnSlowEpochs;
+  filled = std::min(filled + 1, kBurnSlowEpochs);
 }
 
-double Pipeline::Burn::Rate(unsigned epochs, double budget) const {
-  if (filled == 0 || budget <= 0.0) {
+double Pipeline::Burn::Rate(uint64_t epochs) const {
+  if (filled == 0) {
     return 0.0;
   }
   // Mean error fraction over the last min(epochs, filled) samples.
-  const uint64_t n = std::min<uint64_t>(epochs, filled);
+  const uint64_t n = std::min(epochs, filled);
   double sum = 0.0;
   for (uint64_t i = 0; i < n; ++i) {
-    sum += window[(next + window.size() - 1 - i) % window.size()];
+    sum += window[(next + kBurnSlowEpochs - 1 - i) % kBurnSlowEpochs];
   }
-  return sum / static_cast<double>(n) / budget;
+  return sum / static_cast<double>(n) / kErrorBudget;
 }
 
 Pipeline::Pipeline(const TelemetryOptions& options, uint64_t vms)
-    : options_(options), vms_(vms) {
-  enabled_ = options_.enabled && vms_ > 0;
+    : enabled_(options.enabled && vms > 0), vms_(vms) {
   if (!enabled_) {
     return;
   }
   quarantined_.assign(vms_, 0);
   result_.vm_peaks.assign(vms_, {});
   result_.vm_last.assign(vms_, {});
-  counter_prev_ = CounterDeltas();  // baseline: deltas vs zero = values
+  counter_prev_ = trace::CounterRegistry::Global().Counters();
 }
 
 Pipeline::~Pipeline() = default;
@@ -217,13 +213,16 @@ void Pipeline::MixSummary(const EpochSummary& e) {
   MixInto(&digest_, e.alerts);
 }
 
-std::vector<std::pair<std::string, uint64_t>> Pipeline::CounterDeltas() {
-  std::vector<std::pair<std::string, uint64_t>> out;
-  // Counters() is sorted by name; counter_prev_ inherits that order, so
+void Pipeline::CounterDeltas(
+    std::vector<std::pair<std::string, uint64_t>>* out) {
+  out->clear();
+  // Counters() is sorted by name, and so is the previous snapshot, so
   // the delta scan is a two-pointer merge. A counter registered mid-run
   // simply deltas against zero.
+  std::vector<std::pair<std::string, uint64_t>> counters =
+      trace::CounterRegistry::Global().Counters();
   size_t prev = 0;
-  for (auto& [name, value] : trace::CounterRegistry::Global().Counters()) {
+  for (const auto& [name, value] : counters) {
     if (!Allowlisted(name)) {
       continue;
     }
@@ -239,16 +238,13 @@ std::vector<std::pair<std::string, uint64_t>> Pipeline::CounterDeltas() {
     // prior run in the same process) — only nonzero deltas are a pure
     // function of this run's virtual-time activity.
     if (value != base) {
-      out.emplace_back(name, value - base);
+      out->emplace_back(name, value - base);
     }
   }
-  return out;
+  counter_prev_ = std::move(counters);
 }
 
 void Pipeline::EmitMarker(sim::Time at, const char* name, uint64_t epoch) {
-  if (!options_.emit_spans) {
-    return;
-  }
   trace::SpanTracer& spans = trace::SpanTracer::Global();
   if (!spans.enabled()) {
     return;
@@ -297,7 +293,9 @@ void Pipeline::OnEpoch(sim::Time at, uint64_t committed_bytes,
 
   bool new_quarantine = false;
   uint64_t first_quarantined = ~0ull;
-  FlightFrame frame;
+  FlightFrame& frame = ring_[epoch_index % kFlightDepth];
+  frame.vm_detail.clear();
+  frame.vm_detail_omitted = 0;
   for (const VmGauges& g : gauges) {
     e.limit_bytes += g.limit_bytes;
     e.wss_bytes += g.wss_bytes;
@@ -350,17 +348,13 @@ void Pipeline::OnEpoch(sim::Time at, uint64_t committed_bytes,
       completed_ms.empty() ? 0.0
                            : static_cast<double>(late) /
                                  static_cast<double>(completed_ms.size());
-  const double pressure_error = pressure > options_.slo_pressure ? 1.0 : 0.0;
-  latency_burn_.Push(latency_error, options_.burn_slow_epochs);
-  pressure_burn_.Push(pressure_error, options_.burn_slow_epochs);
-  e.latency_burn_fast =
-      latency_burn_.Rate(options_.burn_fast_epochs, kErrorBudget);
-  e.latency_burn_slow =
-      latency_burn_.Rate(options_.burn_slow_epochs, kErrorBudget);
-  e.pressure_burn_fast =
-      pressure_burn_.Rate(options_.burn_fast_epochs, kErrorBudget);
-  e.pressure_burn_slow =
-      pressure_burn_.Rate(options_.burn_slow_epochs, kErrorBudget);
+  const double pressure_error = pressure > kSloPressure ? 1.0 : 0.0;
+  latency_burn_.Push(latency_error);
+  pressure_burn_.Push(pressure_error);
+  e.latency_burn_fast = latency_burn_.Rate(kBurnFastEpochs);
+  e.latency_burn_slow = latency_burn_.Rate(kBurnSlowEpochs);
+  e.pressure_burn_fast = pressure_burn_.Rate(kBurnFastEpochs);
+  e.pressure_burn_slow = pressure_burn_.Rate(kBurnSlowEpochs);
 
   bool alert_edge = false;
   const struct {
@@ -397,31 +391,7 @@ void Pipeline::OnEpoch(sim::Time at, uint64_t committed_bytes,
   e.alerts = result_.alert_events.size();
   MixSummary(e);
 
-  frame.fleet = e;
-  frame.counter_deltas = CounterDeltas();
-  // The deltas scan returns absolute values relative to counter_prev_;
-  // advance the baseline by re-reading (same values, quiesced).
-  for (auto& [name, delta] : frame.counter_deltas) {
-    size_t i = 0;
-    while (i < counter_prev_.size() && counter_prev_[i].first < name) {
-      ++i;
-    }
-    if (i < counter_prev_.size() && counter_prev_[i].first == name) {
-      counter_prev_[i].second += delta;
-    } else {
-      counter_prev_.insert(counter_prev_.begin() + static_cast<long>(i),
-                           {name, delta});
-    }
-  }
-  if (ring_.size() < options_.flight_depth) {
-    ring_.push_back(std::move(frame));
-    ring_next_ = ring_.size() % std::max(1u, options_.flight_depth);
-  } else if (!ring_.empty()) {
-    ring_[ring_next_] = std::move(frame);
-    ring_next_ = (ring_next_ + 1) % ring_.size();
-  }
-  ring_filled_ = ring_.size();
-
+  CounterDeltas(&frame.counter_deltas);
   result_.fleet.push_back(e);
 
   MaybeDump(at, alert_edge, new_quarantine, first_quarantined,
@@ -435,25 +405,25 @@ void Pipeline::MaybeDump(sim::Time at, bool alert_edge, bool new_quarantine,
     trigger = FlightTrigger::kAlert;
   } else if (new_quarantine) {
     trigger = FlightTrigger::kQuarantine;
-  } else if (options_.reject_spike_threshold != 0 &&
-             rejected_delta >= options_.reject_spike_threshold) {
+  } else if (rejected_delta >= kRejectSpikeThreshold) {
     trigger = FlightTrigger::kRejectSpike;
   } else {
     return;
   }
-  if (cooldown_ > 0 || result_.dumps.size() >= options_.flight_max_dumps) {
+  if (cooldown_ > 0 || result_.dumps.size() >= kFlightMaxDumps) {
     return;
   }
-  cooldown_ = options_.flight_cooldown_epochs;
+  cooldown_ = kFlightCooldownEpochs;
 
   FlightDump dump;
   dump.at = at;
   dump.epoch = epochs_ - 1;
   dump.trigger = trigger;
   dump.vm = trigger == FlightTrigger::kQuarantine ? quarantined_vm : ~0ull;
-  dump.ring_epochs = ring_filled_;
+  dump.ring_epochs = std::min(epochs_, kFlightDepth);
   dump.json = BuildFlightJson(dump);
-  dump.perfetto = BuildFlightPerfetto();
+  dump.perfetto = FleetPerfettoJson(
+      std::span(result_.fleet).last(dump.ring_epochs), {});
   for (const char c : dump.json) {
     flight_digest_ ^= static_cast<unsigned char>(c);
     flight_digest_ *= kFnvPrime;
@@ -462,17 +432,10 @@ void Pipeline::MaybeDump(sim::Time at, bool alert_edge, bool new_quarantine,
   result_.dumps.push_back(std::move(dump));
 }
 
-const Pipeline::FlightFrame& Pipeline::RingFrame(uint64_t k) const {
-  // When the ring is full, ring_next_ points at the oldest frame.
-  return ring_[ring_filled_ < options_.flight_depth
-                   ? k
-                   : (ring_next_ + k) % ring_.size()];
-}
-
 std::string Pipeline::BuildFlightJson(const FlightDump& dump) const {
   std::string out;
   out.reserve(4096 +
-              ring_filled_ * (kFlightVmDetailCap * 224 + 768));
+              dump.ring_epochs * (kFlightVmDetailCap * 224 + 768));
   Append(&out, "{\n  \"schema\": \"hyperalloc-flight-v2\",\n");
   Append(&out,
          "  \"trigger\": {\"kind\": \"%s\", \"epoch\": %" PRIu64
@@ -495,15 +458,16 @@ std::string Pipeline::BuildFlightJson(const FlightDump& dump) const {
   }
   Append(&out, "%s],\n", result_.alert_events.empty() ? "" : "\n  ");
   Append(&out, "  \"epochs\": [");
-  for (uint64_t k = 0; k < ring_filled_; ++k) {
-    const FlightFrame& f = RingFrame(k);
-    const EpochSummary& e = f.fleet;
+  const uint64_t first = epochs_ - dump.ring_epochs;
+  for (uint64_t epoch = first; epoch < epochs_; ++epoch) {
+    const FlightFrame& f = ring_[epoch % kFlightDepth];
+    const EpochSummary& e = result_.fleet[epoch];
     Append(&out,
            "%s\n    {\"epoch\": %" PRIu64 ", \"at_s\": %.6f, "
            "\"pressure\": %.6f, \"committed_bytes\": %" PRIu64
            ", \"limit_bytes\": %" PRIu64 ", \"wss_bytes\": %" PRIu64
            ", \"rss_bytes\": %" PRIu64 ",\n",
-           k == 0 ? "" : ",", e.epoch, Seconds(e.at), e.pressure,
+           epoch == first ? "" : ",", e.epoch, Seconds(e.at), e.pressure,
            e.committed_bytes, e.limit_bytes, e.wss_bytes, e.rss_bytes);
     Append(&out,
            "     \"busy_vms\": %" PRIu64 ", \"quarantined_vms\": %" PRIu64
@@ -547,17 +511,8 @@ std::string Pipeline::BuildFlightJson(const FlightDump& dump) const {
     }
     Append(&out, "%s]}", f.vm_detail.empty() ? "" : "\n     ");
   }
-  Append(&out, "%s]\n}\n", ring_filled_ == 0 ? "" : "\n  ");
+  Append(&out, "%s]\n}\n", dump.ring_epochs == 0 ? "" : "\n  ");
   return out;
-}
-
-std::string Pipeline::BuildFlightPerfetto() const {
-  std::vector<EpochSummary> epochs;
-  epochs.reserve(ring_filled_);
-  for (uint64_t k = 0; k < ring_filled_; ++k) {
-    epochs.push_back(RingFrame(k).fleet);
-  }
-  return FleetPerfettoJson(epochs, {});
 }
 
 TelemetryResult Pipeline::Finish() {

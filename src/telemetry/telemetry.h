@@ -19,7 +19,7 @@
 // slow-window burn >= slow threshold) and is emitted as a zero-length
 // kTelemetry span.
 //
-// Flight recorder: a bounded ring of the last `flight_depth` epochs of
+// Flight recorder: a bounded ring of the last kFlightDepth epochs of
 // fleet snapshots (fleet row, per-VM detail rows, allowlisted counter
 // deltas). A trigger — alert edge, newly quarantined VM, or an
 // admission-rejection spike — freezes the ring into a postmortem bundle:
@@ -32,7 +32,9 @@
 // available so FleetResult keeps its shape.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -43,11 +45,22 @@
 namespace hyperalloc::telemetry {
 
 // Burn-rate monitor. Budget is the error budget of the availability
-// target (0.01 = "99% of epochs within SLO").
+// target (0.01 = "99% of epochs within SLO"); windows are in epochs.
 inline constexpr double kSloResizeMs = 400.0;  // per-resize latency target
+inline constexpr double kSloPressure = 0.97;   // committed/capacity ceiling
 inline constexpr double kErrorBudget = 0.01;
 inline constexpr double kBurnFastThreshold = 8.0;
 inline constexpr double kBurnSlowThreshold = 2.0;
+inline constexpr uint64_t kBurnFastEpochs = 3;
+inline constexpr uint64_t kBurnSlowEpochs = 12;
+// Flight recorder: epochs retained in the ring, dumps per run, and the
+// dump debounce in epochs.
+inline constexpr uint64_t kFlightDepth = 16;
+inline constexpr uint64_t kFlightMaxDumps = 4;
+inline constexpr uint64_t kFlightCooldownEpochs = 16;
+// Admission-rejection spike trigger: rejections in ONE epoch at or above
+// this freeze the recorder.
+inline constexpr uint64_t kRejectSpikeThreshold = 16;
 // Flight recorder: per ring epoch, at most this many per-VM detail rows
 // are retained (the "interesting" VMs: busy, quarantined, or with
 // nonzero fault/retry/rollback totals, in VM-index order). Rows past the
@@ -57,22 +70,6 @@ inline constexpr uint64_t kFlightVmDetailCap = 64;
 
 struct TelemetryOptions {
   bool enabled = true;
-  // Emit alert/flight markers as zero-length kTelemetry spans when the
-  // global span tracer is enabled.
-  bool emit_spans = true;
-
-  // Burn-rate monitor; windows are in epochs.
-  double slo_pressure = 0.97;  // committed/capacity ceiling
-  unsigned burn_fast_epochs = 3;
-  unsigned burn_slow_epochs = 12;
-
-  // Flight recorder.
-  unsigned flight_depth = 16;        // epochs retained in the ring
-  unsigned flight_max_dumps = 4;     // hard cap per run
-  unsigned flight_cooldown_epochs = 16;  // dump debounce
-  // Admission-rejection spike trigger: rejections in ONE epoch at or
-  // above this freeze the recorder. 0 disables the trigger.
-  uint64_t reject_spike_threshold = 16;
 };
 
 // One VM's gauge set at an epoch barrier, read by the engine with the
@@ -181,8 +178,8 @@ struct TelemetryResult {
 // marker per alert. ts is virtual µs, so it overlays the span trace from
 // trace::WritePerfettoJson. Both the whole-run artifact and every flight
 // dump's Perfetto bundle are this document.
-std::string FleetPerfettoJson(const std::vector<EpochSummary>& epochs,
-                              const std::vector<AlertEvent>& alerts);
+std::string FleetPerfettoJson(std::span<const EpochSummary> epochs,
+                              std::span<const AlertEvent> alerts);
 
 #if HYPERALLOC_TRACE
 
@@ -215,8 +212,8 @@ class Pipeline {
   TelemetryResult Finish();
 
  private:
+  // One ring epoch's detail; its fleet row is result_.fleet[epoch].
   struct FlightFrame {
-    EpochSummary fleet;
     // Per-VM rows for the "interesting" VMs only (busy, quarantined, or
     // with nonzero fault/retry/rollback totals), in VM-index order,
     // capped at kFlightVmDetailCap. Copying and later serializing all
@@ -229,41 +226,39 @@ class Pipeline {
   };
 
   struct Burn {
-    std::vector<double> window;  // ring of per-epoch error fractions
+    std::array<double, kBurnSlowEpochs> window{};  // per-epoch errors
     size_t next = 0;
     uint64_t filled = 0;
     bool firing = false;
 
-    void Push(double error, unsigned slow_epochs);
-    double Rate(unsigned epochs, double budget) const;
+    void Push(double error);
+    double Rate(uint64_t epochs) const;
   };
 
   void MixGauges(const VmGauges& g);
   void MixSummary(const EpochSummary& e);
-  std::vector<std::pair<std::string, uint64_t>> CounterDeltas();
+  // Writes the nonzero allowlisted counter deltas since the previous
+  // call and makes the current values the next call's baseline.
+  void CounterDeltas(std::vector<std::pair<std::string, uint64_t>>* out);
   void EmitMarker(sim::Time at, const char* name, uint64_t epoch);
   void MaybeDump(sim::Time at, bool alert_edge, bool new_quarantine,
                  uint64_t quarantined_vm, uint64_t rejected_delta);
-  // The k-th retained ring frame, oldest first.
-  const FlightFrame& RingFrame(uint64_t k) const;
   std::string BuildFlightJson(const FlightDump& dump) const;
-  std::string BuildFlightPerfetto() const;
 
-  TelemetryOptions options_;
   bool enabled_ = false;
   uint64_t vms_ = 0;
   uint64_t epochs_ = 0;
 
   TelemetryResult result_;
-  std::vector<FlightFrame> ring_;  // ring of the last flight_depth epochs
-  size_t ring_next_ = 0;
-  uint64_t ring_filled_ = 0;
+  // The last kFlightDepth epochs; epoch e lives at e % kFlightDepth.
+  std::array<FlightFrame, kFlightDepth> ring_;
   std::vector<uint8_t> quarantined_;  // latched per-VM quarantine flags
+  // The counter registry as the previous barrier read it.
   std::vector<std::pair<std::string, uint64_t>> counter_prev_;
   uint64_t prev_rejected_ = 0;
   Burn latency_burn_;
   Burn pressure_burn_;
-  unsigned cooldown_ = 0;
+  uint64_t cooldown_ = 0;
   uint64_t digest_ = 14695981039346656037ull;
   uint64_t flight_digest_ = 14695981039346656037ull;
 };

@@ -15,8 +15,8 @@ constexpr unsigned kBlocksPerSlice = 16;
 
 }  // namespace
 
-VirtioMem::VirtioMem(guest::GuestVm* vm, const VmemConfig& config)
-    : vm_(vm), config_(config), sim_(vm->simulation()),
+VirtioMem::VirtioMem(guest::GuestVm* vm)
+    : vm_(vm), sim_(vm->simulation()),
       auto_(vm->simulation(), kAutoPeriod,
             [this] { return AutoTick(); }),
       recovery_(vm->simulation(),
@@ -345,15 +345,12 @@ sim::Time VirtioMem::AutoTick() {
   if (!recovery_.busy()) {
     const uint64_t free_bytes = vm_->FreeFrames() * kFrameSize;
     const uint64_t free_huge_bytes = vm_->FreeHugeFrames() * kHugeSize;
-    if (free_bytes < config_.auto_low_bytes &&
-        plugged_blocks_ < num_blocks_) {
-      Request({.target_bytes =
-                   std::min(limit_bytes() + config_.auto_granularity,
-                            vm_->config().memory_bytes),
+    if (free_bytes < kAutoLowBytes && plugged_blocks_ < num_blocks_) {
+      Request({.target_bytes = std::min(limit_bytes() + kAutoGranularity,
+                                        vm_->config().memory_bytes),
                .done = {}});
-    } else if (free_huge_bytes >
-               config_.auto_high_bytes + config_.auto_granularity) {
-      Request({.target_bytes = limit_bytes() - config_.auto_granularity,
+    } else if (free_huge_bytes > kAutoHighBytes + kAutoGranularity) {
+      Request({.target_bytes = limit_bytes() - kAutoGranularity,
                .done = {}});
     }
   }

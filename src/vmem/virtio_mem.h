@@ -31,23 +31,21 @@
 
 namespace hyperalloc::vmem {
 
-// Simulated auto mode (hand-tuned like the paper's, §5.5): its period.
+// Simulated auto mode (hand-tuned like the paper's, §5.5): its period
+// and resize step.
 inline constexpr sim::Time kAutoPeriod = 1 * sim::kSec;
-
-struct VmemConfig {
-  // Simulated auto mode: resize step and thresholds.
-  uint64_t auto_granularity = 1 * kGiB;
-  // Plug when total free memory falls below this ...
-  uint64_t auto_low_bytes = 768 * kMiB;
-  // ... unplug (1 GiB) when huge-page-backed free memory exceeds this.
-  uint64_t auto_high_bytes = 1792 * kMiB;
-};
+inline constexpr uint64_t kAutoGranularity = 1 * kGiB;
+// Plug when total free memory falls below this ...
+inline constexpr uint64_t kAutoLowBytes = 768 * kMiB;
+// ... unplug (1 GiB) when huge-page-backed free memory exceeds this plus
+// one step.
+inline constexpr uint64_t kAutoHighBytes = 1792 * kMiB;
 
 class VirtioMem : public hv::Deflator {
  public:
   // The guest must have a Movable zone (config().movable_bytes > 0) using
   // the buddy allocator. All hotpluggable memory starts plugged.
-  VirtioMem(guest::GuestVm* vm, const VmemConfig& config);
+  explicit VirtioMem(guest::GuestVm* vm);
 
   hv::DeflatorCaps caps() const override {
     return {.name = "virtio-mem",
@@ -92,7 +90,6 @@ class VirtioMem : public hv::Deflator {
   FrameId BlockFirstFrame(uint64_t block) const;
 
   guest::GuestVm* vm_;
-  VmemConfig config_;
   sim::Simulation* sim_;
   hv::AutoTimer auto_;
   uint64_t num_blocks_;

@@ -92,8 +92,7 @@ struct Rig {
         period = balloon::BalloonConfig{}.reporting_delay;
         break;
       case Backend::kVmem:
-        deflator =
-            std::make_unique<vmem::VirtioMem>(vm.get(), vmem::VmemConfig{});
+        deflator = std::make_unique<vmem::VirtioMem>(vm.get());
         period = vmem::kAutoPeriod;
         break;
     }

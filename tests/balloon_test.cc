@@ -196,9 +196,7 @@ TEST_F(BalloonTest, ReportedMemoryFaultsBackOnReuse) {
 }
 
 TEST_F(BalloonTest, DeflateOnOomRescuesGuest) {
-  BalloonConfig config;
-  config.deflate_on_oom_bytes = 32 * kMiB;
-  Init(config);
+  Init();
   SetLimit(32 * kMiB);  // balloon holds almost everything
   ASSERT_EQ(balloon_->limit_bytes(), 32 * kMiB);
   // The guest demands more than its limit: instead of OOMing, the
@@ -214,24 +212,8 @@ TEST_F(BalloonTest, DeflateOnOomRescuesGuest) {
   EXPECT_EQ(vm_->oom_events(), 0u);
 }
 
-TEST_F(BalloonTest, DeflateOnOomDisabledStillOoms) {
-  BalloonConfig config;
-  config.deflate_on_oom_bytes = 0;
-  Init(config);
-  SetLimit(32 * kMiB);
-  uint64_t allocated = 0;
-  while (vm_->Alloc(0, AllocType::kUnmovable).ok()) {
-    ++allocated;
-  }
-  EXPECT_EQ(allocated * kFrameSize, 32 * kMiB);
-  EXPECT_GT(vm_->oom_events(), 0u);
-  EXPECT_EQ(balloon_->oom_deflations(), 0u);
-}
-
 TEST_F(BalloonTest, InflationDoesNotCannibalizeItself) {
-  BalloonConfig config;
-  config.deflate_on_oom_bytes = 32 * kMiB;
-  Init(config);
+  Init();
   // Pin most memory; the inflation target is unreachable. The balloon
   // must stop (partial) rather than deflating itself to keep going.
   std::vector<FrameId> pinned;

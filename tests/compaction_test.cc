@@ -1,6 +1,6 @@
-// Tests for the memory compactor (kcompactd model): buddy-zone
-// evacuation, and the LLFree huge-frame re-forming pass (DESIGN.md
-// §4.14) including its behavior under injected EPT map faults.
+// Tests for the memory compactor: buddy-zone evacuation, and the LLFree
+// huge-frame re-forming pass (DESIGN.md §4.14) including its behavior
+// under injected EPT map faults.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -125,7 +125,7 @@ TEST_F(CompactionTest, CompactsSparselyUsedBlocks) {
   }
   ASSERT_EQ(vm_->FreeHugeFrames(), 0u);
 
-  Compactor compactor(vm_.get(), {});
+  Compactor compactor(vm_.get());
   const uint64_t freed = compactor.CompactPass(1000);
   EXPECT_GT(freed, 100u);
   EXPECT_GT(vm_->FreeHugeFrames(), 100u);
@@ -154,50 +154,34 @@ TEST_F(CompactionTest, RefusesUnmovableBlocks) {
     }
   }
   ASSERT_GT(held, 0u);
-  Compactor compactor(vm_.get(), {});
+  Compactor compactor(vm_.get());
   EXPECT_EQ(compactor.CompactPass(1000), 0u)
       << "unmovable kernel memory must not be migrated";
   EXPECT_EQ(vm_->FreeHugeFrames(), 0u);
 }
 
-TEST_F(CompactionTest, BackgroundDaemonMaintainsWatermark) {
-  Init();
-  std::vector<FrameId> all;
-  for (;;) {
-    const Result<FrameId> r = vm_->Alloc(0, AllocType::kMovable);
-    if (!r.ok()) {
-      break;
-    }
-    all.push_back(*r);
-  }
-  for (const FrameId f : all) {
-    if (f % kFramesPerHuge != 0) {
-      vm_->Free(f, 0);
-    }
-  }
-  ASSERT_EQ(vm_->FreeHugeFrames(), 0u);
-
-  CompactionConfig config;
-  config.min_free_huge = 32;
-  config.blocks_per_wakeup = 8;
-  Compactor compactor(vm_.get(), config);
-  compactor.StartBackground();
-  sim_->RunUntil(sim_->now() + 30 * sim::kSec);
-  compactor.Stop();
-  EXPECT_GE(vm_->FreeHugeFrames(), 32u);
-}
-
 TEST_F(CompactionTest, MigrationChargesTimeAndPreservesData) {
   Init();
   workloads::MemoryPool pool(vm_.get());
-  const uint64_t region = pool.AllocRegion(16 * kMiB, 0.0, 0);
-  // Fragment around the region by freeing nothing else; compact with a
-  // high threshold so the region's blocks qualify.
-  CompactionConfig config;
-  config.max_used_frames = 512;
-  Compactor compactor(vm_.get(), config);
+  // A 16 MiB region spread kMaxUsedFrames to a block, so every block it
+  // touches is an evacuation candidate: interleave each block's share
+  // with a filler that takes the rest of the block, then free the
+  // fillers.
+  const uint64_t share_bytes = kMaxUsedFrames * kFrameSize;
+  const uint64_t filler_bytes = kHugeSize - share_bytes;
+  const uint64_t region = pool.AllocRegion(share_bytes, 0.0, 0);
+  std::vector<uint64_t> fillers = {pool.AllocRegion(filler_bytes, 0.0, 0)};
+  while (pool.RegionBytes(region) < 16 * kMiB) {
+    pool.GrowRegion(region, share_bytes, 0.0, 0);
+    fillers.push_back(pool.AllocRegion(filler_bytes, 0.0, 0));
+  }
+  for (const uint64_t filler : fillers) {
+    pool.FreeRegion(filler, 0);
+  }
+  Compactor compactor(vm_.get());
   const sim::Time before = sim_->now();
-  compactor.CompactPass(4);
+  EXPECT_EQ(compactor.CompactPass(4), 4u);
+  EXPECT_GT(compactor.frames_migrated(), 0u);
   EXPECT_GT(sim_->now(), before) << "migration must cost virtual time";
   EXPECT_EQ(pool.RegionBytes(region), 16 * kMiB)
       << "the pool must track migrated frames";
@@ -206,7 +190,7 @@ TEST_F(CompactionTest, MigrationChargesTimeAndPreservesData) {
 }
 
 // ---------------------------------------------------------------------
-// LLFree zones (§4.14): the daemon isolates an area's free frames,
+// LLFree zones (§4.14): a pass isolates an area's free frames,
 // migrates the stragglers out, and the re-formed huge frame becomes
 // order-9 reclaimable again.
 // ---------------------------------------------------------------------
@@ -222,7 +206,7 @@ TEST_F(CompactionTest, LLFreeCompactionReformsSplinteredHugeFrames) {
   const uint64_t free_huge_before = vm_->FreeHugeFrames();
   const uint64_t allocated_before = vm_->AllocatedFrames();
 
-  Compactor compactor(vm_.get(), {});
+  Compactor compactor(vm_.get());
   const uint64_t freed = compactor.CompactPass(~0ull);
   EXPECT_GT(freed, 0u);
   EXPECT_EQ(compactor.blocks_compacted(), freed);
@@ -244,55 +228,22 @@ TEST_F(CompactionTest, LLFreeCompactionReformsSplinteredHugeFrames) {
   EXPECT_EQ(vm_->FreeFrames(), vm_->total_frames());
 }
 
-TEST_F(CompactionTest, LLFreeDaemonTriggersOnFragmentationScore) {
+TEST_F(CompactionTest, LLFreePassNeverMigratesUnmovableStragglers) {
   InitLLFree();
   workloads::MemoryPool pool(vm_.get());
-  const std::vector<uint64_t> kept = Churn(&pool);
-  ASSERT_GT(vm_->FragmentationScore(), 0.25);
-
-  // Watermark satisfied (min_free_huge = 0): only the score trigger can
-  // wake a pass.
-  CompactionConfig config;
-  config.min_free_huge = 0;
-  config.frag_threshold = 0.25;
-  config.blocks_per_wakeup = 16;
-  Compactor compactor(vm_.get(), config);
-  compactor.StartBackground();
-  sim_->RunUntil(sim_->now() + 60 * sim::kSec);
-  compactor.Stop();
-
-  EXPECT_GT(compactor.triggered_passes(), 0u);
-  EXPECT_GT(compactor.blocks_compacted(), 0u);
-  EXPECT_LT(vm_->FragmentationScore(), 0.25)
-      << "the daemon must compact until the score drops below threshold";
-  EXPECT_EQ(compactor.backoff_multiplier(), 1u)
-      << "progress (or an idle trigger) must reset the backoff";
-  (void)kept;
-}
-
-TEST_F(CompactionTest, LLFreeDaemonBacksOffWhenPinned) {
-  InitLLFree();
-  workloads::MemoryPool pool(vm_.get());
-  // Unmovable stragglers: every candidate area is pinned, so triggered
-  // passes can never make progress.
+  // Unmovable stragglers: every candidate area is pinned, so a pass can
+  // never make progress.
   const std::vector<uint64_t> kept =
       Churn(&pool, AllocType::kUnmovable);
-  ASSERT_GT(vm_->FragmentationScore(), 0.25);
+  const double frag_before = vm_->FragmentationScore();
+  ASSERT_GT(frag_before, 0.25);
 
-  CompactionConfig config;
-  config.min_free_huge = 0;
-  config.frag_threshold = 0.25;
-  config.max_backoff = 8;
-  Compactor compactor(vm_.get(), config);
-  compactor.StartBackground();
-  sim_->RunUntil(sim_->now() + 120 * sim::kSec);
-  compactor.Stop();
-
-  EXPECT_GT(compactor.triggered_passes(), 0u);
+  Compactor compactor(vm_.get());
+  EXPECT_EQ(compactor.CompactPass(~0ull), 0u);
   EXPECT_EQ(compactor.blocks_compacted(), 0u)
       << "unmovable stragglers must never be migrated";
-  EXPECT_EQ(compactor.backoff_multiplier(), config.max_backoff)
-      << "zero-progress passes must back the daemon off";
+  EXPECT_EQ(compactor.frames_migrated(), 0u);
+  EXPECT_DOUBLE_EQ(vm_->FragmentationScore(), frag_before);
   (void)kept;
 }
 
@@ -309,7 +260,7 @@ TEST_F(CompactionTest, LLFreeCompactionSurvivesEptMapFaultMidMigration) {
   const uint64_t allocated_before = vm_->AllocatedFrames();
   const double frag_before = vm_->FragmentationScore();
 
-  // Model the post-shrink state the daemon actually runs in: the host
+  // Model the post-shrink state a pass actually runs in: the host
   // evicted the guest's cold pages, so every migration destination has
   // to be EPT-mapped back in mid-pass — the map calls the fault plan
   // intercepts.
@@ -323,7 +274,7 @@ TEST_F(CompactionTest, LLFreeCompactionSurvivesEptMapFaultMidMigration) {
   fault::Injector injector(plan);
   vm_->SetFaultInjector(&injector);
 
-  Compactor compactor(vm_.get(), {});
+  Compactor compactor(vm_.get());
   const uint64_t freed = compactor.CompactPass(~0ull);
   ASSERT_GT(injector.injected_total(), 0u)
       << "the armed plan never fired mid-compaction";

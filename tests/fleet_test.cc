@@ -243,9 +243,8 @@ FleetResult RunTelemetryFleet(unsigned threads) {
   config.record_series = false;
   config.initial_limit_bytes = pc.min_limit_bytes + pc.headroom_bytes;
   config.spike = {sim::kMin, 32, 16 * kMiB};
-  // Telemetry on (the default), span emission off: the test runs without
-  // the global tracers and must not depend on their state.
-  config.telemetry.emit_spans = false;
+  // Telemetry on (the default). Its alert and flight markers only reach
+  // the global span tracer, which no test in this file enables.
 
   // Permanent unmap faults push frames toward the per-VM quarantine
   // limit; under 1.6x overcommit the policy keeps deflating (every
@@ -548,7 +547,6 @@ PermanentFaultRun RunPermanentFaultFleet(unsigned threads) {
   config.record_series = false;
   config.initial_limit_bytes = pc.min_limit_bytes + pc.headroom_bytes;
   config.spike = {2 * sim::kMin, 32, 32 * kMiB};
-  config.telemetry.emit_spans = false;
 
   fault::Plan plan;
   std::string error;

@@ -71,8 +71,7 @@ Rig MakeRig(Kind kind) {
       break;
     }
     case Kind::kVmem:
-      rig.deflator = std::make_unique<vmem::VirtioMem>(rig.vm.get(),
-                                                       vmem::VmemConfig{});
+      rig.deflator = std::make_unique<vmem::VirtioMem>(rig.vm.get());
       break;
     case Kind::kHyperAlloc:
       rig.deflator = std::make_unique<core::HyperAllocMonitor>(
@@ -250,8 +249,7 @@ TEST(Integration, DmaSafetyMatrix) {
       deflator = std::make_unique<core::HyperAllocMonitor>(
           &vm, core::HyperAllocConfig{});
     } else {
-      deflator =
-          std::make_unique<vmem::VirtioMem>(&vm, vmem::VmemConfig{});
+      deflator = std::make_unique<vmem::VirtioMem>(&vm);
     }
     EXPECT_TRUE(deflator->caps().dma_safe);
 

@@ -101,8 +101,7 @@ class RecoveryTest : public ::testing::Test {
             std::make_unique<balloon::VirtioBalloon>(vm_.get(), balloon);
         break;
       case Backend::kVmem: {
-        auto vmem =
-            std::make_unique<vmem::VirtioMem>(vm_.get(), vmem::VmemConfig{});
+        auto vmem = std::make_unique<vmem::VirtioMem>(vm_.get());
         vmem_ = vmem.get();
         deflator_ = std::move(vmem);
         break;
@@ -408,8 +407,7 @@ class RequestLifecycleTest : public ::testing::TestWithParam<Technique> {
             vm_.get(), balloon::BalloonConfig{});
         break;
       case Technique::kVmem:
-        deflator_ =
-            std::make_unique<vmem::VirtioMem>(vm_.get(), vmem::VmemConfig{});
+        deflator_ = std::make_unique<vmem::VirtioMem>(vm_.get());
         break;
     }
     BackThroughTheGuest(vm_.get());

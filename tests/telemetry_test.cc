@@ -1,8 +1,8 @@
 // Tests for the fleet telemetry pipeline (src/telemetry/): burn-window
 // math and alert rising edges, flight-recorder triggers / ring coverage /
 // cooldown / dump cap, the per-VM -> fleet epoch sums, the
-// hyperalloc-flight-v2 document shape, and stream digest
-// determinism. The pipeline is driven directly (no fleet engine) with
+// hyperalloc-flight-v2 document shape, the alert marker spans, and
+// stream digest determinism. The pipeline is driven directly (no fleet engine) with
 // synthetic gauge sets; the engine-integration side — byte-identical
 // digests across worker-thread counts at fleet scale — lives in
 // tests/fleet_test.cc.
@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "src/telemetry/telemetry.h"
+#include "src/trace/span.h"
 
 namespace hyperalloc::telemetry {
 namespace {
@@ -33,21 +34,10 @@ std::vector<VmGauges> QuietGauges(uint64_t vms, uint64_t limit_bytes,
   return gauges;
 }
 
-TelemetryOptions QuietOptions() {
-  TelemetryOptions options;
-  // No span/trace emission: these tests drive the pipeline without the
-  // global tracers and must not depend on their state.
-  options.emit_spans = false;
-  return options;
-}
-
 TEST(Burn, LatencyAlertFiresOnRisingEdgeOnly) {
-  TelemetryOptions options = QuietOptions();
-  options.burn_fast_epochs = 2;
-  options.burn_slow_epochs = 4;
-  // Defaults otherwise: budget 0.01, thresholds 8x fast / 2x slow,
-  // latency target 400 ms.
-  Pipeline pipeline(options, /*vms=*/4);
+  // Budget 0.01, windows 3 (fast) / 12 (slow) epochs, thresholds 8x
+  // fast / 2x slow, latency target 400 ms.
+  Pipeline pipeline(TelemetryOptions{}, /*vms=*/4);
   const std::vector<VmGauges> gauges = QuietGauges(4, 64 << 20, 32 << 20);
 
   pipeline.rows() = gauges;
@@ -72,8 +62,8 @@ TEST(Burn, LatencyAlertFiresOnRisingEdgeOnly) {
     epoch({10.0, 20.0});
   }
   // Relapse at epoch 9: a second rising edge, a second alert. One late
-  // epoch is enough — fast window mean 0.5 -> 50x burn, slow window mean
-  // 0.25 -> 25x.
+  // epoch is enough — fast window mean 1/3 -> 33x burn, slow window mean
+  // 4/10 -> 40x.
   epoch({1200.0});
   epoch({1200.0});
 
@@ -92,48 +82,48 @@ TEST(Burn, LatencyAlertFiresOnRisingEdgeOnly) {
 }
 
 TEST(Burn, PressureAlertUsesPressureCeiling) {
-  TelemetryOptions options = QuietOptions();
-  options.burn_fast_epochs = 1;
-  options.burn_slow_epochs = 2;
-  options.slo_pressure = 0.9;
-  Pipeline pipeline(options, 2);
-  const std::vector<VmGauges> gauges = QuietGauges(2, 64 << 20, 32 << 20);
+  auto run = [](double pressure) {
+    Pipeline pipeline(TelemetryOptions{}, 2);
+    pipeline.rows() = QuietGauges(2, 64 << 20, 32 << 20);
+    pipeline.OnEpoch(kEpoch, 1 << 30, pressure, 0, 0, 0, {});
+    pipeline.OnEpoch(2 * kEpoch, 1 << 30, pressure, 0, 0, 0, {});
+    return pipeline.Finish();
+  };
   // Over the ceiling from the first epoch: binary error 1.0.
-  pipeline.rows() = gauges;
-  pipeline.OnEpoch(kEpoch, 1 << 30, /*pressure=*/0.95, 0, 0, 0, {});
-  pipeline.OnEpoch(2 * kEpoch, 1 << 30, 0.95, 0, 0, 0, {});
-  const TelemetryResult result = pipeline.Finish();
-  ASSERT_GE(result.alert_events.size(), 1u);
-  EXPECT_EQ(result.alert_events[0].kind, AlertKind::kPressureBurn);
-  EXPECT_GT(result.fleet.back().pressure_burn_fast, 8.0);
+  const TelemetryResult over = run(/*pressure=*/0.99);
+  ASSERT_GE(over.alert_events.size(), 1u);
+  EXPECT_EQ(over.alert_events[0].kind, AlertKind::kPressureBurn);
+  EXPECT_GT(over.fleet.back().pressure_burn_fast, 8.0);
+  // At the ceiling is within the SLO.
+  const TelemetryResult at = run(kSloPressure);
+  EXPECT_TRUE(at.alert_events.empty());
+  EXPECT_EQ(at.fleet.back().pressure_burn_fast, 0.0);
 }
 
 TEST(Flight, QuarantineFreezesRingWithHistory) {
-  TelemetryOptions options = QuietOptions();
-  options.flight_depth = 8;
-  Pipeline pipeline(options, 4);
+  Pipeline pipeline(TelemetryOptions{}, 4);
   std::vector<VmGauges>& gauges = pipeline.rows();
   gauges = QuietGauges(4, 64 << 20, 32 << 20);
 
-  // Ten quiet epochs fill the ring past its depth...
-  for (int k = 0; k < 10; ++k) {
+  // Eighteen quiet epochs fill the 16-deep ring past its depth...
+  for (int k = 0; k < 18; ++k) {
     pipeline.OnEpoch((k + 1) * kEpoch, 128 << 20, 0.5, 0, 0, 0, {});
   }
-  // ...then VM 3 enters quarantine at epoch 10.
+  // ...then VM 3 enters quarantine at epoch 18.
   gauges[3].quarantined = true;
   gauges[3].quarantined_frames = 16;
-  pipeline.OnEpoch(11 * kEpoch, 128 << 20, 0.5, 0, 0, 0, {});
+  pipeline.OnEpoch(19 * kEpoch, 128 << 20, 0.5, 0, 0, 0, {});
 
   const TelemetryResult result = pipeline.Finish();
   ASSERT_EQ(result.dumps.size(), 1u);
   const FlightDump& dump = result.dumps[0];
   EXPECT_EQ(dump.trigger, FlightTrigger::kQuarantine);
   EXPECT_EQ(dump.vm, 3u);
-  EXPECT_EQ(dump.epoch, 10u);
-  // The ring covers the trigger epoch plus >= 7 epochs of history (the
+  EXPECT_EQ(dump.epoch, 18u);
+  // The ring covers the trigger epoch plus 15 epochs of history (the
   // postmortem acceptance bound is >= 8 epochs before the trigger
   // counting it).
-  EXPECT_EQ(dump.ring_epochs, 8u);
+  EXPECT_EQ(dump.ring_epochs, kFlightDepth);
   // hyperalloc-flight-v2 document shape (full schema validation is
   // scripts/check_flight_json.py's job; these are the load-bearing
   // landmarks).
@@ -144,12 +134,12 @@ TEST(Flight, QuarantineFreezesRingWithHistory) {
   EXPECT_NE(dump.json.find("\"vm\": 3"), std::string::npos);
   EXPECT_NE(dump.json.find("\"vms_detail\""), std::string::npos);
   EXPECT_NE(dump.json.find("\"counter_deltas\""), std::string::npos);
-  // Oldest ring frame is epoch 3 (10 - 8 + 1).
+  // Oldest ring frame is epoch 3 (18 - 16 + 1).
   EXPECT_NE(dump.json.find("{\"epoch\": 3,"), std::string::npos);
   EXPECT_EQ(dump.json.find("{\"epoch\": 2,"), std::string::npos);
   // The Perfetto bundle is the whole-run counter-track document over the
-  // same window: epochs 3..10, no alerts.
-  ASSERT_EQ(result.fleet.size(), 11u);
+  // same window: epochs 3..18, no alerts.
+  ASSERT_EQ(result.fleet.size(), 19u);
   const std::vector<EpochSummary> window(result.fleet.begin() + 3,
                                          result.fleet.end());
   EXPECT_EQ(dump.perfetto, FleetPerfettoJson(window, {}));
@@ -162,12 +152,10 @@ TEST(Flight, QuarantineFreezesRingWithHistory) {
 }
 
 TEST(Flight, CooldownSpacesDumpsAndCapHolds) {
-  TelemetryOptions options = QuietOptions();
-  options.flight_depth = 4;
-  options.flight_cooldown_epochs = 4;
-  options.flight_max_dumps = 2;
-  const uint64_t vms = 24;
-  Pipeline pipeline(options, vms);
+  // Enough epochs for more dumps than the cap even at the cooldown's
+  // spacing (epochs 0, 16, 32, 48, 64, 80).
+  const uint64_t vms = (kFlightMaxDumps + 2) * kFlightCooldownEpochs;
+  Pipeline pipeline(TelemetryOptions{}, vms);
   std::vector<VmGauges>& gauges = pipeline.rows();
   gauges = QuietGauges(vms, 64 << 20, 32 << 20);
   // A new VM quarantines every epoch: without the cooldown this would
@@ -177,32 +165,85 @@ TEST(Flight, CooldownSpacesDumpsAndCapHolds) {
     pipeline.OnEpoch((k + 1) * kEpoch, 128 << 20, 0.5, 0, 0, 0, {});
   }
   const TelemetryResult result = pipeline.Finish();
-  ASSERT_EQ(result.dumps.size(), 2u);
-  EXPECT_GE(result.dumps[1].epoch - result.dumps[0].epoch,
-            uint64_t{options.flight_cooldown_epochs});
+  ASSERT_EQ(result.dumps.size(), kFlightMaxDumps);
+  for (size_t i = 1; i < result.dumps.size(); ++i) {
+    EXPECT_GE(result.dumps[i].epoch - result.dumps[i - 1].epoch,
+              kFlightCooldownEpochs);
+  }
 }
 
 TEST(Flight, RejectSpikeTrigger) {
-  TelemetryOptions options = QuietOptions();
-  options.reject_spike_threshold = 5;
-  Pipeline pipeline(options, 2);
+  Pipeline pipeline(TelemetryOptions{}, 2);
   const std::vector<VmGauges> gauges = QuietGauges(2, 64 << 20, 32 << 20);
-  // Cumulative rejections: +2 (quiet), +7 (spike).
+  // Cumulative rejections: +2 (quiet), +15 (one under the threshold,
+  // quiet), +16 (spike).
   pipeline.rows() = gauges;
   pipeline.OnEpoch(kEpoch, 1 << 30, 0.5, 10, 0, 2, {});
-  pipeline.OnEpoch(2 * kEpoch, 1 << 30, 0.5, 10, 0, 9, {});
+  pipeline.OnEpoch(2 * kEpoch, 1 << 30, 0.5, 10, 0, 17, {});
+  pipeline.OnEpoch(3 * kEpoch, 1 << 30, 0.5, 10, 0, 33, {});
   const TelemetryResult result = pipeline.Finish();
   ASSERT_EQ(result.dumps.size(), 1u);
   EXPECT_EQ(result.dumps[0].trigger, FlightTrigger::kRejectSpike);
-  EXPECT_EQ(result.fleet[1].rejected_delta, 7u);
+  EXPECT_EQ(result.dumps[0].epoch, 2u);
+  EXPECT_EQ(result.fleet[2].rejected_delta, kRejectSpikeThreshold);
   EXPECT_NE(result.dumps[0].json.find("\"kind\": \"reject_spike\""),
             std::string::npos);
 }
 
+// The alert and flight-dump markers are zero-length kTelemetry spans on
+// the global span tracer, emitted only while it is enabled.
+class MarkerTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    was_enabled_ = trace::SpanTracer::Global().enabled();
+  }
+  void TearDown() override {
+    trace::SpanTracer::Global().SetEnabled(was_enabled_);
+  }
+
+  // Runs two on-time epochs and one late one (the latency alert edge is
+  // epoch 2) with the tracer on or off; returns the alert marker spans.
+  static std::vector<trace::SpanRecord> AlertMarkers(bool tracing) {
+    trace::SpanTracer& spans = trace::SpanTracer::Global();
+    spans.SetEnabled(false);
+    spans.Drain();
+    spans.SetEnabled(tracing);
+    Pipeline pipeline(TelemetryOptions{}, /*vms=*/4);
+    pipeline.rows() = QuietGauges(4, 64 << 20, 32 << 20);
+    pipeline.OnEpoch(kEpoch, 128 << 20, 0.5, 0, 0, 0, {10.0});
+    pipeline.OnEpoch(2 * kEpoch, 128 << 20, 0.5, 0, 0, 0, {10.0});
+    pipeline.OnEpoch(3 * kEpoch, 128 << 20, 0.5, 0, 0, 0, {900.0});
+    EXPECT_EQ(pipeline.Finish().alerts, 1u);
+    spans.SetEnabled(false);
+    std::vector<trace::SpanRecord> markers;
+    for (const trace::SpanRecord& span : spans.Drain()) {
+      if (std::string(span.name) == "telemetry.alert.latency_burn") {
+        markers.push_back(span);
+      }
+    }
+    return markers;
+  }
+
+  bool was_enabled_ = false;
+};
+
+TEST_F(MarkerTest, AlertEdgeEmitsOneSpanWhileTracing) {
+  const std::vector<trace::SpanRecord> markers = AlertMarkers(true);
+  ASSERT_EQ(markers.size(), 1u);
+  EXPECT_EQ(markers[0].layer, trace::Layer::kTelemetry);
+  EXPECT_EQ(markers[0].vm, 4u);      // the fleet size: no real VM
+  EXPECT_EQ(markers[0].frames, 2u);  // the alert's epoch
+  EXPECT_EQ(markers[0].begin_vns, 3 * kEpoch);
+  EXPECT_EQ(markers[0].end_vns, 3 * kEpoch);
+}
+
+TEST_F(MarkerTest, NoSpanWhileTracerDisabled) {
+  EXPECT_TRUE(AlertMarkers(false).empty());
+}
+
 TEST(Aggregation, EpochSummaryEqualsSumOverVmGauges) {
-  TelemetryOptions options = QuietOptions();
   const uint64_t vms = 10;
-  Pipeline pipeline(options, vms);
+  Pipeline pipeline(TelemetryOptions{}, vms);
 
   std::vector<std::vector<VmGauges>> epochs;
   for (uint64_t k = 0; k < 6; ++k) {
@@ -241,8 +282,7 @@ TEST(Aggregation, EpochSummaryEqualsSumOverVmGauges) {
 
 TEST(Digest, IdenticalInputsIdenticalStream) {
   auto run = [](uint64_t wss_tweak) {
-    TelemetryOptions options = QuietOptions();
-    Pipeline pipeline(options, 3);
+    Pipeline pipeline(TelemetryOptions{}, 3);
     for (int k = 0; k < 5; ++k) {
       std::vector<VmGauges> gauges = QuietGauges(3, 64 << 20, 32 << 20);
       gauges[1].wss_bytes += wss_tweak;
@@ -262,7 +302,7 @@ TEST(Digest, IdenticalInputsIdenticalStream) {
 }
 
 TEST(Pipeline, DisabledSamplesNothing) {
-  TelemetryOptions options = QuietOptions();
+  TelemetryOptions options;
   options.enabled = false;
   Pipeline pipeline(options, 2);
   EXPECT_FALSE(pipeline.enabled());

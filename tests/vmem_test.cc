@@ -2,6 +2,8 @@
 // pre-population, and the simulated auto-resizer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/guest/guest_vm.h"
 #include "src/vmem/virtio_mem.h"
 
@@ -14,17 +16,19 @@ constexpr uint64_t kStaticBytes = kVmBytes - kMovableBytes;
 
 class VmemTest : public ::testing::Test {
  protected:
-  void Init(bool vfio = false, VmemConfig config = {}) {
+  // Every byte above the first kStaticBytes is hotpluggable.
+  void Init(bool vfio = false, uint64_t vm_bytes = kVmBytes) {
     sim_ = std::make_unique<sim::Simulation>();
-    host_ = std::make_unique<hv::HostMemory>(FramesForBytes(kGiB));
+    host_ = std::make_unique<hv::HostMemory>(
+        FramesForBytes(std::max(kGiB, vm_bytes)));
     guest::GuestConfig gc;
-    gc.memory_bytes = kVmBytes;
+    gc.memory_bytes = vm_bytes;
     gc.vcpus = 4;
     gc.dma32_bytes = 0;
-    gc.movable_bytes = kMovableBytes;
+    gc.movable_bytes = vm_bytes - kStaticBytes;
     gc.vfio = vfio;
     vm_ = std::make_unique<guest::GuestVm>(sim_.get(), host_.get(), gc);
-    vmem_ = std::make_unique<VirtioMem>(vm_.get(), config);
+    vmem_ = std::make_unique<VirtioMem>(vm_.get());
   }
 
   void SetLimit(uint64_t bytes) {
@@ -89,8 +93,7 @@ TEST_F(VmemTest, PlugRestoresMemory) {
 }
 
 TEST_F(VmemTest, UnplugMigratesUsedBlocks) {
-  VmemConfig config;
-  Init(false, config);
+  Init();
   // Allocate movable memory that lands in the top blocks (buddy LIFO
   // hands out high addresses first).
   std::vector<FrameId> held;
@@ -197,20 +200,19 @@ TEST_F(VmemTest, VfioGrowCostsMoreThanPlainGrow) {
 }
 
 TEST_F(VmemTest, AutoResizerUnplugsIdleMemory) {
-  VmemConfig config;
-  config.auto_granularity = 32 * kMiB;
-  config.auto_high_bytes = 64 * kMiB;
-  config.auto_low_bytes = 16 * kMiB;
-  Init(false, config);
+  // Large enough that idle free memory exceeds the unplug threshold by
+  // more than one 1 GiB step.
+  const uint64_t vm_bytes = 4 * kGiB;
+  Init(false, vm_bytes);
   vm_->Touch(0, vm_->total_frames());
   vmem_->StartAuto();
   sim_->RunUntil(20 * sim::kSec);
   vmem_->StopAuto();
-  EXPECT_LT(vmem_->limit_bytes(), kVmBytes)
+  EXPECT_LT(vmem_->limit_bytes(), vm_bytes)
       << "idle memory should have been unplugged";
-  EXPECT_LT(vm_->rss_bytes(), kVmBytes);
+  EXPECT_LT(vm_->rss_bytes(), vm_bytes);
   // It must keep a cushion: never down to the static minimum.
-  EXPECT_GT(vm_->FreeFrames() * kFrameSize, config.auto_low_bytes);
+  EXPECT_GT(vm_->FreeFrames() * kFrameSize, kAutoLowBytes);
 }
 
 TEST_F(VmemTest, CandidateProperties) {

@@ -127,7 +127,7 @@ TEST_F(WorkloadsTest, PoolIndexFollowsMigrationsAfterTheFirst) {
     vm_->PurgeAllocatorCaches();
   };
   auto compact = [&] {
-    guest::Compactor compactor(vm_.get(), {});
+    guest::Compactor compactor(vm_.get());
     compactor.CompactPass(~0ull);
     return compactor.frames_migrated();
   };
